@@ -1,6 +1,6 @@
 """svarspec benchmark: one workload, one seed, end-to-end or per-layer metrics.
 
-    python3 perfbench/run.py --workload trek-family --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload trek-family --seed 1 --seconds 24 --trace 0
 
 Run from the root of a source checkout; the program is imported from
 `src/`.  Set-up (imports, drawing graphs and parameters, writing input
@@ -54,9 +54,9 @@ class CommandFailed(Exception):
 # Each workload is a list of cells (count, graph shape).  The graphs and lag
 # sets of a workload form a fixed panel drawn from the workload's name; the
 # seed draws every number on them: coefficients, noise variances, query sets
-# and simulation seeds.  Drawn with the seed, graph structure alone moved a
-# round's cost by 6-10% from seed to seed (see README.md), more than the
-# bounds allow; coefficients move it by about 1%.
+# and simulation seeds.  Drawn with the seed, graph structure moved a
+# round's cost by about 6% from seed to seed on top of the machine's own
+# noise (see README.md); coefficients move it by about 2%.
 
 
 def _cells(spec):
