@@ -134,24 +134,31 @@ def ratfn_json_pair(entry: dict) -> tuple[list[Fraction], list[Fraction]]:
 # -- identification ---------------------------------------------------------------
 
 
-def check_certificate(graph: dict, params: dict, cert: dict) -> list[str]:
-    """Solved links carry the drawn lag coefficients exactly; every observed
-    edge is solved or listed as unresolved."""
-    problems = []
+def check_certificate(graph: dict, params: dict, cert: dict, solvable) -> list[str]:
+    """Solved links carry the drawn lag coefficients exactly; each step meets
+    the LF-HTC (check_lfhtc_order); an observed edge is listed as unresolved
+    exactly when `lfhtc_solvable` leaves its head unsolved, and is solved
+    otherwise."""
     observed = set(graph["observed"])
+    steps = [(s["vertex"], s["triple"]["Y"], s["triple"]["W"], s["triple"]["Lp"])
+             for s in cert["steps"]]
+    problems = check_lfhtc_order(graph, steps, cert["unresolved_vertices"], solvable)
     solved = {}
     for step in cert["steps"]:
         for item in step["solved"]:
             solved[(item["from"], item["to"])] = ratfn_json_pair(item["link"])
     unresolved = {tuple(e) for e in cert["unresolved_edges"]}
+    want_unresolved = {(e["from"], e["to"]) for e in graph["edges"]
+                       if e["from"] in observed and e["to"] not in solvable}
+    if unresolved != want_unresolved:
+        problems.append(f"unresolved edges {sorted(unresolved)}, "
+                        f"the LF-HTC fixpoint leaves {sorted(want_unresolved)}")
     for e in graph["edges"]:
         a, b = e["from"], e["to"]
-        if a not in observed:
-            continue
-        if (a, b) in unresolved:
+        if a not in observed or b not in solvable:
             continue
         if (a, b) not in solved:
-            problems.append(f"edge {a}->{b} neither solved nor unresolved")
+            problems.append(f"edge {a}->{b} into a solvable vertex is not solved")
             continue
         num, den = solved[(a, b)]
         if not den or den[0] == 0:
@@ -228,41 +235,50 @@ def check_cpdag(graph: dict, got: dict) -> list[str]:
 # -- t-separation by max-flow ------------------------------------------------------
 
 
-def _trek_network(graph: dict, X, Y, cut_left=(), cut_right=()):
-    """Unit vertex-capacity network whose source-sink paths are the treks X..Y.
+def _arc(arcs: dict, u, w, cap) -> None:
+    arcs.setdefault(u, {})
+    arcs[u][w] = arcs[u].get(w, 0) + cap
+    arcs.setdefault(w, {}).setdefault(u, 0)
 
-    Each vertex v has a left copy (v, "L") and a right copy (v, "R"); a trek
-    climbs its left side against edge direction, crosses at its top, then
-    descends its right side.  Each copy is split into in/out nodes joined by
-    a unit arc, so max-flow equals the minimum number of copies meeting every
-    trek (Sullivant, Talaska & Draisma 2010).  Copies in `cut_left` /
-    `cut_right` are removed.
+
+def _network(graph: dict, removed, source_arcs, sink_arcs, left_arcs) -> dict:
+    """Unit vertex-capacity network on a left and a right copy of each vertex.
+
+    Each copy (v, "L") / (v, "R") is split into in/out nodes joined by a unit
+    arc, unless it is in `removed`; a flow path climbs left copies along
+    `left_arcs` (pairs (child, parent)), crosses to the right side at its top
+    and descends right copies along the graph's edges, so max-flow equals
+    the largest number of paths that share no copy.
     """
-    arcs: dict = {}
-
-    def arc(u, w, cap):
-        arcs.setdefault(u, {})
-        arcs[u][w] = arcs[u].get(w, 0) + cap
-        arcs.setdefault(w, {}).setdefault(u, 0)
-
-    removed = {(v, "L") for v in cut_left} | {(v, "R") for v in cut_right}
+    arcs: dict = {"source": {}, "sink": {}}
     big = len(_vertices(graph)) * 2 + 1
     for v in _vertices(graph):
         for side in "LR":
             if (v, side) not in removed:
-                arc((v, side, "in"), (v, side, "out"), 1)
-        arc((v, "L", "out"), (v, "R", "in"), big)
+                _arc(arcs, (v, side, "in"), (v, side, "out"), 1)
+        _arc(arcs, (v, "L", "out"), (v, "R", "in"), big)
+    for b, a in left_arcs:
+        _arc(arcs, (b, "L", "out"), (a, "L", "in"), big)
     for e in graph["edges"]:
-        a, b = e["from"], e["to"]
-        arc((b, "L", "out"), (a, "L", "in"), big)
-        arc((a, "R", "out"), (b, "R", "in"), big)
-    for x in X:
-        arc("source", (x, "L", "in"), big)
-    for y in Y:
-        arc((y, "R", "out"), "sink", big)
-    arcs.setdefault("source", {})
-    arcs.setdefault("sink", {})
+        _arc(arcs, (e["from"], "R", "out"), (e["to"], "R", "in"), big)
+    for x in source_arcs:
+        _arc(arcs, "source", (x, "L", "in"), big)
+    for y in sink_arcs:
+        _arc(arcs, (y, "R", "out"), "sink", big)
     return arcs
+
+
+def _trek_network(graph: dict, X, Y, cut_left=(), cut_right=()):
+    """Network whose source-sink paths are the treks from X to Y.
+
+    A trek climbs its left side against edge direction, crosses at its top,
+    then descends its right side, so max-flow equals the minimum number of
+    copies meeting every trek (Sullivant, Talaska & Draisma 2010).  Copies
+    in `cut_left` / `cut_right` are removed.
+    """
+    removed = {(v, "L") for v in cut_left} | {(v, "R") for v in cut_right}
+    left = [(e["to"], e["from"]) for e in graph["edges"]]
+    return _network(graph, removed, X, Y, left)
 
 
 def max_flow(arcs: dict) -> int:
@@ -333,11 +349,87 @@ def _htr(graph: dict, sources, avoid) -> set[str]:
     return out & set(graph["observed"])
 
 
-def check_lfhtc_order(graph: dict, steps) -> list[str]:
-    """Each step's triple meets the size and latent-parent conditions, and the
-    links it needs were solved by earlier steps.
+def _half_trek_system(graph: dict, sources, pa, W, Lp) -> bool:
+    """Whether |pa| + |W| of `sources` reach pa | W by a sided-non-intersecting
+    system of latent-factor half-treks, the treks into each w in W being
+    y <- l -> w with l in Lp (condition 3 of the LF-HTC).
 
-    `steps` is a sequence of (v, Y, W, Lp).
+    The treks into W are single edges, so they are enumerated: each w takes
+    a distinct source y and a distinct l in Lp with l -> y and l -> w, which
+    uses the left copies of y and l and the right copies of l and w.  The
+    treks into pa are then a unit-capacity max-flow from the other sources:
+    a half-trek's left side is its source alone or one latent edge l -> y.
+    """
+    parents = _parents(graph)
+    latent = set(graph["latent"])
+    left = [(y, l) for y in graph["observed"] for l in parents[y] if l in latent]
+
+    def assign(i, used_y, used_l):
+        if i == len(W):
+            removed = {(y, "L") for y in used_y} | {(l, s) for l in used_l for s in "LR"} \
+                | {(w, "R") for w in W}
+            rest = [y for y in sources if y not in used_y]
+            return max_flow(_network(graph, removed, rest, pa, left)) == len(pa)
+        w = W[i]
+        return any(assign(i + 1, used_y | {y}, used_l | {l})
+                   for l in Lp if l not in used_l and l in parents[w]
+                   for y in sources if y not in used_y and l in parents[y])
+
+    return assign(0, frozenset(), frozenset())
+
+
+def lfhtc_solvable(graph: dict) -> set[str]:
+    """Observed vertices that the LF-HTC recursion solves, by its own fixpoint.
+
+    A vertex v is solvable once some triple (Y, W, Lp) meets the three
+    conditions and every link into W, and into the part of Y half-trek
+    reachable from W | {v} avoiding Lp, is solved.  Solving only adds links,
+    so the fixpoint does not depend on the order vertices are tried in.  For
+    each (Lp, W) the sources Y that may be used are those meeting the
+    latent-parent condition and the prerequisites one at a time; condition 3
+    over all Y of the right size is then one call of _half_trek_system.
+    """
+    parents = _parents(graph)
+    observed, latent = graph["observed"], graph["latent"]
+    pa_obs = {v: [p for p in parents[v] if p in set(observed)] for v in observed}
+    pa_lat = {v: {p for p in parents[v] if p in set(latent)} for v in observed}
+    solved: set[str] = set()
+
+    def ready(y):
+        return y in solved or not pa_obs[y]
+
+    def usable(v):
+        pa = pa_obs[v]
+        others = [x for x in observed if x != v]
+        w_pool = [x for x in others if x not in pa and ready(x)]
+        for k in range(min(len(latent), len(w_pool)) + 1):
+            for Lp in combinations(latent, k):
+                for W in combinations(w_pool, k):
+                    reach = _htr(graph, set(W) | {v}, Lp)
+                    lat_wv = set().union(*(pa_lat[u] for u in W + (v,)))
+                    pool = [y for y in others if y not in W and (ready(y) or y not in reach)
+                            and pa_lat[y] & lat_wv <= set(Lp)]
+                    if len(pool) >= len(pa) + k and _half_trek_system(graph, pool, pa, W, Lp):
+                        return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for v in observed:
+            if v not in solved and usable(v):
+                solved.add(v)
+                changed = True
+    return solved
+
+
+def check_lfhtc_order(graph: dict, steps, unresolved, solvable) -> list[str]:
+    """Each step's triple meets the three LF-HTC conditions, recomputed here,
+    and the links it needs were solved by earlier steps; the unresolved
+    vertices are exactly those `lfhtc_solvable` cannot solve.
+
+    `steps` is a sequence of (v, Y, W, Lp); vertices without observed
+    parents may be left out of it.
     """
     problems = []
     parents = _parents(graph)
@@ -356,11 +448,16 @@ def check_lfhtc_order(graph: dict, steps) -> list[str]:
         lat_wv = {l for u in W | {v} for l in parents[u] if l in latent}
         if Y & W or not (lat_y & lat_wv) <= Lp:
             problems.append(f"step {v}: latent-parent condition fails")
+        elif not _half_trek_system(graph, sorted(Y), sorted(pa), sorted(W), sorted(Lp)):
+            problems.append(f"step {v}: no half-trek system from Y onto pa | W")
         heads = W | (Y & _htr(graph, W | {v}, Lp))
         missing = sorted(y for y in heads if y not in done and any(p in observed for p in parents[y]))
         if missing:
             problems.append(f"step {v}: links into {missing} used before they were solved")
         done.add(v)
+    want = sorted(observed - solvable)
+    if sorted(unresolved) != want:
+        problems.append(f"unresolved vertices {sorted(unresolved)}, the LF-HTC fixpoint leaves {want}")
     return problems
 
 

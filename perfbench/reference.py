@@ -1,13 +1,14 @@
 """Reference figures: run every workload on several seeds and summarise.
 
-    python3 perfbench/reference.py --seeds 1-10 --seconds 20 [--trace] [--workloads a,b]
+    python3 perfbench/reference.py --seeds 1-10 [--trace] [--label A]
 
-Runs perfbench/run.py once per workload and seed, one run at a time, and
-prints for every metric its median, first and third quartile
-(`statistics.quantiles(values, n=4)`) and the spread (Q3 - Q1) / median.
-With --trace each workload also gets one traced run on the first seed, and
-the tracing overhead 1 - traced / median untraced instances_per_s is printed.  Raw
-results go to perfbench/out/reference-<label>.json.
+Runs perfbench/run.py once per workload of BENCHMARK.json and seed, one run
+at a time and for the benchmark's `run_seconds`, and prints for every metric
+its median, first and third quartile (`statistics.quantiles(values, n=4)`)
+and the spread (Q3 - Q1) / median.  With --trace each workload also gets
+one traced run on the first seed, and the tracing overhead
+1 - traced / median untraced instances_per_s is printed.  Raw results go to
+perfbench/out/reference-<label>.json.
 """
 
 from __future__ import annotations
@@ -51,14 +52,12 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--label", default="latest")
     args = parser.parse_args()
     report = {}
-    for workload in args.workloads.split(","):
-        runs = [run(workload, s, args.seconds, 0) for s in seeds(args.seeds)]
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = [run(workload, s, spec["run_seconds"], 0) for s in seeds(args.seeds)]
         entry = {"runs": runs, "correct": all(r["correct"] for r in runs),
                  "failed_share": [r["failed"] / r["attempted"] for r in runs]}
         for name in runs[0]["metrics"]:
@@ -74,7 +73,7 @@ def main() -> int:
                   f"| {m['spread']:.3f} |")
         if args.trace:
             seed = seeds(args.seeds)[0]
-            traced = run(workload, seed, args.seconds, 1)
+            traced = run(workload, seed, spec["run_seconds"], 1)
             entry["traced"] = traced
             traced_rate = traced["metrics"]["trace.instances_per_s"]["value"]
             plain = entry["instances_per_s"]["median"]

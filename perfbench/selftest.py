@@ -15,6 +15,7 @@ import shutil
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import run
@@ -65,6 +66,15 @@ def faults(workload: str, inst: dict, result, sv):
             step["solved"] = step["solved"][1:]
         _rewrite(f["cert"], drop_link)
         yield "one solved edge dropped from the certificate", result
+        run.run_instance(workload, inst, sv)
+
+        def unsolve_vertex(d):
+            step = d["steps"].pop()
+            d["unresolved_vertices"] = sorted(d["unresolved_vertices"] + [step["vertex"]])
+            d["unresolved_edges"] = sorted(d["unresolved_edges"]
+                                           + [[e["from"], e["to"]] for e in step["solved"]])
+        _rewrite(f["cert"], unsolve_vertex)
+        yield "the last solved vertex moved to unresolved in the certificate", result
     elif workload == "separation-queries":
         def drop_edge(d):
             key = "directed" if d["directed"] else "undirected"
@@ -95,6 +105,28 @@ def faults(workload: str, inst: dict, result, sv):
         bad = type(order)(tuple((u, type(t).make(t.Y[1:], t.W, t.Lp) if u == v else t)
                                 for u, t in order.steps), order.unresolved)
         yield "one vertex dropped from an LF-HTC triple's Y", (bad, tsep)
+        unsolved = type(order)(order.steps[:-1], tuple(sorted(order.unresolved + (order.steps[-1][0],))))
+        yield "the last solved vertex moved to unresolved", (unsolved, tsep)
+        yield "a triple meeting every LF-HTC condition but the half-trek system", \
+            (_without_system(order, inst["objects"]["base"], sv), tsep)
+
+
+def _without_system(order, base, sv):
+    """The order with one step's Y replaced so that only condition 3 fails."""
+    g = sv.graph
+    done = set()
+    for i, (v, t) in enumerate(order.steps):
+        solved = {(x, u) for u in done for x in base.pa_observed(u)}
+        others = [x for x in base.observed if x != v and x not in t.W]
+        for Y in combinations(others, len(t.Y)):
+            triple = g.LfhtcTriple.make(Y, t.W, t.Lp)
+            c = g.lfhtc_check(base, v, triple)
+            if c.condition1 and c.condition2 and not c.condition3 \
+                    and set(g.lfhtc_prerequisite_edges(base, v, triple)) <= solved:
+                steps = order.steps[:i] + ((v, triple),) + order.steps[i + 1:]
+                return type(order)(steps, order.unresolved)
+        done.add(v)
+    raise RuntimeError("no triple fails condition 3 alone on this instance")
 
 
 def main() -> int:

@@ -65,8 +65,16 @@ def _max_size(matrix) -> tuple[int, int]:
     return degree, bits
 
 
-def _arg(args, kwargs, pos, name):
-    return kwargs[name] if name in kwargs else args[pos]
+def _binder(fn):
+    """Map a call's (args, kwargs) to fn's parameter names, defaults filled in."""
+    signature = inspect.signature(fn)
+
+    def bind(args, kwargs) -> dict:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound.arguments
+
+    return bind
 
 
 class Tracer:
@@ -178,8 +186,12 @@ class Tracer:
             maxima["svar.max_degree"] = max(maxima["svar.max_degree"], degree)
             maxima["svar.max_coeff_bits"] = max(maxima["svar.max_coeff_bits"], bits)
 
+        conditional_args = _binder(modules["svar"].conditional_spectrum)
+        simulate_args = _binder(modules["simulate"].simulate_series)
+
         def conditional(args, kwargs, result):
-            S, Z = args[0], _arg(args, kwargs, 3, "Z")
+            bound = conditional_args(args, kwargs)
+            S, Z = bound["S"], bound["Z"]
             if Z:
                 counts["svar.conditional_solves"] += 1
                 self.distinct_z.add((id(S), frozenset(Z)))
@@ -200,17 +212,19 @@ class Tracer:
             counts["graph.lfhtc_triples_used"] += len(result.steps)
 
         def simulate_steps(args, kwargs, result):
-            burn_in = kwargs.get("burn_in", args[4] if len(args) > 4 else 1000)
+            burn_in = simulate_args(args, kwargs)["burn_in"]
             counts["simulate.vertex_steps"] += (result.length + burn_in) * len(result.labels)
 
         def segments(args, kwargs, result):
             counts["simulate.segments"] += result.segment_count
 
-        def written(args, kwargs, result):
-            counts["io.bytes_written"] += os.path.getsize(args[1])
+        def file_size(fn, counter):
+            bind = _binder(fn)
 
-        def read(args, kwargs, result):
-            counts["io.bytes_read"] += os.path.getsize(args[0])
+            def hook(args, kwargs, result):
+                counts[counter] += os.path.getsize(bind(args, kwargs)["path"])
+
+            return hook
 
         hooks = {
             "svar.spectrum": spectrum_size,
@@ -225,9 +239,9 @@ class Tracer:
         }
         for attr in dir(modules["io"]):
             if attr.startswith("save_"):
-                hooks[f"io.{attr}"] = written
+                hooks[f"io.{attr}"] = file_size(getattr(modules["io"], attr), "io.bytes_written")
             elif attr.startswith("load_"):
-                hooks[f"io.{attr}"] = read
+                hooks[f"io.{attr}"] = file_size(getattr(modules["io"], attr), "io.bytes_read")
         return hooks
 
     # -- metrics ------------------------------------------------------------------------
@@ -265,6 +279,7 @@ class Tracer:
             "svar.spectrum_s": incl("svar.spectrum"),
             "svar.spectrum_trek_s": incl("svar.spectrum_trek"),
             "svar.conditional_spectrum_calls": calls("svar.conditional_spectrum"),
+            "svar.conditional_spectrum_s": incl("svar.conditional_spectrum"),
             "svar.conditional_solves": self.counts["svar.conditional_solves"],
             "svar.conditional_distinct_z": len(self.distinct_z),
             "svar.generic_rank_s": incl("svar.generic_rank"),
