@@ -1,7 +1,7 @@
 """Exact frequency-domain algebra and causal identification for SVAR process graphs."""
 
 from .ratfield import (NEG_INFINITY, P_ONE, P_Z, P_ZERO, Poly, PoleError,
-                       R_ONE, R_Z, R_ZERO, RatFn, const, poly, poly_gcd,
+                       R_ONE, R_Z, R_ZERO, RatFn, poly, poly_gcd,
                        poly_lcm, rat)
 from .ratlinalg import (RatMatrix, SingularMatrixError, conj_matrix, det,
                         inverse, rank, rank_eval, solve, solve_many)

@@ -199,6 +199,8 @@ def _parse_frequencies(arg: str) -> tuple[float, ...]:
     parts = [p for p in arg.split(",") if p.strip()]
     if len(parts) == 1 and "." not in parts[0]:
         count = int(parts[0])
+        if count < 1:
+            raise ValueError(f"frequency count must be positive, got {count}")
         return tuple(np.pi * (j + 1) / (count + 1) for j in range(count))
     return tuple(float(p) for p in parts)
 
@@ -207,7 +209,11 @@ def cmd_estimate(args) -> dict:
     started = time.perf_counter()
     series = sio.load_series(args.series)
     try:
-        est = estimate_spectrum(series, _parse_frequencies(args.frequencies),
+        frequencies = _parse_frequencies(args.frequencies)
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATION, f"invalid --frequencies: {exc}") from exc
+    try:
+        est = estimate_spectrum(series, frequencies,
                                 segment_length=args.segments, overlap=args.overlap)
     except EstimationError as exc:
         raise CliError(EXIT_ESTIMATION, str(exc)) from exc

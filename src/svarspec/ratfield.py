@@ -1,10 +1,16 @@
 """Exact arithmetic in R[z] and R(z) with a unit-circle conjugation involution.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`), so
-equality of rational functions is decidable: two values are equal exactly
-when their canonical forms coincide.  The canonical form of a fraction is
-the coprime pair whose denominator is monic; in particular the denominator's
-leading coefficient is positive and the representative is unique.
+Coefficients are arbitrary-precision rationals, so equality of rational
+functions is decidable: two values are equal exactly when their canonical
+forms coincide.  The canonical form of a fraction is the coprime pair whose
+denominator is monic; in particular the denominator's leading coefficient is
+positive and the representative is unique.
+
+A polynomial is stored as a rational content times a primitive integer
+polynomial: the integer coefficients have gcd 1 and a positive leading one,
+so the pair is unique.  By Gauss's lemma a product of primitive polynomials
+is primitive, so products and exact quotients run on Python integers and
+touch the content once; sums take one content gcd.
 
 The conjugation ``conj`` sends f/g to (f*/g*) * z**(deg g - deg f), where p*
 reverses the coefficients of p.  Restricted to the complex unit circle this
@@ -12,11 +18,11 @@ agrees with evaluating at the complex conjugate of the argument (equivalently
 at 1/z), which is what lets cross-spectra be represented inside R(z).
 
 Greatest common divisors, which every canonical form needs, are computed over
-Z rather than Q: both arguments are cleared to primitive integer polynomials,
-a primitive polynomial remainder sequence (Collins 1967; Brown 1971) runs on
-Python integers with contents taken by `math.gcd`, and only the final
-divisor is made monic over Q.  Since the monic gcd is unique, canonical forms
-do not depend on how it is computed.
+Z.  Euclid's algorithm modulo the prime 2^61 - 1 first tries to prove the
+arguments coprime (Brown 1971); failing that, a primitive polynomial
+remainder sequence (Collins 1967) runs on the primitive parts, and only the
+final divisor is made monic over Q.  Since the monic gcd is unique,
+canonical forms do not depend on how it is computed.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ Coeff = Union[int, Fraction]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
+#: The Mersenne prime modulo which `poly_gcd` tests coprimality.
+GCD_PRIME = 2**61 - 1
+
 
 class PoleError(ArithmeticError):
     """Raised when a rational function is evaluated at a pole."""
@@ -39,84 +48,151 @@ class PoleError(ArithmeticError):
         super().__init__(f"denominator vanishes at {point!r}")
 
 
-def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _content(ints: Sequence[int]) -> int:
+    """The gcd of a nonzero stripped coefficient list, signed like its leading term."""
+    g = math.gcd(*ints)
+    return -g if ints[-1] < 0 else g
+
+
+def _normalize(num: int, den: int, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """The (content, primitive part) pair of the polynomial (num/den) * ints."""
+    n = len(ints)
+    while n and not ints[n - 1]:
         n -= 1
-    return coeffs[:n]
+    if not n:
+        return Fraction(0), ()
+    del ints[n:]
+    g = _content(ints)
+    if g != 1:
+        ints = [c // g for c in ints]
+    return Fraction(num * g, den), tuple(ints)
+
+
+def _new(c: Fraction, p: tuple[int, ...]) -> Poly:
+    """Wrap a pair that is already normalized."""
+    out = object.__new__(Poly)
+    out.c, out.p = c, p
+    return out
+
+
+def _long_division(a: Sequence[int], b: Sequence[int]):
+    """Integer long division of a by b, deg a >= deg b; None if a step is inexact.
+
+    Returns the quotient and the remainder's len(b) - 1 low coefficients,
+    which may carry trailing zeros.
+    """
+    d = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - d)
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + d], lead)
+        if r:
+            return None
+        if q:
+            quot[i] = q
+            for j in range(d):
+                rem[i + j] -= q * b[j]
+    return quot, rem[:d]
 
 
 class Poly:
-    """Univariate polynomial over Q, stored densely; coeffs[k] multiplies z^k."""
+    """Univariate polynomial over Q: the content c times the primitive integer tuple p.
 
-    __slots__ = ("coeffs",)
+    p[k] multiplies z^k; its coefficients have gcd 1 and p[-1] > 0, so the pair
+    is unique.  The zero polynomial is (0, ()).
+    """
+
+    __slots__ = ("c", "p")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        self.coeffs = _strip(tuple(Fraction(c) for c in coeffs))
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*[f.denominator for f in fracs])
+        self.c, self.p = _normalize(
+            1, den, [f.numerator * (den // f.denominator) for f in fracs])
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients; coeffs[k] multiplies z^k."""
+        c = self.c
+        return tuple(c * a for a in self.p)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.p
 
     @property
     def degree(self):
         """Degree; NEG_INFINITY for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.p) - 1 if self.p else NEG_INFINITY
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.c * self.p[-1]
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.c * self.p[k] if 0 <= k < len(self.p) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.p == other.p and self.c == other.c
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.c, self.p))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.p)
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
+        a, b = self.p, other.p
+        if not a:
+            return other
+        if not b:
+            return self
+        # c_a a + c_b b = (g_n / lcm of denominators) * (m_a a + m_b b)
+        na, da = self.c.numerator, self.c.denominator
+        nb, db = other.c.numerator, other.c.denominator
+        gn, gd = math.gcd(na, nb), math.gcd(da, db)
+        ma, mb = na // gn * (db // gd), nb // gn * (da // gd)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [ma * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += mb * y
+        return _new(*_normalize(gn, da // gd * db, out))
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return _new(-self.c, self.p)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self + _new(-other.c, other.p)
 
     def __mul__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
+        a, b = self.p, other.p
         if not a or not b:
             return P_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return Poly(out)
+        if len(b) == 1:  # a primitive constant is 1
+            return _new(self.c * other.c, a)
+        if len(a) == 1:
+            return _new(self.c * other.c, b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # Gauss's lemma: the product of primitive polynomials is primitive
+        return _new(self.c * other.c, tuple(out))
 
     def scale(self, c: Coeff) -> Poly:
         c = Fraction(c)
-        if not c:
+        if not c or not self.p:
             return P_ZERO
-        return Poly(tuple(a * c for a in self.coeffs))
+        return _new(self.c * c, self.p)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k (k >= 0)."""
@@ -124,25 +200,23 @@ class Poly:
             raise ValueError("negative shift")
         if self.is_zero or k == 0:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return _new(self.c, (0,) * k + self.p)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero:
+        b = other.p
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) <= d:
+        a = self.p
+        if len(a) < len(b):
             return P_ZERO, self
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lead
-                quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= q * b
-        return Poly(quot), Poly(rem)
+        # lead^k a divides step by step over Z, where k is the quotient's length
+        k = len(a) - len(b) + 1
+        scale = b[-1] ** k
+        quot, rem = _long_division([scale * x for x in a], b)
+        cq = self.c / (other.c * scale)
+        cr = self.c / scale
+        return (_new(*_normalize(cq.numerator, cq.denominator, quot)),
+                _new(*_normalize(cr.numerator, cr.denominator, rem)))
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -151,24 +225,42 @@ class Poly:
         return divmod(self, other)[1]
 
     def divexact(self, other: Poly) -> Poly:
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """The quotient self / other; ArithmeticError unless other divides self.
+
+        For primitive a and b, a = q b over Q forces q to be a primitive
+        integer polynomial (Gauss's lemma), so integer long division with an
+        exact step at every coefficient finds it or proves there is none.
+        """
+        a, b = self.p, other.p
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not a:
+            return P_ZERO
+        if len(b) == 1:
+            return _new(self.c / other.c, a)
+        result = _long_division(a, b) if len(a) >= len(b) else None
+        if result is None or any(result[1]):
             raise ArithmeticError("inexact polynomial division")
-        return q
+        return _new(self.c / other.c, tuple(result[0]))
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if not self.p:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly(tuple(c / lead for c in self.coeffs))
+        c = Fraction(1, self.p[-1])
+        return self if c == self.c else _new(c, self.p)
 
     # -- conjugation and evaluation ------------------------------------------
 
     def conj(self) -> Poly:
         """Coefficient reversal relative to the degree; zero maps to zero."""
-        return Poly(self.coeffs[::-1])
+        p = self.p
+        if not p:
+            return self
+        low = next(i for i, x in enumerate(p) if x)
+        r = p[low:][::-1]
+        if r[-1] < 0:
+            return _new(-self.c, tuple(-x for x in r))
+        return _new(self.c, r)
 
     def __call__(self, x):
         acc = 0
@@ -208,19 +300,11 @@ P_Z = Poly((0, 1))
 
 def _primitive(ints: list[int]) -> list[int]:
     """Divide a nonzero integer coefficient list by its content, leading term positive."""
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
+    content = _content(ints)
     return ints if content == 1 else [c // content for c in ints]
 
 
-def _integer_primitive(f: Poly) -> list[int]:
-    """The primitive integer polynomial that is a rational multiple of nonzero f."""
-    den = math.lcm(*[c.denominator for c in f.coeffs])
-    return _primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """A nonzero integer multiple of a mod b, for deg a >= deg b >= 1; stripped.
 
     Each step scales the running remainder by lc(b)/gcd(lc(b), top) only, so no
@@ -246,28 +330,59 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True only if a and b, of degree >= 1, are proved coprime over Q.
+
+    Proof: a common factor h of degree >= 1 may be taken primitive in Z[z],
+    where it divides a (Gauss's lemma), so lc(h) divides lc(a).  If the prime
+    divides neither leading coefficient, h keeps its degree modulo the prime
+    and divides both images there, so their gcd modulo the prime is not
+    constant.  A constant gcd modulo the prime therefore proves gcd = 1.
+    """
+    P = GCD_PRIME
+    u, v = [x % P for x in a], [x % P for x in b]
+    if not u[-1] or not v[-1]:  # the prime divides a leading coefficient
+        return False
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        # fraction-free Euclid: a modular inverse costs more than this scaling
+        lead, d = v[-1], len(v) - 1
+        for i in range(len(u) - 1, d - 1, -1):
+            t = u[i]
+            if t:  # u <- lead * u - t z^(i-d) v clears u[i]
+                base = i - d
+                for j in range(base):
+                    u[j] = u[j] * lead % P
+                for j in range(d):
+                    u[base + j] = (u[base + j] * lead - t * v[j]) % P
+        rem = u[:d]
+        while rem and not rem[-1]:
+            rem.pop()
+        u, v = v, rem
+    return len(v) == 1
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor over Q; raises ValueError if both are zero.
 
-    Computed over Z as a primitive polynomial remainder sequence on the
-    primitive integer associates of f and g, then made monic over Q.
+    Computed over Z on the primitive parts of f and g: `_coprime_mod_prime`
+    answers 1 when it can prove it, and otherwise a primitive polynomial
+    remainder sequence finds the gcd, which is then made monic over Q.
     """
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    if f.degree == 0 or g.degree == 0:
+    a, b = f.p, g.p
+    if not a or not b:
+        if not a and not b:
+            raise ValueError("gcd(0, 0) is undefined")
+        return g.monic() if b else f.monic()
+    if len(a) == 1 or len(b) == 1 or _coprime_mod_prime(a, b):
         return P_ONE
-    a, b = _integer_primitive(f), _integer_primitive(g)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         rem = _pseudo_remainder(a, b)
         if not rem:
-            lead = b[-1]
-            return Poly([Fraction(c, lead) for c in b])
+            return _new(Fraction(1, b[-1]), tuple(b))
         a, b = b, _primitive(rem)
     return P_ONE
 
@@ -297,10 +412,10 @@ class RatFn:
         if g.degree > 0:
             num = num.divexact(g)
             den = den.divexact(g)
-        lead = den.leading
+        lead = den.c * den.p[-1]
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num = _new(num.c / lead, num.p)
+            den = _new(Fraction(1, den.p[-1]), den.p)
         self.num, self.den = num, den
 
     # -- structure ------------------------------------------------------------
@@ -321,14 +436,16 @@ class RatFn:
         return max(self.num.degree, self.den.degree)
 
     def __eq__(self, other) -> bool:
+        # a monic denominator's content is fixed by its primitive part
         return (
             isinstance(other, RatFn)
-            and self.num.coeffs == other.num.coeffs
-            and self.den.coeffs == other.den.coeffs
+            and self.num.p == other.num.p
+            and self.den.p == other.den.p
+            and self.num.c == other.num.c
         )
 
     def __hash__(self):
-        return hash(("RatFn", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFn", self.num.c, self.num.p, self.den.p))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -421,10 +538,6 @@ def rat(num: Sequence[Coeff] | Coeff, den: Sequence[Coeff] | Coeff = (1,)) -> Ra
     num = Poly(num) if isinstance(num, (tuple, list)) else Poly((num,))
     den = Poly(den) if isinstance(den, (tuple, list)) else Poly((den,))
     return RatFn(num, den)
-
-
-def const(c: Coeff) -> RatFn:
-    return RatFn(Poly((c,)))
 
 
 # -- serialization: coefficients as exact "p/q" strings --------------------------------

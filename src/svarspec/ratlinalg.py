@@ -275,24 +275,32 @@ def rank(matrix: RatMatrix) -> int:
     return r
 
 
+#: Substitution points `rank_eval` draws before it gives up.
+RANK_EVAL_DRAWS = 32
+
+
 def rank_eval(matrix: RatMatrix, seed: int = 0) -> int:
     """Probabilistic rank: substitute a random rational for z, then exact rank over Q.
 
     The result is a lower bound on rank(); it equals the true rank except when
     the substitution hits a measure-zero set.  Substitutions landing on a
-    denominator root are resampled internally.
+    denominator root are resampled, up to RANK_EVAL_DRAWS points in all;
+    ArithmeticError is raised if every one of them is a pole.
     """
     n_rows, n_cols = matrix.shape
     if n_rows == 0 or n_cols == 0:
         return 0
     rng = random.Random(seed)
-    while True:
+    for _ in range(RANK_EVAL_DRAWS):
         point = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
         try:
             rows = [[e(point) for e in row] for row in matrix.entries]
         except ArithmeticError:
             continue
         return _rational_rank(rows)
+    raise ArithmeticError(
+        f"rank_eval: all {RANK_EVAL_DRAWS} substitution points drawn from seed {seed} "
+        "are poles of the matrix")
 
 
 def _rational_rank(rows: list[list[Fraction]]) -> int:

@@ -138,8 +138,10 @@ def estimate_spectrum(series: SeriesSample, frequencies, segment_length: int,
                       overlap: float = 0.5) -> SpectrumEstimate:
     """Welch cross-spectral estimate at the given angular frequencies in [0, pi]."""
     freqs = tuple(float(f) for f in frequencies)
-    if any(f < 0 or f > np.pi for f in freqs):
+    if not all(0 <= f <= np.pi for f in freqs):
         raise EstimationError("frequencies must lie in [0, pi]")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise EstimationError("frequencies must be strictly increasing")
     T = series.length
     if segment_length <= 1 or segment_length > T:
         raise EstimationError(f"segment_length {segment_length} invalid for series of length {T}")

@@ -1,5 +1,6 @@
 """Command-line surface: happy paths, exit codes, determinism, warnings."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -161,6 +162,47 @@ def test_estimate_bad_segmentation_exit_code(capsys, tmp_path, instrument_files)
                        "--out", str(tmp_path / "e.json"))
     assert code == EXIT_ESTIMATION
     assert "segment_length" in report["error"]
+
+
+@pytest.mark.parametrize("frequencies, code", [
+    ("0.5,0.3", EXIT_ESTIMATION), ("0.5,0.5", EXIT_ESTIMATION), ("0.5,nan", EXIT_ESTIMATION),
+    ("abc", EXIT_VALIDATION), ("0", EXIT_VALIDATION)])
+def test_estimate_bad_frequencies_exit_code(capsys, tmp_path, instrument_files,
+                                            frequencies, code):
+    graph, params = instrument_files
+    series = tmp_path / "series.txt"
+    run(capsys, "simulate", "--graph", graph, "--params", params,
+        "--length", "256", "--seed", "1", "--out", str(series))
+    got, report = run(capsys, "estimate", "--series", str(series),
+                      "--frequencies", frequencies, "--segments", "64",
+                      "--out", str(tmp_path / "e.json"))
+    assert got == code
+    assert "frequencies" in report["error"]
+    assert not (tmp_path / "e.json").exists()
+
+
+#: sha256 of the primary outputs for the README instrument graph and
+#: sample_stable_params(seed=7); exact outputs must not change by a byte.
+README_SHA256 = {
+    "bundle.json": "999cff660b4bc06e95c876508afff8baa8404fc8661ba342acedd29abb4e2cf1",
+    "cert_params.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
+    "cert_spectrum.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
+}
+
+
+def test_readme_outputs_byte_identical(capsys, tmp_path, instrument_tsg):
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    sio.save_graph(instrument_tsg, graph)
+    sio.save_params(sample_stable_params(instrument_tsg, seed=7), params)
+    out = {name: tmp_path / name for name in README_SHA256}
+    for argv in (["spectrum", "--params", str(params), "--out", str(out["bundle.json"])],
+                 ["identify", "--params", str(params), "--out", str(out["cert_params.json"])],
+                 ["identify", "--spectrum", str(out["bundle.json"]),
+                  "--out", str(out["cert_spectrum.json"])]):
+        code, _ = run(capsys, argv[0], "--graph", str(graph), *argv[1:])
+        assert code == EXIT_OK
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()} == README_SHA256
 
 
 def test_discover_exact_and_sampled(capsys, tmp_path, instrument_files):

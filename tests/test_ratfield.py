@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from svarspec.ratfield import (NEG_INFINITY, P_ONE, P_ZERO, Poly, PoleError,
-                               R_ONE, R_ZERO, RatFn, poly, poly_gcd, rat,
-                               ratfn_from_dict, ratfn_to_dict)
+from svarspec.ratfield import (GCD_PRIME, NEG_INFINITY, P_ONE, P_ZERO, Poly,
+                               PoleError, R_ONE, R_ZERO, RatFn, poly, poly_gcd,
+                               rat, ratfn_from_dict, ratfn_to_dict)
 
 from conftest import random_poly, random_ratfn
+from fraction_reference import (FracPoly, canonical, euclid_gcd, rat_add,
+                                rat_div, rat_mul)
 
 
 def test_poly_add_cancellation():
@@ -68,16 +70,6 @@ def test_gcd_both_zero_rejected():
         poly_gcd(P_ZERO, P_ZERO)
 
 
-def euclid_gcd(f: Poly, g: Poly) -> Poly:
-    """Reference gcd: Euclid's algorithm over Q on `Fraction` coefficients."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a.monic()
-
-
 gcd_polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
                      min_size=0, max_size=7).map(Poly)
 
@@ -94,7 +86,29 @@ def test_hypothesis_gcd_matches_fraction_euclid(f, g, factor):
     if factor is not None:
         f, g = f * factor, g * factor
     assume(not (f.is_zero and g.is_zero))
-    assert poly_gcd(f, g) == euclid_gcd(f, g)
+    assert poly_gcd(f, g).coeffs == euclid_gcd(FracPoly(f.coeffs), FracPoly(g.coeffs)).coeffs
+
+
+def test_gcd_leading_coefficients_divisible_by_the_prime():
+    """(P z + 1) is a constant modulo P, so the images of f and g are coprime there."""
+    h = poly([1, GCD_PRIME])
+    f, g = h * poly([1, 1]), h * poly([2, 1])
+    assert poly_gcd(f, g) == h.monic()
+    assert RatFn(f, g) == rat([1, 1], [2, 1])
+
+
+def test_gcd_coprime_over_q_but_not_modulo_the_prime():
+    """z + P and z share the factor z modulo P only; the fallback still answers 1."""
+    f, g = poly([GCD_PRIME, 1]), poly([0, 1])
+    assert poly_gcd(f, g) == P_ONE
+    assert RatFn(f, g).den == g
+
+
+def test_gcd_planted_factor_with_large_coefficients():
+    h = poly([-(2**70 + 3), 5, Fraction(7, 2**40)])
+    f, g = poly([3, 2**65, 1]) * h, poly([-1, 0, 0, 2**90]) * h
+    assert poly_gcd(f, g) == h.monic()
+    assert poly_gcd(f * f, g * h) == (h * h).monic()
 
 
 def test_poly_conj_reverses_coefficients():
@@ -243,6 +257,76 @@ def test_hypothesis_conj_homomorphism(r, s):
 @given(polys, polys)
 def test_hypothesis_poly_conj_multiplicative(f, g):
     assert (f * g).conj() == f.conj() * g.conj()
+
+
+# -- the integer representation against the Fraction reference -------------------------
+
+ref_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                      min_size=0, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ref_coeffs, ref_coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.integers(min_value=0, max_value=3))
+@example([0, 0, 3], [0, -2], Fraction(-1, 3), 2)
+@example([Fraction(1, 2), 0, Fraction(-3, 4)], [], 0, 1)
+def test_hypothesis_poly_arithmetic_matches_fraction_reference(a, b, c, k):
+    f, g, F, G = Poly(a), Poly(b), FracPoly(a), FracPoly(b)
+    assert f.coeffs == F.coeffs
+    pairs = [(f + g, F + G), (f - g, F - G), (f * g, F * G), (-f, -F),
+             (f.monic(), F.monic()), (f.scale(c), F.scale(c)), (f.shift(k), F.shift(k)),
+             (f.conj(), F.conj()), ((f * g).conj(), (F * G).conj())]
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+    if not g.is_zero:
+        (q, r), (Q, R) = divmod(f, g), divmod(F, G)
+        assert (q.coeffs, r.coeffs) == (Q.coeffs, R.coeffs)
+        assert (f * g).divexact(g).coeffs == F.coeffs
+        if R.is_zero:
+            assert f.divexact(g).coeffs == Q.coeffs
+        else:
+            with pytest.raises(ArithmeticError):
+                f.divexact(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_coeffs, ref_coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_hypothesis_poly_equality_agrees_with_hash(a, b, c):
+    f, g = Poly(a), Poly(b)
+    assert (f == g) == (FracPoly(a).coeffs == FracPoly(b).coeffs)
+    if f == g:
+        assert hash(f) == hash(g)
+    if c:
+        same = (f * poly([c])).scale(1 / c)  # another route to the same value
+        assert same == f and hash(same) == hash(f)
+        r = RatFn(f * poly([1, c]), poly([c, 0, 1]) * poly([1, c]))
+        s = RatFn(f, poly([c, 0, 1]))
+        assert r == s and hash(r) == hash(s)
+
+
+def _pair(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+def _ref_pair(r):
+    return r[0].coeffs, r[1].coeffs
+
+
+ref_nonzero = ref_coeffs.filter(lambda a: any(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_coeffs, ref_nonzero, ref_coeffs, ref_nonzero)
+@example([1, 1], [2, 1], [-1, -1], [Fraction(1, 3), Fraction(1, 2), 0, 1])
+def test_hypothesis_ratfn_arithmetic_matches_fraction_reference(n1, d1, n2, d2):
+    r, s = RatFn(Poly(n1), Poly(d1)), RatFn(Poly(n2), Poly(d2))
+    R, S = canonical(FracPoly(n1), FracPoly(d1)), canonical(FracPoly(n2), FracPoly(d2))
+    assert _pair(r) == _ref_pair(R)
+    assert _pair(r + s) == _ref_pair(rat_add(R, S))
+    assert _pair(r - s) == _ref_pair(rat_add(R, (-S[0], S[1])))
+    assert _pair(r * s) == _ref_pair(rat_mul(R, S))
+    if not s.is_zero:
+        assert _pair(r / s) == _ref_pair(rat_div(R, S))
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from svarspec import ratlinalg
 from svarspec.ratfield import R_ONE, R_ZERO, rat
 from svarspec.ratlinalg import (RatMatrix, SingularMatrixError, det, inverse,
                                 matrix_from_dict, matrix_to_dict, rank,
@@ -102,6 +104,25 @@ def test_rank_eval_diagonal():
     M = RatMatrix.diagonal(["a", "b"], [rat([0, 1]), rat([1, -1])])
     assert rank_eval(M, seed=0) == 2
     assert rank(M) == 2
+
+
+def test_rank_eval_gives_up_after_a_bounded_number_of_poles(monkeypatch):
+    """A generator that always draws z = 5 lands on the pole of 1/(z - 5) every time."""
+    draws = []
+
+    class AlwaysPole:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, low, high):
+            draws.append(low)
+            return 5 if low < 0 else 1
+
+    monkeypatch.setattr(ratlinalg, "random", SimpleNamespace(Random=AlwaysPole))
+    M = RatMatrix.diagonal(["a"], [rat([1], [-5, 1])])
+    with pytest.raises(ArithmeticError, match="pole"):
+        rank_eval(M, seed=3)
+    assert len(draws) == 2 * ratlinalg.RANK_EVAL_DRAWS
 
 
 def _exhaustive_minor_rank(M: RatMatrix) -> int:
