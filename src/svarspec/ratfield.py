@@ -19,10 +19,13 @@ at 1/z), which is what lets cross-spectra be represented inside R(z).
 
 Greatest common divisors, which every canonical form needs, are computed over
 Z.  Euclid's algorithm modulo the prime 2^61 - 1 first tries to prove the
-arguments coprime (Brown 1971); failing that, a primitive polynomial
-remainder sequence (Collins 1967) runs on the primitive parts, and only the
-final divisor is made monic over Q.  Since the monic gcd is unique,
-canonical forms do not depend on how it is computed.
+arguments coprime (Brown 1971): a common factor over Q is, by Gauss's lemma,
+a primitive integer factor whose leading coefficient divides both leading
+ones, so if the prime divides neither, the factor survives modulo the prime
+and the gcd there is not constant.  Failing that proof, a primitive
+polynomial remainder sequence (Collins 1967) runs on the primitive parts,
+and only the final divisor is made monic over Q.  Since the monic gcd is
+unique, canonical forms do not depend on how it is computed.
 """
 
 from __future__ import annotations
