@@ -3,8 +3,8 @@
 from .ratfield import (NEG_INFINITY, P_ONE, P_Z, P_ZERO, Poly, PoleError,
                        R_ONE, R_Z, R_ZERO, RatFn, poly, poly_gcd,
                        poly_lcm, rat)
-from .ratlinalg import (RatMatrix, SingularMatrixError, conj_matrix, det,
-                        inverse, rank, rank_eval, solve, solve_many)
+from .ratlinalg import (RatMatrix, SingularMatrixError, det, inverse, rank,
+                        solve, solve_many)
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     LfhtcOrder, LfhtcTriple, Path, PathSystem, ProcessGraph,
                     TimeSeriesGraph, Trek, TrekSystem, d_separated,

@@ -19,15 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .graph import (CyclicGraphError, GraphValidationError, d_separated,
-                    enumerate_treks, t_separation_min)
+from .graph import (CyclicGraphError, d_separated, enumerate_treks,
+                    t_separation_min)
 from .identify import discover_cpdag, identify_all, spectral_ci_oracle
 from .ratlinalg import SingularMatrixError
 from .simulate import (EstimationError, IllConditionedBlockError,
                        SimulationError, empirical_ci_test, estimate_spectrum,
                        simulate_series)
-from .svar import (ParameterError, SvarParams, generic_rank,
-                   sample_stable_params, spectrum)
+from .svar import SvarParams, generic_rank, sample_stable_params, spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,20 +64,20 @@ def _labels(arg: str | None) -> tuple[str, ...]:
     return tuple(s.strip() for s in arg.split(",") if s.strip())
 
 
-def _load_graph(path: str):
+def _load(kind: str, read, path: str, check=None):
+    """Read an input file with `read` and pass the result to `check`; a missing,
+    unreadable, malformed or rejected file is a validation error."""
     try:
-        return sio.load_graph(path)
-    except (GraphValidationError, KeyError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid graph file: {exc}") from exc
+        value = read(path)
+        if check is not None:
+            check(value)
+    except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
+        raise CliError(EXIT_VALIDATION, f"invalid {kind} file {path}: {exc}") from exc
+    return value
 
 
 def _load_params(tsg, path: str) -> SvarParams:
-    try:
-        params = sio.load_params(path)
-        params.validate(tsg)
-        return params
-    except (ParameterError, ValueError, KeyError) as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid parameter file: {exc}") from exc
+    return _load("parameter", sio.load_params, path, check=lambda p: p.validate(tsg))
 
 
 def _with_resampling(build, seed: int, warnings: list[str]):
@@ -97,7 +96,7 @@ def _with_resampling(build, seed: int, warnings: list[str]):
 
 def cmd_validate(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     return _report("validate", {"graph": args.graph},
                    {"observed": list(tsg.base.observed),
                     "latent": list(tsg.base.latent),
@@ -109,7 +108,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_query(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     graph = tsg.base
     X, Y, Z = _labels(args.x), _labels(args.y), _labels(args.z)
     try:
@@ -121,6 +120,8 @@ def cmd_query(args) -> dict:
         elif args.query == "rank":
             if args.seed is None:
                 raise CliError(EXIT_VALIDATION, "rank queries require --seed")
+            if args.trials < 1:
+                raise CliError(EXIT_VALIDATION, f"--trials must be at least 1, got {args.trials}")
             outputs = {"generic_rank": generic_rank(tsg, X, Y, trials=args.trials,
                                                     seed=args.seed)}
         else:  # treks
@@ -139,7 +140,7 @@ def cmd_query(args) -> dict:
 
 def cmd_spectrum(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     params = _load_params(tsg, args.params)
     try:
         bundle = spectrum(tsg, params)
@@ -153,10 +154,10 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_identify(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     warnings: list[str] = []
     if args.spectrum:
-        S = sio.load_bundle(args.spectrum).S
+        S = _load("spectrum", sio.load_bundle, args.spectrum).S
         inputs = {"graph": args.graph, "spectrum": args.spectrum}
     elif args.params:
         params = _load_params(tsg, args.params)
@@ -169,6 +170,8 @@ def cmd_identify(args) -> dict:
     except SingularMatrixError as exc:
         raise CliError(EXIT_NON_GENERIC,
                        f"identification system singular for the given input: {exc}") from exc
+    except CyclicGraphError as exc:
+        raise CliError(EXIT_VALIDATION, f"identification needs an acyclic graph: {exc}") from exc
     except KeyError as exc:
         raise CliError(EXIT_VALIDATION,
                        f"spectrum labels do not match the graph: {exc}") from exc
@@ -182,7 +185,7 @@ def cmd_identify(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     params = _load_params(tsg, args.params)
     try:
         series = simulate_series(tsg, params, length=args.length,
@@ -207,7 +210,7 @@ def _parse_frequencies(arg: str) -> tuple[float, ...]:
 
 def cmd_estimate(args) -> dict:
     started = time.perf_counter()
-    series = sio.load_series(args.series)
+    series = _load("series", sio.load_series, args.series)
     try:
         frequencies = _parse_frequencies(args.frequencies)
     except ValueError as exc:
@@ -226,11 +229,11 @@ def cmd_estimate(args) -> dict:
 
 def cmd_discover(args) -> dict:
     started = time.perf_counter()
-    tsg = _load_graph(args.graph)
+    tsg = _load("graph", sio.load_graph, args.graph)
     observed = tsg.base.observed
     warnings: list[str] = []
     if args.estimate:
-        est = sio.load_estimate(args.estimate)
+        est = _load("estimate", sio.load_estimate, args.estimate)
         threshold = args.threshold
 
         def oracle(X, Y, Z):

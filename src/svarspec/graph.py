@@ -282,10 +282,6 @@ class Trek:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(dict.fromkeys(self.left.edges + self.right.edges))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.left.is_empty and self.right.is_empty
-
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
@@ -378,19 +374,20 @@ def enumerate_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
     return tuple(sorted(out))
 
 
-def _system_search(sources, targets, candidates, disjoint_ok, make_system):
-    """Backtracking assignment of one candidate object per source.
+def _system_search(sources, targets, candidates, disjoint_ok):
+    """Backtracking assignment of one candidate object per source; yields
+    (objects, sign) for each complete system, in a deterministic order.
 
     candidates: source -> target -> tuple of objects.
-    disjoint_ok(used, obj): whether obj can join the partial system.
+    disjoint_ok(chosen, obj): whether obj can join the (target, object) pairs
+    chosen so far.
     """
     targets = list(targets)
-    systems = []
 
     def assign(i, used_targets, chosen):
         if i == len(sources):
             perm = tuple(targets.index(obj_target) for obj_target, _ in chosen)
-            systems.append(make_system(tuple(obj for _, obj in chosen), _perm_sign(perm)))
+            yield tuple(obj for _, obj in chosen), _perm_sign(perm)
             return
         src = sources[i]
         for t in targets:
@@ -398,10 +395,19 @@ def _system_search(sources, targets, candidates, disjoint_ok, make_system):
                 continue
             for obj in candidates(src, t):
                 if disjoint_ok(chosen, obj):
-                    assign(i + 1, used_targets | {t}, chosen + [(t, obj)])
+                    yield from assign(i + 1, used_targets | {t}, chosen + [(t, obj)])
 
-    assign(0, frozenset(), [])
-    return tuple(systems)
+    return assign(0, frozenset(), [])
+
+
+def _sided_disjoint(chosen, trek: Trek) -> bool:
+    """Whether trek's left side avoids every chosen left side, and its right
+    side every chosen right side."""
+    lv, rv = trek.left.vertex_set(), trek.right.vertex_set()
+    return all(
+        lv.isdisjoint(t.left.vertex_set()) and rv.isdisjoint(t.right.vertex_set())
+        for _, t in chosen
+    )
 
 
 def _ordered(labels) -> tuple[str, ...]:
@@ -423,9 +429,9 @@ def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem,
         pv = path.vertex_set()
         return all(pv.isdisjoint(p.vertex_set()) for _, p in chosen)
 
-    return _system_search(
-        X, Y, lambda x, y: path_cache[(x, y)], disjoint_ok,
-        lambda paths, sign: PathSystem(paths, sign),
+    return tuple(
+        PathSystem(paths, sign)
+        for paths, sign in _system_search(X, Y, lambda x, y: path_cache[(x, y)], disjoint_ok)
     )
 
 
@@ -437,17 +443,10 @@ def sided_nonintersecting_trek_systems(graph: ProcessGraph, X, Y) -> tuple[TrekS
     if len(X) != len(Y):
         raise ValueError("trek systems need |X| = |Y|")
     trek_cache = {(x, y): enumerate_treks(graph, x, y) for x in X for y in Y}
-
-    def disjoint_ok(chosen, trek: Trek) -> bool:
-        lv, rv = trek.left.vertex_set(), trek.right.vertex_set()
-        return all(
-            lv.isdisjoint(t.left.vertex_set()) and rv.isdisjoint(t.right.vertex_set())
-            for _, t in chosen
-        )
-
-    return _system_search(
-        X, Y, lambda x, y: trek_cache[(x, y)], disjoint_ok,
-        lambda treks, sign: TrekSystem(treks, sign),
+    return tuple(
+        TrekSystem(treks, sign)
+        for treks, sign in _system_search(X, Y, lambda x, y: trek_cache[(x, y)],
+                                          _sided_disjoint)
     )
 
 
@@ -656,16 +655,7 @@ def _half_trek_system_exists(graph: ProcessGraph, sources, targets, w_targets,
             cache[key] = treks
         return cache[key]
 
-    def disjoint_ok(chosen, trek: Trek) -> bool:
-        lv, rv = trek.left.vertex_set(), trek.right.vertex_set()
-        return all(
-            lv.isdisjoint(t.left.vertex_set()) and rv.isdisjoint(t.right.vertex_set())
-            for _, t in chosen
-        )
-
-    found = _system_search(sources, targets, candidates, disjoint_ok,
-                           lambda treks, sign: True)
-    return bool(found)
+    return next(_system_search(sources, targets, candidates, _sided_disjoint), None) is not None
 
 
 def lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
@@ -835,24 +825,15 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
             cache[key] = latent_factor_half_treks(sub, src, tgt, allow_trivial=True)
         return cache[key]
 
-    def disjoint_ok(chosen, trek: Trek) -> bool:
-        lv, rv = trek.left.vertex_set(), trek.right.vertex_set()
-        return all(
-            lv.isdisjoint(t.left.vertex_set()) and rv.isdisjoint(t.right.vertex_set())
-            for _, t in chosen
-        )
-
-    all_systems = _system_search(sources, targets, candidates, disjoint_ok,
-                                 lambda treks, sign: TrekSystem(treks, sign))
     valid = []
-    for cand in all_systems:
+    for treks, sign in _system_search(sources, targets, candidates, _sided_disjoint):
         if not all(
             (t.left.vertices + t.right.vertices[1:]).count(t.source) == 1
-            for t in cand.treks
+            for t in treks
         ):
             continue
-        if _source_orderable(cand.treks):
-            valid.append(cand)
+        if _source_orderable(treks):
+            valid.append(TrekSystem(treks, sign))
     if not valid:
         raise ValueError("input system admits no orderable half-trek subsystem")
     valid.sort(key=lambda s: (sum(len(t.edges) for t in s.treks), s.treks))

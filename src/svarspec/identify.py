@@ -172,31 +172,8 @@ def _method_tag(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> str:
     return "lfhtc"
 
 
-def identify_all(graph: ProcessGraph, S: RatMatrix,
-                 order: LfhtcOrder | None = None) -> IdentificationCertificate:
-    """Run the half-trek recursion over the whole graph against a spectrum."""
-    if order is None:
-        order = lfhtc_order(graph)
-    known: dict[Edge, RatFn] = {}
-    steps: list[IdentificationStep] = []
-    for v, triple in order.steps:
-        if not graph.pa_observed(v):
-            continue
-        solved, aux, system, rhs = lfhtc_identify_step(graph, S, v, triple, known)
-        known.update(solved)
-        steps.append(IdentificationStep(
-            vertex=v, triple=triple, method=_method_tag(graph, v, triple),
-            system=system, rhs=tuple(rhs), solved=solved, aux=aux,
-        ))
-    unresolved_edges = tuple(sorted(
-        (x, v) for v in order.unresolved for x in graph.pa_observed(v)
-    ))
-    return IdentificationCertificate(tuple(steps), order.unresolved, unresolved_edges)
-
-
-def replay_certificate(graph: ProcessGraph, S: RatMatrix,
-                       plan) -> IdentificationCertificate:
-    """Re-execute a (vertex, triple) plan against a spectrum."""
+def _run_plan(graph: ProcessGraph, S: RatMatrix, plan) -> tuple[IdentificationStep, ...]:
+    """Solve each (vertex, triple) step in order, feeding earlier links forward."""
     known: dict[Edge, RatFn] = {}
     steps: list[IdentificationStep] = []
     for v, triple in plan:
@@ -208,7 +185,25 @@ def replay_certificate(graph: ProcessGraph, S: RatMatrix,
             vertex=v, triple=triple, method=_method_tag(graph, v, triple),
             system=system, rhs=tuple(rhs), solved=solved, aux=aux,
         ))
-    return IdentificationCertificate(tuple(steps), (), ())
+    return tuple(steps)
+
+
+def identify_all(graph: ProcessGraph, S: RatMatrix,
+                 order: LfhtcOrder | None = None) -> IdentificationCertificate:
+    """Run the half-trek recursion over the whole graph against a spectrum."""
+    if order is None:
+        order = lfhtc_order(graph)
+    unresolved_edges = tuple(sorted(
+        (x, v) for v in order.unresolved for x in graph.pa_observed(v)
+    ))
+    return IdentificationCertificate(_run_plan(graph, S, order.steps),
+                                     order.unresolved, unresolved_edges)
+
+
+def replay_certificate(graph: ProcessGraph, S: RatMatrix,
+                       plan) -> IdentificationCertificate:
+    """Re-execute a (vertex, triple) plan against a spectrum."""
+    return IdentificationCertificate(_run_plan(graph, S, plan), (), ())
 
 
 # -- coefficient recovery -------------------------------------------------------------------

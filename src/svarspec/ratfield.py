@@ -428,10 +428,6 @@ class RatFn:
         return self.num.is_zero
 
     @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    @property
     def degree(self):
         """max(deg num, deg den); NEG_INFINITY for the zero function."""
         if self.is_zero:

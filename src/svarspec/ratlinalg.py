@@ -1,19 +1,21 @@
 """Exact linear algebra for labelled matrices over R(z).
 
-Determinant and rank run fraction-free (Bareiss) on a cleared-denominator
-polynomial matrix, which keeps intermediate expression swell polynomial
-instead of exponential.  Solving clears denominators row-wise, eliminates
-fraction-free, and back-substitutes in the fraction field.  All operations
-are pure; matrices are immutable after construction.
+Determinant, rank and solving share one fraction-free (Bareiss) forward
+elimination.  Each row is first cleared of denominators by the lcm of its
+entries' denominators; the polynomial rows are then eliminated with every
+update divided exactly by the previous pivot, which keeps intermediate
+expression swell polynomial instead of exponential.  The determinant is the
+signed last pivot over the row factors, the rank is the pivot count, and
+solving back-substitutes in the fraction field.  All operations are pure;
+matrices are immutable after construction.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .ratfield import P_ONE, P_ZERO, Poly, R_ONE, R_ZERO, RatFn, poly_gcd, ratfn_from_dict, ratfn_to_dict
+from .ratfield import (P_ONE, P_ZERO, Poly, R_ONE, R_ZERO, RatFn, poly_lcm,
+                       ratfn_from_dict, ratfn_to_dict)
 
 Labels = Sequence[str]
 
@@ -206,11 +208,41 @@ def _cleared_rows(rows: Sequence[Sequence[RatFn]]) -> tuple[list[list[Poly]], li
         common = P_ONE
         for e in row:
             if e.den.degree > 0:  # canonical denominators are monic, so const = 1
-                g = poly_gcd(common, e.den)
-                common = common * e.den.divexact(g)
+                common = poly_lcm(common, e.den)
         out_rows.append([e.num * common.divexact(e.den) for e in row])
         factors.append(common)
     return out_rows, factors
+
+
+def _eliminate(rows: list[list[Poly]], n: int) -> tuple[int, int]:
+    """Bareiss forward elimination of polynomial rows, in place.
+
+    Pivots are sought in the first n columns; a column without a pivot below
+    the current row is skipped.  Every later column of each row is updated,
+    and each update divides exactly by the previous pivot.  Returns the rank
+    of the first n columns and the sign of the row permutation.
+    """
+    n_rows = len(rows)
+    width = len(rows[0]) if rows else 0
+    r, sign, prev = 0, 1, P_ONE
+    for c in range(n):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if not rows[i][c].is_zero), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        pivot = rows[r][c]
+        for i in range(r + 1, n_rows):
+            ric = rows[i][c]
+            for j in range(c + 1, width):
+                rows[i][j] = (pivot * rows[i][j] - ric * rows[r][j]).divexact(prev)
+            rows[i][c] = P_ZERO
+        prev = pivot
+        r += 1
+    return r, sign
 
 
 def det(matrix: RatMatrix) -> RatFn:
@@ -220,25 +252,10 @@ def det(matrix: RatMatrix) -> RatFn:
     n = len(matrix.row_labels)
     if n == 0:
         return R_ONE
-    if n == 1:
-        return matrix.entries[0][0]
     rows, factors = _cleared_rows(matrix.entries)
-    sign = 1
-    prev = P_ONE
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not rows[i][k].is_zero), None)
-        if pivot_row is None:
-            return R_ZERO
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - rik * rows[k][j]).divexact(prev)
-            rows[i][k] = P_ZERO
-        prev = pivot
+    r, sign = _eliminate(rows, n)
+    if r < n:
+        return R_ZERO
     num = rows[n - 1][n - 1]
     if sign < 0:
         num = -num
@@ -250,77 +267,8 @@ def det(matrix: RatMatrix) -> RatFn:
 
 def rank(matrix: RatMatrix) -> int:
     """Rank over the field R(z)."""
-    n_rows, n_cols = matrix.shape
-    if n_rows == 0 or n_cols == 0:
-        return 0
     rows, _ = _cleared_rows(matrix.entries)
-    r = 0
-    prev = P_ONE
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not rows[i][c].is_zero), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, n_rows):
-            ric = rows[i][c]
-            for j in range(c + 1, n_cols):
-                rows[i][j] = (pivot * rows[i][j] - ric * rows[r][j]).divexact(prev)
-            rows[i][c] = P_ZERO
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-#: Substitution points `rank_eval` draws before it gives up.
-RANK_EVAL_DRAWS = 32
-
-
-def rank_eval(matrix: RatMatrix, seed: int = 0) -> int:
-    """Probabilistic rank: substitute a random rational for z, then exact rank over Q.
-
-    The result is a lower bound on rank(); it equals the true rank except when
-    the substitution hits a measure-zero set.  Substitutions landing on a
-    denominator root are resampled, up to RANK_EVAL_DRAWS points in all;
-    ArithmeticError is raised if every one of them is a pole.
-    """
-    n_rows, n_cols = matrix.shape
-    if n_rows == 0 or n_cols == 0:
-        return 0
-    rng = random.Random(seed)
-    for _ in range(RANK_EVAL_DRAWS):
-        point = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
-        try:
-            rows = [[e(point) for e in row] for row in matrix.entries]
-        except ArithmeticError:
-            continue
-        return _rational_rank(rows)
-    raise ArithmeticError(
-        f"rank_eval: all {RANK_EVAL_DRAWS} substitution points drawn from seed {seed} "
-        "are poles of the matrix")
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, n_rows):
-            if rows[i][c]:
-                factor = rows[i][c] / pivot
-                for j in range(c, n_cols):
-                    rows[i][j] -= factor * rows[r][j]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return _eliminate(rows, len(matrix.col_labels))[0]
 
 
 def solve(matrix: RatMatrix, rhs: Sequence[RatFn]) -> list[RatFn]:
@@ -341,21 +289,8 @@ def solve_many(matrix: RatMatrix, rhs_rows: Sequence[Sequence[RatFn]]) -> list[l
         return []
     augmented = [list(row) + list(extra) for row, extra in zip(matrix.entries, rhs_rows)]
     rows, _ = _cleared_rows(augmented)
-    total = n + width
-    prev = P_ONE
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not rows[i][k].is_zero), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular over R(z)")
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, total):
-                rows[i][j] = (pivot * rows[i][j] - rik * rows[k][j]).divexact(prev)
-            rows[i][k] = P_ZERO
-        prev = pivot
+    if _eliminate(rows, n)[0] < n:
+        raise SingularMatrixError("matrix is singular over R(z)")
     # back-substitution in the fraction field
     solution: list[list[RatFn]] = [[R_ZERO] * width for _ in range(n)]
     for i in range(n - 1, -1, -1):
@@ -378,10 +313,6 @@ def inverse(matrix: RatMatrix) -> RatMatrix:
     eye = [[R_ONE if i == j else R_ZERO for j in range(n)] for i in range(n)]
     rows = solve_many(matrix, eye)
     return RatMatrix(matrix.col_labels, matrix.row_labels, rows)
-
-
-def conj_matrix(matrix: RatMatrix) -> RatMatrix:
-    return matrix.conj()
 
 
 # -- serialization -------------------------------------------------------------------

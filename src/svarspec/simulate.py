@@ -54,10 +54,6 @@ class SeriesSample:
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.labels.index(label)]
 
-    def select(self, labels) -> "SeriesSample":
-        idx = [self.labels.index(l) for l in labels]
-        return SeriesSample(tuple(labels), self.values[:, idx])
-
 
 @dataclass(frozen=True)
 class SpectrumEstimate:

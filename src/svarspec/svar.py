@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (Path, TimeSeriesGraph, Trek, enumerate_treks,
+from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     nonintersecting_path_systems,
                     sided_nonintersecting_trek_systems)
 from .ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
@@ -175,19 +175,27 @@ def projected_internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams,
     return out
 
 
-def unit_inverse(M: RatMatrix, acyclic_hint: bool = False) -> RatMatrix:
-    """(I - M)^{-1}; uses the finite geometric sum when M is nilpotent."""
-    eye = RatMatrix.identity(M.row_labels)
-    if acyclic_hint:
-        total = eye
-        power = eye
-        for _ in range(len(M.row_labels)):
-            power = power @ M
-            if power.is_zero:
-                break
-            total = total + power
-        return total
-    return inverse(eye - M)
+def unit_inverse(M: RatMatrix) -> RatMatrix:
+    """(I - M)^{-1}.
+
+    When the nonzero entries of M form no directed cycle, M is nilpotent and
+    the inverse is the finite geometric sum I + M + M^2 + ...; otherwise the
+    system is solved.
+    """
+    labels = M.row_labels
+    support = [(a, b) for a, row in zip(labels, M.entries)
+               for b, e in zip(M.col_labels, row) if not e.is_zero]
+    eye = RatMatrix.identity(labels)
+    if any(a == b for a, b in support) or not ProcessGraph.make(labels, (), support).is_acyclic:
+        return inverse(eye - M)
+    total = eye
+    power = eye
+    for _ in range(len(labels)):
+        power = power @ M
+        if power.is_zero:
+            break
+        total = total + power
+    return total
 
 
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
@@ -196,9 +204,7 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     S_I = internal_spectrum(tsg, params)
     S_LI = projected_internal_spectrum(tsg, params, H, S_I)
     observed = tsg.base.observed
-    H_O = H.submatrix(observed, observed)
-    obs_acyclic = not tsg.base.observed_subgraph_cyclic()
-    N = unit_inverse(H_O, acyclic_hint=obs_acyclic)
+    N = unit_inverse(H.submatrix(observed, observed))
     S = N.transpose() @ S_LI @ N.conj()
     return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=S)
 

@@ -94,7 +94,7 @@ def test_criterion_02_gessel_viennot():
         for index, graph in _family():
             tsg, params, X, Y = _instance(index, graph)
             H = transfer_matrix(tsg, params)
-            N = unit_inverse(H, acyclic_hint=True)
+            N = unit_inverse(H)
             assert det(N.submatrix(X, Y)) == det_path_expansion(tsg, params, X, Y, H)
 
     _criterion(2, "path-system determinant expansion, exhaustive <=5 plus 200 random", 120, body)

@@ -252,3 +252,81 @@ def test_resampling_helper_records_and_recovers():
     with pytest.raises(CliError) as err:
         _with_resampling(always_fail, 0, [])
     assert err.value.code == EXIT_NON_GENERIC
+
+
+# -- outside input maps to exit codes, never to a traceback -------------------------
+
+
+def test_identify_cyclic_graph_exits_validation(capsys, tmp_path):
+    g = ProcessGraph.make(["a", "b", "c"], [], [("a", "b"), ("b", "c"), ("c", "a")])
+    tsg = TimeSeriesGraph.full(g, 1)
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    sio.save_graph(tsg, graph)
+    sio.save_params(sample_stable_params(tsg, seed=1), params)
+    code, report = run(capsys, "identify", "--graph", str(graph), "--params", str(params),
+                       "--out", str(tmp_path / "cert.json"))
+    assert code == EXIT_VALIDATION
+    assert "acyclic" in report["error"]
+
+
+ZERO_DENOMINATOR_BUNDLE = json.dumps({
+    **{key: {"rows": [], "cols": [], "entries": []} for key in ("H", "S_I", "S_LI")},
+    "S": {"rows": ["u"], "cols": ["u"], "entries": [[{"num": ["1"], "den": ["0"]}]]},
+})
+
+
+@pytest.mark.parametrize("content", [None, '{"H": 1}', "not json", ZERO_DENOMINATOR_BUNDLE])
+def test_identify_bad_spectrum_file_exits_validation(capsys, tmp_path, instrument_files,
+                                                     content):
+    graph, _ = instrument_files
+    bundle = tmp_path / "bundle.json"
+    if content is not None:
+        bundle.write_text(content)
+    code, report = run(capsys, "identify", "--graph", graph, "--spectrum", str(bundle),
+                       "--out", str(tmp_path / "cert.json"))
+    assert code == EXIT_VALIDATION
+    assert "spectrum file" in report["error"]
+
+
+@pytest.mark.parametrize("content", ["a\tb\n1.0\tx\n", "a\tb\n1.0\n", ""])
+def test_estimate_malformed_series_exits_validation(capsys, tmp_path, content):
+    series = tmp_path / "series.txt"
+    series.write_text(content)
+    code, report = run(capsys, "estimate", "--series", str(series), "--frequencies", "4",
+                       "--segments", "4", "--out", str(tmp_path / "e.json"))
+    assert code == EXIT_VALIDATION
+    assert "series file" in report["error"]
+
+
+@pytest.mark.parametrize("content", ['{"labels": ["u"]}', '{"matrices": 1}', "[]"])
+def test_discover_malformed_estimate_exits_validation(capsys, tmp_path, instrument_files,
+                                                      content):
+    graph, _ = instrument_files
+    est = tmp_path / "est.json"
+    est.write_text(content)
+    code, report = run(capsys, "discover", "--graph", graph, "--estimate", str(est))
+    assert code == EXIT_VALIDATION
+    assert "estimate file" in report["error"]
+
+
+def test_missing_input_files_exit_validation(capsys, tmp_path, instrument_files):
+    graph, params = instrument_files
+    missing = str(tmp_path / "missing.json")
+    out = str(tmp_path / "out.json")
+    for argv in (["validate", "--graph", missing],
+                 ["spectrum", "--graph", missing, "--params", params, "--out", out],
+                 ["spectrum", "--graph", graph, "--params", missing, "--out", out],
+                 ["simulate", "--graph", graph, "--params", missing, "--length", "8",
+                  "--seed", "1", "--out", out]):
+        code, report = run(capsys, *argv)
+        assert code == EXIT_VALIDATION, argv
+        assert "missing.json" in report["error"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials):
+    graph, _ = instrument_files
+    code, report = run(capsys, "query", "--graph", graph, "--query", "rank",
+                       "--x", "v", "--y", "w", "--seed", "3", "--trials", trials)
+    assert code == EXIT_VALIDATION
+    assert "--trials" in report["error"]

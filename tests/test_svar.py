@@ -14,7 +14,7 @@ from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             sided_nonintersecting_trek_systems,
                             t_separation_min)
 from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn, rat
-from svarspec.ratlinalg import det, rank
+from svarspec.ratlinalg import RatMatrix, det, inverse, rank
 from svarspec.svar import (ParameterError, SvarParams, conditional_spectrum,
                            det_path_expansion, det_trek_expansion,
                            generic_rank, internal_spectrum, lag_poly,
@@ -23,7 +23,7 @@ from svarspec.svar import (ParameterError, SvarParams, conditional_spectrum,
                            spectrum, spectrum_trek, transfer_matrix,
                            trek_function, unit_inverse)
 
-from conftest import random_dag, random_tsg
+from conftest import random_dag, random_ratfn, random_tsg
 
 
 # -- lag polynomials and link functions -------------------------------------------
@@ -209,6 +209,22 @@ def test_spectrum_on_cyclic_observed_graph():
     assert not S.entry("a", "b").is_zero
 
 
+def test_unit_inverse_reads_nilpotency_off_the_zero_pattern():
+    # a cyclic support is not nilpotent: a truncated geometric sum gives 7/6 at [a, a]
+    ab = ["a", "b"]
+    M = RatMatrix(ab, ab, [[R_ZERO, rat(Fraction(1, 2))], [rat(Fraction(1, 3)), R_ZERO]])
+    assert unit_inverse(M) == inverse(RatMatrix.identity(ab) - M)
+    assert unit_inverse(M).entry("a", "a") == rat(Fraction(6, 5))
+    # a strictly upper triangular support is nilpotent
+    rng = random.Random(36)
+    labels = ["a", "b", "c", "d"]
+    N = RatMatrix(labels, labels, [
+        [random_ratfn(rng, max_degree=1) if j > i else R_ZERO for j in range(4)]
+        for i in range(4)
+    ])
+    assert unit_inverse(N) == inverse(RatMatrix.identity(labels) - N)
+
+
 # -- path/trek functions --------------------------------------------------------------------------
 
 
@@ -327,7 +343,7 @@ def test_det_path_expansion_matches_elimination():
         tsg = random_tsg(rng, g)
         p = sample_stable_params(tsg, seed=trial + 100)
         H = transfer_matrix(tsg, p)
-        N = unit_inverse(H, acyclic_hint=True)
+        N = unit_inverse(H)
         k = rng.randint(1, n)
         X = sorted(rng.sample(list(g.vertices), k))
         Y = sorted(rng.sample(list(g.vertices), k))
@@ -342,7 +358,7 @@ def test_det_path_expansion_order_zero_reduces_to_classical():
     p = sample_stable_params(tsg, seed=25)
     H = transfer_matrix(tsg, p)
     assert all(e.den == P_ONE for row in H.entries for e in row)
-    N = unit_inverse(H, acyclic_hint=True)
+    N = unit_inverse(H)
     X, Y = ["a", "b"], ["c", "d"]
     expansion = det_path_expansion(tsg, p, X, Y, H)
     assert det(N.submatrix(X, Y)) == expansion
@@ -544,7 +560,7 @@ def test_cauchy_binet_expansion(instrument_tsg):
     all_obs = ProcessGraph.make(instrument_tsg.base.vertices, [], instrument_tsg.base.edges)
     tsg = TimeSeriesGraph.make(all_obs, instrument_tsg.cross_lags, instrument_tsg.auto_lags)
     b = spectrum(tsg, p)
-    N = unit_inverse(b.H, acyclic_hint=True)
+    N = unit_inverse(b.H)
     V = all_obs.vertices
     X, Y = ("u", "v"), ("v", "w")
     lhs = det(b.S.submatrix(X, Y))
