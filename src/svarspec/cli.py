@@ -233,7 +233,12 @@ def cmd_discover(args) -> dict:
     observed = tsg.base.observed
     warnings: list[str] = []
     if args.estimate:
-        est = _load("estimate", sio.load_estimate, args.estimate)
+        def covers_graph(est):
+            missing = sorted(set(observed) - set(est.labels))
+            if missing:
+                raise ValueError(f"no series for observed labels {missing}")
+
+        est = _load("estimate", sio.load_estimate, args.estimate, check=covers_graph)
         threshold = args.threshold
 
         def oracle(X, Y, Z):

@@ -4,7 +4,9 @@ Provides directed-path and trek enumeration, path/trek systems with
 permutation signs, d-separation, minimal t-separation, half-trek
 reachability, and the latent-factor half-trek criterion (check, search and
 fixpoint ordering).  Latent vertices must have in-degree zero; graphs are
-immutable after construction and every query is pure.
+immutable after construction and every query is pure.  A graph computes its
+directed paths and each vertex's observed and latent parents once, on first
+use, and keeps them.
 
 Enumeration order is deterministic everywhere (lexicographic by label), so
 identification certificates built on top of these queries are reproducible.
@@ -44,6 +46,8 @@ class ProcessGraph:
 
     def __post_init__(self):
         obs, lat = set(self.observed), set(self.latent)
+        if len(obs) != len(self.observed) or len(lat) != len(self.latent):
+            raise GraphValidationError("duplicate vertex labels")
         if obs & lat:
             raise GraphValidationError(f"labels both observed and latent: {sorted(obs & lat)}")
         vertices = obs | lat
@@ -62,7 +66,7 @@ class ProcessGraph:
 
     # -- structure ----------------------------------------------------------
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.observed + self.latent))
 
@@ -80,6 +84,31 @@ class ProcessGraph:
             out[a].append(b)
         return {v: tuple(sorted(cs)) for v, cs in out.items()}
 
+    @cached_property
+    def _parent_roles(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """vertex -> (observed parents, latent parents)."""
+        latent = set(self.latent)
+        return {v: (tuple(p for p in ps if p not in latent), tuple(p for p in ps if p in latent))
+                for v, ps in self._parents.items()}
+
+    @cached_property
+    def _edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def _paths(self) -> dict[str, dict[str, tuple[Path, ...]]]:
+        """source -> reachable target -> every directed path between them.  Built
+        from the sinks up, a vertex's paths are its empty path plus its children's
+        paths (children in label order) with it prepended, so each tuple is sorted."""
+        out: dict[str, dict[str, tuple[Path, ...]]] = {}
+        for v in reversed(self.topological_order()):
+            paths: dict[str, list[Path]] = {v: [Path((v,))]}
+            for c in self.children(v):
+                for y, tails in out[c].items():
+                    paths.setdefault(y, []).extend(Path((v,) + t.vertices) for t in tails)
+            out[v] = {y: tuple(ps) for y, ps in paths.items()}
+        return out
+
     def parents(self, v: str) -> tuple[str, ...]:
         return self._parents[v]
 
@@ -87,13 +116,13 @@ class ProcessGraph:
         return self._children[v]
 
     def pa_observed(self, v: str) -> tuple[str, ...]:
-        return tuple(p for p in self._parents[v] if p in set(self.observed))
+        return self._parent_roles[v][0]
 
     def pa_latent(self, v: str) -> tuple[str, ...]:
-        return tuple(p for p in self._parents[v] if p in set(self.latent))
+        return self._parent_roles[v][1]
 
     def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in set(self.edges)
+        return (a, b) in self._edge_set
 
     @cached_property
     def is_acyclic(self) -> bool:
@@ -154,9 +183,9 @@ class ProcessGraph:
 
     def observed_subgraph_cyclic(self) -> bool:
         """Whether the edges among observed vertices contain a directed cycle."""
+        observed = set(self.observed)
         sub = ProcessGraph.make(self.observed, (),
-                                [e for e in self.edges
-                                 if e[0] in set(self.observed) and e[1] in set(self.observed)])
+                                [e for e in self.edges if e[0] in observed and e[1] in observed])
         return not sub.is_acyclic
 
 
@@ -344,34 +373,18 @@ def enumerate_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:
     graph.require_acyclic()
     if x not in graph.vertices or y not in graph.vertices:
         raise KeyError(f"unknown label {x!r} or {y!r}")
-    out: list[Path] = []
-
-    def extend(prefix: list[str]) -> None:
-        v = prefix[-1]
-        if v == y:
-            out.append(Path(tuple(prefix)))
-        for c in graph.children(v):
-            prefix.append(c)
-            extend(prefix)
-            prefix.pop()
-
-    extend([x])
-    return tuple(sorted(out))
+    return graph._paths[x].get(y, ())
 
 
 def enumerate_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
     """All treks from v to w: left side runs into v, right side into w."""
-    graph.require_acyclic()
     out: list[Trek] = []
-    for top in graph.vertices:
+    for top in graph.vertices:  # tops, lefts and rights in order: the result is sorted
         lefts = enumerate_paths(graph, top, v)
-        if not lefts:
-            continue
-        rights = enumerate_paths(graph, top, w)
-        for left in lefts:
-            for right in rights:
-                out.append(Trek(top, left, right))
-    return tuple(sorted(out))
+        if lefts:
+            rights = enumerate_paths(graph, top, w)
+            out.extend(Trek(top, left, right) for left in lefts for right in rights)
+    return tuple(out)
 
 
 def _system_search(sources, targets, candidates, disjoint_ok):
@@ -410,6 +423,12 @@ def _sided_disjoint(chosen, trek: Trek) -> bool:
     )
 
 
+def _require_labels(graph: ProcessGraph, labels) -> None:
+    unknown = sorted(set(labels) - set(graph.vertices))
+    if unknown:
+        raise KeyError(f"unknown label {unknown[0]!r}")
+
+
 def _ordered(labels) -> tuple[str, ...]:
     # sequences keep their order (it fixes the permutation signs); sets are sorted
     if isinstance(labels, (set, frozenset)):
@@ -423,7 +442,7 @@ def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem,
     X, Y = _ordered(X), _ordered(Y)
     if len(X) != len(Y):
         raise ValueError("path systems need |X| = |Y|")
-    path_cache = {(x, y): enumerate_paths(graph, x, y) for x in X for y in Y}
+    _require_labels(graph, X + Y)
 
     def disjoint_ok(chosen, path: Path) -> bool:
         pv = path.vertex_set()
@@ -431,7 +450,8 @@ def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem,
 
     return tuple(
         PathSystem(paths, sign)
-        for paths, sign in _system_search(X, Y, lambda x, y: path_cache[(x, y)], disjoint_ok)
+        for paths, sign in _system_search(X, Y, lambda x, y: enumerate_paths(graph, x, y),
+                                          disjoint_ok)
     )
 
 
@@ -442,10 +462,10 @@ def sided_nonintersecting_trek_systems(graph: ProcessGraph, X, Y) -> tuple[TrekS
     X, Y = _ordered(X), _ordered(Y)
     if len(X) != len(Y):
         raise ValueError("trek systems need |X| = |Y|")
-    trek_cache = {(x, y): enumerate_treks(graph, x, y) for x in X for y in Y}
+    _require_labels(graph, X + Y)
     return tuple(
         TrekSystem(treks, sign)
-        for treks, sign in _system_search(X, Y, lambda x, y: trek_cache[(x, y)],
+        for treks, sign in _system_search(X, Y, lambda x, y: enumerate_treks(graph, x, y),
                                           _sided_disjoint)
     )
 
@@ -459,10 +479,7 @@ def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
     X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be pairwise disjoint")
-    vertices = set(graph.vertices)
-    for lab in X | Y | Z:
-        if lab not in vertices:
-            raise KeyError(f"unknown label {lab!r}")
+    _require_labels(graph, X | Y | Z)
     if not X or not Y:
         return True
     relevant = graph.ancestral_closure(X | Y | Z)
@@ -544,21 +561,12 @@ def latent_factor_half_treks(graph: ProcessGraph, a: str, b: str,
                              avoid=frozenset(), allow_trivial: bool = False) -> tuple[Trek, ...]:
     """Treks from a to b whose left side is empty (a directed path) or a single
     latent edge l -> a with l outside `avoid`."""
-    graph.require_acyclic()
-    latents = set(graph.latent)
-    out: list[Trek] = []
-    for path in enumerate_paths(graph, a, b):
-        if path.is_empty and not allow_trivial:
-            continue
-        out.append(Trek(a, Path((a,)), path))
+    out = [Trek(a, Path((a,)), path) for path in enumerate_paths(graph, a, b)
+           if allow_trivial or not path.is_empty]
     for l in graph.pa_latent(a):
-        if l in avoid or l not in latents:
-            continue
-        left = Path((l, a))
-        for right in enumerate_paths(graph, l, b):
-            if right.is_empty:
-                continue
-            out.append(Trek(l, left, right))
+        if l not in avoid:
+            out.extend(Trek(l, Path((l, a)), right)
+                       for right in enumerate_paths(graph, l, b) if not right.is_empty)
     return tuple(sorted(out))
 
 
@@ -639,21 +647,15 @@ def _half_trek_system_exists(graph: ProcessGraph, sources, targets, w_targets,
     sources = tuple(sorted(sources))
     targets = tuple(sorted(targets))
     w_targets = frozenset(w_targets)
-    cache: dict[tuple[str, str], tuple[Trek, ...]] = {}
 
     def candidates(src: str, tgt: str) -> tuple[Trek, ...]:
-        key = (src, tgt)
-        if key not in cache:
-            if tgt in w_targets:
-                treks = tuple(
-                    Trek(l, Path((l, src)), Path((l, tgt)))
-                    for l in graph.pa_latent(src)
-                    if l in allowed_latents and graph.has_edge(l, tgt)
-                )
-            else:
-                treks = latent_factor_half_treks(graph, src, tgt, allow_trivial=True)
-            cache[key] = treks
-        return cache[key]
+        if tgt in w_targets:
+            return tuple(
+                Trek(l, Path((l, src)), Path((l, tgt)))
+                for l in graph.pa_latent(src)
+                if l in allowed_latents and graph.has_edge(l, tgt)
+            )
+        return latent_factor_half_treks(graph, src, tgt, allow_trivial=True)
 
     return next(_system_search(sources, targets, candidates, _sided_disjoint), None) is not None
 
@@ -687,12 +689,10 @@ def lfhtc_prerequisite_heads(graph: ProcessGraph, v: str, triple: LfhtcTriple) -
 
 
 def lfhtc_prerequisite_edges(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> tuple[Edge, ...]:
-    observed = set(graph.observed)
     return tuple(sorted(
         (x, y)
         for y in lfhtc_prerequisite_heads(graph, v, triple)
         for x in graph.pa_observed(y)
-        if x in observed
     ))
 
 
@@ -817,13 +817,8 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
     targets = tuple(sorted(system.targets))
     sub = graph.with_edges(system.edge_set())
 
-    cache: dict[tuple[str, str], tuple[Trek, ...]] = {}
-
     def candidates(src: str, tgt: str) -> tuple[Trek, ...]:
-        key = (src, tgt)
-        if key not in cache:
-            cache[key] = latent_factor_half_treks(sub, src, tgt, allow_trivial=True)
-        return cache[key]
+        return latent_factor_half_treks(sub, src, tgt, allow_trivial=True)
 
     valid = []
     for treks, sign in _system_search(sources, targets, candidates, _sided_disjoint):

@@ -59,6 +59,26 @@ def test_validate_rejects_negative_lag(capsys, tmp_path):
     assert "lag" in report["error"]
 
 
+DUPLICATE_LABEL_GRAPH = json.dumps({
+    "observed": ["a", "a", "b"], "latent": [],
+    "edges": [{"from": "a", "to": "b", "lags": [0]}],
+})
+
+
+def test_validate_and_spectrum_reject_duplicate_labels(capsys, tmp_path, instrument_files):
+    _, params = instrument_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(DUPLICATE_LABEL_GRAPH)
+    code, report = run(capsys, "validate", "--graph", str(bad))
+    assert code == EXIT_VALIDATION
+    assert "duplicate" in report["error"]
+    code, report = run(capsys, "spectrum", "--graph", str(bad), "--params", params,
+                       "--out", str(tmp_path / "bundle.json"))
+    assert code == EXIT_VALIDATION
+    assert "duplicate" in report["error"]
+    assert not (tmp_path / "bundle.json").exists()
+
+
 def test_query_dsep_and_tsep(capsys, instrument_files):
     graph, _ = instrument_files
     code, report = run(capsys, "query", "--graph", graph, "--query", "dsep",
@@ -307,6 +327,23 @@ def test_discover_malformed_estimate_exits_validation(capsys, tmp_path, instrume
     code, report = run(capsys, "discover", "--graph", graph, "--estimate", str(est))
     assert code == EXIT_VALIDATION
     assert "estimate file" in report["error"]
+
+
+def test_discover_estimate_missing_observed_label_exits_validation(capsys, tmp_path,
+                                                                  instrument_files):
+    graph, params = instrument_files
+    series, est = tmp_path / "series.txt", tmp_path / "est.json"
+    run(capsys, "simulate", "--graph", graph, "--params", params,
+        "--length", "512", "--seed", "1", "--out", str(series))
+    run(capsys, "estimate", "--series", str(series), "--frequencies", "2",
+        "--segments", "64", "--out", str(est))
+    data = json.loads(est.read_text())
+    # w is observed in the graph but has no series in the estimate
+    data["labels"] = ["x" if lab == "w" else lab for lab in data["labels"]]
+    est.write_text(json.dumps(data))
+    code, report = run(capsys, "discover", "--graph", graph, "--estimate", str(est))
+    assert code == EXIT_VALIDATION
+    assert "estimate file" in report["error"] and "'w'" in report["error"]
 
 
 def test_missing_input_files_exit_validation(capsys, tmp_path, instrument_files):

@@ -41,6 +41,12 @@ def test_unknown_edge_label_rejected():
         ProcessGraph.make(["a"], [], [("a", "b")])
 
 
+@pytest.mark.parametrize("observed, latent", [(["a", "a", "b"], []), (["a", "b"], ["l", "l"])])
+def test_duplicate_labels_rejected(observed, latent):
+    with pytest.raises(GraphValidationError, match="duplicate"):
+        ProcessGraph.make(observed, latent, [("a", "b")])
+
+
 def test_acyclicity_flag_matches_topological_sort():
     dag = ProcessGraph.make(["a", "b", "c"], [], [("a", "b"), ("b", "c")])
     assert dag.is_acyclic and len(dag.topological_order()) == 3
@@ -79,6 +85,10 @@ def test_path_enumeration_rejects_cyclic():
     cyc = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
     with pytest.raises(CyclicGraphError):
         enumerate_paths(cyc, "a", "b")
+    with pytest.raises(CyclicGraphError):
+        enumerate_treks(cyc, "a", "b")
+    with pytest.raises(CyclicGraphError):
+        latent_factor_half_treks(cyc, "a", "b")
 
 
 def test_path_counts_match_adjacency_powers():
@@ -104,6 +114,72 @@ def test_path_counts_match_adjacency_powers():
             ]
         x, y = rng.sample(verts, 2)
         assert len(enumerate_paths(g, x, y)) == counts[index[x]][index[y]]
+
+
+# Reference oracle: depth-first search over children, independent of the
+# per-graph path table that enumerate_paths reads.
+
+
+def reference_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:
+    out: list[Path] = []
+
+    def extend(prefix: list[str]) -> None:
+        if prefix[-1] == y:
+            out.append(Path(tuple(prefix)))
+        for c in graph.children(prefix[-1]):
+            extend(prefix + [c])
+
+    extend([x])
+    return tuple(sorted(out))
+
+
+def reference_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
+    return tuple(sorted(
+        Trek(top, left, right)
+        for top in graph.vertices
+        for left in reference_paths(graph, top, v)
+        for right in reference_paths(graph, top, w)
+    ))
+
+
+def reference_half_treks(graph: ProcessGraph, a: str, b: str, avoid,
+                         allow_trivial: bool) -> tuple[Trek, ...]:
+    out = [Trek(a, Path((a,)), p) for p in reference_paths(graph, a, b)
+           if allow_trivial or len(p.vertices) > 1]
+    for l in graph.latent:
+        if (l, a) in graph.edges and l not in avoid:
+            out += [Trek(l, Path((l, a)), p) for p in reference_paths(graph, l, b)
+                    if len(p.vertices) > 1]
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("latent", [(), ("l1",), ("l1", "l2", "l3")])
+def test_paths_treks_and_half_treks_match_reference(latent):
+    rng = random.Random(22 + len(latent))
+    for _ in range(25):
+        observed = [f"x{i}" for i in range(rng.randint(1, 6))]
+        g = (random_latent_dag(rng, observed, latent, p=0.5) if latent
+             else random_dag(rng, observed, p=0.5))
+        avoid = frozenset(latent[:1])
+        for a, b in product(g.vertices, repeat=2):
+            assert enumerate_paths(g, a, b) == reference_paths(g, a, b)
+            assert enumerate_treks(g, a, b) == reference_treks(g, a, b)
+            for allow_trivial in (False, True):
+                assert latent_factor_half_treks(g, a, b, avoid, allow_trivial) == \
+                    reference_half_treks(g, a, b, avoid, allow_trivial)
+
+
+def test_path_queries_reject_unknown_labels(instrument_graph):
+    with pytest.raises(KeyError):
+        enumerate_paths(instrument_graph, "u", "nope")
+    with pytest.raises(KeyError):
+        enumerate_paths(instrument_graph, "nope", "u")
+    # a source the search would never reach is still checked
+    with pytest.raises(KeyError):
+        nonintersecting_path_systems(instrument_graph, ["w", "nope"], ["u", "v"])
+    isolated = ProcessGraph.make(["a", "b", "c"], [], [])
+    with pytest.raises(KeyError):
+        sided_nonintersecting_trek_systems(isolated, ["a", "nope"], ["b", "c"])
 
 
 def test_instrument_graph_trek_set_is_complete(instrument_graph):
