@@ -3,8 +3,10 @@
 Every command prints a run report (JSON) to stdout and writes its primary
 output, if any, to --out.  Primary outputs are byte-deterministic for
 identical invocations; randomized commands therefore require an explicit
---seed.  Exit codes: 0 success, 2 validation failure, 3 non-generic or
-singular input after retries, 4 estimation precondition failure.
+--seed.  Exit codes: 0 success, 2 validation failure (including an
+unreadable input file or an unwritable --out), 3 non-generic or singular
+input after retries, 4 estimation precondition failure.  `main` is the one
+place that maps an exception to its exit code.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .graph import (CyclicGraphError, d_separated, enumerate_treks,
-                    t_separation_min)
+from .graph import d_separated, enumerate_treks, t_separation_min
 from .identify import discover_cpdag, identify_all, spectral_ci_oracle
 from .ratlinalg import SingularMatrixError
 from .simulate import (EstimationError, IllConditionedBlockError,
-                       SimulationError, empirical_ci_test, estimate_spectrum,
-                       simulate_series)
+                       empirical_ci_test, estimate_spectrum, simulate_series)
 from .svar import SvarParams, generic_rank, sample_stable_params, spectrum
 
 EXIT_OK = 0
@@ -47,14 +47,13 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _report(command: str, inputs: dict, outputs, seed=None, warnings=(), started=None) -> dict:
+def _report(command: str, inputs: dict, outputs, seed=None, warnings=()) -> dict:
     return {
         "command": command,
         "inputs": {name: _digest(path) for name, path in inputs.items()},
         "seed": seed,
         "outputs": outputs,
         "warnings": list(warnings),
-        "timing_seconds": round(time.perf_counter() - started, 6) if started else None,
     }
 
 
@@ -95,67 +94,50 @@ def _with_resampling(build, seed: int, warnings: list[str]):
 
 
 def cmd_validate(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
     return _report("validate", {"graph": args.graph},
                    {"observed": list(tsg.base.observed),
                     "latent": list(tsg.base.latent),
                     "edges": len(tsg.base.edges),
                     "order": tsg.order,
-                    "acyclic": tsg.base.is_acyclic},
-                   started=started)
+                    "acyclic": tsg.base.is_acyclic})
 
 
 def cmd_query(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
     graph = tsg.base
     X, Y, Z = _labels(args.x), _labels(args.y), _labels(args.z)
-    try:
-        if args.query == "dsep":
-            outputs = {"d_separated": d_separated(graph, X, Y, Z)}
-        elif args.query == "tsep":
-            size, zx, zy = t_separation_min(graph, X, Y)
-            outputs = {"size": size, "Z_X": list(zx), "Z_Y": list(zy)}
-        elif args.query == "rank":
-            if args.seed is None:
-                raise CliError(EXIT_VALIDATION, "rank queries require --seed")
-            if args.trials < 1:
-                raise CliError(EXIT_VALIDATION, f"--trials must be at least 1, got {args.trials}")
-            outputs = {"generic_rank": generic_rank(tsg, X, Y, trials=args.trials,
-                                                    seed=args.seed)}
-        else:  # treks
-            treks = [
-                {"top": t.top, "left": list(t.left.vertices), "right": list(t.right.vertices)}
-                for x in X for y in Y for t in enumerate_treks(graph, x, y)
-            ]
-            outputs = {"treks": treks, "count": len(treks)}
-    except (KeyError, ValueError, CyclicGraphError) as exc:
-        if isinstance(exc, CliError):
-            raise
-        raise CliError(EXIT_VALIDATION, f"bad query: {exc}") from exc
-    return _report(f"query:{args.query}", {"graph": args.graph}, outputs,
-                   seed=args.seed, started=started)
+    if args.query == "dsep":
+        outputs = {"d_separated": d_separated(graph, X, Y, Z)}
+    elif args.query == "tsep":
+        size, zx, zy = t_separation_min(graph, X, Y)
+        outputs = {"size": size, "Z_X": list(zx), "Z_Y": list(zy)}
+    elif args.query == "rank":
+        if args.seed is None:
+            raise CliError(EXIT_VALIDATION, "rank queries require --seed")
+        if args.trials < 1:
+            raise CliError(EXIT_VALIDATION, f"--trials must be at least 1, got {args.trials}")
+        outputs = {"generic_rank": generic_rank(tsg, X, Y, trials=args.trials,
+                                                seed=args.seed)}
+    else:  # treks
+        treks = [
+            {"top": t.top, "left": list(t.left.vertices), "right": list(t.right.vertices)}
+            for x in X for y in Y for t in enumerate_treks(graph, x, y)
+        ]
+        outputs = {"treks": treks, "count": len(treks)}
+    return _report(f"query:{args.query}", {"graph": args.graph}, outputs, seed=args.seed)
 
 
 def cmd_spectrum(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
     params = _load_params(tsg, args.params)
-    try:
-        bundle = spectrum(tsg, params)
-    except SingularMatrixError as exc:
-        raise CliError(EXIT_NON_GENERIC, f"spectrum is singular: {exc}") from exc
-    sio.save_bundle(bundle, args.out)
+    sio.save_bundle(spectrum(tsg, params), args.out)
     return _report("spectrum", {"graph": args.graph, "params": args.params},
-                   {"out": args.out, "observed": list(tsg.base.observed)},
-                   started=started)
+                   {"out": args.out, "observed": list(tsg.base.observed)})
 
 
 def cmd_identify(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
-    warnings: list[str] = []
     if args.spectrum:
         S = _load("spectrum", sio.load_bundle, args.spectrum).S
         inputs = {"graph": args.graph, "spectrum": args.spectrum}
@@ -165,37 +147,22 @@ def cmd_identify(args) -> dict:
         inputs = {"graph": args.graph, "params": args.params}
     else:
         raise CliError(EXIT_VALIDATION, "identify needs --params or --spectrum")
-    try:
-        cert = identify_all(tsg.base, S)
-    except SingularMatrixError as exc:
-        raise CliError(EXIT_NON_GENERIC,
-                       f"identification system singular for the given input: {exc}") from exc
-    except CyclicGraphError as exc:
-        raise CliError(EXIT_VALIDATION, f"identification needs an acyclic graph: {exc}") from exc
-    except KeyError as exc:
-        raise CliError(EXIT_VALIDATION,
-                       f"spectrum labels do not match the graph: {exc}") from exc
+    cert = identify_all(tsg.base, S)
     sio.save_certificate(cert, args.out)
-    solved = {f"{a}->{b}": True for (a, b) in cert.solved}
     return _report("identify", inputs,
-                   {"out": args.out, "solved_edges": sorted(solved),
-                    "unresolved_edges": [f"{a}->{b}" for a, b in cert.unresolved_edges]},
-                   warnings=warnings, started=started)
+                   {"out": args.out,
+                    "solved_edges": sorted(f"{a}->{b}" for a, b in cert.solved),
+                    "unresolved_edges": [f"{a}->{b}" for a, b in cert.unresolved_edges]})
 
 
 def cmd_simulate(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
     params = _load_params(tsg, args.params)
-    try:
-        series = simulate_series(tsg, params, length=args.length,
-                                 burn_in=args.burn_in, seed=args.seed)
-    except SimulationError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    series = simulate_series(tsg, params, length=args.length,
+                             burn_in=args.burn_in, seed=args.seed)
     sio.save_series(series, args.out)
     return _report("simulate", {"graph": args.graph, "params": args.params},
-                   {"out": args.out, "length": series.length},
-                   seed=args.seed, started=started)
+                   {"out": args.out, "length": series.length}, seed=args.seed)
 
 
 def _parse_frequencies(arg: str) -> tuple[float, ...]:
@@ -209,29 +176,25 @@ def _parse_frequencies(arg: str) -> tuple[float, ...]:
 
 
 def cmd_estimate(args) -> dict:
-    started = time.perf_counter()
     series = _load("series", sio.load_series, args.series)
     try:
         frequencies = _parse_frequencies(args.frequencies)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"invalid --frequencies: {exc}") from exc
-    try:
-        est = estimate_spectrum(series, frequencies,
-                                segment_length=args.segments, overlap=args.overlap)
-    except EstimationError as exc:
-        raise CliError(EXIT_ESTIMATION, str(exc)) from exc
+    est = estimate_spectrum(series, frequencies,
+                            segment_length=args.segments, overlap=args.overlap)
     sio.save_estimate(est, args.out)
     return _report("estimate", {"series": args.series},
                    {"out": args.out, "segments": est.segment_count,
-                    "frequencies": list(est.frequencies)},
-                   started=started)
+                    "frequencies": list(est.frequencies)})
 
 
 def cmd_discover(args) -> dict:
-    started = time.perf_counter()
     tsg = _load("graph", sio.load_graph, args.graph)
     observed = tsg.base.observed
+    inputs = {"graph": args.graph}
     warnings: list[str] = []
+    seed = None
     if args.estimate:
         def covers_graph(est):
             missing = sorted(set(observed) - set(est.labels))
@@ -249,27 +212,23 @@ def cmd_discover(args) -> dict:
                 return False
 
         cpdag = discover_cpdag(oracle, observed)
-        inputs = {"graph": args.graph, "estimate": args.estimate}
-        seed = None
-    else:
-        inputs = {"graph": args.graph}
-        if args.params:
-            params = _load_params(tsg, args.params)
+        inputs["estimate"] = args.estimate
+    elif args.params:
+        params = _load_params(tsg, args.params)
+        S = spectrum(tsg, params).S
+        cpdag = discover_cpdag(spectral_ci_oracle(S), observed)
+        inputs["params"] = args.params
+    elif args.seed is not None:
+        seed = args.seed
+
+        def build(s):
+            params = sample_stable_params(tsg, seed=s)
             S = spectrum(tsg, params).S
-            cpdag = discover_cpdag(spectral_ci_oracle(S), observed)
-            inputs["params"] = args.params
-            seed = None
-        else:
-            if args.seed is None:
-                raise CliError(EXIT_VALIDATION, "discover needs --params, --estimate or --seed")
-            seed = args.seed
+            return discover_cpdag(spectral_ci_oracle(S), observed)
 
-            def build(s):
-                params = sample_stable_params(tsg, seed=s)
-                S = spectrum(tsg, params).S
-                return discover_cpdag(spectral_ci_oracle(S), observed)
-
-            cpdag = _with_resampling(build, seed, warnings)
+        cpdag = _with_resampling(build, seed, warnings)
+    else:
+        raise CliError(EXIT_VALIDATION, "discover needs --params, --estimate or --seed")
     result = {
         "nodes": list(cpdag.nodes),
         "directed": sorted(f"{a}->{b}" for a, b in cpdag.directed),
@@ -281,8 +240,7 @@ def cmd_discover(args) -> dict:
     else:
         outputs = result
     warnings.extend(cpdag.warnings)
-    return _report("discover", inputs, outputs, seed=seed,
-                   warnings=warnings, started=started)
+    return _report("discover", inputs, outputs, seed=seed, warnings=warnings)
 
 
 # -- entry point ------------------------------------------------------------------------------
@@ -354,16 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every failure it can meet maps to its exit code here."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         report = args.fn(args)
     except CliError as exc:
-        json.dump({"command": args.command, "error": exc.message}, sys.stdout, indent=2)
+        code, message = exc.code, exc.message
+    except SingularMatrixError as exc:
+        code, message = EXIT_NON_GENERIC, f"{type(exc).__name__}: {exc}"
+    except EstimationError as exc:  # a ValueError, so caught before the validation errors
+        code, message = EXIT_ESTIMATION, f"{type(exc).__name__}: {exc}"
+    except (OSError, ValueError, LookupError) as exc:
+        code, message = EXIT_VALIDATION, f"{type(exc).__name__}: {exc}"
+    else:
+        report["timing_seconds"] = round(time.perf_counter() - started, 6)
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
-        return exc.code
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        return EXIT_OK
+    json.dump({"command": args.command, "error": message}, sys.stdout, indent=2)
     print()
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -250,7 +250,7 @@ class TimeSeriesGraph:
 # -- paths and treks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Path:
     """Directed path as its vertex sequence; length one means the empty path."""
 
@@ -285,7 +285,7 @@ class Path:
                 raise GraphValidationError(f"path uses non-edge ({a!r}, {b!r})")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Trek:
     """Pair of directed paths out of a common top vertex."""
 

@@ -13,7 +13,7 @@ returns the link functions themselves rather than their conjugates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
@@ -249,21 +249,10 @@ class Cpdag:
     nodes: tuple[str, ...]
     directed: frozenset[Edge]
     undirected: frozenset[frozenset]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def skeleton(self) -> frozenset[frozenset]:
         return self.undirected | frozenset(frozenset(e) for e in self.directed)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cpdag)
-            and self.nodes == other.nodes
-            and self.directed == other.directed
-            and self.undirected == other.undirected
-        )
-
-    def __hash__(self):
-        return hash((self.nodes, self.directed, self.undirected))
 
 
 def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:

@@ -27,8 +27,11 @@ def _dump(data: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _load(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text())
+def _load(path: str | Path) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 # -- graphs -------------------------------------------------------------------------
@@ -71,8 +74,11 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
                 )
         edges.append((a, b))
         cross[(a, b)] = tuple(sorted(set(lags)))
+    auto_entries = data.get("auto", {})
+    if not isinstance(auto_entries, dict):
+        raise GraphValidationError(f"graph key 'auto' must be an object, got {auto_entries!r}")
     auto = {}
-    for v, lags in data.get("auto", {}).items():
+    for v, lags in auto_entries.items():
         for k in lags:
             if not isinstance(k, int) or k < 1:
                 raise GraphValidationError(f"auto lag {k!r} at {v!r} must be an integer >= 1")

@@ -312,15 +312,17 @@ def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
 def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> int:
     """Rank of the observed subspectrum under random stable rational parameters.
 
-    Takes the maximum over `trials` independent draws; exact except on a
-    measure-zero sampling event per draw.
+    Takes the maximum over up to `trials` independent draws, and stops at the
+    first draw that reaches min(|X|, |Y|), which no draw can exceed; exact
+    except on a measure-zero sampling event per draw.
     """
     X = tuple(sorted(X))
     Y = tuple(sorted(Y))
-    if not X or not Y:
-        return 0
+    full = min(len(X), len(Y))
     best = 0
     for t in range(trials):
+        if best == full:
+            break
         params = sample_stable_params(tsg, seed=seed * 1_000_003 + t)
         S = spectrum(tsg, params).S
         best = max(best, rank(S.submatrix(X, Y)))

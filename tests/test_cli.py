@@ -1,17 +1,22 @@
 """Command-line surface: happy paths, exit codes, determinism, warnings."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svarspec import io as sio
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, CliError, _with_resampling, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
+from svarspec.simulate import simulate_series
 from svarspec.ratlinalg import SingularMatrixError
-from svarspec.svar import SvarParams, sample_stable_params
+from svarspec.svar import SvarParams, sample_stable_params, spectrum
 
 
 @pytest.fixture
@@ -295,7 +300,8 @@ ZERO_DENOMINATOR_BUNDLE = json.dumps({
 })
 
 
-@pytest.mark.parametrize("content", [None, '{"H": 1}', "not json", ZERO_DENOMINATOR_BUNDLE])
+@pytest.mark.parametrize("content", [None, '{"H": 1}', "not json", ZERO_DENOMINATOR_BUNDLE,
+                                     "[]"])
 def test_identify_bad_spectrum_file_exits_validation(capsys, tmp_path, instrument_files,
                                                      content):
     graph, _ = instrument_files
@@ -360,6 +366,51 @@ def test_missing_input_files_exit_validation(capsys, tmp_path, instrument_files)
         assert "missing.json" in report["error"]
 
 
+@pytest.mark.parametrize("kind, content", [
+    ("graph", "[]"),
+    ("graph", json.dumps({"observed": ["a"], "latent": [], "edges": [], "auto": [1]})),
+    ("graph", json.dumps({"observed": ["a"], "latent": [], "edges": [], "auto": None})),
+    ("parameter", "[]"), ("parameter", "null"), ("parameter", '"x"'), ("parameter", "7")])
+def test_non_object_graph_and_params_exit_validation(capsys, tmp_path, instrument_files,
+                                                     kind, content):
+    graph, params = instrument_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    commands = []
+    if kind == "graph":
+        graph = str(bad)
+        commands.append(["validate", "--graph", graph])
+    else:
+        params = str(bad)
+    commands.append(["spectrum", "--graph", graph, "--params", params,
+                     "--out", str(tmp_path / "bundle.json")])
+    for argv in commands:
+        code, report = run(capsys, *argv)
+        assert code == EXIT_VALIDATION, argv
+        assert f"{kind} file" in report["error"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "identify", "simulate", "estimate",
+                                     "discover"])
+def test_unwritable_out_exits_validation(capsys, tmp_path, instrument_files, command):
+    graph, params = instrument_files
+    series = str(tmp_path / "series.txt")
+    if command == "estimate":
+        run(capsys, "simulate", "--graph", graph, "--params", params,
+            "--length", "64", "--seed", "1", "--out", series)
+    argv = {
+        "spectrum": ["--graph", graph, "--params", params],
+        "identify": ["--graph", graph, "--params", params],
+        "simulate": ["--graph", graph, "--params", params, "--length", "64", "--seed", "1"],
+        "estimate": ["--series", series, "--frequencies", "2", "--segments", "16"],
+        "discover": ["--graph", graph, "--params", params],
+    }[command]
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    code, report = run(capsys, command, *argv, "--out", out)
+    assert code == EXIT_VALIDATION
+    assert out in report["error"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials):
     graph, _ = instrument_files
@@ -367,3 +418,79 @@ def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials
                        "--x", "v", "--y", "w", "--seed", "3", "--trials", trials)
     assert code == EXIT_VALIDATION
     assert "--trials" in report["error"]
+
+
+# -- fuzzed input files ---------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _mutate(data, doc):
+    """Delete one key or element somewhere in `doc`, or replace one value (the
+    whole document included) with an arbitrary JSON value."""
+    root = [doc]
+    node = root
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif node is not root and data.draw(st.booleans()):
+            del node[key]
+            return root[0]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            return root[0]
+
+
+def _series_text(rows) -> str:
+    """Write series rows back as tab-separated text; non-string cells as JSON."""
+    lines = []
+    for row in rows if isinstance(rows, list) else [rows]:
+        cells = row if isinstance(row, list) else [row]
+        lines.append("\t".join(c if isinstance(c, str) else json.dumps(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def valid_documents(tmp_path, instrument_tsg):
+    """The graph, parameter, bundle and series documents of one valid instance."""
+    params = sample_stable_params(instrument_tsg, seed=4)
+    sio.save_series(simulate_series(instrument_tsg, params, length=48, burn_in=50, seed=1),
+                    tmp_path / "series.txt")
+    return {
+        "graph": sio.graph_to_dict(instrument_tsg),
+        "params": sio.params_to_dict(params),
+        "bundle": sio.bundle_to_dict(spectrum(instrument_tsg, params)),
+        "series": [line.split("\t")
+                   for line in (tmp_path / "series.txt").read_text().splitlines()],
+    }
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
+    kind = data.draw(st.sampled_from(sorted(valid_documents)))
+    docs = json.loads(json.dumps(valid_documents))
+    docs[kind] = _mutate(data, docs[kind])
+    files = {name: str(tmp_path / name) for name in docs}
+    for name, doc in docs.items():
+        text = _series_text(doc) if name == "series" else json.dumps(doc)
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "out")
+    for argv in (["spectrum", "--graph", files["graph"], "--params", files["params"]],
+                 ["identify", "--graph", files["graph"], "--spectrum", files["bundle"]],
+                 ["estimate", "--series", files["series"], "--frequencies", "2",
+                  "--segments", "16"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out", out])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NON_GENERIC, EXIT_ESTIMATION), argv
+        assert isinstance(json.loads(stdout.getvalue()), dict), argv

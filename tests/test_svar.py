@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             TrekSystem, minimal_halftrek_subsystem,
                             sided_nonintersecting_trek_systems,
@@ -309,6 +310,25 @@ def test_generic_rank_instrument_graph(instrument_graph, instrument_tsg):
 
 def test_generic_rank_fork_example(fork3_tsg):
     assert generic_rank(fork3_tsg, ["2"], ["3"], trials=3, seed=2) == 1
+
+
+def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
+    calls = []
+
+    def counting_spectrum(tsg, params):
+        calls.append(tsg)
+        return spectrum(tsg, params)
+
+    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    assert generic_rank(instrument_tsg, ["v"], ["w"], trials=3, seed=1) == 1
+    assert len(calls) == 1
+    # every trek from {x1, x2} to {y1, y2} passes through m: rank 1 < 2
+    g = ProcessGraph.make(["x1", "x2", "m", "y1", "y2"], [],
+                          [("x1", "m"), ("x2", "m"), ("m", "y1"), ("m", "y2")])
+    calls.clear()
+    assert generic_rank(TimeSeriesGraph.full(g, 1), ["x1", "x2"], ["y1", "y2"],
+                        trials=3, seed=1) == 1
+    assert len(calls) == 3
 
 
 def test_rank_never_exceeds_separation_bound():
