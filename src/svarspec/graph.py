@@ -3,7 +3,8 @@
 Provides directed-path and trek enumeration, path/trek systems with
 permutation signs, d-separation, minimal t-separation, half-trek
 reachability, and the latent-factor half-trek criterion (check, search and
-fixpoint ordering).  Latent vertices must have in-degree zero; graphs are
+fixpoint ordering), whose condition 3 is decided by a unit-capacity flow.
+Latent vertices must have in-degree zero; graphs are
 immutable after construction and every query is pure.  A graph computes its
 directed paths and each vertex's observed and latent parents once, on first
 use, and keeps them.
@@ -639,25 +640,50 @@ def _validate_triple(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> None:
             raise GraphValidationError(f"triple label {lab!r} is not a latent vertex")
 
 
-def _half_trek_system_exists(graph: ProcessGraph, sources, targets, w_targets,
-                             allowed_latents) -> bool:
-    """Sided-non-intersecting system of latent-factor half-treks from `sources`
-    onto `targets`; treks into a target in `w_targets` must be single-edge
-    confounding treks y <- l -> w with l in allowed_latents."""
-    sources = tuple(sorted(sources))
-    targets = tuple(sorted(targets))
-    w_targets = frozenset(w_targets)
+def _half_trek_linked(graph: ProcessGraph, v: str, W, Lp, pool, need) -> tuple[str, ...] | None:
+    """The first `need` sources of `pool` (in label order, outside W; W is
+    outside pa(v)) that a sided-non-intersecting system of latent-factor
+    half-treks links onto pa(v) | W, each trek into a w in W being y <- l -> w
+    with l in Lp; None if fewer link.
 
-    def candidates(src: str, tgt: str) -> tuple[Trek, ...]:
-        if tgt in w_targets:
-            return tuple(
-                Trek(l, Path((l, src)), Path((l, tgt)))
-                for l in graph.pa_latent(src)
-                if l in allowed_latents and graph.has_edge(l, tgt)
-            )
-        return latent_factor_half_treks(graph, src, tgt, allow_trivial=True)
+    Every vertex has a left and a right copy of unit capacity.  A flow path
+    enters a source's left copy, climbs at most one latent edge, crosses to
+    its top's right copy and descends edges to a target; a w in W keeps only
+    the edges into it from Lp, and none out.  Integral flows are then exactly
+    the sided-non-intersecting systems (Foygel, Draisma & Drton 2012), so the
+    linkable source sets are the independent sets of a gammoid, a matroid
+    (Perfect 1968).  Keeping a source when it has an augmenting path, and
+    reversing that path, is the matroid greedy algorithm, whose basis is the
+    smallest place by place among all bases (Gale 1968): the kept sources are
+    the lexicographically first linkable set.
+    """
+    W, Lp, targets = set(W), set(Lp), set(graph.pa_observed(v)) | set(W)
+    residual: dict = {"sink": {}}
+    for x in graph.vertices:  # copy (x, side) has an in (0) and an out (1) node
+        residual[x, "L", 0] = {(x, "L", 1): 1}
+        residual[x, "L", 1] = {(x, "R", 0): 1} | {(l, "L", 0): 1 for l in graph.pa_latent(x)}
+        residual[x, "R", 0] = {(x, "R", 1): 1}
+        residual[x, "R", 1] = {(c, "R", 0): 1 for c in graph.children(x)
+                               if x not in W and (c not in W or x in Lp)}
+        if x in targets:
+            residual[x, "R", 1]["sink"] = 1
 
-    return next(_system_search(sources, targets, candidates, _sided_disjoint), None) is not None
+    def augment(a, seen: set) -> bool:
+        if a == "sink":
+            return True
+        seen.add(a)
+        for b, capacity in residual[a].items():
+            if capacity and b not in seen and augment(b, seen):
+                residual[a][b] -= 1
+                residual[b][a] = residual[b].get(a, 0) + 1
+                return True
+        return False
+
+    kept: list[str] = []
+    for y in pool:
+        if len(kept) < need and augment((y, "L", 0), set()):
+            kept.append(y)
+    return tuple(kept) if len(kept) == need else None
 
 
 def lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
@@ -673,11 +699,7 @@ def lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
     pa_l_wv = frozenset(l for u in (W | {v}) for l in graph.pa_latent(u))
     cond2 = not (Y & W) and (pa_l_y & pa_l_wv) <= Lp
 
-    cond3 = False
-    if cond1 and cond2:
-        cond3 = _half_trek_system_exists(
-            graph, Y, pa | W, W, Lp,
-        )
+    cond3 = cond1 and cond2 and _half_trek_linked(graph, v, W, Lp, sorted(Y), len(Y)) is not None
     return LfhtcCheck(cond1 and cond2 and cond3, cond1, cond2, cond3)
 
 
@@ -699,40 +721,38 @@ def lfhtc_prerequisite_edges(graph: ProcessGraph, v: str, triple: LfhtcTriple) -
 def lfhtc_search(graph: ProcessGraph, v: str, solved_edges=frozenset()) -> LfhtcTriple | None:
     """Smallest triple passing lfhtc_check whose prerequisite edges are all solved.
 
-    Enumerates by |Lp| first, then lexicographically by W and Y, so the result
-    is deterministic.  Returns None when no usable triple exists.
+    After the regression triple, the first in (|Lp|, Y, W, Lp) order: one
+    _half_trek_linked scan per (W, Lp) finds Y.  None when no triple is usable.
     """
     graph.require_acyclic()
     solved = frozenset(solved_edges)
-    observed = tuple(graph.observed)
+    observed = graph.observed
     if v not in set(observed):
         raise KeyError(f"target vertex {v!r} is not observed")
-    pa = frozenset(graph.pa_observed(v))
-    others = tuple(x for x in observed if x != v)
-    w_pool = tuple(x for x in others if x not in pa)
-
-    def usable(triple: LfhtcTriple) -> bool:
-        if not lfhtc_check(graph, v, triple).ok:
-            return False
-        return all(e in solved for e in lfhtc_prerequisite_edges(graph, v, triple))
-
-    # canonical regression candidate first
-    regression = LfhtcTriple.make(Y=sorted(pa))
-    if usable(regression):
+    pa = graph.pa_observed(v)
+    regression = LfhtcTriple.make(Y=pa)
+    if lfhtc_check(graph, v, regression).ok and all(
+            e in solved for e in lfhtc_prerequisite_edges(graph, v, regression)):
         return regression
-    for lp_size in range(len(graph.latent) + 1):
-        y_size = len(pa) + lp_size
-        if y_size > len(others) or lp_size > len(w_pool):
-            continue
-        for Y in combinations(others, y_size):
-            y_set = set(Y)
-            for W in combinations(tuple(x for x in w_pool if x not in y_set), lp_size):
-                for Lp in combinations(graph.latent, lp_size):
-                    triple = LfhtcTriple.make(Y, W, Lp)
-                    if triple == regression:
-                        continue
-                    if usable(triple):
-                        return triple
+
+    def ready(y: str) -> bool:
+        return all((x, y) in solved for x in graph.pa_observed(y))
+
+    others = tuple(x for x in observed if x != v)
+    w_pool = tuple(x for x in others if x not in pa and ready(x))
+    for lp_size in range(min(len(graph.latent), len(w_pool)) + 1):
+        found = []
+        for W in combinations(w_pool, lp_size):
+            shared = {l for u in W + (v,) for l in graph.pa_latent(u)}
+            for Lp in combinations(graph.latent, lp_size):
+                reach, banned = htr(graph, W + (v,), Lp), shared.difference(Lp)
+                pool = [y for y in others if y not in W and (ready(y) or y not in reach)
+                        and banned.isdisjoint(graph.pa_latent(y))]
+                Y = _half_trek_linked(graph, v, W, Lp, pool, len(pa) + lp_size)
+                if Y is not None:
+                    found.append((Y, W, Lp))
+        if found:
+            return LfhtcTriple(*min(found))
     return None
 
 

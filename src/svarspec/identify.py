@@ -93,35 +93,23 @@ def lfhtc_identify_step(graph: ProcessGraph, S: RatMatrix, v: str, triple: Lfhtc
     Y = list(triple.Y)
     reach = htr(graph, set(W) | {v}, frozenset(triple.Lp))
 
-    def strip_col(row_label: str, y: str) -> RatFn:
-        # S[row, y] with y's incoming observed links removed (conjugated side)
-        acc = S.entry(row_label, y)
-        for x in graph.pa_observed(y):
-            acc = acc - S.entry(row_label, x) * _known_link(known, (x, y)).conj()
+    def col(row: str, y: str) -> RatFn:
+        # S[row, y], minus y's incoming observed links (conjugated side) if y in reach
+        acc = S.entry(row, y)
+        if y in reach:
+            for x in graph.pa_observed(y):
+                acc = acc - S.entry(row, x) * _known_link(known, (x, y)).conj()
         return acc
 
     def b_entry(w: str, y: str) -> RatFn:
-        # S[w, y] with w's incoming observed links removed (unconjugated side),
-        # and additionally y's links removed when y is half-trek reachable
-        if y in reach:
-            acc = strip_col(w, y)
-            for x in graph.pa_observed(w):
-                acc = acc - _known_link(known, (x, w)) * strip_col(x, y)
-            return acc
-        acc = S.entry(w, y)
+        # col(w, y) with w's incoming observed links removed (unconjugated side)
+        acc = col(w, y)
         for x in graph.pa_observed(w):
-            acc = acc - _known_link(known, (x, w)) * S.entry(x, y)
+            acc = acc - _known_link(known, (x, w)) * col(x, y)
         return acc
 
-    rows = []
-    rhs = []
-    for y in Y:
-        if y in reach:
-            rows.append([strip_col(u, y) for u in pa] + [b_entry(w, y) for w in W])
-            rhs.append(strip_col(v, y))
-        else:
-            rows.append([S.entry(u, y) for u in pa] + [b_entry(w, y) for w in W])
-            rhs.append(S.entry(v, y))
+    rows = [[col(u, y) for u in pa] + [b_entry(w, y) for w in W] for y in Y]
+    rhs = [col(v, y) for y in Y]
     system = RatMatrix(Y, pa + W, rows)
     values = solve(system, rhs)  # raises SingularMatrixError for non-generic input
     solved = {(u, v): h for u, h in zip(pa, values[: len(pa)])}
@@ -250,9 +238,6 @@ class Cpdag:
     directed: frozenset[Edge]
     undirected: frozenset[frozenset]
     warnings: tuple[str, ...] = field(default=(), compare=False)
-
-    def skeleton(self) -> frozenset[frozenset]:
-        return self.undirected | frozenset(frozenset(e) for e in self.directed)
 
 
 def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:

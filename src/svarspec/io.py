@@ -22,6 +22,9 @@ from .ratlinalg import matrix_from_dict, matrix_to_dict
 from .simulate import SeriesSample, SpectrumEstimate
 from .svar import SpectrumBundle, SvarParams
 
+#: Largest lag a graph file may name; exact spectra grow with the lags.
+MAX_LAG = 1000
+
 
 def _dump(data: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -68,9 +71,9 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
         if not lags:
             raise GraphValidationError(f"edge entry #{i} ({a} -> {b}) has an empty lag list")
         for k in lags:
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or not 0 <= k <= MAX_LAG:
                 raise GraphValidationError(
-                    f"edge entry #{i} ({a} -> {b}) has invalid lag {k!r}"
+                    f"edge entry #{i} ({a} -> {b}) has invalid lag {k!r}, not in 0..{MAX_LAG}"
                 )
         edges.append((a, b))
         cross[(a, b)] = tuple(sorted(set(lags)))
@@ -80,8 +83,8 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
     auto = {}
     for v, lags in auto_entries.items():
         for k in lags:
-            if not isinstance(k, int) or k < 1:
-                raise GraphValidationError(f"auto lag {k!r} at {v!r} must be an integer >= 1")
+            if not isinstance(k, int) or not 1 <= k <= MAX_LAG:
+                raise GraphValidationError(f"auto lag {k!r} at {v!r} is not in 1..{MAX_LAG}")
         if lags:
             auto[v] = tuple(sorted(set(lags)))
     base = ProcessGraph.make(observed, latent, edges)

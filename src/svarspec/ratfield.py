@@ -131,12 +131,6 @@ class Poly:
         """Degree; NEG_INFINITY for the zero polynomial."""
         return len(self.p) - 1 if self.p else NEG_INFINITY
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.p:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.c * self.p[-1]
-
     def __getitem__(self, k: int) -> Fraction:
         return self.c * self.p[k] if 0 <= k < len(self.p) else Fraction(0)
 
@@ -220,9 +214,6 @@ class Poly:
         cr = self.c / scale
         return (_new(*_normalize(cq.numerator, cq.denominator, quot)),
                 _new(*_normalize(cr.numerator, cr.denominator, rem)))
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]

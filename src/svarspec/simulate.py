@@ -76,9 +76,6 @@ class SpectrumEstimate:
         if herm.max(initial=0.0) > 1e-8:
             raise ValueError("estimated matrices are not Hermitian")
 
-    def matrix_at(self, index: int) -> np.ndarray:
-        return self.matrices[index]
-
     def block(self, index: int, rows, cols) -> np.ndarray:
         ri = [self.labels.index(r) for r in rows]
         ci = [self.labels.index(c) for c in cols]

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,27 @@ def test_validate_rejects_negative_lag(capsys, tmp_path):
     code, report = run(capsys, "validate", "--graph", str(bad))
     assert code == EXIT_VALIDATION
     assert "lag" in report["error"]
+
+
+@pytest.mark.parametrize("where", ["cross", "auto"])
+def test_lag_above_bound_exits_validation_quickly(capsys, tmp_path, where):
+    def graph_file(lag):
+        path = tmp_path / f"{where}{lag}.json"
+        path.write_text(json.dumps({
+            "observed": ["a", "b"], "latent": [],
+            "edges": [{"from": "a", "to": "b", "lags": [lag if where == "cross" else 0]}],
+            "auto": {"a": [lag if where == "auto" else 1]},
+        }))
+        return str(path)
+
+    assert run(capsys, "validate", "--graph", graph_file(sio.MAX_LAG))[0] == EXIT_OK
+    big = graph_file(sio.MAX_LAG + 1)
+    start = time.perf_counter()
+    for argv in (["validate"], ["query", "--query", "rank", "--x", "a", "--y", "b", "--seed", "1"]):
+        code, report = run(capsys, *argv, "--graph", big)
+        assert code == EXIT_VALIDATION
+        assert "lag" in report["error"]
+    assert time.perf_counter() - start < 0.5
 
 
 DUPLICATE_LABEL_GRAPH = json.dumps({

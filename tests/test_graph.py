@@ -1,19 +1,21 @@
 """Graph structures, path/trek combinatorics, separations, half-trek criterion."""
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
 from svarspec.graph import (CyclicGraphError, GraphValidationError,
-                            LfhtcTriple, Path, ProcessGraph, TimeSeriesGraph,
+                            LfhtcCheck, LfhtcTriple, Path, ProcessGraph, TimeSeriesGraph,
                             Trek, TrekSystem, d_separated, enumerate_paths,
                             enumerate_treks, htr, latent_factor_half_treks,
                             lfhtc_check, lfhtc_order, lfhtc_prerequisite_edges,
                             lfhtc_search, minimal_halftrek_subsystem,
                             nonintersecting_path_systems,
                             sided_nonintersecting_trek_systems, t_separated,
-                            t_separation_min)
+                            t_separation_min, _half_trek_linked, _sided_disjoint,
+                            _system_search)
 
 from conftest import random_dag, random_latent_dag
 
@@ -151,6 +153,71 @@ def reference_half_treks(graph: ProcessGraph, a: str, b: str, avoid,
             out += [Trek(l, Path((l, a)), p) for p in reference_paths(graph, l, b)
                     if len(p.vertices) > 1]
     return tuple(sorted(out))
+
+
+# Reference LF-HTC: every (Y, W, Lp) in (|Lp|, Y, W, Lp) order, each checked
+# by a backtracking search for a half-trek system.  Exponential; an oracle only.
+
+
+def reference_half_trek_system_exists(graph: ProcessGraph, sources, targets, w_targets,
+                                      allowed_latents) -> bool:
+    def candidates(src: str, tgt: str) -> tuple[Trek, ...]:
+        if tgt in w_targets:
+            return tuple(Trek(l, Path((l, src)), Path((l, tgt)))
+                         for l in graph.pa_latent(src)
+                         if l in allowed_latents and graph.has_edge(l, tgt))
+        return latent_factor_half_treks(graph, src, tgt, allow_trivial=True)
+
+    systems = _system_search(tuple(sorted(sources)), tuple(sorted(targets)), candidates,
+                             _sided_disjoint)
+    return next(systems, None) is not None
+
+
+def reference_lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
+    Y, W, Lp = frozenset(triple.Y), frozenset(triple.W), frozenset(triple.Lp)
+    pa = frozenset(graph.pa_observed(v))
+    cond1 = len(Y) == len(pa) + len(Lp) and len(W) == len(Lp) and not W & pa
+    pa_l_y = {l for y in Y for l in graph.pa_latent(y)}
+    pa_l_wv = {l for u in W | {v} for l in graph.pa_latent(u)}
+    cond2 = not Y & W and pa_l_y & pa_l_wv <= Lp
+    cond3 = cond1 and cond2 and reference_half_trek_system_exists(graph, Y, pa | W, W, Lp)
+    return LfhtcCheck(cond1 and cond2 and cond3, cond1, cond2, cond3)
+
+
+def reference_lfhtc_search(graph: ProcessGraph, v: str, solved) -> LfhtcTriple | None:
+    pa = graph.pa_observed(v)
+    others = tuple(x for x in graph.observed if x != v)
+    w_pool = tuple(x for x in others if x not in pa)
+
+    def usable(triple: LfhtcTriple) -> bool:
+        return reference_lfhtc_check(graph, v, triple).ok and all(
+            e in solved for e in lfhtc_prerequisite_edges(graph, v, triple))
+
+    regression = LfhtcTriple.make(Y=pa)
+    if usable(regression):
+        return regression
+    for lp_size in range(len(graph.latent) + 1):
+        for Y in combinations(others, len(pa) + lp_size):
+            for W in combinations([x for x in w_pool if x not in Y], lp_size):
+                for Lp in combinations(graph.latent, lp_size):
+                    if usable(LfhtcTriple.make(Y, W, Lp)):
+                        return LfhtcTriple.make(Y, W, Lp)
+    return None
+
+
+def reference_lfhtc_order(graph: ProcessGraph):
+    pending, solved, steps = list(graph.observed), set(), []
+    progress = True
+    while progress:
+        progress = False
+        for v in list(pending):
+            triple = reference_lfhtc_search(graph, v, solved)
+            if triple is not None:
+                steps.append((v, triple))
+                solved.update((x, v) for x in graph.pa_observed(v))
+                pending.remove(v)
+                progress = True
+    return tuple(steps), tuple(sorted(pending))
 
 
 @pytest.mark.parametrize("latent", [(), ("l1",), ("l1", "l2", "l3")])
@@ -561,6 +628,62 @@ def test_lfhtc_unidentifiable_reported():
 def test_prerequisite_edges_confounded_chain(confounded_chain_graph):
     triple = LfhtcTriple.make(["v1", "v2"], ["v4"], ["l"])
     assert lfhtc_prerequisite_edges(confounded_chain_graph, "v3", triple) == (("v3", "v4"),)
+
+
+def _random_lfhtc_graphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        observed = [f"x{i}" for i in range(rng.randint(3, 8))]
+        latent = [f"l{i}" for i in range(rng.randint(0, 3))]
+        yield random_latent_dag(rng, observed, latent, p=rng.choice([0.3, 0.5]),
+                                p_latent=rng.choice([0.4, 0.6]))
+
+
+def test_lfhtc_order_matches_backtracking_reference():
+    for g in _random_lfhtc_graphs(71, 200):
+        order = lfhtc_order(g)
+        assert (order.steps, order.unresolved) == reference_lfhtc_order(g)
+
+
+def test_lfhtc_check_matches_backtracking_reference():
+    rng = random.Random(72)
+    graphs = list(_random_lfhtc_graphs(73, 100))
+    checks, linked_cases = set(), set()
+    for _ in range(2000):
+        g = rng.choice(graphs)
+        v = rng.choice(g.observed)
+        pa = set(g.pa_observed(v))
+        others = [x for x in g.observed if x != v]
+        k = rng.randint(0, min(len(g.latent), len(others)))
+        Lp = rng.sample(g.latent, k)
+        # mostly W outside pa(v) and Y outside W, so condition 3 is reached
+        w_pool = [x for x in others if rng.random() < 0.2 or x not in pa]
+        W = rng.sample(w_pool, min(k, len(w_pool)))
+        pool = [x for x in others if x not in W or rng.random() < 0.1]
+        size = len(pa) + k + rng.choice([0, 0, 0, 0, 1, -1])
+        Y = rng.sample(pool, max(0, min(size, len(pool))))
+        triple = LfhtcTriple.make(Y, W, Lp)
+        got = lfhtc_check(g, v, triple)
+        assert got == reference_lfhtc_check(g, v, triple), (g, v, triple)
+        checks.add((got.condition3, bool(W)))
+        # condition 3 on its own, also where condition 2 fails
+        if len(Y) == len(pa) + len(W) and not pa & set(W) and not set(Y) & set(W):
+            linked = _half_trek_linked(g, v, W, Lp, sorted(Y), len(Y)) is not None
+            assert linked == reference_half_trek_system_exists(g, Y, pa | set(W), W, Lp), \
+                (g, v, triple)
+            linked_cases.add((linked, got.condition2))
+    both = {(False, False), (False, True), (True, False), (True, True)}
+    assert checks == both and linked_cases == both
+
+
+def test_lfhtc_order_scales_to_fourteen_observed_vertices():
+    rng = random.Random(74)
+    graphs = [random_latent_dag(rng, [f"x{i:02d}" for i in range(n)], ["l0", "l1", "l2"], p=0.3)
+              for n in (12, 12, 12, 14, 14, 14)]
+    start = time.perf_counter()
+    for g in graphs:
+        lfhtc_order(g)
+    assert time.perf_counter() - start < 3.0
 
 
 # -- minimal half-trek subsystems ----------------------------------------------------------------------
