@@ -1,9 +1,11 @@
 """Process graphs with exogenous latent structure and the combinatorics on them.
 
 Provides directed-path and trek enumeration, path/trek systems with
-permutation signs, d-separation, minimal t-separation, half-trek
-reachability, and the latent-factor half-trek criterion (check, search and
-fixpoint ordering), whose condition 3 is decided by a unit-capacity flow.
+permutation signs, d-separation, t-separation, half-trek reachability, and the
+latent-factor half-trek criterion (check, search and fixpoint ordering).  One
+augmenting-path routine on a doubled trek graph decides t-separation, finds a
+minimal t-separating pair as a weighted minimum cut, and decides condition 3
+of the criterion as a unit-capacity flow.
 Latent vertices must have in-degree zero; graphs are
 immutable after construction and every query is pure.  A graph computes its
 directed paths and each vertex's observed and latent parents once, on first
@@ -15,6 +17,7 @@ identification certificates built on top of these queries are reproducible.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -508,51 +511,91 @@ def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
     return True
 
 
-# -- t-separation ---------------------------------------------------------------------
+# -- the doubled trek graph and t-separation ---------------------------------------------
+
+
+def _trek_network(graph: ProcessGraph, capacity, climb, descend, sources, sinks, big) -> dict:
+    """Residual graph whose "source"-"sink" paths are the treks from `sources`
+    to `sinks`: the copy (x, side) of x is an arc (x, side, 0) -> (x, side, 1) of
+    capacity(x, side), and arcs of capacity `big` climb from left copies to those
+    of climb(x), cross from left to right copies and descend to those of descend(x)."""
+    residual: dict = {"source": {(x, "L", 0): big for x in sources}, "sink": {}}
+    for x in graph.vertices:
+        residual[x, "L", 0] = {(x, "L", 1): capacity(x, "L")}
+        residual[x, "L", 1] = {(x, "R", 0): big} | {(p, "L", 0): big for p in climb(x)}
+        residual[x, "R", 0] = {(x, "R", 1): capacity(x, "R")}
+        residual[x, "R", 1] = {(c, "R", 0): big for c in descend(x)}
+    for y in sinks:
+        residual[y, "R", 1]["sink"] = big
+    return residual
+
+
+def _augment(residual: dict, start) -> dict | None:
+    """Push the bottleneck capacity along a shortest residual path from `start`
+    to "sink" and return None, or return the search tree, keyed by the nodes
+    reachable from `start`, if there is none.  Repeated, this is Edmonds-Karp: O(VE) augmentations."""
+    parent, queue = {start: None}, deque([start])
+    while queue and "sink" not in parent:
+        a = queue.popleft()
+        for b, cap in residual[a].items():
+            if cap and b not in parent:
+                parent[b] = a
+                queue.append(b)
+    if "sink" not in parent:
+        return parent
+    path, b = [], "sink"
+    while b != start:
+        path.append((parent[b], b))
+        b = parent[b]
+    push = min(residual[a][b] for a, b in path)
+    for a, b in path:
+        residual[a][b] -= push
+        residual[b][a] = residual[b].get(a, 0) + push
+    return None
+
+
+def _tsep_network(graph: ProcessGraph, X, Y, capacity, big: int = 1) -> dict:
+    graph.require_acyclic()
+    _require_labels(graph, set(X) | set(Y))
+    return _trek_network(graph, capacity, graph.parents, graph.children,
+                         sorted(set(X)), sorted(set(Y)), big)
 
 
 def t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
-    """Whether every trek from X to Y hits Z_X on its left or Z_Y on its right side."""
-    Z_X, Z_Y = frozenset(Z_X), frozenset(Z_Y)
-    for trek in _treks_between(graph, X, Y):
-        if not (trek.left.vertex_set() & Z_X) and not (trek.right.vertex_set() & Z_Y):
-            return False
-    return True
-
-
-def _treks_between(graph: ProcessGraph, X, Y) -> tuple[Trek, ...]:
-    out: list[Trek] = []
-    for x in sorted(set(X)):
-        for y in sorted(set(Y)):
-            out.extend(enumerate_treks(graph, x, y))
-    return tuple(out)
+    """Whether every trek from X to Y hits Z_X on its left or Z_Y on its right
+    side: no source-sink path is left once the left copies of Z_X and the right
+    copies of Z_Y have capacity 0."""
+    cut = {"L": frozenset(Z_X), "R": frozenset(Z_Y)}
+    network = _tsep_network(graph, X, Y, lambda x, side: int(x not in cut[side]))
+    return _augment(network, "source") is not None
 
 
 def t_separation_min(graph: ProcessGraph, X, Y):
-    """A minimizing t-separating pair: (size, Z_X, Z_Y), found by brute force over
-    subset pairs in order of total size."""
-    graph.require_acyclic()
-    treks = _treks_between(graph, X, Y)
-    if not treks:
-        return 0, (), ()
-    sides = [(t.left.vertex_set(), t.right.vertex_set()) for t in treks]
-    vertices = tuple(graph.vertices)
-    max_size = min(len(frozenset(X)), len(frozenset(Y)))
-    for total in range(0, 2 * len(vertices) + 1):
-        for left_size in range(0, total + 1):
-            right_size = total - left_size
-            if left_size > len(vertices) or right_size > len(vertices):
-                continue
-            for Z_X in combinations(vertices, left_size):
-                zx = frozenset(Z_X)
-                for Z_Y in combinations(vertices, right_size):
-                    zy = frozenset(Z_Y)
-                    if all((left & zx) or (right & zy) for left, right in sides):
-                        return total, tuple(sorted(zx)), tuple(sorted(zy))
-        if total >= max_size:
-            # (X, {}) always t-separates, so the loop cannot pass this point
-            break
-    raise AssertionError("no t-separating pair found; unreachable")
+    """The first minimal t-separating pair (size, Z_X, Z_Y) in the order
+    (|Z_X| + |Z_Y|, |Z_X|, Z_X, Z_Y), label tuples compared lexicographically.
+
+    t-separating pairs are the copy-arc cuts of the doubled trek graph.  With n
+    vertices, B = 4^n and label index i, a left copy costs (n+3)B - 2^(2n-1-i)
+    and a right copy (n+2)B - 2^(n-1-i), so a pair with a left and b right
+    copies costs (n+2)B(a+b) + aB - D, where D < B has one bit per member, first
+    labels highest, Z_X's above Z_Y's.  As aB - D lies in (-B, nB], costs order
+    pairs by total, then a, then -D: the label-order-first Z_X, then Z_Y (of two
+    sets of one size, the one holding the first label where they differ has more
+    bits).  So the minimum cut is unique and is the first minimal pair: the copies
+    the last Edmonds-Karp search enters but does not cross (`big` outweighs them all).
+    """
+    n, B = len(graph.vertices), 4 ** len(graph.vertices)
+    weight = {}
+    for i, x in enumerate(graph.vertices):
+        weight[x, "L"] = (n + 3) * B - 2 ** (2 * n - 1 - i)
+        weight[x, "R"] = (n + 2) * B - 2 ** (n - 1 - i)
+    residual = _tsep_network(graph, X, Y, lambda x, side: weight[x, side], big=2 * n * (n + 3) * B)
+    while (reached := _augment(residual, "source")) is None:
+        pass
+    cut = [(x, side) for x, side in weight
+           if (x, side, 0) in reached and (x, side, 1) not in reached]
+    zx, zy = (tuple(x for x, side in cut if side == s) for s in "LR")
+    return len(zx) + len(zy), zx, zy
 
 
 # -- latent-factor half-treks -----------------------------------------------------------
@@ -646,42 +689,26 @@ def _half_trek_linked(graph: ProcessGraph, v: str, W, Lp, pool, need) -> tuple[s
     half-treks links onto pa(v) | W, each trek into a w in W being y <- l -> w
     with l in Lp; None if fewer link.
 
-    Every vertex has a left and a right copy of unit capacity.  A flow path
-    enters a source's left copy, climbs at most one latent edge, crosses to
-    its top's right copy and descends edges to a target; a w in W keeps only
-    the edges into it from Lp, and none out.  Integral flows are then exactly
-    the sided-non-intersecting systems (Foygel, Draisma & Drton 2012), so the
+    In the doubled trek graph with unit capacities, a flow path enters a
+    source's left copy, climbs at most one latent edge, crosses to its top's
+    right copy and descends edges to a target; a w in W keeps only the edges
+    into it from Lp, and none out.  Integral flows are then exactly the
+    sided-non-intersecting systems (Foygel, Draisma & Drton 2012), so the
     linkable source sets are the independent sets of a gammoid, a matroid
     (Perfect 1968).  Keeping a source when it has an augmenting path, and
     reversing that path, is the matroid greedy algorithm, whose basis is the
     smallest place by place among all bases (Gale 1968): the kept sources are
-    the lexicographically first linkable set.
+    the lexicographically first linkable set.  Whether a path exists depends
+    only on the sources kept so far, not on which paths carried them.
     """
-    W, Lp, targets = set(W), set(Lp), set(graph.pa_observed(v)) | set(W)
-    residual: dict = {"sink": {}}
-    for x in graph.vertices:  # copy (x, side) has an in (0) and an out (1) node
-        residual[x, "L", 0] = {(x, "L", 1): 1}
-        residual[x, "L", 1] = {(x, "R", 0): 1} | {(l, "L", 0): 1 for l in graph.pa_latent(x)}
-        residual[x, "R", 0] = {(x, "R", 1): 1}
-        residual[x, "R", 1] = {(c, "R", 0): 1 for c in graph.children(x)
-                               if x not in W and (c not in W or x in Lp)}
-        if x in targets:
-            residual[x, "R", 1]["sink"] = 1
-
-    def augment(a, seen: set) -> bool:
-        if a == "sink":
-            return True
-        seen.add(a)
-        for b, capacity in residual[a].items():
-            if capacity and b not in seen and augment(b, seen):
-                residual[a][b] -= 1
-                residual[b][a] = residual[b].get(a, 0) + 1
-                return True
-        return False
-
+    W, Lp = set(W), set(Lp)
+    residual = _trek_network(
+        graph, lambda x, side: 1, graph.pa_latent,
+        lambda x: [c for c in graph.children(x) if x not in W and (c not in W or x in Lp)],
+        (), set(graph.pa_observed(v)) | W, 1)
     kept: list[str] = []
     for y in pool:
-        if len(kept) < need and augment((y, "L", 0), set()):
+        if len(kept) < need and _augment(residual, (y, "L", 0)) is None:
             kept.append(y)
     return tuple(kept) if len(kept) == need else None
 

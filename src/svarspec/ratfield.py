@@ -289,7 +289,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_Z = Poly((0, 1))
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -517,7 +516,6 @@ class RatFn:
 
 R_ZERO = RatFn(P_ZERO)
 R_ONE = RatFn(P_ONE)
-R_Z = RatFn(P_Z)
 
 
 def poly(coeffs: Sequence[Coeff]) -> Poly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     nonintersecting_path_systems,
-                    sided_nonintersecting_trek_systems)
+                    sided_nonintersecting_trek_systems, t_separation_min)
 from .ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
 from .ratlinalg import RatMatrix, inverse, rank, solve_many
 
@@ -313,15 +313,23 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
     """Rank of the observed subspectrum under random stable rational parameters.
 
     Takes the maximum over up to `trials` independent draws, and stops at the
-    first draw that reaches min(|X|, |Y|), which no draw can exceed; exact
-    except on a measure-zero sampling event per draw.
+    first draw that reaches a bound no draw can exceed: the minimal
+    t-separation size on an acyclic graph (Sullivant, Talaska & Draisma 2010),
+    min(|X|, |Y|) on a cyclic one.  Exact except on a measure-zero sampling
+    event per draw.
     """
     X = tuple(sorted(X))
     Y = tuple(sorted(Y))
-    full = min(len(X), len(Y))
+    unknown = sorted(set(X + Y) - set(tsg.base.observed))
+    if unknown:
+        raise KeyError(f"unknown observed label {unknown[0]!r}")
+    if tsg.base.is_acyclic:
+        bound = t_separation_min(tsg.base, X, Y)[0]
+    else:
+        bound = min(len(X), len(Y))
     best = 0
     for t in range(trials):
-        if best == full:
+        if best == bound:
             break
         params = sample_stable_params(tsg, seed=seed * 1_000_003 + t)
         S = spectrum(tsg, params).S

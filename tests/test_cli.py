@@ -134,6 +134,10 @@ def test_query_unknown_label(capsys, instrument_files):
     code, report = run(capsys, "query", "--graph", graph, "--query", "dsep",
                        "--x", "nope", "--y", "w")
     assert code == EXIT_VALIDATION
+    for x, y in (("nope", "w"), ("v", "nope"), ("v,nope", "w")):
+        code, report = run(capsys, "query", "--graph", graph, "--query", "tsep",
+                           "--x", x, "--y", y)
+        assert code == EXIT_VALIDATION and "nope" in report["error"]
 
 
 def test_spectrum_identify_pipeline(capsys, tmp_path, instrument_files):
@@ -506,13 +510,16 @@ def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
     for name, doc in docs.items():
         text = _series_text(doc) if name == "series" else json.dumps(doc)
         (tmp_path / name).write_text(text)
-    out = str(tmp_path / "out")
-    for argv in (["spectrum", "--graph", files["graph"], "--params", files["params"]],
-                 ["identify", "--graph", files["graph"], "--spectrum", files["bundle"]],
+    out = ["--out", str(tmp_path / "out")]
+    query = ["query", "--graph", files["graph"], "--x", "u,v", "--y", "w"]
+    for argv in (["spectrum", "--graph", files["graph"], "--params", files["params"], *out],
+                 ["identify", "--graph", files["graph"], "--spectrum", files["bundle"], *out],
                  ["estimate", "--series", files["series"], "--frequencies", "2",
-                  "--segments", "16"]):
+                  "--segments", "16", *out],
+                 [*query, "--query", "tsep"],
+                 [*query, "--query", "dsep", "--z", "l"]):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--out", out])
+            code = main(argv)
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NON_GENERIC, EXIT_ESTIMATION), argv
         assert isinstance(json.loads(stdout.getvalue()), dict), argv

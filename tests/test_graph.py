@@ -1,5 +1,7 @@
 """Graph structures, path/trek combinatorics, separations, half-trek criterion."""
 
+import ast
+import pathlib
 import random
 import time
 from itertools import combinations, product
@@ -534,6 +536,82 @@ def test_tsep_brute_force_cover_property():
                 for Z_X in combinations(verts, a):
                     for Z_Y in combinations(verts, total - a):
                         assert not t_separated(g, X, Y, set(Z_X), set(Z_Y))
+
+
+# Reference t-separation: every trek between X and Y, then subset pairs in the
+# order (total, |Z_X|, Z_X, Z_Y).  Exponential; an oracle only.
+
+
+def _reference_treks_between(graph: ProcessGraph, X, Y) -> list[Trek]:
+    return [t for x in sorted(set(X)) for y in sorted(set(Y))
+            for t in enumerate_treks(graph, x, y)]
+
+
+def reference_t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
+    Z_X, Z_Y = frozenset(Z_X), frozenset(Z_Y)
+    return all(t.left.vertex_set() & Z_X or t.right.vertex_set() & Z_Y
+               for t in _reference_treks_between(graph, X, Y))
+
+
+def reference_t_separation_min(graph: ProcessGraph, X, Y):
+    sides = [(t.left.vertex_set(), t.right.vertex_set())
+             for t in _reference_treks_between(graph, X, Y)]
+    for total in range(min(len(set(X)), len(set(Y))) + 1):
+        for left_size in range(total + 1):
+            for Z_X in combinations(graph.vertices, left_size):
+                for Z_Y in combinations(graph.vertices, total - left_size):
+                    if all(left & set(Z_X) or right & set(Z_Y) for left, right in sides):
+                        return total, Z_X, Z_Y
+    raise AssertionError("(X, ()) always t-separates")
+
+
+def test_tsep_matches_brute_force_reference():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(1000):
+        n_obs, n_lat = rng.randint(2, 9), rng.randint(0, 3)
+        labels = [f"v{i}" for i in range(n_obs + n_lat)]
+        rng.shuffle(labels)  # label order is not the topological order
+        g = random_latent_dag(rng, labels[:n_obs], labels[n_obs:], p=rng.choice([0.2, 0.35, 0.5]),
+                              p_latent=0.5)
+        verts = list(g.vertices)
+        for _ in range(3):
+            X = set(rng.sample(verts, rng.randint(0, min(4, len(verts)))))
+            Y = set(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+            got = t_separation_min(g, X, Y)
+            assert got == reference_t_separation_min(g, X, Y), (g, X, Y)
+            kinds.add(("empty X", not X))
+            kinds.add(("overlap", bool(X & Y)))
+            kinds.add(("latent", bool((X | Y) & set(g.latent))))
+            kinds.add(("size 0", got[0] == 0))
+            Z_X = set(rng.sample(verts, rng.randint(0, min(3, len(verts)))))
+            Z_Y = set(rng.sample(verts, rng.randint(0, min(3, len(verts)))))
+            separated = t_separated(g, X, Y, Z_X, Z_Y)
+            assert separated == reference_t_separated(g, X, Y, Z_X, Z_Y), (g, X, Y, Z_X, Z_Y)
+            kinds.add(("separated", separated))
+    assert kinds == {(kind, flag) for kind, _ in kinds for flag in (False, True)}
+
+
+def test_tsep_matches_readme_quick_tour(instrument_graph):
+    # the README's graph g is the instrument graph
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    line = next(line for line in readme.splitlines()
+                if line.startswith('t_separation_min(g, {"v"}, {"w"})'))
+    assert ast.literal_eval(line.split("#")[1].strip()) == (1, (), ("w",))
+    assert t_separation_min(instrument_graph, {"v"}, {"w"}) == (1, (), ("w",))
+
+
+def test_tsep_scales_to_eighteen_observed_vertices():
+    rng = random.Random(76)
+    cases = []
+    for n, k in ((16, 6), (18, 7)):
+        g = random_latent_dag(rng, [f"x{i:02d}" for i in range(n)], ["l0", "l1", "l2"], p=0.3)
+        cases.append((g, set(rng.sample(g.observed, k)), set(rng.sample(g.observed, k))))
+    start = time.perf_counter()
+    for g, X, Y in cases:
+        size, zx, zy = t_separation_min(g, X, Y)
+        assert t_separated(g, X, Y, zx, zy) and size == len(zx) + len(zy) > 0
+    assert time.perf_counter() - start < 1.0
 
 
 # -- half-trek reachability and the criterion ------------------------------------------------------

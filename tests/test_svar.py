@@ -322,13 +322,34 @@ def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
     monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
     assert generic_rank(instrument_tsg, ["v"], ["w"], trials=3, seed=1) == 1
     assert len(calls) == 1
-    # every trek from {x1, x2} to {y1, y2} passes through m: rank 1 < 2
+    # every trek from {x1, x2} to {y1, y2} passes through m: the bound is 1 < 2,
+    # and the first draw reaches it
     g = ProcessGraph.make(["x1", "x2", "m", "y1", "y2"], [],
                           [("x1", "m"), ("x2", "m"), ("m", "y1"), ("m", "y2")])
+    tsg = TimeSeriesGraph.full(g, 1)
     calls.clear()
-    assert generic_rank(TimeSeriesGraph.full(g, 1), ["x1", "x2"], ["y1", "y2"],
-                        trials=3, seed=1) == 1
+    assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 1
+    assert len(calls) == 1
+    # a draw that stays below the bound: every trial is drawn
+    monkeypatch.setattr(svar_module, "rank", lambda M: 0)
+    calls.clear()
+    assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 0
     assert len(calls) == 3
+    # a cyclic graph keeps min(|X|, |Y|) as its bound
+    cyclic = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
+    monkeypatch.setattr(svar_module, "rank", lambda M: 1)
+    calls.clear()
+    assert generic_rank(TimeSeriesGraph.full(cyclic, 1), ["a"], ["b"], trials=3, seed=1) == 1
+    assert len(calls) == 1
+
+
+def test_generic_rank_rejects_labels_outside_the_observed_spectrum():
+    # no trek joins the latent h to b: the separation bound is 0, so no draw reads S
+    g = ProcessGraph.make(["a", "b"], ["h"], [("a", "b")])
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (0,)}, {})
+    for X in (["nope"], ["h"]):
+        with pytest.raises(KeyError):
+            generic_rank(tsg, X, ["b"], trials=1, seed=0)
 
 
 def test_rank_never_exceeds_separation_bound():
