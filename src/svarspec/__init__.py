@@ -6,8 +6,8 @@ from .ratlinalg import (RatMatrix, SingularMatrixError, det, inverse, rank,
                         solve, solve_many)
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     LfhtcOrder, LfhtcTriple, Path, PathSystem, ProcessGraph,
-                    TimeSeriesGraph, Trek, TrekSystem, d_separated,
-                    enumerate_paths, enumerate_treks, htr,
+                    TimeSeriesGraph, Trek, TrekSystem, count_treks,
+                    d_separated, enumerate_paths, enumerate_treks, htr,
                     latent_factor_half_treks, lfhtc_check, lfhtc_order,
                     lfhtc_prerequisite_edges, lfhtc_search,
                     minimal_halftrek_subsystem, nonintersecting_path_systems,

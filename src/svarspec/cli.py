@@ -12,6 +12,7 @@ place that maps an exception to its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .graph import d_separated, enumerate_treks, t_separation_min
+from .graph import count_treks, d_separated, enumerate_treks, t_separation_min
 from .identify import discover_cpdag, identify_all, spectral_ci_oracle
 from .ratlinalg import SingularMatrixError
 from .simulate import (EstimationError, IllConditionedBlockError,
@@ -34,6 +35,12 @@ EXIT_NON_GENERIC = 3
 EXIT_ESTIMATION = 4
 
 RESAMPLE_ATTEMPTS = 3
+
+#: Most treks `query --query treks` lists; a larger count exits 2 before any
+#: trek is built.  Counts grow exponentially with the graph (11.2 million
+#: between two vertices of a complete 14-vertex DAG), while 100,000 treks
+#: take well under a second to list.
+MAX_TREKS = 100_000
 
 
 class CliError(Exception):
@@ -120,6 +127,10 @@ def cmd_query(args) -> dict:
         outputs = {"generic_rank": generic_rank(tsg, X, Y, trials=args.trials,
                                                 seed=args.seed)}
     else:  # treks
+        count = sum(count_treks(graph, x, y) for x in X for y in Y)
+        if count > MAX_TREKS:
+            raise CliError(EXIT_VALIDATION,
+                           f"{count} treks exceed the listing limit of {MAX_TREKS}")
         treks = [
             {"top": t.top, "left": list(t.left.vertices), "right": list(t.right.vertices)}
             for x in X for y in Y for t in enumerate_treks(graph, x, y)
@@ -311,9 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; every failure it can meet maps to its exit code here."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         report = args.fn(args)

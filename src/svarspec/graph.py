@@ -391,6 +391,28 @@ def enumerate_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
     return tuple(out)
 
 
+def count_treks(graph: ProcessGraph, v: str, w: str) -> int:
+    """len(enumerate_treks(graph, v, w)) without listing a trek or a path.
+
+    A trek is a top with one path into v and one into w, so the count is the
+    sum over tops of paths(top, v) * paths(top, w).  Path counts into a fixed
+    target follow the children, sinks first, in O(|V| + |E|) time.
+    """
+    graph.require_acyclic()
+    if v not in graph.vertices or w not in graph.vertices:
+        raise KeyError(f"unknown label {v!r} or {w!r}")
+    order = graph.topological_order()[::-1]
+
+    def paths_into(target: str) -> dict[str, int]:
+        count: dict[str, int] = {}
+        for u in order:
+            count[u] = (u == target) + sum(count[c] for c in graph.children(u))
+        return count
+
+    into_v, into_w = paths_into(v), paths_into(w)
+    return sum(into_v[top] * into_w[top] for top in graph.vertices)
+
+
 def _system_search(sources, targets, candidates, disjoint_ok):
     """Backtracking assignment of one candidate object per source; yields
     (objects, sign) for each complete system, in a deterministic order.

@@ -19,8 +19,8 @@ from typing import Callable
 
 from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, d_separated, htr,
                     lfhtc_check, lfhtc_order)
-from .ratfield import RatFn
-from .ratlinalg import RatMatrix, solve
+from .ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction
+from .ratlinalg import RatMatrix, matmul_mod, solve, solve_mod
 from .svar import conditional_spectrum
 
 Edge = tuple[str, str]
@@ -250,13 +250,46 @@ def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:
 
 
 def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
-    """Exact symbolic oracle: the conditional cross-spectrum vanishes identically."""
+    """Exact symbolic oracle: the conditional cross-spectrum vanishes identically.
+
+    S is evaluated once at EVAL_POINT modulo MOD_PRIME (`RatFn.eval_mod`).
+    Where the image of S[Z, Z] is invertible, S[Z, Z] is invertible over R(z)
+    and the image of the Schur complement S[X, Y] - S[X, Z] S[Z, Z]^{-1}
+    S[Z, Y] is the Schur complement of the images; a nonzero one proves the
+    verdict "dependent" with no exact solve.  Every other case (a zero image,
+    a singular image of S[Z, Z], an S with no image, or sets that
+    `conditional_spectrum` rejects) is decided by `conditional_spectrum`.
+    """
+    try:
+        image = S.eval_mod(EVAL_POINT)
+    except UnluckyReduction:
+        image = None
+    rows = {v: i for i, v in enumerate(S.row_labels)}
+    cols = {v: j for j, v in enumerate(S.col_labels)}
     cache: dict[tuple, bool] = {}
+
+    def dependent_mod(X: frozenset, Y: frozenset, Z: frozenset) -> bool:
+        if (image is None or X & Y or X & Z or Y & Z
+                or not X | Z <= rows.keys() or not Y | Z <= cols.keys()):
+            return False
+
+        def block(r, c):
+            return [[image[rows[a]][cols[b]] for b in sorted(c)] for a in sorted(r)]
+
+        schur = block(X, Y)
+        if Z:
+            W = solve_mod(block(Z, Z), block(Z, Y))
+            if W is None:
+                return False
+            schur = [[(s - p) % MOD_PRIME for s, p in zip(srow, prow)]
+                     for srow, prow in zip(schur, matmul_mod(block(X, Z), W))]
+        return any(any(row) for row in schur)
 
     def oracle(X, Y, Z) -> bool:
         key = (frozenset(X), frozenset(Y), frozenset(Z))
         if key not in cache:
-            cache[key] = conditional_spectrum(S, set(X), set(Y), set(Z)).is_zero
+            cache[key] = (not dependent_mod(*key)
+                          and conditional_spectrum(S, set(X), set(Y), set(Z)).is_zero)
         return cache[key]
 
     return oracle

@@ -8,14 +8,20 @@ expression swell polynomial instead of exponential.  The determinant is the
 signed last pivot over the row factors, the rank is the pivot count, and
 solving back-substitutes in the fraction field.  All operations are pure;
 matrices are immutable after construction.
+
+The modular filters work on images of matrices in GF(P), P = `MOD_PRIME`
+(`RatMatrix.eval_mod`).  There one Gauss-Jordan routine serves rank and
+solving (an inverse is a solve against the identity).  It never replaces
+the Bareiss kernel: a rank modulo P is only a lower bound on the rank over
+R(z), and a singular image proves nothing.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .ratfield import (P_ONE, P_ZERO, Poly, R_ONE, R_ZERO, RatFn, poly_lcm,
-                       ratfn_from_dict, ratfn_to_dict)
+from .ratfield import (MOD_PRIME, P_ONE, P_ZERO, Poly, R_ONE, R_ZERO, RatFn,
+                       poly_lcm, ratfn_from_dict, ratfn_to_dict)
 
 Labels = Sequence[str]
 
@@ -150,6 +156,10 @@ class RatMatrix:
         """Entrywise conjugation."""
         return RatMatrix(self.row_labels, self.col_labels,
                          [[e.conj() for e in row] for row in self.entries])
+
+    def eval_mod(self, z: int) -> list[list[int]]:
+        """Entrywise `RatFn.eval_mod` at z; UnluckyReduction if an entry has no image."""
+        return [[e.eval_mod(z) for e in row] for row in self.entries]
 
     # -- algebra -----------------------------------------------------------------
 
@@ -313,6 +323,59 @@ def inverse(matrix: RatMatrix) -> RatMatrix:
     eye = [[R_ONE if i == j else R_ZERO for j in range(n)] for i in range(n)]
     rows = solve_many(matrix, eye)
     return RatMatrix(matrix.col_labels, matrix.row_labels, rows)
+
+
+# -- elimination over GF(P) -------------------------------------------------------------
+
+
+def _gauss_jordan_mod(rows: list[list[int]], n: int) -> int:
+    """Gauss-Jordan elimination over GF(P) of integer rows, in place.
+
+    Pivots are sought in the first n columns in order; each pivot row is
+    scaled to a leading 1 and its column cleared in every other row.  Returns
+    r, the rank of the first n columns; the first r rows are then reduced.
+    """
+    P = MOD_PRIME
+    n_rows = len(rows)
+    r = 0
+    for c in range(n):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][c], -1, P)
+        pivot = rows[r] = [x * inv % P for x in rows[r]]
+        for i in range(n_rows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], pivot)]
+        r += 1
+    return r
+
+
+def rank_mod(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(P) of a matrix given by rows of residues."""
+    work = [list(row) for row in rows]
+    return _gauss_jordan_mod(work, len(work[0]) if work else 0)
+
+
+def solve_mod(rows: Sequence[Sequence[int]],
+              rhs_rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """The rows of X with M X = B over GF(P), for square M; None when M is singular there."""
+    n = len(rows)
+    work = [list(row) + list(extra) for row, extra in zip(rows, rhs_rows)]
+    if _gauss_jordan_mod(work, n) < n:
+        return None
+    return [row[n:] for row in work]
+
+
+def matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two matrices of residues over GF(P)."""
+    P = MOD_PRIME
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % P for col in columns] for row in a]
 
 
 # -- serialization -------------------------------------------------------------------

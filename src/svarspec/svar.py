@@ -23,8 +23,10 @@ from fractions import Fraction
 from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     nonintersecting_path_systems,
                     sided_nonintersecting_trek_systems, t_separation_min)
-from .ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
-from .ratlinalg import RatMatrix, inverse, rank, solve_many
+from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE, R_ZERO, RatFn,
+                       UnluckyReduction)
+from .ratlinalg import (RatMatrix, inverse, matmul_mod, rank, rank_mod,
+                        solve_many, solve_mod)
 
 CrossKey = tuple[str, str, int]  # (tail, head, lag)
 AutoKey = tuple[str, int]
@@ -309,6 +311,37 @@ def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
     return acc
 
 
+def spectrum_mod(tsg: TimeSeriesGraph, params: SvarParams) -> list[list[int]] | None:
+    """The image of the observed spectrum S at EVAL_POINT modulo MOD_PRIME.
+
+    Rows and columns follow tsg.base.observed.  Nothing is multiplied over
+    R(z): H and S_I are evaluated at z0 and at 1/z0, since conj is evaluation
+    at 1/z (`RatFn.eval_mod`), and S(z0) = N^T S_LI conj(N) with
+    N = (I - H_OO)^{-1} and S_LI = S_I[O, O] + H_LO^T S_I[L, L] conj(H_LO) is
+    formed in GF(P).  The result equals `spectrum(tsg, params).S.eval_mod`
+    at z0.  Returns None when an entry of H or S_I has no image at z0 or
+    1/z0, or when I - H_OO is singular there.
+    """
+    z0 = EVAL_POINT
+    H = transfer_matrix(tsg, params)
+    try:
+        Hz, Hw = H.eval_mod(z0), H.eval_mod(pow(z0, -1, MOD_PRIME))
+        Iz = internal_spectrum(tsg, params).eval_mod(z0)
+    except UnluckyReduction:
+        return None
+    index = {v: i for i, v in enumerate(H.row_labels)}
+    obs = [index[v] for v in tsg.base.observed]
+    lat = [index[v] for v in tsg.base.latent]
+    S_LI = [[(Iz[a][b] + sum(Hz[l][a] * Iz[l][l] * Hw[l][b] for l in lat)) % MOD_PRIME
+             for b in obs] for a in obs]
+    eye = [[int(i == j) for j in range(len(obs))] for i in range(len(obs))]
+    N, Nw = (solve_mod([[(int(a == b) - M[a][b]) % MOD_PRIME for b in obs] for a in obs], eye)
+             for M in (Hz, Hw))
+    if N is None or Nw is None:
+        return None
+    return matmul_mod(matmul_mod(list(zip(*N)), S_LI), Nw)
+
+
 def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> int:
     """Rank of the observed subspectrum under random stable rational parameters.
 
@@ -317,6 +350,11 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
     t-separation size on an acyclic graph (Sullivant, Talaska & Draisma 2010),
     min(|X|, |Y|) on a cyclic one.  Exact except on a measure-zero sampling
     event per draw.
+
+    Each draw first takes the rank of `spectrum_mod`'s S[X, Y] over GF(P), a
+    lower bound on its rank over R(z).  When it meets the bound, the draw's
+    rank is proved equal to the bound without building a spectrum; otherwise
+    the draw computes the exact spectrum and its Bareiss rank.
     """
     X = tuple(sorted(X))
     Y = tuple(sorted(Y))
@@ -327,11 +365,16 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
         bound = t_separation_min(tsg.base, X, Y)[0]
     else:
         bound = min(len(X), len(Y))
+    observed = {v: i for i, v in enumerate(tsg.base.observed)}
     best = 0
     for t in range(trials):
         if best == bound:
             break
         params = sample_stable_params(tsg, seed=seed * 1_000_003 + t)
+        image = spectrum_mod(tsg, params)
+        if image is not None and rank_mod(
+                [[image[observed[x]][observed[y]] for y in Y] for x in X]) == bound:
+            return bound
         S = spectrum(tsg, params).S
         best = max(best, rank(S.submatrix(X, Y)))
     return best

@@ -91,6 +91,14 @@ def random_latent_dag(rng: random.Random, observed, latent, p: float = 0.5,
     return ProcessGraph.make(obs, latent, edges)
 
 
+def random_cyclic_graph(rng: random.Random, n: int) -> ProcessGraph:
+    """Random edges in both directions on n >= 2 observed vertices, with a 2-cycle."""
+    labels = [f"x{i}" for i in range(n)]
+    edges = {(a, b) for a in labels for b in labels if a != b and rng.random() < 0.3}
+    a, b = rng.sample(labels, 2)
+    return ProcessGraph.make(labels, [], sorted(edges | {(a, b), (b, a)}))
+
+
 def random_tsg(rng: random.Random, graph: ProcessGraph, max_order: int = 1) -> TimeSeriesGraph:
     cross = {}
     for e in graph.edges:

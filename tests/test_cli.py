@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from svarspec import io as sio
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
-                          EXIT_VALIDATION, CliError, _with_resampling, main)
+                          EXIT_VALIDATION, MAX_TREKS, CliError, _with_resampling,
+                          main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
 from svarspec.simulate import simulate_series
 from svarspec.ratlinalg import SingularMatrixError
@@ -116,6 +117,27 @@ def test_query_dsep_and_tsep(capsys, instrument_files):
     assert code == EXIT_OK and report["outputs"]["size"] == 1
     code, report = run(capsys, "query", "--graph", graph, "--query", "treks",
                        "--x", "v", "--y", "w")
+    assert code == EXIT_OK and report["outputs"]["count"] == 4
+
+
+def test_query_treks_over_the_limit_exits_validation_quickly(capsys, tmp_path):
+    # a complete 16-vertex DAG: listing the treks between its last two vertices
+    # would take gigabytes; counting them takes microseconds
+    labels = [f"v{i:02d}" for i in range(16)]
+    graph = {"observed": labels, "latent": [], "auto": {},
+             "edges": [{"from": a, "to": b, "lags": [0]}
+                       for i, a in enumerate(labels) for b in labels[i + 1:]]}
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(graph))
+    start = time.perf_counter()
+    code, report = run(capsys, "query", "--graph", str(path), "--query", "treks",
+                       "--x", "v14", "--y", "v15")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATION
+    assert str(MAX_TREKS) in report["error"]
+    # below the limit the treks are still listed
+    code, report = run(capsys, "query", "--graph", str(path), "--query", "treks",
+                       "--x", "v00", "--y", "v03")
     assert code == EXIT_OK and report["outputs"]["count"] == 4
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from svarspec.graph import (CyclicGraphError, GraphValidationError,
                             LfhtcCheck, LfhtcTriple, Path, ProcessGraph, TimeSeriesGraph,
-                            Trek, TrekSystem, d_separated, enumerate_paths,
+                            Trek, TrekSystem, count_treks, d_separated, enumerate_paths,
                             enumerate_treks, htr, latent_factor_half_treks,
                             lfhtc_check, lfhtc_order, lfhtc_prerequisite_edges,
                             lfhtc_search, minimal_halftrek_subsystem,
@@ -91,6 +91,8 @@ def test_path_enumeration_rejects_cyclic():
         enumerate_paths(cyc, "a", "b")
     with pytest.raises(CyclicGraphError):
         enumerate_treks(cyc, "a", "b")
+    with pytest.raises(CyclicGraphError):
+        count_treks(cyc, "a", "b")
     with pytest.raises(CyclicGraphError):
         latent_factor_half_treks(cyc, "a", "b")
 
@@ -233,6 +235,7 @@ def test_paths_treks_and_half_treks_match_reference(latent):
         for a, b in product(g.vertices, repeat=2):
             assert enumerate_paths(g, a, b) == reference_paths(g, a, b)
             assert enumerate_treks(g, a, b) == reference_treks(g, a, b)
+            assert count_treks(g, a, b) == len(reference_treks(g, a, b))
             for allow_trivial in (False, True):
                 assert latent_factor_half_treks(g, a, b, avoid, allow_trivial) == \
                     reference_half_treks(g, a, b, avoid, allow_trivial)
@@ -243,6 +246,8 @@ def test_path_queries_reject_unknown_labels(instrument_graph):
         enumerate_paths(instrument_graph, "u", "nope")
     with pytest.raises(KeyError):
         enumerate_paths(instrument_graph, "nope", "u")
+    with pytest.raises(KeyError):
+        count_treks(instrument_graph, "u", "nope")
     # a source the search would never reach is still checked
     with pytest.raises(KeyError):
         nonintersecting_path_systems(instrument_graph, ["w", "nope"], ["u", "v"])

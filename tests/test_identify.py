@@ -1,9 +1,15 @@
 """Identification: regression, instruments, half-trek systems, CPDAG discovery."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svarspec import identify as identify_module
 
 from svarspec.graph import LfhtcTriple, ProcessGraph, TimeSeriesGraph, lfhtc_order
 from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
@@ -12,12 +18,13 @@ from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
                                identify_instrument, identify_regression,
                                lfhtc_identify_step, recover_lag_coefficients,
                                replay_certificate, spectral_ci_oracle)
-from svarspec.ratfield import RatFn, rat
-from svarspec.ratlinalg import SingularMatrixError
-from svarspec.svar import (SvarParams, sample_stable_params, spectrum,
-                           transfer_matrix)
+from svarspec.ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction, rat
+from svarspec.ratlinalg import RatMatrix, SingularMatrixError
+from svarspec.svar import (SvarParams, conditional_spectrum,
+                           sample_stable_params, spectrum, transfer_matrix)
 
-from conftest import random_dag, random_latent_dag, random_tsg
+from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
+                      random_tsg)
 
 
 # -- regression ----------------------------------------------------------------
@@ -345,3 +352,132 @@ def test_cpdag_dual_oracle_agreement():
         S = spectrum(tsg, p).S
         assert discover_cpdag(spectral_ci_oracle(S), g.observed) == \
             discover_cpdag(dsep_ci_oracle(g), g.observed)
+
+
+# -- the modular filter of the spectral oracle against the all-exact oracle -------------------
+
+
+def reference_spectral_ci_oracle(S: RatMatrix):
+    """The all-exact oracle: every verdict is a conditional spectrum over R(z)."""
+    cache: dict[tuple, bool] = {}
+
+    def oracle(X, Y, Z) -> bool:
+        key = (frozenset(X), frozenset(Y), frozenset(Z))
+        if key not in cache:
+            cache[key] = conditional_spectrum(S, set(X), set(Y), set(Z)).is_zero
+        return cache[key]
+
+    return oracle
+
+
+def _queries(labels):
+    """Every (a, b, Z) of singletons a != b and Z among the other labels."""
+    for a in labels:
+        for b in labels:
+            if a == b:
+                continue
+            rest = [v for v in labels if v not in (a, b)]
+            for k in range(len(rest) + 1):
+                for Z in combinations(rest, k):
+                    yield frozenset({a}), frozenset({b}), frozenset(Z)
+
+
+def _oracle_against_reference(S: RatMatrix) -> tuple[int, int]:
+    """Run both oracles on every query; returns (queries, exact confirmations).
+
+    Every verdict must agree, and a verdict reached without a call to
+    `conditional_spectrum` must be "dependent" in the exact reference.
+    """
+    exact_keys = []
+
+    def recording(S, X, Y, Z):
+        exact_keys.append((frozenset(X), frozenset(Y), frozenset(Z)))
+        return conditional_spectrum(S, X, Y, Z)
+
+    reference = reference_spectral_ci_oracle(S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identify_module, "conditional_spectrum", recording)
+        oracle = spectral_ci_oracle(S)
+        queries = list(_queries(S.row_labels))
+        for key in queries:
+            want = reference(*key)
+            assert oracle(*key) == want, key
+            if key not in exact_keys:
+                assert want is False, key
+    return len(queries), len(exact_keys)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10**6), cyclic=st.booleans())
+def test_modular_filter_never_proves_a_vanishing_spectrum_nonzero(seed, cyclic):
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    if cyclic:
+        graph = random_cyclic_graph(rng, n)
+    else:
+        graph = random_latent_dag(rng, [f"x{i}" for i in range(n)], ["h"], p=0.5)
+    tsg = random_tsg(rng, graph, max_order=1)
+    _oracle_against_reference(spectrum(tsg, sample_stable_params(tsg, seed=seed)).S)
+
+
+def test_modular_filter_decides_dependence_without_solving(confounded_chain_tsg):
+    S = spectrum(confounded_chain_tsg, sample_stable_params(confounded_chain_tsg, seed=4)).S
+    queries, exact = _oracle_against_reference(S)
+    # the latent confounds every pair, so no verdict is "independent"
+    assert (queries, exact) == (160, 0)
+
+
+def _check_forced_fallback(S: RatMatrix) -> None:
+    """With no image of S, every verdict comes from the exact path."""
+    queries, exact = _oracle_against_reference(S)
+    assert exact == queries
+
+
+def test_oracle_falls_back_when_a_denominator_is_divisible_by_the_prime(chain_tsg):
+    params = sample_stable_params(chain_tsg, seed=2)
+    params = SvarParams(cross={**params.cross, ("a", "b", 0): Fraction(1, MOD_PRIME)},
+                        auto=params.auto, noise=params.noise)
+    S = spectrum(chain_tsg, params).S
+    with pytest.raises(UnluckyReduction):
+        S.eval_mod(EVAL_POINT)
+    _check_forced_fallback(S)
+
+
+def test_oracle_falls_back_when_the_point_is_a_pole(monkeypatch, chain_tsg):
+    # 1 - z/2 is the auto-lag denominator of b, and z0 = 2 its root
+    params = sample_stable_params(chain_tsg, seed=2)
+    params = SvarParams(cross=params.cross, auto={**params.auto, ("b", 1): Fraction(1, 2)},
+                        noise=params.noise)
+    S = spectrum(chain_tsg, params).S
+    monkeypatch.setattr(identify_module, "EVAL_POINT", 2)
+    with pytest.raises(UnluckyReduction):
+        S.eval_mod(2)
+    _check_forced_fallback(S)
+
+
+def test_oracle_falls_back_when_the_conditioning_block_is_singular_at_the_point(monkeypatch):
+    # S[c, c] = z - 5 vanishes at z0 = 5 only, and S[x, y] - S[x, c] S[c, y] / S[c, c] = 0
+    monkeypatch.setattr(identify_module, "EVAL_POINT", 5)
+    one, root = rat(1), rat([-5, 1])
+    S = RatMatrix(["c", "x", "y"], ["c", "x", "y"],
+                  [[root, one, root], [one, rat(2), one], [root, one, rat(3)]])
+    assert S.eval_mod(5)[0][0] == 0
+    assert spectral_ci_oracle(S)({"x"}, {"y"}, {"c"}) is True
+    _oracle_against_reference(S)
+
+
+def test_spectral_discovery_scales_to_dense_eight_node_dags():
+    """Three dense DAGs on which every conditional spectrum took seconds exactly."""
+    labels = [f"x{i}" for i in range(8)]
+    pairs = list(combinations(labels, 2))
+    elapsed = 0.0
+    for seed in range(3):
+        rng = random.Random(9100 + seed)
+        graph = ProcessGraph.make(labels, [], rng.sample(pairs, 20))
+        tsg = TimeSeriesGraph.full(graph, 1)
+        S = spectrum(tsg, sample_stable_params(tsg, seed=seed)).S
+        start = time.perf_counter()
+        got = discover_cpdag(spectral_ci_oracle(S), labels)
+        elapsed += time.perf_counter() - start
+        assert got == discover_cpdag(dsep_ci_oracle(graph), labels), seed
+    assert elapsed < 2.0, f"discovery took {elapsed:.2f}s"

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from svarspec.ratfield import (GCD_PRIME, NEG_INFINITY, P_ONE, P_ZERO, Poly,
-                               PoleError, R_ONE, R_ZERO, RatFn, poly, poly_gcd,
-                               rat, ratfn_from_dict, ratfn_to_dict)
+from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, NEG_INFINITY, P_ONE,
+                               P_ZERO, Poly, PoleError, R_ONE, R_ZERO, RatFn,
+                               UnluckyReduction, poly, poly_gcd, rat,
+                               ratfn_from_dict, ratfn_to_dict)
 
 from conftest import random_poly, random_ratfn
 from fraction_reference import (FracPoly, canonical, euclid_gcd, rat_add,
@@ -91,7 +92,7 @@ def test_hypothesis_gcd_matches_fraction_euclid(f, g, factor):
 
 def test_gcd_leading_coefficients_divisible_by_the_prime():
     """(P z + 1) is a constant modulo P, so the images of f and g are coprime there."""
-    h = poly([1, GCD_PRIME])
+    h = poly([1, MOD_PRIME])
     f, g = h * poly([1, 1]), h * poly([2, 1])
     assert poly_gcd(f, g) == h.monic()
     assert RatFn(f, g) == rat([1, 1], [2, 1])
@@ -99,7 +100,7 @@ def test_gcd_leading_coefficients_divisible_by_the_prime():
 
 def test_gcd_coprime_over_q_but_not_modulo_the_prime():
     """z + P and z share the factor z modulo P only; the fallback still answers 1."""
-    f, g = poly([GCD_PRIME, 1]), poly([0, 1])
+    f, g = poly([MOD_PRIME, 1]), poly([0, 1])
     assert poly_gcd(f, g) == P_ONE
     assert RatFn(f, g).den == g
 
@@ -327,6 +328,59 @@ def test_hypothesis_ratfn_arithmetic_matches_fraction_reference(n1, d1, n2, d2):
     assert _pair(r * s) == _ref_pair(rat_mul(R, S))
     if not s.is_zero:
         assert _pair(r / s) == _ref_pair(rat_div(R, S))
+
+
+# -- evaluation modulo the prime -------------------------------------------------------
+
+
+def _residue(q: Fraction) -> int:
+    return q.numerator * pow(q.denominator, -1, MOD_PRIME) % MOD_PRIME
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ratfns, st.integers(min_value=-6, max_value=6))
+def test_hypothesis_eval_mod_reduces_the_exact_value(r, k):
+    try:
+        value = r(Fraction(k))
+    except PoleError:
+        with pytest.raises(UnluckyReduction):
+            r.eval_mod(k % MOD_PRIME)
+        return
+    assert r.eval_mod(k % MOD_PRIME) == _residue(value)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ratfns, ratfns)
+def test_hypothesis_eval_mod_is_a_ring_homomorphism(r, s):
+    z, w = EVAL_POINT, pow(EVAL_POINT, -1, MOD_PRIME)
+    a, b = r.eval_mod(z), s.eval_mod(z)
+    assert (r + s).eval_mod(z) == (a + b) % MOD_PRIME
+    assert (r - s).eval_mod(z) == (a - b) % MOD_PRIME
+    assert (r * s).eval_mod(z) == a * b % MOD_PRIME
+    if not s.is_zero:
+        assert (r / s).eval_mod(z) == a * pow(b, -1, MOD_PRIME) % MOD_PRIME
+    # conj is evaluation at 1/z
+    assert r.conj().eval_mod(z) == r.eval_mod(w)
+
+
+def test_eval_mod_unlucky_cases():
+    # the prime divides a content denominator
+    with pytest.raises(UnluckyReduction):
+        rat([Fraction(1, MOD_PRIME), 1]).eval_mod(EVAL_POINT)
+    with pytest.raises(UnluckyReduction):
+        rat([1], [2 * MOD_PRIME, MOD_PRIME]).eval_mod(EVAL_POINT)  # (1/P) / (z + 2)
+    # ... but not one that the denominator's leading coefficient cancels:
+    # 1 / (1 + P z) is stored as (1/P) / (z + 1/P) and is 1 modulo P
+    assert rat([1], [1, MOD_PRIME]).eval_mod(EVAL_POINT) == 1
+    # the denominator vanishes at the point modulo the prime, though not over Q
+    with pytest.raises(UnluckyReduction):
+        rat([1], [-2 - MOD_PRIME, 1]).eval_mod(2)
+    with pytest.raises(UnluckyReduction):
+        rat([1, 1], [0, 1]).eval_mod(0)
+    # a numerator that vanishes modulo the prime is a zero image, not an unlucky one
+    assert rat([-2 - MOD_PRIME, 1], [1, 1]).eval_mod(2) == 0
+    assert rat([MOD_PRIME]).eval_mod(EVAL_POINT) == 0
+    assert R_ZERO.eval_mod(0) == 0 and R_ONE.eval_mod(0) == 1
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -6,9 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from svarspec.ratfield import R_ONE, R_ZERO, rat
+from svarspec.ratfield import EVAL_POINT, MOD_PRIME, R_ONE, R_ZERO, rat
 from svarspec.ratlinalg import (RatMatrix, SingularMatrixError, det, inverse,
-                                matrix_from_dict, matrix_to_dict, rank, solve)
+                                matmul_mod, matrix_from_dict, matrix_to_dict,
+                                rank, rank_mod, solve, solve_mod)
 
 from conftest import random_ratfn
 
@@ -191,6 +192,56 @@ def test_inverse_round_trip():
         if det(M).is_zero:
             continue
         assert M @ inverse(M) == RatMatrix.identity(labels(3))
+
+
+# -- elimination over GF(P) ------------------------------------------------------------------
+
+
+def test_rank_mod_is_the_rank_of_the_image():
+    rng = random.Random(17)
+    for trial in range(60):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
+        inner = rng.randint(0, min(n_rows, n_cols))
+        if inner == 0:
+            M = RatMatrix.zeros(labels(n_rows), labels(n_cols, "c"))
+        else:
+            A = random_matrix(rng, labels(n_rows), labels(inner, "k"), max_degree=1)
+            B = random_matrix(rng, labels(inner, "k"), labels(n_cols, "c"), max_degree=1)
+            M = A @ B
+        if trial % 3 == 0:
+            M = with_zero_column(M, 0)
+        image = M.eval_mod(EVAL_POINT)
+        assert rank_mod(image) == rank(M)  # no unlucky draw among these
+        assert rank_mod(image) <= min(n_rows, n_cols)
+    # a rank that exists only over Q: P is 0 modulo P
+    assert rank_mod([[1, 1], [1, 1 + MOD_PRIME]]) == 1
+    assert rank_mod([]) == 0
+
+
+def test_solve_mod_is_the_image_of_solve():
+    rng = random.Random(18)
+    solved = 0
+    while solved < 40:
+        n = rng.randint(1, 4)
+        M = random_matrix(rng, labels(n), labels(n, "c"), max_degree=1)
+        if det(M).is_zero:
+            continue
+        b = [random_ratfn(rng, max_degree=1) for _ in range(n)]
+        x = solve(M, b)
+        got = solve_mod(M.eval_mod(EVAL_POINT), [[e.eval_mod(EVAL_POINT)] for e in b])
+        assert got == [[e.eval_mod(EVAL_POINT)] for e in x]
+        inv = solve_mod(M.eval_mod(EVAL_POINT), RatMatrix.identity(labels(n)).eval_mod(0))
+        assert inv == inverse(M).eval_mod(EVAL_POINT)
+        assert matmul_mod(M.eval_mod(EVAL_POINT), inv) == RatMatrix.identity(labels(n)).eval_mod(0)
+        solved += 1
+
+
+def test_solve_mod_singular_image_is_none():
+    assert solve_mod([[1, 2], [2, 4]], [[1], [1]]) is None
+    # singular modulo P only: the exact solve succeeds
+    M = RatMatrix(["a", "b"], ["a", "b"], [[rat(1), rat(1)], [rat(1), rat(1 + MOD_PRIME)]])
+    assert solve_mod(M.eval_mod(EVAL_POINT), [[1], [1]]) is None
+    assert solve(M, [R_ONE, R_ONE]) == [R_ONE, R_ZERO]
 
 
 # -- conjugation ----------------------------------------------------------------------------------

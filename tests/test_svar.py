@@ -8,23 +8,27 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             TrekSystem, minimal_halftrek_subsystem,
                             sided_nonintersecting_trek_systems,
                             t_separation_min)
-from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn, rat
-from svarspec.ratlinalg import RatMatrix, det, inverse, rank
+from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
+                               R_ZERO, RatFn, UnluckyReduction, rat)
+from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
 from svarspec.svar import (ParameterError, SvarParams, conditional_spectrum,
                            det_path_expansion, det_trek_expansion,
                            generic_rank, internal_spectrum, lag_poly,
                            link_function, path_function,
                            projected_internal_spectrum, sample_stable_params,
-                           spectrum, spectrum_trek, transfer_matrix,
-                           trek_function, unit_inverse)
+                           spectrum, spectrum_mod, spectrum_trek,
+                           transfer_matrix, trek_function, unit_inverse)
 
-from conftest import random_dag, random_ratfn, random_tsg
+from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
+                      random_ratfn, random_tsg)
 
 
 # -- lag polynomials and link functions -------------------------------------------
@@ -313,34 +317,56 @@ def test_generic_rank_fork_example(fork3_tsg):
 
 
 def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
-    calls = []
+    draws, spectra = [], []
+
+    def counting_sampler(tsg, seed):
+        draws.append(seed)
+        return sample_stable_params(tsg, seed=seed)
 
     def counting_spectrum(tsg, params):
-        calls.append(tsg)
+        spectra.append(tsg)
         return spectrum(tsg, params)
 
+    def reset():
+        draws.clear()
+        spectra.clear()
+
+    monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
     monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    # the first draw reaches the bound modulo the prime: no exact spectrum
     assert generic_rank(instrument_tsg, ["v"], ["w"], trials=3, seed=1) == 1
-    assert len(calls) == 1
+    assert (len(draws), len(spectra)) == (1, 0)
     # every trek from {x1, x2} to {y1, y2} passes through m: the bound is 1 < 2,
     # and the first draw reaches it
     g = ProcessGraph.make(["x1", "x2", "m", "y1", "y2"], [],
                           [("x1", "m"), ("x2", "m"), ("m", "y1"), ("m", "y2")])
     tsg = TimeSeriesGraph.full(g, 1)
-    calls.clear()
+    reset()
     assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 1
-    assert len(calls) == 1
-    # a draw that stays below the bound: every trial is drawn
+    assert (len(draws), len(spectra)) == (1, 0)
+    # a draw that stays below the bound modulo the prime builds the exact
+    # spectrum, and one that stays below it exactly too draws every trial
+    monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
+    reset()
+    assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 1
+    assert (len(draws), len(spectra)) == (1, 1)
     monkeypatch.setattr(svar_module, "rank", lambda M: 0)
-    calls.clear()
+    reset()
     assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 0
-    assert len(calls) == 3
-    # a cyclic graph keeps min(|X|, |Y|) as its bound
-    cyclic = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
+    assert (len(draws), len(spectra)) == (3, 3)
+    # a cyclic graph keeps min(|X|, |Y|) as its bound, modulo the prime or exactly
+    cyclic = TimeSeriesGraph.full(ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")]), 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
+    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    reset()
+    assert generic_rank(cyclic, ["a"], ["b"], trials=3, seed=1) == 1
+    assert (len(draws), len(spectra)) == (1, 0)
+    monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
     monkeypatch.setattr(svar_module, "rank", lambda M: 1)
-    calls.clear()
-    assert generic_rank(TimeSeriesGraph.full(cyclic, 1), ["a"], ["b"], trials=3, seed=1) == 1
-    assert len(calls) == 1
+    reset()
+    assert generic_rank(cyclic, ["a"], ["b"], trials=3, seed=1) == 1
+    assert (len(draws), len(spectra)) == (1, 1)
 
 
 def test_generic_rank_rejects_labels_outside_the_observed_spectrum():
@@ -364,6 +390,126 @@ def test_rank_never_exceeds_separation_bound():
         S = spectrum(tsg, p).S
         bound = t_separation_min(g, set(X), set(Y))[0]
         assert rank(S.submatrix(X, Y)) <= bound
+
+
+# -- the modular lower bound against the all-exact rank ------------------------------------------
+
+
+def reference_generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> int:
+    """generic_rank with every draw computed over R(z): an exact spectrum and a
+    Bareiss rank per draw, stopping at the same separation bound."""
+    X, Y = tuple(sorted(X)), tuple(sorted(Y))
+    if tsg.base.is_acyclic:
+        bound = t_separation_min(tsg.base, X, Y)[0]
+    else:
+        bound = min(len(X), len(Y))
+    best = 0
+    for t in range(trials):
+        if best == bound:
+            break
+        params = sample_stable_params(tsg, seed=seed * 1_000_003 + t)
+        best = max(best, rank(spectrum(tsg, params).S.submatrix(X, Y)))
+    return best
+
+
+def random_instance(seed: int, cyclic: bool) -> TimeSeriesGraph:
+    """A seeded random latent DAG or cyclic observed graph with random lags."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    if cyclic:
+        graph = random_cyclic_graph(rng, n)
+    else:
+        graph = random_latent_dag(rng, [f"x{i}" for i in range(n)], ["h"], p=0.5)
+    return random_tsg(rng, graph, max_order=1)
+
+
+def test_spectrum_mod_is_the_image_of_the_exact_spectrum():
+    for seed in range(40):
+        tsg = random_instance(seed, cyclic=seed % 2 == 1)
+        params = sample_stable_params(tsg, seed=seed)
+        assert spectrum_mod(tsg, params) == spectrum(tsg, params).S.eval_mod(EVAL_POINT), seed
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10**6), cyclic=st.booleans())
+def test_modular_rank_never_exceeds_the_exact_rank(seed, cyclic):
+    """The filter never says "full rank" where the exact subspectrum is deficient."""
+    tsg = random_instance(seed, cyclic)
+    params = sample_stable_params(tsg, seed=seed)
+    S = spectrum(tsg, params).S
+    image = spectrum_mod(tsg, params)
+    observed = list(tsg.base.observed)
+    index = {v: i for i, v in enumerate(observed)}
+    for k in range(1, len(observed) + 1):
+        for X in combinations(observed, k):
+            for Y in combinations(observed, k):
+                exact = rank(S.submatrix(X, Y))
+                assert rank_mod([[image[index[x]][index[y]] for y in Y] for x in X]) <= exact
+    rng = random.Random(seed)
+    k = rng.randint(1, len(observed))
+    X, Y = rng.sample(observed, k), rng.sample(observed, k)
+    assert generic_rank(tsg, X, Y, trials=2, seed=seed) == \
+        reference_generic_rank(tsg, X, Y, trials=2, seed=seed)
+
+
+def test_generic_rank_matches_exact_reference_on_criterion_four():
+    """criterion 4's 100 instances, both seeds it tries"""
+    rng = random.Random(404)
+    for trial in range(100):
+        n = rng.randint(2, 5)
+        if trial % 2 == 0:
+            graph = random_dag(rng, [f"x{i}" for i in range(n)], p=0.5)
+        else:
+            graph = random_latent_dag(rng, [f"x{i}" for i in range(n)],
+                                      ["h"], p=0.5, p_latent=0.6)
+        tsg = random_tsg(rng, graph, max_order=1)
+        observed = list(graph.observed)
+        k = rng.randint(1, min(3, len(observed)))
+        X = sorted(rng.sample(observed, k))
+        Y = sorted(rng.sample(observed, k))
+        for seed in (trial, trial + 77_777):
+            assert generic_rank(tsg, X, Y, trials=3, seed=seed) == \
+                reference_generic_rank(tsg, X, Y, trials=3, seed=seed), (trial, seed)
+
+
+def _forced_fallback(monkeypatch, tsg, params, X, Y):
+    """generic_rank on fixed parameters; returns the result and the exact spectra built."""
+    spectra = []
+
+    def counting_spectrum(tsg, params):
+        spectra.append(params)
+        return spectrum(tsg, params)
+
+    monkeypatch.setattr(svar_module, "sample_stable_params", lambda tsg, seed: params)
+    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    return generic_rank(tsg, X, Y, trials=1, seed=0), spectra
+
+
+def test_generic_rank_falls_back_when_a_denominator_is_divisible_by_the_prime(
+        monkeypatch, instrument_tsg):
+    params = sample_stable_params(instrument_tsg, seed=3)
+    params = SvarParams(cross={**params.cross, ("v", "w", 1): Fraction(1, MOD_PRIME)},
+                        auto=params.auto, noise=params.noise)
+    with pytest.raises(UnluckyReduction):
+        transfer_matrix(instrument_tsg, params).eval_mod(EVAL_POINT)
+    assert spectrum_mod(instrument_tsg, params) is None
+    got, spectra = _forced_fallback(monkeypatch, instrument_tsg, params, ["v"], ["w"])
+    assert spectra == [params]
+    assert got == rank(spectrum(instrument_tsg, params).S.submatrix(["v"], ["w"])) == 1
+
+
+def test_generic_rank_falls_back_when_the_point_is_a_pole(monkeypatch, instrument_tsg):
+    # 1 - z/2 is the auto-lag denominator of w, and z0 = 2 its root
+    params = sample_stable_params(instrument_tsg, seed=3)
+    params = SvarParams(cross=params.cross, auto={**params.auto, ("w", 1): Fraction(1, 2)},
+                        noise=params.noise)
+    monkeypatch.setattr(svar_module, "EVAL_POINT", 2)
+    with pytest.raises(UnluckyReduction):
+        transfer_matrix(instrument_tsg, params).eval_mod(2)
+    assert spectrum_mod(instrument_tsg, params) is None
+    got, spectra = _forced_fallback(monkeypatch, instrument_tsg, params, ["v"], ["w"])
+    assert spectra == [params]
+    assert got == 1
 
 
 # -- determinant expansions ------------------------------------------------------------------------------
