@@ -233,17 +233,19 @@ def load_certificate(path) -> IdentificationCertificate:
 
 
 def save_series(series: SeriesSample, path) -> None:
+    """Write each value as `repr` of its Python float: the shortest text that
+    reads back as the same double."""
     header = "\t".join(series.labels)
-    body = "\n".join(
-        "\t".join(repr(float(x)) for x in row) for row in series.values
-    )
+    body = "\n".join(["\t".join(map(repr, row)) for row in series.values.tolist()])
     Path(path).write_text(header + "\n" + body + "\n")
 
 
 def load_series(path) -> SeriesSample:
+    """Read a series file; numpy parses each cell as `float` would, so a cell
+    `float` rejects, or a ragged row, raises ValueError."""
     lines = Path(path).read_text().strip().splitlines()
     labels = tuple(lines[0].split("\t"))
-    values = np.array([[float(x) for x in line.split("\t")] for line in lines[1:]])
+    values = np.array([line.split("\t") for line in lines[1:]], dtype=np.float64)
     return SeriesSample(labels, values)
 
 

@@ -6,6 +6,13 @@ numpy's default PCG64 generator, seeded explicitly.  Estimation is a
 Welch-style averaged periodogram with a Hann window, evaluated by direct DFT
 at arbitrary angular frequencies in [0, pi].
 
+The recursion runs on rows of Python floats, not on numpy scalars.  Both
+are IEEE doubles, and each step does the same operations in the same order
+as a loop over a zeroed numpy array (kept in `tests/series_reference.py`):
+per vertex in topological order, the noise draw, then `acc += c * x` for
+each cross term and then each auto term.  So every value, and every byte of
+a saved series, is what that loop gives for the same seed.
+
 This is the only module that touches floating point; the estimator is
 normalized so that it targets the exact spectrum evaluated at exp(-i*theta)
 (see `exact_spectrum_values`).
@@ -20,6 +27,12 @@ import numpy as np
 from .graph import CyclicGraphError, TimeSeriesGraph
 from .ratlinalg import RatMatrix
 from .svar import SvarParams
+
+#: Most values (burn-in plus kept steps, times vertices, at least one) one
+#: simulation may produce; a larger request fails before anything is drawn.
+#: The recursion holds its rows as Python floats, about 32 B a value against
+#: 8 B in an array, so a series at the limit takes about 320 MB while it runs.
+MAX_SERIES_VALUES = 10_000_000
 
 
 class SimulationError(ValueError):
@@ -100,6 +113,13 @@ def simulate_series(tsg: TimeSeriesGraph, params: SvarParams, length: int,
     if burn_in < 0:
         raise SimulationError("burn_in must be non-negative")
     labels = tsg.base.vertices
+    n = len(labels)
+    total = burn_in + length
+    if total * max(n, 1) > MAX_SERIES_VALUES:  # a step costs time with no vertices too
+        raise SimulationError(
+            f"{burn_in} + {length} steps of {n} vertices exceed the limit of "
+            f"{MAX_SERIES_VALUES} simulated values"
+        )
     index = {v: i for i, v in enumerate(labels)}
     order = _contemporaneous_order(tsg)
 
@@ -109,22 +129,33 @@ def simulate_series(tsg: TimeSeriesGraph, params: SvarParams, length: int,
         terms[b].append((index[a], k, float(c)))
     for (v, k), c in params.auto.items():
         terms[v].append((index[v], k, float(c)))
+    plan = [(index[v], terms[v]) for v in order]
+    # a lag k term is skipped while k > t: only the first `warm_up` steps test it
+    warm_up = min(total, max((k for ts in terms.values() for _, k, _ in ts), default=0))
 
-    total = burn_in + length
     rng = np.random.default_rng(seed)
     scale = np.array([float(params.noise[v]) for v in labels]) ** 0.5
-    noise = rng.standard_normal((total, len(labels))) * scale
+    noise = rng.standard_normal((total, n)) * scale
 
-    values = np.zeros((total, len(labels)))
+    values: list[list[float]] = []
     for t in range(total):
-        for v in order:
-            i = index[v]
-            acc = noise[t, i]
-            for (j, k, c) in terms[v]:
-                if k <= t:
-                    acc += c * values[t - k, j]
-            values[t, i] = acc
-    return SeriesSample(labels, values[burn_in:])
+        draw = noise[t].tolist()
+        row = [0.0] * n
+        values.append(row)
+        if t < warm_up:
+            for i, vterms in plan:
+                acc = draw[i]
+                for (j, k, c) in vterms:
+                    if k <= t:
+                        acc += c * values[t - k][j]
+                row[i] = acc
+        else:
+            for i, vterms in plan:
+                acc = draw[i]
+                for (j, k, c) in vterms:
+                    acc += c * values[t - k][j]
+                row[i] = acc
+    return SeriesSample(labels, np.array(values[burn_in:]))
 
 
 def estimate_spectrum(series: SeriesSample, frequencies, segment_length: int,

@@ -16,7 +16,7 @@ from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, MAX_TREKS, CliError, _with_resampling,
                           main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
-from svarspec.simulate import simulate_series
+from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
 from svarspec.ratlinalg import SingularMatrixError
 from svarspec.svar import SvarParams, sample_stable_params, spectrum
 
@@ -225,6 +225,23 @@ def test_simulate_estimate_pipeline(capsys, tmp_path, instrument_files):
     assert series.read_bytes() == series2.read_bytes()
 
 
+@pytest.mark.parametrize("length, burn_in", [("1000000000000", "1000"),
+                                             (str(MAX_SERIES_VALUES // 4), "1")])
+def test_simulate_over_the_size_limit_exits_validation_quickly(capsys, tmp_path,
+                                                               instrument_files,
+                                                               length, burn_in):
+    graph, params = instrument_files  # four vertices
+    series = tmp_path / "series.txt"
+    start = time.perf_counter()
+    code, report = run(capsys, "simulate", "--graph", graph, "--params", params,
+                       "--length", length, "--burn-in", burn_in, "--seed", "1",
+                       "--out", str(series))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_VALIDATION
+    assert f"limit of {MAX_SERIES_VALUES}" in report["error"]
+    assert not series.exists()
+
+
 def test_estimate_bad_segmentation_exit_code(capsys, tmp_path, instrument_files):
     graph, params = instrument_files
     series = tmp_path / "short.txt"
@@ -255,11 +272,13 @@ def test_estimate_bad_frequencies_exit_code(capsys, tmp_path, instrument_files,
 
 
 #: sha256 of the primary outputs for the README instrument graph and
-#: sample_stable_params(seed=7); exact outputs must not change by a byte.
+#: sample_stable_params(seed=7); exact outputs and the simulated series must
+#: not change by a byte.  The estimate is not pinned: its bytes depend on BLAS.
 README_SHA256 = {
     "bundle.json": "999cff660b4bc06e95c876508afff8baa8404fc8661ba342acedd29abb4e2cf1",
     "cert_params.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
     "cert_spectrum.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
+    "series.txt": "2d1125ac4a3397702c0bb727adf130a5344b40987e3693f36af8666976f59565",
 }
 
 
@@ -271,7 +290,9 @@ def test_readme_outputs_byte_identical(capsys, tmp_path, instrument_tsg):
     for argv in (["spectrum", "--params", str(params), "--out", str(out["bundle.json"])],
                  ["identify", "--params", str(params), "--out", str(out["cert_params.json"])],
                  ["identify", "--spectrum", str(out["bundle.json"]),
-                  "--out", str(out["cert_spectrum.json"])]):
+                  "--out", str(out["cert_spectrum.json"])],
+                 ["simulate", "--params", str(params), "--length", "65536", "--seed", "5",
+                  "--out", str(out["series.txt"])]):
         code, _ = run(capsys, argv[0], "--graph", str(graph), *argv[1:])
         assert code == EXIT_OK
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -508,16 +529,19 @@ def _series_text(rows) -> str:
 
 @pytest.fixture
 def valid_documents(tmp_path, instrument_tsg):
-    """The graph, parameter, bundle and series documents of one valid instance."""
+    """The graph, parameter, bundle, series and estimate documents of one valid
+    instance."""
     params = sample_stable_params(instrument_tsg, seed=4)
-    sio.save_series(simulate_series(instrument_tsg, params, length=48, burn_in=50, seed=1),
-                    tmp_path / "series.txt")
+    series = simulate_series(instrument_tsg, params, length=48, burn_in=50, seed=1)
+    sio.save_series(series, tmp_path / "series.txt")
     return {
         "graph": sio.graph_to_dict(instrument_tsg),
         "params": sio.params_to_dict(params),
         "bundle": sio.bundle_to_dict(spectrum(instrument_tsg, params)),
         "series": [line.split("\t")
                    for line in (tmp_path / "series.txt").read_text().splitlines()],
+        "estimate": sio.estimate_to_dict(estimate_spectrum(series, [0.5, 1.5],
+                                                           segment_length=16)),
     }
 
 
@@ -539,7 +563,10 @@ def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
                  ["estimate", "--series", files["series"], "--frequencies", "2",
                   "--segments", "16", *out],
                  [*query, "--query", "tsep"],
-                 [*query, "--query", "dsep", "--z", "l"]):
+                 [*query, "--query", "dsep", "--z", "l"],
+                 ["simulate", "--graph", files["graph"], "--params", files["params"],
+                  "--length", "16", "--burn-in", "4", "--seed", "1", *out],
+                 ["discover", "--graph", files["graph"], "--estimate", files["estimate"]]):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)

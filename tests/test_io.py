@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import series_reference
 from svarspec import io as sio
 from svarspec.graph import GraphValidationError
 from svarspec.identify import identify_all
-from svarspec.simulate import estimate_spectrum, simulate_series
+from svarspec.simulate import SeriesSample, estimate_spectrum, simulate_series
 from svarspec.svar import sample_stable_params, spectrum
 
 
@@ -86,6 +87,54 @@ def test_series_round_trip(tmp_path, chain_tsg):
     loaded = sio.load_series(path)
     assert loaded.labels == series.labels
     assert np.array_equal(loaded.values, series.values)
+
+
+@pytest.mark.parametrize("values", [
+    [[-0.0, 0.0, 5e-324, -5e-324], [1e16, -1e16, 1e308, -1e308],
+     [0.1, 1 / 3, 2.5e-17, 123456789.125], [1e15, 9999999999999998.0, 1e-5, 1e-4]],
+    [[-0.0], [5e-324], [1e16], [1e308]],
+    [[2.0]],
+])
+def test_series_format_matches_the_reference(tmp_path, values):
+    series = SeriesSample(tuple(f"c{i}" for i in range(len(values[0]))), np.array(values))
+    path, ref_path = tmp_path / "series.txt", tmp_path / "reference.txt"
+    sio.save_series(series, path)
+    series_reference.save_series(series, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    assert sio.load_series(path).values.tobytes() == series.values.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "a\tb\n1.0\t2.0\n3.0\n",       # ragged rows
+    "a\tb\n1.0\n2.0\n",             # rows narrower than the header
+    "a\tb\n",                        # header only
+    "",                               # empty
+    "\n\n",                           # blank lines only
+    "a\n1_0\n2__0\n",                 # an underscore float accepts, then one it rejects
+    "a\n1_0\n-2_5.0_1\n",
+    "a\n\uff11\n\u0662.5\n",          # full-width and Arabic-Indic digits
+    "a\n\U0001d7cf\n",                # a mathematical digit float rejects
+    "a\tb\n 1.0 \t+2\n.5\t5.\n",     # surrounding spaces, signs, bare points
+    "a\n0x10\n",
+    "a\ntrue\n",
+    "a\tb\n1.0\t\n",                 # an empty cell
+    "a\nnan\n",                      # parsed, then rejected as non-finite
+    "a\n1e400\n",
+    "a\n1e-400\n-1e-400\n",
+    "a\tb\n1.0\t2.0\r\n3.0\t4.0\r\n",  # CRLF line ends
+])
+def test_series_loader_matches_the_reference_on_malformed_text(tmp_path, text):
+    path = tmp_path / "series.txt"
+    path.write_text(text)
+
+    def outcome(load):
+        try:
+            series = load(path)
+        except Exception as exc:  # the class is compared, whatever it is
+            return type(exc)
+        return series.labels, series.values.shape, series.values.tobytes()
+
+    assert outcome(sio.load_series) == outcome(series_reference.load_series)
 
 
 def test_estimate_round_trip(tmp_path, chain_tsg):

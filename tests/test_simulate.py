@@ -6,7 +6,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import series_reference
+from svarspec import io as sio
+from svarspec import simulate
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
 from svarspec.identify import spectral_ci_oracle
 from svarspec.simulate import (EstimationError, IllConditionedBlockError,
@@ -15,7 +20,7 @@ from svarspec.simulate import (EstimationError, IllConditionedBlockError,
                                exact_spectrum_values, simulate_series)
 from svarspec.svar import SvarParams, sample_stable_params, spectrum
 
-from conftest import random_dag, random_tsg
+from conftest import random_cyclic_graph, random_dag, random_latent_dag, random_tsg
 
 
 def chain_benchmark():
@@ -101,6 +106,71 @@ def test_latents_are_simulated(instrument_tsg):
     s = simulate_series(instrument_tsg, p, length=1000, burn_in=100, seed=5)
     assert s.labels == ("l", "u", "v", "w")
     assert s.column("l").std() > 0
+
+
+def random_simulation_instance(seed: int, kind: str, order: int) -> TimeSeriesGraph:
+    """A seeded latent DAG, cyclic graph with lags >= 1, or single vertex, of lag
+    order at most `order`."""
+    rng = random.Random(seed)
+
+    def lags(low):
+        return tuple(sorted(rng.sample(range(low, order + 1), rng.randint(1, order + 1 - low))))
+
+    if kind == "single":
+        graph = ProcessGraph.make(["x"], [], [])
+        return TimeSeriesGraph.make(graph, {}, {"x": lags(1)} if rng.random() < 0.7 else {})
+    if kind == "cyclic":
+        graph = random_cyclic_graph(rng, rng.randint(2, 4))
+        auto = {v: lags(1) for v in graph.vertices if rng.random() < 0.7}
+        return TimeSeriesGraph.make(graph, {e: lags(1) for e in graph.edges}, auto)
+    graph = random_latent_dag(rng, [f"x{i}" for i in range(rng.randint(2, 5))], ["h"], p=0.5)
+    return random_tsg(rng, graph, max_order=order)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["latent", "cyclic", "single"]),
+       order=st.integers(1, 3), burn=st.sampled_from(["zero", "inside lag", "past lag"]),
+       length=st.integers(1, 30), zero_noise=st.booleans())
+def test_simulation_and_series_files_match_the_scalar_reference(tmp_path, seed, kind, order,
+                                                                burn, length, zero_noise):
+    tsg = random_simulation_instance(seed, kind, order)
+    params = sample_stable_params(tsg, seed=seed)
+    if zero_noise:  # test-only override: every value is a signed zero
+        params = SvarParams(cross=params.cross, auto=params.auto,
+                            noise={v: Fraction(0) for v in params.noise})
+    max_lag = max([k for lags in tsg.cross_lags.values() for k in lags]
+                  + [k for lags in tsg.auto_lags.values() for k in lags], default=0)
+    burn_in = {"zero": 0, "inside lag": max(max_lag - 1, 0),
+               "past lag": max_lag + seed % 7}[burn]
+    got = simulate_series(tsg, params, length=length, burn_in=burn_in, seed=seed)
+    want = series_reference.simulate_series(tsg, params, length=length, burn_in=burn_in,
+                                            seed=seed)
+    assert got.labels == want.labels
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    path, ref_path = tmp_path / "series.txt", tmp_path / "reference.txt"
+    sio.save_series(got, path)
+    series_reference.save_series(want, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    assert sio.load_series(path).values.tobytes() == \
+        series_reference.load_series(path).values.tobytes() == want.values.tobytes()
+
+
+def test_simulation_size_limit(monkeypatch):
+    tsg, p = chain_benchmark()  # three vertices
+    monkeypatch.setattr(simulate, "MAX_SERIES_VALUES", 30)
+    assert simulate_series(tsg, p, length=8, burn_in=2, seed=0).length == 8
+    with pytest.raises(SimulationError, match="limit of 30"):
+        simulate_series(tsg, p, length=9, burn_in=2, seed=0)
+    with pytest.raises(SimulationError, match="limit of 30"):
+        simulate_series(tsg, p, length=1, burn_in=10, seed=0)
+    # with no vertices each step still counts as one value
+    empty = TimeSeriesGraph.make(ProcessGraph.make([], [], []), {})
+    none = SvarParams({}, {}, {})
+    assert simulate_series(empty, none, length=30, burn_in=0).values.shape == (30, 0)
+    with pytest.raises(SimulationError, match="limit of 30"):
+        simulate_series(empty, none, length=31, burn_in=0)
 
 
 # -- estimation --------------------------------------------------------------------------
