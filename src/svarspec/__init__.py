@@ -14,12 +14,10 @@ from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     sided_nonintersecting_trek_systems, t_separated,
                     t_separation_min)
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
-                   conditional_spectrum, det_path_expansion,
-                   det_trek_expansion, generic_rank, internal_spectrum,
-                   lag_poly, link_function, path_function,
-                   projected_internal_spectrum, sample_stable_params,
-                   spectrum, spectrum_trek, transfer_matrix, trek_function,
-                   unit_inverse)
+                   conditional_spectrum, generic_rank, internal_spectrum,
+                   lag_poly, link_function, projected_internal_spectrum,
+                   sample_stable_params, spectrum, spectrum_trek,
+                   transfer_matrix, unit_inverse)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
                        ZeroInstrumentError, discover_cpdag, dsep_ci_oracle,

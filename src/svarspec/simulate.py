@@ -107,7 +107,19 @@ def _contemporaneous_order(tsg: TimeSeriesGraph) -> tuple[str, ...]:
 
 def simulate_series(tsg: TimeSeriesGraph, params: SvarParams, length: int,
                     burn_in: int = 1000, seed: int = 0) -> SeriesSample:
-    """Draw one trajectory of the structural recursion; deterministic per seed."""
+    """Draw one trajectory of the structural recursion; deterministic per seed.
+
+    Raises ParameterError unless `params.validate(tsg)` passes: a coefficient
+    the graph does not have would otherwise be simulated, or read a value that
+    the topological order has not computed yet.
+    """
+    params.validate(tsg)
+    return _simulate(tsg, params, length, burn_in, seed)
+
+
+def _simulate(tsg: TimeSeriesGraph, params: SvarParams, length: int, burn_in: int,
+              seed: int) -> SeriesSample:
+    """`simulate_series` on parameters that are taken as valid."""
     if length <= 0:
         raise SimulationError("length must be positive")
     if burn_in < 0:

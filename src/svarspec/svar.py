@@ -3,15 +3,41 @@
 Maps exact rational coefficients (per edge and lag, plus auto-lags and noise
 variances) to the transfer matrix H, the internal spectrum, the projected
 internal spectrum, and the full spectrum of the observed processes.  Also
-provides the trek-rule and path/trek determinant expansions used as
-cross-check oracles, a Schur-complement conditional spectrum, generic rank by
-random rational sampling, and the stable-parameter sampler itself.
+provides the trek-rule spectrum used as a cross-check, a Schur-complement
+conditional spectrum, generic rank by random rational sampling, and the
+stable-parameter sampler itself.
 
 Index convention, used consistently everywhere: the spectrum entry S[v, w]
 carries the *unconjugated* path products into its row label v and the
 conjugated products into its column label w, i.e.
 S = (I - H^T)^{-1} S_internal (I - conj(H))^{-1} with H[a, b] the link
 function of edge a -> b.
+
+The known denominator.  Let D_v = 1 - A_v(z) be the auto-lag denominator of
+v, so H[a, b] = L_ab / D_b and S_I[t, t] = sigma_t / (D_t(z) D_t(1/z)).  By
+the trek rule (Sullivant, Talaska & Draisma 2010), on an acyclic graph S[v, w]
+is a sum of one term per trek, and a trek's sides are directed paths, so each
+term has each D_u at most once on the left and each D_u(1/z) = D_u*(z) z^-deg
+at most once on the right, where D_u* is the reversal `Poly.conj`.  So
+prod_u D_u(z) D_u(1/z) clears every entry, and `spectrum`, `spectrum_trek`
+and the projected internal spectrum sum their terms over it with `Poly`
+products and sums only (`_KnownDenominator`), then reduce each entry once.
+
+What can cancel.  Under the stability bound sum_k |phi_k| < 1, D_v has no
+root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*,
+being the reciprocal of a root of D_w, lies inside the open disk: D_v and
+D_w* never share a root.  A factor of the numerator can therefore cancel
+against left factors D_v jointly, or right factors D_w* jointly, but never
+across the two sides; equal or overlapping D_v and D_w (two vertices with the
+same auto-lag polynomial) are the cases that cancel.  The reduction divides
+out each whole factor that divides the numerator, and the final `RatFn` gcd
+removes whatever is left.  That gcd, not the stability argument, is what
+guarantees the canonical form, so the bytes of every spectrum are those of
+the unique reduced fraction, stable or not.
+
+A cyclic observed part has no trek expansion with this denominator: there
+`spectrum` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
+N^T S_LI conj(N) over R(z).
 """
 
 from __future__ import annotations
@@ -21,9 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
-                    nonintersecting_path_systems,
-                    sided_nonintersecting_trek_systems, t_separation_min)
-from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE, R_ZERO, RatFn,
+                    t_separation_min)
+from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
                        UnluckyReduction)
 from .ratlinalg import (RatMatrix, inverse, matmul_mod, rank, rank_mod,
                         solve_many, solve_mod)
@@ -150,31 +175,167 @@ def transfer_matrix(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     return RatMatrix.build(labels, labels, fn)
 
 
+# -- the known-denominator kernel --------------------------------------------------------
+
+#: A kernel value (num, left, right, shift): see `_KnownDenominator`.
+_Value = tuple[Poly, int, int, int]
+
+_ZERO: _Value = (P_ZERO, 0, 0, 0)
+_ONE: _Value = (P_ONE, 0, 0, 0)
+
+
+class _KnownDenominator:
+    """Trek sums over the known denominator prod_v D_v(z) D_v(1/z), with no gcd.
+
+    A value (num, left, right, shift) stands for
+
+        num * z**shift / (prod_{i in left} D_i * prod_{i in right} D_i*),
+
+    where bit i of a mask names D_i = `left[i]`, a nontrivial auto-lag
+    denominator, and D_i* = `right[i]` is its reversal (`Poly.conj`).  Since
+    D_i(0) = 1, D_i(1/z) = D_i*(z) z**-deg D_i, so conj(1 / D_i) is
+    z**deg D_i / D_i*.  A product ORs the masks, and its factors must not share
+    a bit on either side; a sum lifts each term by the factors it lacks.  Both
+    take `Poly` products and sums only.  `ratfn` reaches the canonical form.
+    """
+
+    __slots__ = ("left", "right", "_lifts")
+
+    def __init__(self, factors: list[Poly]):
+        self.left = factors
+        self.right = [f.conj() for f in factors]
+        self._lifts: dict[tuple[int, int], Poly] = {(0, 0): P_ONE}
+
+    def lift(self, left: int, right: int) -> Poly:
+        """prod_{i in left} D_i * prod_{i in right} D_i*, built once per pair of masks."""
+        out = self._lifts.get((left, right))
+        if out is None:
+            if left:
+                low = left & -left
+                out = self.lift(left ^ low, right) * self.left[low.bit_length() - 1]
+            else:
+                low = right & -right
+                out = self.lift(0, right ^ low) * self.right[low.bit_length() - 1]
+            self._lifts[(left, right)] = out
+        return out
+
+    @staticmethod
+    def mul(a: _Value, b: _Value) -> _Value:
+        if not (a[0] and b[0]):
+            return _ZERO
+        assert not (a[1] & b[1] or a[2] & b[2]), "a factor repeats on one side"
+        return a[0] * b[0], a[1] | b[1], a[2] | b[2], a[3] + b[3]
+
+    def total(self, values) -> _Value:
+        """The sum of the values, over the union of their masks."""
+        values = [v for v in values if v[0]]
+        if not values:
+            return _ZERO
+        left = right = 0
+        for _, l, r, _ in values:
+            left |= l
+            right |= r
+        shift = min(v[3] for v in values)
+        acc = P_ZERO
+        for num, l, r, s in values:
+            if l != left or r != right:
+                num = num * self.lift(left ^ l, right ^ r)
+            acc = acc + num.shift(s - shift)
+        return acc, left, right, shift
+
+    def conj(self, a: _Value) -> _Value:
+        """The value at 1/z: num(1/z) = num* z**-deg num, and the masks swap sides."""
+        num, left, right, shift = a
+        if not num:
+            return _ZERO
+        return num.conj(), right, left, self.lift(left, right).degree - num.degree - shift
+
+    def ratfn(self, a: _Value) -> RatFn:
+        """The canonical form.  Each D_i or D_i* that divides the numerator is
+        divided out, and so is the power of z it shares with the denominator;
+        the `RatFn` gcd then removes whatever common factor is left."""
+        num, left, right, shift = a
+        if not num:
+            return R_ZERO
+        masks = [left, right]
+        for side, factors in enumerate((self.left, self.right)):
+            rest = masks[side]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                try:
+                    num = num.divexact(factors[low.bit_length() - 1])
+                except ArithmeticError:
+                    continue
+                masks[side] ^= low
+        den = self.lift(*masks)
+        if shift < 0:
+            zeros = min(next(i for i, c in enumerate(num.p) if c), -shift)
+            if zeros:
+                num = num.divexact(P_ONE.shift(zeros))
+                shift += zeros
+        if shift > 0:
+            num = num.shift(shift)
+        elif shift < 0:
+            den = den.shift(-shift)
+        return RatFn(num, den)
+
+    def hermitian(self, labels, entry) -> RatMatrix:
+        """The matrix with ratfn(entry(v, w)) on and above the diagonal, and
+        below it the conjugate of the entry mirrored above."""
+        n = len(labels)
+        rows: list[list[RatFn]] = [[R_ZERO] * n for _ in range(n)]
+        for i, v in enumerate(labels):
+            for j in range(i, n):
+                rows[i][j] = self.ratfn(entry(v, labels[j]))
+                if j > i:
+                    rows[j][i] = rows[i][j].conj()
+        return RatMatrix(labels, labels, rows)
+
+
+def _trek_parts(tsg: TimeSeriesGraph, params: SvarParams):
+    """The kernel, each vertex's internal spectrum S_I[v, v] and each edge's link
+    function, the last two as kernel values."""
+    factors: list[Poly] = []
+    tops: dict[str, _Value] = {}
+    bits: dict[str, int] = {}
+    for v in tsg.base.vertices:
+        d = _auto_denominator(tsg, params, v)
+        bit = 0
+        if d.degree > 0:
+            bit = 1 << len(factors)
+            factors.append(d)
+        bits[v] = bit
+        # sigma_v / (D_v(z) D_v(1/z)) = sigma_v z**deg D_v / (D_v D_v*)
+        tops[v] = (Poly((params.noise[v],)), bit, bit, d.degree)
+    links = {(a, b): (lag_poly(tsg, params, a, b), bits[b], 0, 0) for a, b in tsg.base.edges}
+    return _KnownDenominator(factors), tops, links
+
+
+def _internal(graph: ProcessGraph, kd: _KnownDenominator, tops) -> RatMatrix:
+    return RatMatrix.diagonal(graph.vertices, [kd.ratfn(tops[v]) for v in graph.vertices])
+
+
+def _projected(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
+    """S_LI[a, b] = [a = b] S_I[a, a] + sum over latent l of H[l, a] S_I[l, l] conj(H[l, b])."""
+    def entry(a: str, b: str) -> _Value:
+        terms = [tops[a]] if a == b else []
+        terms += [kd.mul(kd.mul(links[(l, a)], tops[l]), kd.conj(links[(l, b)]))
+                  for l in graph.pa_latent(a) if graph.has_edge(l, b)]
+        return kd.total(terms)
+
+    return kd.hermitian(graph.observed, entry)
+
+
 def internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """Diagonal spectrum of each vertex's internal dynamics."""
-    labels = tsg.base.vertices
-    values = []
-    for v in labels:
-        r = RatFn(P_ONE, _auto_denominator(tsg, params, v))
-        values.append(RatFn(Poly((params.noise[v],))) * r * r.conj())
-    return RatMatrix.diagonal(labels, values)
+    """Diagonal spectrum sigma_v / (D_v(z) D_v(1/z)) of each vertex's internal dynamics."""
+    kd, tops, _ = _trek_parts(tsg, params)
+    return _internal(tsg.base, kd, tops)
 
 
-def projected_internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams,
-                                H: RatMatrix | None = None,
-                                S_I: RatMatrix | None = None) -> RatMatrix:
+def projected_internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     """Internal spectrum of the observed block plus all latent-parent contributions."""
-    if H is None:
-        H = transfer_matrix(tsg, params)
-    if S_I is None:
-        S_I = internal_spectrum(tsg, params)
-    observed = tsg.base.observed
-    latent = tsg.base.latent
-    out = S_I.submatrix(observed, observed)
-    if latent:
-        H_LO = H.submatrix(latent, observed)
-        out = out + H_LO.transpose() @ S_I.submatrix(latent, latent) @ H_LO.conj()
-    return out
+    return _projected(tsg.base, *_trek_parts(tsg, params))
 
 
 def unit_inverse(M: RatMatrix) -> RatMatrix:
@@ -201,62 +362,74 @@ def unit_inverse(M: RatMatrix) -> RatMatrix:
 
 
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
-    """Full bundle (H, internal, projected internal, observed spectrum)."""
+    """Full bundle (H, internal, projected internal, observed spectrum).
+
+    On an acyclic graph, into[v][t] is the sum over directed paths t .. v of
+    their link products, by dynamic programming over parents in topological
+    order, and S[v, w] = sum_t into[v][t] S_I[t, t] conj(into[w][t]), all in
+    the known-denominator kernel.  A cyclic observed part solves
+    N = (I - H_OO)^{-1} by Bareiss elimination and forms N^T S_LI conj(N).
+    """
+    graph = tsg.base
+    kd, tops, links = _trek_parts(tsg, params)
     H = transfer_matrix(tsg, params)
-    S_I = internal_spectrum(tsg, params)
-    S_LI = projected_internal_spectrum(tsg, params, H, S_I)
-    observed = tsg.base.observed
-    N = unit_inverse(H.submatrix(observed, observed))
-    S = N.transpose() @ S_LI @ N.conj()
-    return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=S)
+    S_I = _internal(graph, kd, tops)
+    S_LI = _projected(graph, kd, tops, links)
+    observed = graph.observed
+    if not graph.is_acyclic:
+        N = unit_inverse(H.submatrix(observed, observed))
+        return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=N.transpose() @ S_LI @ N.conj())
+    into: dict[str, dict[str, _Value]] = {}
+    for v in graph.topological_order():
+        terms: dict[str, list[_Value]] = {v: [_ONE]}
+        for p in graph.parents(v):
+            link = links[(p, v)]
+            if link[0]:
+                for t, value in into[p].items():
+                    terms.setdefault(t, []).append(kd.mul(value, link))
+        sums = ((t, kd.total(ts)) for t, ts in terms.items())
+        into[v] = {t: value for t, value in sums if value[0]}
+    left = {v: {t: kd.mul(value, tops[t]) for t, value in into[v].items()} for v in observed}
+    right = {w: {t: kd.conj(value) for t, value in into[w].items()} for w in observed}
 
+    def entry(v: str, w: str) -> _Value:
+        return kd.total(kd.mul(value, right[w][t]) for t, value in left[v].items() if t in right[w])
 
-def path_function(tsg: TimeSeriesGraph, params: SvarParams, path: Path,
-                  H: RatMatrix | None = None) -> RatFn:
-    """Product of the link functions along a path; the empty path gives 1."""
-    path.validate(tsg.base)
-    out = R_ONE
-    for a, b in path.edges:
-        out = out * (H.entry(a, b) if H is not None else link_function(tsg, params, a, b))
-    return out
-
-
-def trek_function(tsg: TimeSeriesGraph, params: SvarParams, trek: Trek,
-                  H: RatMatrix | None = None, S_I: RatMatrix | None = None) -> RatFn:
-    left = path_function(tsg, params, trek.left, H)
-    right = path_function(tsg, params, trek.right, H)
-    top = (S_I.entry(trek.top, trek.top) if S_I is not None
-           else internal_spectrum(tsg, params).entry(trek.top, trek.top))
-    return left * top * right.conj()
+    return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=kd.hermitian(observed, entry))
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """Observed spectrum assembled entrywise from trek functions."""
+    """Observed spectrum assembled entrywise from trek terms, one per trek.
+
+    The term of a trek is its left side's link product, times S_I at its top,
+    times the conjugate of its right side's link product.  Each entry's terms
+    are summed in the known-denominator kernel and reduced once.
+    """
     graph = tsg.base
     graph.require_acyclic()
-    H = transfer_matrix(tsg, params)
-    S_I = internal_spectrum(tsg, params)
-    observed = graph.observed
-    # the same side paths recur across entries; cache their products
-    cache: dict[tuple[str, ...], RatFn] = {}
+    kd, tops, links = _trek_parts(tsg, params)
+    # the same side paths recur across entries; cache their values
+    lefts: dict[tuple[str, ...], _Value] = {}
+    rights: dict[tuple[str, ...], _Value] = {}
 
-    def product(path: Path) -> RatFn:
-        key = path.vertices
-        if key not in cache:
-            out = R_ONE
-            for a, b in path.edges:
-                out = out * H.entry(a, b)
-            cache[key] = out
-        return cache[key]
+    def side(path: Path) -> _Value:
+        out = _ONE
+        for e in path.edges:
+            out = kd.mul(out, links[e])
+        return out
+
+    def term(trek: Trek) -> _Value:
+        left, right = trek.left.vertices, trek.right.vertices
+        if left not in lefts:
+            lefts[left] = kd.mul(side(trek.left), tops[trek.top])
+        if right not in rights:
+            rights[right] = kd.conj(side(trek.right))
+        return kd.mul(lefts[left], rights[right])
 
     def fn(v: str, w: str) -> RatFn:
-        acc = R_ZERO
-        for trek in enumerate_treks(graph, v, w):
-            term = product(trek.left) * S_I.entry(trek.top, trek.top) * product(trek.right).conj()
-            acc = acc + term
-        return acc
+        return kd.ratfn(kd.total(term(trek) for trek in enumerate_treks(graph, v, w)))
 
-    return RatMatrix.build(observed, observed, fn)
+    return RatMatrix.build(graph.observed, graph.observed, fn)
 
 
 def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
@@ -274,41 +447,6 @@ def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
     W_rows = solve_many(S_ZZ, S_ZY.entries)  # raises SingularMatrixError
     W = RatMatrix(Z, Y, W_rows)
     return S_XY - S.submatrix(X, Z) @ W
-
-
-def det_path_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
-                       H: RatMatrix | None = None) -> RatFn:
-    """Signed sum of path-function products over non-intersecting path systems."""
-    graph = tsg.base
-    graph.require_acyclic()
-    if H is None:
-        H = transfer_matrix(tsg, params)
-    acc = R_ZERO
-    for system in nonintersecting_path_systems(graph, X, Y):
-        term = R_ONE
-        for path in system.paths:
-            term = term * path_function(tsg, params, path, H)
-        acc = acc + (term if system.sign > 0 else -term)
-    return acc
-
-
-def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
-                       H: RatMatrix | None = None, S_I: RatMatrix | None = None) -> RatFn:
-    """Signed sum of trek-function products over trek systems without sided
-    intersection."""
-    graph = tsg.base
-    graph.require_acyclic()
-    if H is None:
-        H = transfer_matrix(tsg, params)
-    if S_I is None:
-        S_I = internal_spectrum(tsg, params)
-    acc = R_ZERO
-    for system in sided_nonintersecting_trek_systems(graph, X, Y):
-        term = R_ONE
-        for trek in system.treks:
-            term = term * trek_function(tsg, params, trek, H, S_I)
-        acc = acc + (term if system.sign > 0 else -term)
-    return acc
 
 
 def spectrum_mod(tsg: TimeSeriesGraph, params: SvarParams) -> list[list[int]] | None:

@@ -1,0 +1,129 @@
+"""Reference spectra and determinant expansions over RatFn arithmetic.
+
+Every value here is reduced to canonical form after each `RatFn` operation,
+and the expansions enumerate path and trek systems, which is exponential in
+the graph size.  `svarspec.svar` builds the internal, projected internal and
+observed spectra over the known denominator prod_v D_v(z) D_v(1/z) instead;
+these functions are the oracles it must match entry for entry:
+
+- `internal_spectrum` and `spectrum` form sigma_v / (D_v D_v*) with RatFn
+  products, S_LI with RatFn matrix products, and S = N^T S_LI conj(N) with
+  N = (I - H_OO)^{-1};
+- `spectrum_trek` sums one RatFn trek term per trek;
+- `path_function`, `trek_function`, `det_path_expansion` and
+  `det_trek_expansion` give the Gessel-Viennot and trek-system determinant
+  expansions (Sullivant, Talaska & Draisma 2010).
+"""
+
+from __future__ import annotations
+
+from svarspec.graph import (Path, TimeSeriesGraph, Trek, enumerate_treks,
+                            nonintersecting_path_systems,
+                            sided_nonintersecting_trek_systems)
+from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
+from svarspec.ratlinalg import RatMatrix
+from svarspec.svar import (SpectrumBundle, SvarParams, _auto_denominator,
+                           link_function, transfer_matrix, unit_inverse)
+
+
+def internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
+    labels = tsg.base.vertices
+    values = []
+    for v in labels:
+        r = RatFn(P_ONE, _auto_denominator(tsg, params, v))
+        values.append(RatFn(Poly((params.noise[v],))) * r * r.conj())
+    return RatMatrix.diagonal(labels, values)
+
+
+def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
+    H = transfer_matrix(tsg, params)
+    S_I = internal_spectrum(tsg, params)
+    observed = tsg.base.observed
+    latent = tsg.base.latent
+    S_LI = S_I.submatrix(observed, observed)
+    if latent:
+        H_LO = H.submatrix(latent, observed)
+        S_LI = S_LI + H_LO.transpose() @ S_I.submatrix(latent, latent) @ H_LO.conj()
+    N = unit_inverse(H.submatrix(observed, observed))
+    S = N.transpose() @ S_LI @ N.conj()
+    return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=S)
+
+
+def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
+    graph = tsg.base
+    graph.require_acyclic()
+    H = transfer_matrix(tsg, params)
+    S_I = internal_spectrum(tsg, params)
+    cache: dict[tuple[str, ...], RatFn] = {}
+
+    def product(path: Path) -> RatFn:
+        key = path.vertices
+        if key not in cache:
+            out = R_ONE
+            for a, b in path.edges:
+                out = out * H.entry(a, b)
+            cache[key] = out
+        return cache[key]
+
+    def fn(v: str, w: str) -> RatFn:
+        acc = R_ZERO
+        for trek in enumerate_treks(graph, v, w):
+            term = product(trek.left) * S_I.entry(trek.top, trek.top) * product(trek.right).conj()
+            acc = acc + term
+        return acc
+
+    return RatMatrix.build(graph.observed, graph.observed, fn)
+
+
+def path_function(tsg: TimeSeriesGraph, params: SvarParams, path: Path,
+                  H: RatMatrix | None = None) -> RatFn:
+    """Product of the link functions along a path; the empty path gives 1."""
+    path.validate(tsg.base)
+    out = R_ONE
+    for a, b in path.edges:
+        out = out * (H.entry(a, b) if H is not None else link_function(tsg, params, a, b))
+    return out
+
+
+def trek_function(tsg: TimeSeriesGraph, params: SvarParams, trek: Trek,
+                  H: RatMatrix | None = None, S_I: RatMatrix | None = None) -> RatFn:
+    left = path_function(tsg, params, trek.left, H)
+    right = path_function(tsg, params, trek.right, H)
+    top = (S_I.entry(trek.top, trek.top) if S_I is not None
+           else internal_spectrum(tsg, params).entry(trek.top, trek.top))
+    return left * top * right.conj()
+
+
+def det_path_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
+                       H: RatMatrix | None = None) -> RatFn:
+    """Signed sum of path-function products over non-intersecting path systems."""
+    graph = tsg.base
+    graph.require_acyclic()
+    if H is None:
+        H = transfer_matrix(tsg, params)
+    acc = R_ZERO
+    for system in nonintersecting_path_systems(graph, X, Y):
+        term = R_ONE
+        for path in system.paths:
+            term = term * path_function(tsg, params, path, H)
+        acc = acc + (term if system.sign > 0 else -term)
+    return acc
+
+
+def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
+                       H: RatMatrix | None = None, S_I: RatMatrix | None = None) -> RatFn:
+    """Signed sum of trek-function products over trek systems without sided
+    intersection."""
+    graph = tsg.base
+    graph.require_acyclic()
+    if H is None:
+        H = transfer_matrix(tsg, params)
+    if S_I is None:
+        S_I = internal_spectrum(tsg, params)
+    acc = R_ZERO
+    for system in sided_nonintersecting_trek_systems(graph, X, Y):
+        term = R_ONE
+        for trek in system.treks:
+            term = term * trek_function(tsg, params, trek, H, S_I)
+        acc = acc + (term if system.sign > 0 else -term)
+    return acc

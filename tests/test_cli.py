@@ -564,6 +564,9 @@ def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
                   "--segments", "16", *out],
                  [*query, "--query", "tsep"],
                  [*query, "--query", "dsep", "--z", "l"],
+                 [*query, "--query", "rank", "--seed", "1"],
+                 ["discover", "--graph", files["graph"], "--params", files["params"]],
+                 ["discover", "--graph", files["graph"], "--seed", "1"],
                  ["simulate", "--graph", files["graph"], "--params", files["params"],
                   "--length", "16", "--burn-in", "4", "--seed", "1", *out],
                  ["discover", "--graph", files["graph"], "--estimate", files["estimate"]]):

@@ -18,7 +18,8 @@ from svarspec.simulate import (EstimationError, IllConditionedBlockError,
                                SeriesSample, SimulationError,
                                empirical_ci_test, estimate_spectrum,
                                exact_spectrum_values, simulate_series)
-from svarspec.svar import SvarParams, sample_stable_params, spectrum
+from svarspec.svar import (ParameterError, SvarParams, sample_stable_params,
+                           spectrum)
 
 from conftest import random_cyclic_graph, random_dag, random_latent_dag, random_tsg
 
@@ -55,7 +56,10 @@ def test_zero_noise_degenerate_series():
     g = ProcessGraph.make(["x"], [], [])
     tsg = TimeSeriesGraph.make(g, {})
     p = SvarParams(cross={}, auto={}, noise={"x": Fraction(0)})  # test-only override
-    s = simulate_series(tsg, p, length=200, burn_in=10, seed=3)
+    with pytest.raises(ParameterError, match="positive"):
+        simulate_series(tsg, p, length=200, burn_in=10, seed=3)
+    # the recursion behind the validation runs on it
+    s = simulate._simulate(tsg, p, length=200, burn_in=10, seed=3)
     assert np.all(s.values == 0.0)
 
 
@@ -88,6 +92,21 @@ def test_contemporaneous_cycle_rejected():
     )
     with pytest.raises(SimulationError, match="cycle"):
         simulate_series(tsg, p, length=100, seed=0)
+
+
+def test_parameters_off_the_graph_are_rejected():
+    # a lag-0 cross coefficient on an edge whose only lag is 1
+    g = ProcessGraph.make(["a", "b"], [], [("a", "b")])
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (1,)})
+    p = SvarParams.make({("a", "b", 0): Fraction(1, 2), ("a", "b", 1): Fraction(1, 4)},
+                        {}, {"a": Fraction(1), "b": Fraction(1)})
+    with pytest.raises(ParameterError, match="cross coefficients"):
+        simulate_series(tsg, p, length=10, burn_in=0, seed=0)
+    unstable = SvarParams.make({("a", "b", 1): Fraction(1, 4)}, {("a", 1): Fraction(1)},
+                               {"a": Fraction(1), "b": Fraction(1)})
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (1,)}, {"a": (1,)})
+    with pytest.raises(ParameterError, match="stability"):
+        simulate_series(tsg, unstable, length=10, burn_in=0, seed=0)
 
 
 def test_lagged_cycle_simulates():
@@ -143,7 +162,9 @@ def test_simulation_and_series_files_match_the_scalar_reference(tmp_path, seed, 
                   + [k for lags in tsg.auto_lags.values() for k in lags], default=0)
     burn_in = {"zero": 0, "inside lag": max(max_lag - 1, 0),
                "past lag": max_lag + seed % 7}[burn]
-    got = simulate_series(tsg, params, length=length, burn_in=burn_in, seed=seed)
+    # zero variances fail validation; the recursion behind it still runs on them
+    run = simulate._simulate if zero_noise else simulate_series
+    got = run(tsg, params, length=length, burn_in=burn_in, seed=seed)
     want = series_reference.simulate_series(tsg, params, length=length, burn_in=burn_in,
                                             seed=seed)
     assert got.labels == want.labels

@@ -11,24 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svarspec import ratfield
 from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
-                            TrekSystem, minimal_halftrek_subsystem,
+                            TrekSystem, count_treks, minimal_halftrek_subsystem,
                             sided_nonintersecting_trek_systems,
                             t_separation_min)
 from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
                                R_ZERO, RatFn, UnluckyReduction, rat)
 from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
-from svarspec.svar import (ParameterError, SvarParams, conditional_spectrum,
-                           det_path_expansion, det_trek_expansion,
+from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
+                           conditional_spectrum,
                            generic_rank, internal_spectrum, lag_poly,
-                           link_function, path_function,
-                           projected_internal_spectrum, sample_stable_params,
-                           spectrum, spectrum_mod, spectrum_trek,
-                           transfer_matrix, trek_function, unit_inverse)
+                           link_function, projected_internal_spectrum,
+                           sample_stable_params, spectrum, spectrum_mod,
+                           spectrum_trek, transfer_matrix, unit_inverse)
 
+import svar_reference
 from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
                       random_ratfn, random_tsg)
+from svar_reference import (det_path_expansion, det_trek_expansion,
+                            path_function, trek_function)
 
 
 # -- lag polynomials and link functions -------------------------------------------
@@ -259,6 +262,209 @@ def test_path_function_invalid_path(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=20)
     with pytest.raises(Exception):
         path_function(instrument_tsg, p, Path(("w", "u")))
+
+
+# -- the known-denominator kernel against RatFn arithmetic ----------------------------------------
+
+
+def _assert_matches_reference(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
+    """Every matrix of the bundle, and the trek-rule spectrum on an acyclic
+    graph, equal their RatFn oracles entry for entry."""
+    got, want = spectrum(tsg, params), svar_reference.spectrum(tsg, params)
+    for name in ("H", "S_I", "S_LI", "S"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert internal_spectrum(tsg, params) == want.S_I
+    assert projected_internal_spectrum(tsg, params) == want.S_LI
+    if tsg.base.is_acyclic:
+        assert spectrum_trek(tsg, params) == svar_reference.spectrum_trek(tsg, params) == want.S
+    return got
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(5, 8), latents=st.integers(0, 2),
+       order=st.integers(1, 2))
+def test_kernel_spectra_match_the_ratfn_reference(seed, n, latents, order):
+    rng = random.Random(seed)
+    graph = random_latent_dag(rng, [f"x{i}" for i in range(n)],
+                              [f"h{j}" for j in range(latents)], p=0.4, p_latent=0.5)
+    tsg = random_tsg(rng, graph, max_order=order)
+    _assert_matches_reference(tsg, sample_stable_params(tsg, seed=seed))
+
+
+def _kernel_value(kd, value) -> RatFn:
+    """num z^shift / (prod of the masked factors), by RatFn arithmetic."""
+    num, left, right, shift = value
+    out = RatFn(num)
+    for i, (d, d_star) in enumerate(zip(kd.left, kd.right)):
+        out = out / RatFn(d) if left >> i & 1 else out
+        out = out / RatFn(d_star) if right >> i & 1 else out
+    z = RatFn(Poly([0, 1]))
+    for _ in range(abs(shift)):
+        out = out * z if shift > 0 else out / z
+    return out
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kernel_operations_match_ratfn_arithmetic(data):
+    """ratfn maps the kernel's product, sum and conjugate to RatFn's, also for
+    repeated factors and shifts of either sign."""
+    coeff = st.fractions(-2, 2, max_denominator=5)
+    factors: list[Poly] = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if factors and data.draw(st.booleans()):
+            factors.append(data.draw(st.sampled_from(factors)))
+        else:
+            low = data.draw(st.lists(coeff, max_size=1))
+            top = data.draw(coeff.filter(bool))
+            factors.append(P_ONE - Poly([0, *low, top]))
+    kd = svar_module._KnownDenominator(factors)
+    full = (1 << len(factors)) - 1
+
+    def value(free_left=full, free_right=full):
+        num = Poly(data.draw(st.lists(coeff, max_size=4)))
+        left = data.draw(st.integers(0, full)) & free_left
+        right = data.draw(st.integers(0, full)) & free_right
+        return num, left, right, data.draw(st.integers(-3, 3))
+
+    a = value()
+    b = value(full & ~a[1], full & ~a[2])
+    c = value()
+    assert kd.ratfn(a) == _kernel_value(kd, a)
+    assert kd.ratfn(kd.conj(a)) == _kernel_value(kd, a).conj()
+    assert kd.ratfn(kd.mul(a, b)) == _kernel_value(kd, a) * _kernel_value(kd, b)
+    assert kd.ratfn(kd.total([a, b, c])) == \
+        _kernel_value(kd, a) + _kernel_value(kd, b) + _kernel_value(kd, c)
+
+
+def _forbid_remainder_sequences(monkeypatch):
+    def fail(a, b):
+        raise AssertionError("a gcd fell back to the remainder sequence")
+
+    monkeypatch.setattr(ratfield, "_pseudo_remainder", fail)
+
+
+def test_kernel_cancels_a_repeated_auto_polynomial(monkeypatch):
+    # D_x = D_z: S[y, y] sums terms over D_x and over D_z, never both, so the
+    # lifted numerator carries D_x D_x* once too often, and whole factors are
+    # divided out before the gcd, which then needs no remainder sequence
+    g = ProcessGraph.make(["x", "y", "z"], [], [("x", "y"), ("z", "y")])
+    tsg = TimeSeriesGraph.full(g, 1)
+    p = SvarParams.make(
+        {("x", "y", 0): Fraction(1, 2), ("x", "y", 1): Fraction(1, 3),
+         ("z", "y", 0): Fraction(-1, 4), ("z", "y", 1): Fraction(2, 5)},
+        {("x", 1): Fraction(1, 2), ("y", 1): Fraction(-1, 3), ("z", 1): Fraction(1, 2)},
+        {"x": Fraction(1), "y": Fraction(2), "z": Fraction(3)},
+    )
+    want = _assert_matches_reference(tsg, p).S
+    D_x, D_y = P_ONE - Poly([0, Fraction(1, 2)]), P_ONE - Poly([0, Fraction(-1, 3)])
+    assert want.entry("y", "y").den == (D_x * D_y * D_x.conj() * D_y.conj()).monic()
+    _forbid_remainder_sequences(monkeypatch)
+    assert spectrum(tsg, p).S == spectrum_trek(tsg, p) == want
+
+
+def test_kernel_cancels_a_power_of_z(monkeypatch):
+    # S[c, b] = H[a, c] S_I[a, a] conj(H[a, b]) with H[a, c] = z / 3 and
+    # conj(H[a, b]) over z^2: the numerator's z cancels before the gcd
+    g = ProcessGraph.make(["a", "b", "c"], [], [("a", "b"), ("a", "c")])
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (0, 1, 2), ("a", "c"): (1,)}, {"c": (1,)})
+    p = SvarParams.make(
+        {("a", "b", 0): Fraction(1, 2), ("a", "b", 1): Fraction(1, 3),
+         ("a", "b", 2): Fraction(1, 4), ("a", "c", 1): Fraction(1, 3)},
+        {("c", 1): Fraction(1, 5)}, {"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)},
+    )
+    want = _assert_matches_reference(tsg, p).S
+    assert want.entry("c", "b").den.degree == 2
+    _forbid_remainder_sequences(monkeypatch)
+    assert spectrum(tsg, p).S == spectrum_trek(tsg, p) == want
+
+
+def test_kernel_without_auto_lags():
+    # D_v = 1 at every vertex but c, and at every vertex in the second graph
+    g = ProcessGraph.make(["a", "b", "c", "d"], ["h"],
+                          [("a", "b"), ("b", "c"), ("a", "c"), ("h", "b"), ("h", "d")])
+    cross = {e: (0, 1) for e in g.edges}
+    for auto in ({"c": (1,)}, {}):
+        tsg = TimeSeriesGraph.make(g, cross, auto)
+        for seed in range(3):
+            _assert_matches_reference(tsg, sample_stable_params(tsg, seed=seed))
+
+
+def test_kernel_zero_coefficients_make_entries_vanish():
+    # a -> b -> c with every coefficient of b -> c zero: S[a, c] and S[b, c] vanish
+    g = ProcessGraph.make(["a", "b", "c"], ["h"], [("a", "b"), ("b", "c"), ("h", "a")])
+    tsg = TimeSeriesGraph.full(g, 2)
+    p = sample_stable_params(tsg, seed=5)
+    p = SvarParams(cross={k: (Fraction(0) if k[:2] == ("b", "c") else c)
+                          for k, c in p.cross.items()},
+                   auto=p.auto, noise=p.noise)
+    S = _assert_matches_reference(tsg, p).S
+    assert S.entry("a", "c").is_zero and S.entry("c", "b").is_zero
+    assert not S.entry("a", "b").is_zero
+    # a zero variance at the latent h removes its term from S_LI
+    q = SvarParams(cross=p.cross, auto=p.auto, noise={**p.noise, "h": Fraction(0)})
+    assert _assert_matches_reference(tsg, q).S_LI.entry("a", "a") == \
+        internal_spectrum(tsg, q).entry("a", "a")
+
+
+def test_kernel_isolated_vertex():
+    g = ProcessGraph.make(["a", "b", "c"], ["h"], [("a", "b"), ("h", "a"), ("h", "b")])
+    tsg = TimeSeriesGraph.full(g, 2)
+    p = sample_stable_params(tsg, seed=6)
+    S = _assert_matches_reference(tsg, p).S
+    assert S.entry("c", "c") == internal_spectrum(tsg, p).entry("c", "c")
+    assert all(S.entry("c", v).is_zero and S.entry(v, "c").is_zero for v in ("a", "b"))
+
+
+def test_cyclic_observed_graph_keeps_the_bareiss_path(monkeypatch):
+    calls = []
+
+    def counting_unit_inverse(M):
+        calls.append(M.row_labels)
+        return unit_inverse(M)
+
+    monkeypatch.setattr(svar_module, "unit_inverse", counting_unit_inverse)
+    rng = random.Random(38)
+    for trial in range(6):
+        graph = random_cyclic_graph(rng, rng.randint(2, 4))
+        graph = ProcessGraph.make(graph.observed, ["h"],
+                                  graph.edges + (("h", graph.observed[0]),))
+        tsg = random_tsg(rng, graph, max_order=1)
+        calls.clear()
+        _assert_matches_reference(tsg, sample_stable_params(tsg, seed=trial))
+        assert calls == [graph.observed]
+    tsg = TimeSeriesGraph.full(random_dag(rng, ["a", "b", "c", "d"], p=0.7), 1)
+    calls.clear()
+    _assert_matches_reference(tsg, sample_stable_params(tsg, seed=0))
+    assert calls == []
+
+
+def test_spectrum_gcd_calls_are_linear_in_the_graph(monkeypatch):
+    """At most one gcd per entry of H, S_I, S_LI and S: |E| + |V| + 2 |O|^2,
+    however many treks there are."""
+    calls = []
+
+    def counting_gcd(f, g):
+        calls.append(1)
+        return ratfield_gcd(f, g)
+
+    ratfield_gcd = ratfield.poly_gcd
+    monkeypatch.setattr(ratfield, "poly_gcd", counting_gcd)
+    rng = random.Random(39)
+    most = 0.0
+    for trial in range(8):
+        n = rng.randint(4, 7)
+        graph = random_latent_dag(rng, [f"x{i}" for i in range(n)], ["h1", "h2"], p=0.8)
+        tsg = random_tsg(rng, graph, max_order=2)
+        params = sample_stable_params(tsg, seed=trial)
+        calls.clear()
+        spectrum(tsg, params)
+        bound = len(graph.edges) + len(graph.vertices) + 2 * len(graph.observed) ** 2
+        assert len(calls) <= bound, (trial, len(calls), bound)
+        treks = sum(count_treks(graph, v, w) for v in graph.observed for w in graph.observed)
+        most = max(most, treks / bound)
+    # the densest graphs have several times more treks than the bound
+    assert most > 4
 
 
 # -- conditional spectrum -------------------------------------------------------------------------
