@@ -5,19 +5,16 @@ from .ratfield import (NEG_INFINITY, P_ONE, P_ZERO, Poly, PoleError, R_ONE,
 from .ratlinalg import (RatMatrix, SingularMatrixError, det, inverse, rank,
                         solve, solve_many)
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
-                    LfhtcOrder, LfhtcTriple, Path, PathSystem, ProcessGraph,
-                    TimeSeriesGraph, Trek, TrekSystem, count_treks,
-                    d_separated, enumerate_paths, enumerate_treks, htr,
-                    latent_factor_half_treks, lfhtc_check, lfhtc_order,
-                    lfhtc_prerequisite_edges, lfhtc_search,
-                    minimal_halftrek_subsystem, nonintersecting_path_systems,
-                    sided_nonintersecting_trek_systems, t_separated,
-                    t_separation_min)
+                    LfhtcOrder, LfhtcTriple, Path, ProcessGraph,
+                    TimeSeriesGraph, Trek, count_treks, d_separated,
+                    enumerate_paths, enumerate_treks, htr, lfhtc_check,
+                    lfhtc_order, lfhtc_prerequisite_edges, lfhtc_search,
+                    t_separated, t_separation_min)
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
                    conditional_spectrum, generic_rank, internal_spectrum,
                    lag_poly, link_function, projected_internal_spectrum,
                    sample_stable_params, spectrum, spectrum_trek,
-                   transfer_matrix, unit_inverse)
+                   transfer_matrix)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
                        ZeroInstrumentError, discover_cpdag, dsep_ci_oracle,

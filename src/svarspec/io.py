@@ -37,6 +37,11 @@ def _load(path: str | Path) -> dict:
     return data
 
 
+def _is_lag(k) -> bool:
+    """Whether k is a JSON integer: `int` would truncate 1.7, and `True` is an int."""
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
 # -- graphs -------------------------------------------------------------------------
 
 
@@ -59,6 +64,10 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
         edge_entries = data["edges"]
     except KeyError as exc:
         raise GraphValidationError(f"graph file is missing key {exc.args[0]!r}") from None
+    for key, labels in (("observed", observed), ("latent", latent)):
+        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+            raise GraphValidationError(
+                f"graph key {key!r} must be a list of label strings, got {labels!r}")
     edges = []
     cross = {}
     for i, entry in enumerate(edge_entries):
@@ -71,7 +80,7 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
         if not lags:
             raise GraphValidationError(f"edge entry #{i} ({a} -> {b}) has an empty lag list")
         for k in lags:
-            if not isinstance(k, int) or not 0 <= k <= MAX_LAG:
+            if not _is_lag(k) or not 0 <= k <= MAX_LAG:
                 raise GraphValidationError(
                     f"edge entry #{i} ({a} -> {b}) has invalid lag {k!r}, not in 0..{MAX_LAG}"
                 )
@@ -83,7 +92,7 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
     auto = {}
     for v, lags in auto_entries.items():
         for k in lags:
-            if not isinstance(k, int) or not 1 <= k <= MAX_LAG:
+            if not _is_lag(k) or not 1 <= k <= MAX_LAG:
                 raise GraphValidationError(f"auto lag {k!r} at {v!r} is not in 1..{MAX_LAG}")
         if lags:
             auto[v] = tuple(sorted(set(lags)))
@@ -119,13 +128,20 @@ def params_to_dict(params: SvarParams) -> dict:
     }
 
 
+def _lag(entry: dict) -> int:
+    k = entry["lag"]
+    if not _is_lag(k):
+        raise ValueError(f"lag {k!r} in parameter entry {entry!r} is not an integer")
+    return k
+
+
 def params_from_dict(data: dict) -> SvarParams:
     cross = {
-        (e["from"], e["to"], int(e["lag"])): coeff_from_str(e["coeff"])
+        (e["from"], e["to"], _lag(e)): coeff_from_str(e["coeff"])
         for e in data.get("cross", [])
     }
     auto = {
-        (e["vertex"], int(e["lag"])): coeff_from_str(e["coeff"])
+        (e["vertex"], _lag(e)): coeff_from_str(e["coeff"])
         for e in data.get("auto", [])
     }
     noise = {e["vertex"]: coeff_from_str(e["variance"]) for e in data.get("noise", [])}

@@ -55,6 +55,8 @@ class SeriesSample:
     values: np.ndarray
 
     def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate series labels in {self.labels}")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.labels):
             raise ValueError("values grid does not match labels")
         if not np.all(np.isfinite(self.values)):
@@ -80,6 +82,8 @@ class SpectrumEstimate:
     window: str = "hann"
 
     def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate estimate labels in {self.labels}")
         if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
             raise ValueError("frequencies must be strictly increasing")
         n = len(self.labels)

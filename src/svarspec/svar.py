@@ -37,7 +37,9 @@ the unique reduced fraction, stable or not.
 
 A cyclic observed part has no trek expansion with this denominator: there
 `spectrum` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
-N^T S_LI conj(N) over R(z).
+N^T S_LI conj(N) over R(z).  It does so even when zero coefficients leave
+H_OO an acyclic support: the inverse is unique, so elimination gives the
+canonical matrix that the finite sum I + H_OO + H_OO^2 + ... would.
 """
 
 from __future__ import annotations
@@ -338,29 +340,6 @@ def projected_internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> Rat
     return _projected(tsg.base, *_trek_parts(tsg, params))
 
 
-def unit_inverse(M: RatMatrix) -> RatMatrix:
-    """(I - M)^{-1}.
-
-    When the nonzero entries of M form no directed cycle, M is nilpotent and
-    the inverse is the finite geometric sum I + M + M^2 + ...; otherwise the
-    system is solved.
-    """
-    labels = M.row_labels
-    support = [(a, b) for a, row in zip(labels, M.entries)
-               for b, e in zip(M.col_labels, row) if not e.is_zero]
-    eye = RatMatrix.identity(labels)
-    if any(a == b for a, b in support) or not ProcessGraph.make(labels, (), support).is_acyclic:
-        return inverse(eye - M)
-    total = eye
-    power = eye
-    for _ in range(len(labels)):
-        power = power @ M
-        if power.is_zero:
-            break
-        total = total + power
-    return total
-
-
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     """Full bundle (H, internal, projected internal, observed spectrum).
 
@@ -377,7 +356,7 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     S_LI = _projected(graph, kd, tops, links)
     observed = graph.observed
     if not graph.is_acyclic:
-        N = unit_inverse(H.submatrix(observed, observed))
+        N = inverse(RatMatrix.identity(observed) - H.submatrix(observed, observed))
         return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=N.transpose() @ S_LI @ N.conj())
     into: dict[str, dict[str, _Value]] = {}
     for v in graph.topological_order():

@@ -8,22 +8,50 @@ these functions are the oracles it must match entry for entry:
 
 - `internal_spectrum` and `spectrum` form sigma_v / (D_v D_v*) with RatFn
   products, S_LI with RatFn matrix products, and S = N^T S_LI conj(N) with
-  N = (I - H_OO)^{-1};
+  N = (I - H_OO)^{-1} from `unit_inverse`, which sums I + H_OO + H_OO^2 + ...
+  when the support of H_OO is acyclic and solves by Bareiss elimination
+  otherwise (the library always solves);
 - `spectrum_trek` sums one RatFn trek term per trek;
 - `path_function`, `trek_function`, `det_path_expansion` and
   `det_trek_expansion` give the Gessel-Viennot and trek-system determinant
-  expansions (Sullivant, Talaska & Draisma 2010).
+  expansions (Sullivant, Talaska & Draisma 2010), over the systems that
+  `graph_reference` enumerates.
 """
 
 from __future__ import annotations
 
-from svarspec.graph import (Path, TimeSeriesGraph, Trek, enumerate_treks,
-                            nonintersecting_path_systems,
-                            sided_nonintersecting_trek_systems)
+from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
+                            enumerate_treks)
 from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
-from svarspec.ratlinalg import RatMatrix
+from svarspec.ratlinalg import RatMatrix, inverse
 from svarspec.svar import (SpectrumBundle, SvarParams, _auto_denominator,
-                           link_function, transfer_matrix, unit_inverse)
+                           link_function, transfer_matrix)
+
+from graph_reference import (nonintersecting_path_systems,
+                             sided_nonintersecting_trek_systems)
+
+
+def unit_inverse(M: RatMatrix) -> RatMatrix:
+    """(I - M)^{-1}.
+
+    When the nonzero entries of M form no directed cycle, M is nilpotent and
+    the inverse is the finite geometric sum I + M + M^2 + ...; otherwise the
+    system is solved.
+    """
+    labels = M.row_labels
+    support = [(a, b) for a, row in zip(labels, M.entries)
+               for b, e in zip(M.col_labels, row) if not e.is_zero]
+    eye = RatMatrix.identity(labels)
+    if any(a == b for a, b in support) or not ProcessGraph.make(labels, (), support).is_acyclic:
+        return inverse(eye - M)
+    total = eye
+    power = eye
+    for _ in range(len(labels)):
+        power = power @ M
+        if power.is_zero:
+            break
+        total = total + power
+    return total
 
 
 def internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:

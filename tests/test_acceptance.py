@@ -20,14 +20,13 @@ from svarspec.identify import (LinkRecoveryError, discover_cpdag,
 from svarspec.ratfield import Poly, RatFn, rat
 from svarspec.ratlinalg import RatMatrix, det, solve_many
 from svarspec.svar import (SvarParams, generic_rank, sample_stable_params,
-                           spectrum, spectrum_trek, transfer_matrix,
-                           unit_inverse)
+                           spectrum, spectrum_trek, transfer_matrix)
 from svarspec.simulate import (estimate_spectrum, exact_spectrum_values,
                                simulate_series)
 
 from conftest import (dag_shapes, random_dag, random_latent_dag, random_ratfn,
                       random_tsg, record_acceptance)
-from svar_reference import det_path_expansion
+from svar_reference import det_path_expansion, unit_inverse
 
 
 def _criterion(number, description, budget_seconds, body):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from svarspec import io as sio
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
-                          EXIT_VALIDATION, MAX_TREKS, CliError, _with_resampling,
-                          main)
+                          EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
+                          _with_resampling, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
 from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
 from svarspec.ratlinalg import SingularMatrixError
@@ -271,6 +271,29 @@ def test_estimate_bad_frequencies_exit_code(capsys, tmp_path, instrument_files,
     assert not (tmp_path / "e.json").exists()
 
 
+def test_estimate_frequencies_over_the_limit_exit_validation_quickly(capsys, tmp_path,
+                                                                   instrument_files):
+    graph, params = instrument_files
+    series = tmp_path / "series.txt"
+    run(capsys, "simulate", "--graph", graph, "--params", params,
+        "--length", "256", "--seed", "1", "--out", str(series))
+    over = MAX_FREQUENCIES + 1
+    step = 3.0 / over
+    start = time.perf_counter()
+    for frequencies in (str(over), ",".join(f"{(j + 1) * step:.9f}" for j in range(over))):
+        code, report = run(capsys, "estimate", "--series", str(series),
+                           "--frequencies", frequencies, "--segments", "64",
+                           "--out", str(tmp_path / "e.json"))
+        assert code == EXIT_VALIDATION
+        assert str(MAX_FREQUENCIES) in report["error"]
+        assert not (tmp_path / "e.json").exists()
+    assert time.perf_counter() - start < 0.5
+    code, report = run(capsys, "estimate", "--series", str(series),
+                       "--frequencies", str(MAX_FREQUENCIES), "--segments", "64",
+                       "--out", str(tmp_path / "e.json"))
+    assert code == EXIT_OK and len(report["outputs"]["frequencies"]) == MAX_FREQUENCIES
+
+
 #: sha256 of the primary outputs for the README instrument graph and
 #: sample_stable_params(seed=7); exact outputs and the simulated series must
 #: not change by a byte.  The estimate is not pinned: its bytes depend on BLAS.
@@ -489,6 +512,35 @@ def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials
     assert "--trials" in report["error"]
 
 
+#: sha256 of `spectrum --out` on a cyclic observed graph, a -> b -> c -> a with
+#: a latent h into a and b, at lag order 1 and sample_stable_params(seed=7):
+#: as drawn, and with every c -> a coefficient zero, which leaves H_OO an
+#: acyclic support.  Both bundles come from one exact inverse of I - H_OO.
+CYCLIC_SHA256 = {
+    "cyclic": "b4e180b8756544987086a22cf08742c29b2420c5a88a35a90415652216daa3d1",
+    "acyclic": "ec79d197b5dccf04d1039a88d6575f615f8f7bf4a0e5f0ca1226dfb03e45bf1a",
+}
+
+
+@pytest.mark.parametrize("support", sorted(CYCLIC_SHA256))
+def test_cyclic_spectrum_bytes_pinned(capsys, tmp_path, support):
+    g = ProcessGraph.make(["a", "b", "c"], ["h"],
+                          [("a", "b"), ("b", "c"), ("c", "a"), ("h", "a"), ("h", "b")])
+    tsg = TimeSeriesGraph.full(g, 1)
+    params = sample_stable_params(tsg, seed=7)
+    if support == "acyclic":
+        params = SvarParams({k: Fraction(0) if k[:2] == ("c", "a") else c
+                             for k, c in params.cross.items()}, params.auto, params.noise)
+    assert spectrum(tsg, params).H.entry("c", "a").is_zero == (support == "acyclic")
+    graph, params_file, out = tmp_path / "graph.json", tmp_path / "params.json", tmp_path / "b.json"
+    sio.save_graph(tsg, graph)
+    sio.save_params(params, params_file)
+    code, _ = run(capsys, "spectrum", "--graph", str(graph), "--params", str(params_file),
+                  "--out", str(out))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CYCLIC_SHA256[support]
+
+
 # -- fuzzed input files ---------------------------------------------------------------
 
 JSON_VALUES = st.recursive(
@@ -545,19 +597,16 @@ def valid_documents(tmp_path, instrument_tsg):
     }
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
-    kind = data.draw(st.sampled_from(sorted(valid_documents)))
-    docs = json.loads(json.dumps(valid_documents))
-    docs[kind] = _mutate(data, docs[kind])
+def _run_commands(tmp_path, docs) -> list[int]:
+    """Write the documents and run every command on them; each must exit with
+    a documented code and print a JSON object.  Returns the exit codes."""
     files = {name: str(tmp_path / name) for name in docs}
     for name, doc in docs.items():
         text = _series_text(doc) if name == "series" else json.dumps(doc)
         (tmp_path / name).write_text(text)
     out = ["--out", str(tmp_path / "out")]
     query = ["query", "--graph", files["graph"], "--x", "u,v", "--y", "w"]
+    codes = []
     for argv in (["spectrum", "--graph", files["graph"], "--params", files["params"], *out],
                  ["identify", "--graph", files["graph"], "--spectrum", files["bundle"], *out],
                  ["estimate", "--series", files["series"], "--frequencies", "2",
@@ -565,6 +614,7 @@ def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
                  [*query, "--query", "tsep"],
                  [*query, "--query", "dsep", "--z", "l"],
                  [*query, "--query", "rank", "--seed", "1"],
+                 [*query, "--query", "treks"],
                  ["discover", "--graph", files["graph"], "--params", files["params"]],
                  ["discover", "--graph", files["graph"], "--seed", "1"],
                  ["simulate", "--graph", files["graph"], "--params", files["params"],
@@ -575,3 +625,93 @@ def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
             code = main(argv)
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NON_GENERIC, EXIT_ESTIMATION), argv
         assert isinstance(json.loads(stdout.getvalue()), dict), argv
+        codes.append(code)
+    return codes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_files_map_to_exit_codes(tmp_path, valid_documents, data):
+    kind = data.draw(st.sampled_from(sorted(valid_documents)))
+    docs = json.loads(json.dumps(valid_documents))
+    docs[kind] = _mutate(data, docs[kind])
+    _run_commands(tmp_path, docs)
+
+
+def _lag_at_bound(docs, where):
+    """Give u a cross lag (on u -> v) or an auto lag at io.MAX_LAG, with a coefficient."""
+    params = docs["params"]
+    if where == "cross":
+        next(e for e in docs["graph"]["edges"] if e["from"] == "u")["lags"].append(sio.MAX_LAG)
+        params["cross"].append({"from": "u", "to": "v", "lag": sio.MAX_LAG, "coeff": "1/7"})
+    else:
+        docs["graph"]["auto"]["u"].append(sio.MAX_LAG)
+        params["auto"] = [{**e, "coeff": "1/3"} if e["vertex"] == "u" else e
+                          for e in params["auto"]]
+        params["auto"].append({"vertex": "u", "lag": sio.MAX_LAG, "coeff": "1/3"})
+
+
+#: Inputs that random mutation rarely reaches, each applied to the valid documents.
+TARGETED_MUTATIONS = {
+    "duplicate observed label": lambda d: d["graph"]["observed"].append("u"),
+    "label observed and latent": lambda d: d["graph"]["latent"].append("u"),
+    "duplicate series label": lambda d: d["series"][0].__setitem__(0, "u"),
+    "duplicate estimate label": lambda d: d["estimate"]["labels"].__setitem__(0, "u"),
+    "duplicate bundle label": lambda d: d["bundle"]["S"]["rows"].__setitem__(1, "u"),
+    "decimal cross coefficient": lambda d: d["params"]["cross"][0].__setitem__("coeff", "0.25"),
+    "decimal noise variance": lambda d: d["params"]["noise"][0].__setitem__("variance", "1.5"),
+    "decimal bundle coefficient":
+        lambda d: d["bundle"]["S"]["entries"][0][0]["den"].__setitem__(0, "0.5"),
+    "cross lag at MAX_LAG": lambda d: _lag_at_bound(d, "cross"),
+    "auto lag at MAX_LAG": lambda d: _lag_at_bound(d, "auto"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TARGETED_MUTATIONS))
+def test_targeted_input_files_map_to_exit_codes(tmp_path, valid_documents, mutation):
+    docs = json.loads(json.dumps(valid_documents))
+    TARGETED_MUTATIONS[mutation](docs)
+    codes = _run_commands(tmp_path, docs)
+    if mutation.endswith("at MAX_LAG"):
+        assert set(codes) == {EXIT_OK}  # the bound itself is a valid lag
+    else:
+        assert EXIT_VALIDATION in codes
+
+
+#: Malformed inputs that once loaded as something else and exited 0: a string
+#: of observed labels split into characters, a lag truncated or read from a
+#: bool, and a series or estimate naming one process twice (the latent l's
+#: column is read as u's).
+MISREAD_INPUTS = {
+    "observed string": ("graph", lambda d: d.__setitem__("observed", "uvw")),
+    "latent string": ("graph", lambda d: d.__setitem__("latent", "l")),
+    "cross lag true": ("graph", lambda d: d["edges"][0].__setitem__("lags", [True])),
+    "auto lag true": ("graph", lambda d: d["auto"].__setitem__("u", [True])),
+    "params lag float":
+        ("params", lambda d: next(e for e in d["cross"] if e["lag"] == 1).__setitem__("lag", 1.7)),
+    "params lag true": ("params", lambda d: d["auto"][0].__setitem__("lag", True)),
+    "series duplicate label": ("series", lambda rows: rows[0].__setitem__(0, "u")),
+    "estimate duplicate label": ("estimate", lambda d: d["labels"].__setitem__(0, "u")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISREAD_INPUTS))
+def test_misread_inputs_exit_validation(capsys, tmp_path, valid_documents, case):
+    kind, mutate = MISREAD_INPUTS[case]
+    docs = json.loads(json.dumps(valid_documents))
+    mutate(docs[kind])
+    for name in ("graph", "params", "estimate"):
+        (tmp_path / name).write_text(json.dumps(docs[name]))
+    (tmp_path / "series").write_text(_series_text(docs["series"]))
+    out = str(tmp_path / "out")
+    argv = {"graph": ["validate", "--graph", str(tmp_path / "graph")],
+            "params": ["spectrum", "--graph", str(tmp_path / "graph"),
+                       "--params", str(tmp_path / "params"), "--out", out],
+            "series": ["estimate", "--series", str(tmp_path / "series"),
+                       "--frequencies", "2", "--segments", "16", "--out", out],
+            "estimate": ["discover", "--graph", str(tmp_path / "graph"),
+                         "--estimate", str(tmp_path / "estimate"), "--out", out]}[kind]
+    code, report = run(capsys, *argv)
+    assert code == EXIT_VALIDATION, report
+    assert not (tmp_path / "out").exists()

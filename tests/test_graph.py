@@ -10,16 +10,16 @@ import pytest
 
 from svarspec.graph import (CyclicGraphError, GraphValidationError,
                             LfhtcCheck, LfhtcTriple, Path, ProcessGraph, TimeSeriesGraph,
-                            Trek, TrekSystem, count_treks, d_separated, enumerate_paths,
-                            enumerate_treks, htr, latent_factor_half_treks,
-                            lfhtc_check, lfhtc_order, lfhtc_prerequisite_edges,
-                            lfhtc_search, minimal_halftrek_subsystem,
-                            nonintersecting_path_systems,
-                            sided_nonintersecting_trek_systems, t_separated,
-                            t_separation_min, _half_trek_linked, _sided_disjoint,
-                            _system_search)
+                            Trek, count_treks, d_separated, enumerate_paths,
+                            enumerate_treks, htr, lfhtc_check, lfhtc_order,
+                            lfhtc_prerequisite_edges, lfhtc_search, t_separated,
+                            t_separation_min, _half_trek_linked)
 
 from conftest import random_dag, random_latent_dag
+from graph_reference import (TrekSystem, latent_factor_half_treks,
+                             minimal_halftrek_subsystem, nonintersecting_path_systems,
+                             sided_nonintersecting_trek_systems, _sided_disjoint,
+                             _system_search)
 
 
 # -- construction invariants -----------------------------------------------------
