@@ -1,7 +1,7 @@
 """Exact frequency-domain algebra and causal identification for SVAR process graphs."""
 
 from .ratfield import (NEG_INFINITY, P_ONE, P_ZERO, Poly, PoleError, R_ONE,
-                       R_ZERO, RatFn, poly, poly_gcd, poly_lcm, rat)
+                       R_ZERO, RatFn, poly_gcd, poly_lcm)
 from .ratlinalg import (RatMatrix, SingularMatrixError, det, inverse, rank,
                         solve, solve_many)
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,

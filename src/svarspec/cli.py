@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -57,14 +55,10 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _report(command: str, inputs: dict, outputs, seed=None, warnings=()) -> dict:
     return {
         "command": command,
-        "inputs": {name: _digest(path) for name, path in inputs.items()},
+        "inputs": {name: sio.digest(path) for name, path in inputs.items()},
         "seed": seed,
         "outputs": outputs,
         "warnings": list(warnings),
@@ -250,13 +244,9 @@ def cmd_discover(args) -> dict:
         cpdag = _with_resampling(build, seed, warnings)
     else:
         raise CliError(EXIT_VALIDATION, "discover needs --params, --estimate or --seed")
-    result = {
-        "nodes": list(cpdag.nodes),
-        "directed": sorted(f"{a}->{b}" for a, b in cpdag.directed),
-        "undirected": sorted("--".join(sorted(e)) for e in cpdag.undirected),
-    }
+    result = sio.cpdag_to_dict(cpdag)
     if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        sio.save_cpdag(cpdag, args.out)
         outputs = {"out": args.out, **result}
     else:
         outputs = result

@@ -187,13 +187,6 @@ class ProcessGraph:
         """Same vertex sets, restricted/replaced edge set."""
         return ProcessGraph.make(self.observed, self.latent, edges)
 
-    def observed_subgraph_cyclic(self) -> bool:
-        """Whether the edges among observed vertices contain a directed cycle."""
-        observed = set(self.observed)
-        sub = ProcessGraph.make(self.observed, (),
-                                [e for e in self.edges if e[0] in observed and e[1] in observed])
-        return not sub.is_acyclic
-
 
 @dataclass(frozen=True)
 class TimeSeriesGraph:
@@ -275,20 +268,8 @@ class Path:
         return self.vertices[-1]
 
     @property
-    def is_empty(self) -> bool:
-        return len(self.vertices) == 1
-
-    @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.vertices, self.vertices[1:]))
-
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    def validate(self, graph: ProcessGraph) -> None:
-        for a, b in self.edges:
-            if not graph.has_edge(a, b):
-                raise GraphValidationError(f"path uses non-edge ({a!r}, {b!r})")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -312,10 +293,6 @@ class Trek:
     def target(self) -> str:
         """Endpoint of the right side (the trek runs to here)."""
         return self.right.target
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(dict.fromkeys(self.left.edges + self.right.edges))
 
 
 def enumerate_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:

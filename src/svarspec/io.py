@@ -1,14 +1,18 @@
-"""File formats: graphs, parameters, spectrum bundles, certificates, series.
+"""Every file the package reads or writes, and the JSON form of exact values.
 
 Everything structured is JSON with sorted keys and a trailing newline, so
 identical inputs produce byte-identical files.  Exact rational coefficients
-travel as strings "p/q"; decimal notation is rejected on load.  Series are
-columnar text with a label header row.
+travel as strings "p/q"; decimal notation is rejected on load.  A rational
+function is the coefficient lists of its numerator and denominator, made
+canonical again on load, and a matrix adds its row and column labels.
+Series are columnar text with a label header row.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -16,9 +20,9 @@ import numpy as np
 
 from .graph import (GraphValidationError, LfhtcTriple, ProcessGraph,
                     TimeSeriesGraph)
-from .identify import (IdentificationCertificate, IdentificationStep)
-from .ratfield import coeff_from_str, coeff_to_str, ratfn_from_dict, ratfn_to_dict
-from .ratlinalg import matrix_from_dict, matrix_to_dict
+from .identify import Cpdag, IdentificationCertificate, IdentificationStep
+from .ratfield import Poly, RatFn
+from .ratlinalg import RatMatrix
 from .simulate import SeriesSample, SpectrumEstimate
 from .svar import SpectrumBundle, SvarParams
 
@@ -37,9 +41,46 @@ def _load(path: str | Path) -> dict:
     return data
 
 
+def digest(path) -> str:
+    """The first 16 hex digits of a file's SHA-256: how a run report names its inputs."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
 def _is_lag(k) -> bool:
     """Whether k is a JSON integer: `int` would truncate 1.7, and `True` is an int."""
     return isinstance(k, int) and not isinstance(k, bool)
+
+
+# -- exact values ----------------------------------------------------------------------
+
+
+def _exact(s: str) -> Fraction:
+    if not isinstance(s, str) or "." in s or "e" in s.lower():
+        raise ValueError(f"coefficient {s!r} is not an exact rational string 'p/q'")
+    return Fraction(s)
+
+
+def ratfn_to_dict(r: RatFn) -> dict:
+    return {"num": [str(c) for c in r.num.coeffs], "den": [str(c) for c in r.den.coeffs]}
+
+
+def ratfn_from_dict(data: dict) -> RatFn:
+    return RatFn(Poly([_exact(s) for s in data["num"]]), Poly([_exact(s) for s in data["den"]]))
+
+
+def matrix_to_dict(matrix: RatMatrix) -> dict:
+    return {
+        "rows": list(matrix.row_labels),
+        "cols": list(matrix.col_labels),
+        "entries": [[ratfn_to_dict(e) for e in row] for row in matrix.entries],
+    }
+
+
+def matrix_from_dict(data: dict) -> RatMatrix:
+    return RatMatrix(
+        data["rows"], data["cols"],
+        [[ratfn_from_dict(e) for e in row] for row in data["entries"]],
+    )
 
 
 # -- graphs -------------------------------------------------------------------------
@@ -114,15 +155,15 @@ def load_graph(path) -> TimeSeriesGraph:
 def params_to_dict(params: SvarParams) -> dict:
     return {
         "cross": [
-            {"from": a, "to": b, "lag": k, "coeff": coeff_to_str(c)}
+            {"from": a, "to": b, "lag": k, "coeff": str(c)}
             for (a, b, k), c in sorted(params.cross.items())
         ],
         "auto": [
-            {"vertex": v, "lag": k, "coeff": coeff_to_str(c)}
+            {"vertex": v, "lag": k, "coeff": str(c)}
             for (v, k), c in sorted(params.auto.items())
         ],
         "noise": [
-            {"vertex": v, "variance": coeff_to_str(w)}
+            {"vertex": v, "variance": str(w)}
             for v, w in sorted(params.noise.items())
         ],
     }
@@ -137,14 +178,14 @@ def _lag(entry: dict) -> int:
 
 def params_from_dict(data: dict) -> SvarParams:
     cross = {
-        (e["from"], e["to"], _lag(e)): coeff_from_str(e["coeff"])
+        (e["from"], e["to"], _lag(e)): _exact(e["coeff"])
         for e in data.get("cross", [])
     }
     auto = {
-        (e["vertex"], _lag(e)): coeff_from_str(e["coeff"])
+        (e["vertex"], _lag(e)): _exact(e["coeff"])
         for e in data.get("auto", [])
     }
-    noise = {e["vertex"]: coeff_from_str(e["variance"]) for e in data.get("noise", [])}
+    noise = {e["vertex"]: _exact(e["variance"]) for e in data.get("noise", [])}
     return SvarParams(cross=cross, auto=auto, noise=noise)
 
 
@@ -243,6 +284,21 @@ def save_certificate(cert: IdentificationCertificate, path) -> None:
 
 def load_certificate(path) -> IdentificationCertificate:
     return certificate_from_dict(_load(path))
+
+
+# -- discovered CPDAGs -------------------------------------------------------------------------------
+
+
+def cpdag_to_dict(cpdag: Cpdag) -> dict:
+    return {
+        "nodes": list(cpdag.nodes),
+        "directed": sorted(f"{a}->{b}" for a, b in cpdag.directed),
+        "undirected": sorted("--".join(sorted(e)) for e in cpdag.undirected),
+    }
+
+
+def save_cpdag(cpdag: Cpdag, path) -> None:
+    _dump(cpdag_to_dict(cpdag), path)
 
 
 # -- series and estimates -------------------------------------------------------------------------------

@@ -582,41 +582,3 @@ class RatFn:
 R_ZERO = RatFn(P_ZERO)
 R_ONE = RatFn(P_ONE)
 
-
-def poly(coeffs: Sequence[Coeff]) -> Poly:
-    return Poly(coeffs)
-
-
-def rat(num: Sequence[Coeff] | Coeff, den: Sequence[Coeff] | Coeff = (1,)) -> RatFn:
-    num = Poly(num) if isinstance(num, (tuple, list)) else Poly((num,))
-    den = Poly(den) if isinstance(den, (tuple, list)) else Poly((den,))
-    return RatFn(num, den)
-
-
-# -- serialization: coefficients as exact "p/q" strings --------------------------------
-
-
-def coeff_to_str(c: Fraction) -> str:
-    return str(c)
-
-
-def coeff_from_str(s: str) -> Fraction:
-    if not isinstance(s, str) or "." in s or "e" in s.lower():
-        raise ValueError(f"coefficient {s!r} is not an exact rational string 'p/q'")
-    return Fraction(s)
-
-
-def poly_to_strings(f: Poly) -> list[str]:
-    return [coeff_to_str(c) for c in f.coeffs]
-
-
-def poly_from_strings(parts: Sequence[str]) -> Poly:
-    return Poly([coeff_from_str(s) for s in parts])
-
-
-def ratfn_to_dict(r: RatFn) -> dict:
-    return {"num": poly_to_strings(r.num), "den": poly_to_strings(r.den)}
-
-
-def ratfn_from_dict(d: dict) -> RatFn:
-    return RatFn(poly_from_strings(d["num"]), poly_from_strings(d["den"]))

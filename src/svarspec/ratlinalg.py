@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .ratfield import (MOD_PRIME, P_ONE, P_ZERO, Poly, R_ONE, R_ZERO, RatFn,
-                       poly_lcm, ratfn_from_dict, ratfn_to_dict)
+                       poly_lcm)
 
 Labels = Sequence[str]
 
@@ -176,10 +176,6 @@ class RatMatrix:
             self.row_labels, self.col_labels,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
         )
-
-    def scale(self, c: RatFn) -> RatMatrix:
-        return RatMatrix(self.row_labels, self.col_labels,
-                         [[c * e for e in row] for row in self.entries])
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.col_labels != other.row_labels:
@@ -377,20 +373,3 @@ def matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[l
     columns = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % P for col in columns] for row in a]
 
-
-# -- serialization -------------------------------------------------------------------
-
-
-def matrix_to_dict(matrix: RatMatrix) -> dict:
-    return {
-        "rows": list(matrix.row_labels),
-        "cols": list(matrix.col_labels),
-        "entries": [[ratfn_to_dict(e) for e in row] for row in matrix.entries],
-    }
-
-
-def matrix_from_dict(d: dict) -> RatMatrix:
-    return RatMatrix(
-        d["rows"], d["cols"],
-        [[ratfn_from_dict(e) for e in row] for row in d["entries"]],
-    )

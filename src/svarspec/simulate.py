@@ -66,9 +66,6 @@ class SeriesSample:
     def length(self) -> int:
         return self.values.shape[0]
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.labels.index(label)]
-
 
 @dataclass(frozen=True)
 class SpectrumEstimate:

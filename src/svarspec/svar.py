@@ -109,7 +109,8 @@ class SvarParams:
                 raise ParameterError(
                     f"auto-coefficient stability violated at {v!r}: sum of |phi| = {total} >= 1"
                 )
-        if tsg.base.observed_subgraph_cyclic():
+        # latent vertices have in-degree 0, so every directed cycle is observed
+        if not tsg.base.is_acyclic:
             observed = set(tsg.base.observed)
             total = sum(
                 abs(c) for (a, b, k), c in self.cross.items()
@@ -539,7 +540,7 @@ def sample_stable_params(tsg: TimeSeriesGraph, seed: int,
             scale = limit / total
             for k in tsg.auto_lags[v]:
                 auto[(v, k)] *= scale
-    if tsg.base.observed_subgraph_cyclic():
+    if not tsg.base.is_acyclic:  # every cycle is observed: latents have no parents
         observed = set(tsg.base.observed)
         keys = [key for key in cross if key[0] in observed and key[1] in observed]
         total = sum(abs(cross[key]) for key in keys)

@@ -14,14 +14,37 @@ determinant expansions in `svar_reference` are checked against:
 - `latent_factor_half_treks` lists the half-treks of the criterion, and
   `minimal_halftrek_subsystem` reduces a half-trek system to a minimal,
   source-orderable one.
+
+`is_empty`, `vertex_set`, `validate_path` and `trek_edges` are the views of
+a `Path` or `Trek` that only these searches and the tests need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from svarspec.graph import (Edge, Path, ProcessGraph, Trek, _require_labels,
-                            enumerate_paths, enumerate_treks)
+from svarspec.graph import (Edge, GraphValidationError, Path, ProcessGraph, Trek,
+                            _require_labels, enumerate_paths, enumerate_treks)
+
+
+def is_empty(path: Path) -> bool:
+    """Whether the path visits one vertex and takes no edge."""
+    return len(path.vertices) == 1
+
+
+def vertex_set(path: Path) -> frozenset[str]:
+    return frozenset(path.vertices)
+
+
+def validate_path(path: Path, graph: ProcessGraph) -> None:
+    for a, b in path.edges:
+        if not graph.has_edge(a, b):
+            raise GraphValidationError(f"path uses non-edge ({a!r}, {b!r})")
+
+
+def trek_edges(trek: Trek) -> tuple[Edge, ...]:
+    """The edges of both sides, each once, left side first."""
+    return tuple(dict.fromkeys(trek.left.edges + trek.right.edges))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -77,7 +100,7 @@ class TrekSystem:
         return tuple(t.target for t in self.treks)
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(e for t in self.treks for e in t.edges)
+        return frozenset(e for t in self.treks for e in trek_edges(t))
 
 
 def _system_search(sources, targets, candidates, disjoint_ok):
@@ -109,9 +132,9 @@ def _system_search(sources, targets, candidates, disjoint_ok):
 def _sided_disjoint(chosen, trek: Trek) -> bool:
     """Whether trek's left side avoids every chosen left side, and its right
     side every chosen right side."""
-    lv, rv = trek.left.vertex_set(), trek.right.vertex_set()
+    lv, rv = vertex_set(trek.left), vertex_set(trek.right)
     return all(
-        lv.isdisjoint(t.left.vertex_set()) and rv.isdisjoint(t.right.vertex_set())
+        lv.isdisjoint(vertex_set(t.left)) and rv.isdisjoint(vertex_set(t.right))
         for _, t in chosen
     )
 
@@ -132,8 +155,8 @@ def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem,
     _require_labels(graph, X + Y)
 
     def disjoint_ok(chosen, path: Path) -> bool:
-        pv = path.vertex_set()
-        return all(pv.isdisjoint(p.vertex_set()) for _, p in chosen)
+        pv = vertex_set(path)
+        return all(pv.isdisjoint(vertex_set(p)) for _, p in chosen)
 
     return tuple(
         PathSystem(paths, sign)
@@ -162,11 +185,11 @@ def latent_factor_half_treks(graph: ProcessGraph, a: str, b: str,
     """Treks from a to b whose left side is empty (a directed path) or a single
     latent edge l -> a with l outside `avoid`."""
     out = [Trek(a, Path((a,)), path) for path in enumerate_paths(graph, a, b)
-           if allow_trivial or not path.is_empty]
+           if allow_trivial or not is_empty(path)]
     for l in graph.pa_latent(a):
         if l not in avoid:
             out.extend(Trek(l, Path((l, a)), right)
-                       for right in enumerate_paths(graph, l, b) if not right.is_empty)
+                       for right in enumerate_paths(graph, l, b) if not is_empty(right))
     return tuple(sorted(out))
 
 
@@ -178,7 +201,7 @@ def _source_orderable(treks: tuple[Trek, ...]) -> bool:
     sources = [t.source for t in treks]
     visit: dict[int, set[int]] = {i: set() for i in range(len(treks))}
     for i, t in enumerate(treks):
-        vs = t.left.vertex_set() | t.right.vertex_set()
+        vs = vertex_set(t.left) | vertex_set(t.right)
         for j, s in enumerate(sources):
             if j != i and s in vs:
                 visit[i].add(j)  # j must come before i
@@ -194,7 +217,7 @@ def _source_orderable(treks: tuple[Trek, ...]) -> bool:
 
 
 def _is_lf_half_trek(trek: Trek, latents: frozenset[str]) -> bool:
-    if trek.left.is_empty:
+    if is_empty(trek.left):
         return True
     return len(trek.left.vertices) == 2 and trek.top in latents
 
@@ -211,8 +234,8 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
     graph.require_acyclic()
     latents = frozenset(graph.latent)
     for trek in system.treks:
-        trek.left.validate(graph)
-        trek.right.validate(graph)
+        validate_path(trek.left, graph)
+        validate_path(trek.right, graph)
         if not _is_lf_half_trek(trek, latents):
             raise ValueError(f"trek {trek} is not a latent-factor half-trek")
     sources = tuple(sorted(system.sources))
@@ -233,5 +256,5 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
             valid.append(TrekSystem(treks, sign))
     if not valid:
         raise ValueError("input system admits no orderable half-trek subsystem")
-    valid.sort(key=lambda s: (sum(len(t.edges) for t in s.treks), s.treks))
+    valid.sort(key=lambda s: (sum(len(trek_edges(t)) for t in s.treks), s.treks))
     return valid[0]

@@ -28,7 +28,7 @@ from svarspec.svar import (SpectrumBundle, SvarParams, _auto_denominator,
                            link_function, transfer_matrix)
 
 from graph_reference import (nonintersecting_path_systems,
-                             sided_nonintersecting_trek_systems)
+                             sided_nonintersecting_trek_systems, validate_path)
 
 
 def unit_inverse(M: RatMatrix) -> RatMatrix:
@@ -106,7 +106,7 @@ def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
 def path_function(tsg: TimeSeriesGraph, params: SvarParams, path: Path,
                   H: RatMatrix | None = None) -> RatFn:
     """Product of the link functions along a path; the empty path gives 1."""
-    path.validate(tsg.base)
+    validate_path(path, tsg.base)
     out = R_ONE
     for a, b in path.edges:
         out = out * (H.entry(a, b) if H is not None else link_function(tsg, params, a, b))

@@ -17,7 +17,7 @@ from svarspec.identify import (LinkRecoveryError, discover_cpdag,
                                dsep_ci_oracle, identify_all,
                                identify_instrument, recover_lag_coefficients,
                                spectral_ci_oracle)
-from svarspec.ratfield import Poly, RatFn, rat
+from svarspec.ratfield import Poly, RatFn
 from svarspec.ratlinalg import RatMatrix, det, solve_many
 from svarspec.svar import (SvarParams, generic_rank, sample_stable_params,
                            spectrum, spectrum_trek, transfer_matrix)
@@ -307,7 +307,7 @@ def test_criterion_09_coefficient_round_trip():
                 recovered += 1
         # a cancelling pair (zero resultant) must be flagged
         c, r = Fraction(1, 3), Fraction(1, 2)
-        cancelled = rat([c, -c * r], [1, -r])
+        cancelled = RatFn([c, -c * r], [1, -r])
         with pytest.raises(LinkRecoveryError):
             recover_lag_coefficients(cancelled, cross_lags=(0, 1), auto_lags=(1,))
 

@@ -302,6 +302,7 @@ README_SHA256 = {
     "cert_params.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
     "cert_spectrum.json": "28ccea9bfcd78429aa43e363fe846aa19ace6fe667a2cde98376714fc5936fe7",
     "series.txt": "2d1125ac4a3397702c0bb727adf130a5344b40987e3693f36af8666976f59565",
+    "cpdag.json": "1c05cf34767aee19b06de621ac2ad58245921868a4141e39f8d577af007c6da3",
 }
 
 
@@ -315,7 +316,8 @@ def test_readme_outputs_byte_identical(capsys, tmp_path, instrument_tsg):
                  ["identify", "--spectrum", str(out["bundle.json"]),
                   "--out", str(out["cert_spectrum.json"])],
                  ["simulate", "--params", str(params), "--length", "65536", "--seed", "5",
-                  "--out", str(out["series.txt"])]):
+                  "--out", str(out["series.txt"])],
+                 ["discover", "--params", str(params), "--out", str(out["cpdag.json"])]):
         code, _ = run(capsys, argv[0], "--graph", str(graph), *argv[1:])
         assert code == EXIT_OK
     assert {name: hashlib.sha256(path.read_bytes()).hexdigest()

@@ -16,10 +16,10 @@ from svarspec.graph import (CyclicGraphError, GraphValidationError,
                             t_separation_min, _half_trek_linked)
 
 from conftest import random_dag, random_latent_dag
-from graph_reference import (TrekSystem, latent_factor_half_treks,
+from graph_reference import (TrekSystem, is_empty, latent_factor_half_treks,
                              minimal_halftrek_subsystem, nonintersecting_path_systems,
-                             sided_nonintersecting_trek_systems, _sided_disjoint,
-                             _system_search)
+                             sided_nonintersecting_trek_systems, trek_edges, vertex_set,
+                             _sided_disjoint, _system_search)
 
 
 # -- construction invariants -----------------------------------------------------
@@ -59,6 +59,28 @@ def test_acyclicity_flag_matches_topological_sort():
     with pytest.raises(CyclicGraphError):
         cyc.topological_order()
 
+
+def _observed_subgraph_cyclic(graph: ProcessGraph) -> bool:
+    """The cycle test parameter validation used before: observed edges only."""
+    observed = set(graph.observed)
+    sub = ProcessGraph.make(graph.observed, (),
+                            [e for e in graph.edges if e[0] in observed and e[1] in observed])
+    return not sub.is_acyclic
+
+
+def test_every_cycle_is_observed():
+    # latent vertices have in-degree 0, so no directed cycle passes through one
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(200):
+        observed = [f"x{i}" for i in range(rng.randint(2, 6))]
+        latent = [f"l{i}" for i in range(rng.randint(0, 3))]
+        edges = [(a, b) for a in observed for b in observed if a != b and rng.random() < 0.2]
+        edges += [(l, v) for l in latent for v in observed if rng.random() < 0.6]
+        g = ProcessGraph.make(observed, latent, edges)
+        assert _observed_subgraph_cyclic(g) == (not g.is_acyclic)
+        verdicts.add((g.is_acyclic, bool(latent)))
+    assert len(verdicts) == 4  # cyclic and acyclic, each with and without latents
 
 def test_tsg_lag_validation():
     g = ProcessGraph.make(["a", "b"], [], [("a", "b")])
@@ -290,7 +312,7 @@ def test_identity_path_system_on_isolated_vertices():
     systems = nonintersecting_path_systems(g, ["a", "b"], ["a", "b"])
     assert len(systems) == 1
     assert systems[0].sign == 1
-    assert all(p.is_empty for p in systems[0].paths)
+    assert all(is_empty(p) for p in systems[0].paths)
 
 
 def test_shared_middle_vertex_blocks_all_systems():
@@ -308,7 +330,7 @@ def _brute_force_path_systems(g, X, Y):
         if len(set(targets)) != len(targets):
             continue
         for chosen in product(*[path_sets[x][t] for x, t in zip(X, targets)]):
-            vsets = [p.vertex_set() for p in chosen]
+            vsets = [vertex_set(p) for p in chosen]
             if all(a.isdisjoint(b) for a, b in combinations(vsets, 2)):
                 out.append((tuple(chosen), _sign_of(perm)))
     return out
@@ -350,8 +372,8 @@ def _brute_force_trek_systems(g, X, Y):
         if len(set(targets)) != len(targets):
             continue
         for chosen in product(*[trek_sets[x][t] for x, t in zip(X, targets)]):
-            lefts = [t.left.vertex_set() for t in chosen]
-            rights = [t.right.vertex_set() for t in chosen]
+            lefts = [vertex_set(t.left) for t in chosen]
+            rights = [vertex_set(t.right) for t in chosen]
             if all(a.isdisjoint(b) for a, b in combinations(lefts, 2)) and \
                all(a.isdisjoint(b) for a, b in combinations(rights, 2)):
                 out.append((tuple(chosen), _sign_of(perm)))
@@ -554,12 +576,12 @@ def _reference_treks_between(graph: ProcessGraph, X, Y) -> list[Trek]:
 
 def reference_t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
     Z_X, Z_Y = frozenset(Z_X), frozenset(Z_Y)
-    return all(t.left.vertex_set() & Z_X or t.right.vertex_set() & Z_Y
+    return all(vertex_set(t.left) & Z_X or vertex_set(t.right) & Z_Y
                for t in _reference_treks_between(graph, X, Y))
 
 
 def reference_t_separation_min(graph: ProcessGraph, X, Y):
-    sides = [(t.left.vertex_set(), t.right.vertex_set())
+    sides = [(vertex_set(t.left), vertex_set(t.right))
              for t in _reference_treks_between(graph, X, Y)]
     for total in range(min(len(set(X)), len(set(Y))) + 1):
         for left_size in range(total + 1):
@@ -787,7 +809,7 @@ def test_minimal_subsystem_excises_source_revisit():
     system = TrekSystem((Trek("l", Path(("l", "x")), Path(("l", "x", "y"))),), 1)
     reduced = minimal_halftrek_subsystem(g, system)
     assert reduced.treks == (Trek("x", Path(("x",)), Path(("x", "y"))),)
-    assert reduced.treks[0].edges == (("x", "y"),)  # edge subset of the input
+    assert trek_edges(reduced.treks[0]) == (("x", "y"),)  # edge subset of the input
 
 
 def test_minimal_subsystem_rejects_non_half_trek(instrument_graph):
@@ -802,4 +824,4 @@ def test_latent_factor_half_trek_shapes(confounded_chain_graph):
     shapes = {(t.top, t.left.vertices, t.right.vertices) for t in treks}
     assert ("v2", ("v2",), ("v2", "v3", "v4")) in shapes
     assert ("l", ("l", "v2"), ("l", "v4")) in shapes
-    assert all(t.left.is_empty or (len(t.left.vertices) == 2 and t.top == "l") for t in treks)
+    assert all(is_empty(t.left) or (len(t.left.vertices) == 2 and t.top == "l") for t in treks)

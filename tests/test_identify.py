@@ -18,7 +18,7 @@ from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
                                identify_instrument, identify_regression,
                                lfhtc_identify_step, recover_lag_coefficients,
                                replay_certificate, spectral_ci_oracle)
-from svarspec.ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction, rat
+from svarspec.ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction
 from svarspec.ratlinalg import RatMatrix, SingularMatrixError
 from svarspec.svar import (SvarParams, conditional_spectrum,
                            sample_stable_params, spectrum, transfer_matrix)
@@ -225,7 +225,7 @@ def test_certificate_replay(confounded_chain_graph, confounded_chain_tsg):
 
 def test_recover_direct_read_off():
     a0, a1, b = Fraction(1, 3), Fraction(2, 7), Fraction(2, 5)
-    h = rat([a0, a1], [1, -b])
+    h = RatFn([a0, a1], [1, -b])
     cross, auto = recover_lag_coefficients(h)
     assert cross == {0: a0, 1: a1}
     assert auto == {1: b}
@@ -256,14 +256,14 @@ def test_recover_round_trip_on_sampled_edges():
 def test_recover_flags_cancelled_representation():
     # numerator shares the root of the denominator: the quotient collapses
     c, b = Fraction(1, 3), Fraction(1, 2)
-    h = rat([c, -c * b], [1, -b])
-    assert h == rat(c)  # cancellation happened
+    h = RatFn([c, -c * b], [1, -b])
+    assert h == RatFn(c)  # cancellation happened
     with pytest.raises(LinkRecoveryError):
         recover_lag_coefficients(h, cross_lags=(0, 1), auto_lags=(1,))
 
 
 def test_recover_zero_constant_denominator_flagged():
-    h = RatFn(rat([1, 1]).num, rat([0, 1]).num)  # denominator z
+    h = RatFn(RatFn([1, 1]).num, RatFn([0, 1]).num)  # denominator z
     with pytest.raises(LinkRecoveryError):
         recover_lag_coefficients(h)
 
@@ -458,9 +458,9 @@ def test_oracle_falls_back_when_the_point_is_a_pole(monkeypatch, chain_tsg):
 def test_oracle_falls_back_when_the_conditioning_block_is_singular_at_the_point(monkeypatch):
     # S[c, c] = z - 5 vanishes at z0 = 5 only, and S[x, y] - S[x, c] S[c, y] / S[c, c] = 0
     monkeypatch.setattr(identify_module, "EVAL_POINT", 5)
-    one, root = rat(1), rat([-5, 1])
+    one, root = RatFn(1), RatFn([-5, 1])
     S = RatMatrix(["c", "x", "y"], ["c", "x", "y"],
-                  [[root, one, root], [one, rat(2), one], [root, one, rat(3)]])
+                  [[root, one, root], [one, RatFn(2), one], [root, one, RatFn(3)]])
     assert S.eval_mod(5)[0][0] == 0
     assert spectral_ci_oracle(S)({"x"}, {"y"}, {"c"}) is True
     _oracle_against_reference(S)

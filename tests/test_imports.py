@@ -1,4 +1,5 @@
-"""Source check: no module of the package imports a name it never uses.
+"""Source checks: no module of the package imports a name it never uses, and
+only `io` touches a file or knows a file format.
 
 Code that moves out of a module (to another module, or to a test oracle)
 tends to leave its imports behind; pyflakes would catch them, but the check
@@ -65,3 +66,47 @@ def f(x: "Fraction") -> Path:
                                           if p.name != "__init__.py"))
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_access(source: str) -> list[str]:
+    """The file reads and writes `source` calls and the dict codecs
+    (`*_to_dict`, `*_from_dict`) it defines, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                found.add(f"{name}()")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.endswith(("_to_dict", "_from_dict")):
+                found.add(f"def {node.name}")
+    return sorted(found)
+
+
+def test_file_access_finds_reads_writes_and_codecs():
+    source = '''
+import json
+from pathlib import Path
+
+def matrix_to_dict(m):
+    return {"rows": m.rows}
+
+def save(data, path):
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    Path(path).write_text(json.dumps(data))
+    return Path(path).read_bytes(), dict(data), data.to_dict()
+'''
+    assert file_access(source) == ["def matrix_to_dict", "open()", "read_bytes()",
+                                   "write_text()"]
+
+
+# io is the one module that reads or writes files and holds their formats.
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "io.py"))
+def test_only_io_touches_files(module):
+    assert file_access((PACKAGE / module).read_text()) == []

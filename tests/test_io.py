@@ -1,5 +1,7 @@
 """Round trips and validation for the file formats."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,30 @@ import series_reference
 from svarspec import io as sio
 from svarspec.graph import GraphValidationError
 from svarspec.identify import identify_all
+from svarspec.ratlinalg import RatMatrix
 from svarspec.simulate import SeriesSample, estimate_spectrum, simulate_series
 from svarspec.svar import sample_stable_params, spectrum
+
+from conftest import random_ratfn
+
+
+def test_ratfn_serialization_round_trip():
+    rng = random.Random(12)
+    for _ in range(50):
+        r = random_ratfn(rng)
+        assert sio.ratfn_from_dict(sio.ratfn_to_dict(r)) == r
+
+
+def test_serialization_rejects_decimal_strings():
+    with pytest.raises(ValueError):
+        sio.ratfn_from_dict({"num": ["0.5"], "den": ["1"]})
+
+
+def test_matrix_serialization_round_trip():
+    rng = random.Random(15)
+    M = RatMatrix(["r0", "r1"], ["c0", "c1", "c2"],
+                  [[random_ratfn(rng, max_degree=2) for _ in range(3)] for _ in range(2)])
+    assert sio.matrix_from_dict(sio.matrix_to_dict(M)) == M
 
 
 def test_graph_round_trip(tmp_path, instrument_tsg):

@@ -124,7 +124,7 @@ def test_latents_are_simulated(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=5)
     s = simulate_series(instrument_tsg, p, length=1000, burn_in=100, seed=5)
     assert s.labels == ("l", "u", "v", "w")
-    assert s.column("l").std() > 0
+    assert s.values[:, s.labels.index("l")].std() > 0
 
 
 def random_simulation_instance(seed: int, kind: str, order: int) -> TimeSeriesGraph:

@@ -16,7 +16,7 @@ from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             count_treks, t_separation_min)
 from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
-                               R_ZERO, RatFn, UnluckyReduction, rat)
+                               R_ZERO, RatFn, UnluckyReduction)
 from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
 from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
                            conditional_spectrum,
@@ -61,7 +61,7 @@ def test_link_function_quotient_shape(instrument_tsg):
     a0 = p.cross[("u", "v", 0)]
     a1 = p.cross[("u", "v", 1)]
     b = p.auto[("v", 1)]
-    assert link_function(instrument_tsg, p, "u", "v") == rat([a0, a1], [1, -b])
+    assert link_function(instrument_tsg, p, "u", "v") == RatFn([a0, a1], [1, -b])
 
 
 def test_link_function_denominator_one_without_auto_lags():
@@ -95,7 +95,7 @@ def test_internal_spectrum_constant_without_auto_lags():
     tsg = TimeSeriesGraph.make(g, {})
     p = SvarParams.make({}, {}, {"a": Fraction(5, 3)})
     S_I = internal_spectrum(tsg, p)
-    assert S_I.entry("a", "a") == rat(Fraction(5, 3))
+    assert S_I.entry("a", "a") == RatFn(Fraction(5, 3))
 
 
 def test_internal_spectrum_unit_circle_formula(instrument_tsg):
@@ -157,7 +157,7 @@ def test_spectrum_single_vertex():
     tsg = TimeSeriesGraph.make(g, {})
     p = SvarParams.make({}, {}, {"a": Fraction(2)})
     b = spectrum(tsg, p)
-    assert b.S.entry("a", "a") == rat(2)
+    assert b.S.entry("a", "a") == RatFn(2)
 
 
 def test_spectrum_instrument_graph_identities(instrument_tsg):
@@ -220,9 +220,9 @@ def test_spectrum_on_cyclic_observed_graph():
 def test_unit_inverse_reads_nilpotency_off_the_zero_pattern():
     # a cyclic support is not nilpotent: a truncated geometric sum gives 7/6 at [a, a]
     ab = ["a", "b"]
-    M = RatMatrix(ab, ab, [[R_ZERO, rat(Fraction(1, 2))], [rat(Fraction(1, 3)), R_ZERO]])
+    M = RatMatrix(ab, ab, [[R_ZERO, RatFn(Fraction(1, 2))], [RatFn(Fraction(1, 3)), R_ZERO]])
     assert unit_inverse(M) == inverse(RatMatrix.identity(ab) - M)
-    assert unit_inverse(M).entry("a", "a") == rat(Fraction(6, 5))
+    assert unit_inverse(M).entry("a", "a") == RatFn(Fraction(6, 5))
     # a strictly upper triangular support is nilpotent
     rng = random.Random(36)
     labels = ["a", "b", "c", "d"]
