@@ -2,9 +2,10 @@
 
 Everything structured is JSON with sorted keys and a trailing newline, so
 identical inputs produce byte-identical files.  Exact rational coefficients
-travel as strings "p/q"; decimal notation is rejected on load.  A rational
-function is the coefficient lists of its numerator and denominator, made
-canonical again on load, and a matrix adds its row and column labels.
+travel as strings "p/q" in lowest terms, read and written as integer pairs;
+decimal notation is rejected on load.  A rational function is the
+coefficient lists of its numerator and denominator, made canonical again on
+load, and a matrix adds its row and column labels.
 Series are columnar text with a label header row.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -21,7 +24,7 @@ import numpy as np
 from .graph import (GraphValidationError, LfhtcTriple, ProcessGraph,
                     TimeSeriesGraph)
 from .identify import Cpdag, IdentificationCertificate, IdentificationStep
-from .ratfield import Poly, RatFn
+from .ratfield import Poly, RatFn, _from_ratios, _new
 from .ratlinalg import RatMatrix
 from .simulate import SeriesSample, SpectrumEstimate
 from .svar import SpectrumBundle, SvarParams
@@ -54,18 +57,65 @@ def _is_lag(k) -> bool:
 # -- exact values ----------------------------------------------------------------------
 
 
+#: The writers' form (an integer, or p/q in lowest terms with q > 1), which
+#: `_ratio` reads as two integers wherever it matches.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _exact(s: str) -> Fraction:
     if not isinstance(s, str) or "." in s or "e" in s.lower():
         raise ValueError(f"coefficient {s!r} is not an exact rational string 'p/q'")
     return Fraction(s)
 
 
+def _ratio(s: str) -> tuple[int, int]:
+    """The exact coefficient string s as (p, q) with q > 0, not always in lowest terms.
+
+    The writers' form is read as two integers; any other string, a zero
+    denominator included, goes through `_exact`, which raises as `Fraction`
+    does or accepts what it accepts.
+    """
+    m = _RATIO.fullmatch(s) if isinstance(s, str) else None
+    if m is not None:
+        p, q = m.groups()
+        q = int(q) if q else 1
+        if q:
+            return int(p), q
+    f = _exact(s)
+    return f.numerator, f.denominator
+
+
+def _labels(value, what: str, error: type[ValueError] = ValueError) -> list[str]:
+    """value itself if it is a list of strings: a string would split into characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise error(f"{what} must be a list of label strings, got {value!r}")
+    return value
+
+
+def _coeff_strings(poly: Poly) -> list[str]:
+    """The coefficients of poly as `str` of their `Fraction`s, from the content
+    n/d and primitive integers a: gcd(n, d) = 1, so n*a/d reduces by gcd(a, d)."""
+    n, d = poly.c.numerator, poly.c.denominator
+    out = []
+    for a in poly.p:
+        g = math.gcd(a, d)
+        out.append(str(n * (a // d)) if g == d else f"{n * (a // g)}/{d // g}")
+    return out
+
+
+def _poly(coeffs) -> Poly:
+    if not isinstance(coeffs, list):
+        raise ValueError(f"coefficients must be a list of strings, got {coeffs!r}")
+    return _new(*_from_ratios([_ratio(s) for s in coeffs]))
+
+
 def ratfn_to_dict(r: RatFn) -> dict:
-    return {"num": [str(c) for c in r.num.coeffs], "den": [str(c) for c in r.den.coeffs]}
+    return {"num": _coeff_strings(r.num), "den": _coeff_strings(r.den)}
 
 
 def ratfn_from_dict(data: dict) -> RatFn:
-    return RatFn(Poly([_exact(s) for s in data["num"]]), Poly([_exact(s) for s in data["den"]]))
+    """Read a rational function; `RatFn` makes it canonical again."""
+    return RatFn(_poly(data["num"]), _poly(data["den"]))
 
 
 def matrix_to_dict(matrix: RatMatrix) -> dict:
@@ -78,7 +128,7 @@ def matrix_to_dict(matrix: RatMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> RatMatrix:
     return RatMatrix(
-        data["rows"], data["cols"],
+        _labels(data["rows"], "matrix rows"), _labels(data["cols"], "matrix cols"),
         [[ratfn_from_dict(e) for e in row] for row in data["entries"]],
     )
 
@@ -106,9 +156,7 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
     except KeyError as exc:
         raise GraphValidationError(f"graph file is missing key {exc.args[0]!r}") from None
     for key, labels in (("observed", observed), ("latent", latent)):
-        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-            raise GraphValidationError(
-                f"graph key {key!r} must be a list of label strings, got {labels!r}")
+        _labels(labels, f"graph key {key!r}", GraphValidationError)
     edges = []
     cross = {}
     for i, entry in enumerate(edge_entries):
@@ -178,14 +226,14 @@ def _lag(entry: dict) -> int:
 
 def params_from_dict(data: dict) -> SvarParams:
     cross = {
-        (e["from"], e["to"], _lag(e)): _exact(e["coeff"])
+        (e["from"], e["to"], _lag(e)): Fraction(*_ratio(e["coeff"]))
         for e in data.get("cross", [])
     }
     auto = {
-        (e["vertex"], _lag(e)): _exact(e["coeff"])
+        (e["vertex"], _lag(e)): Fraction(*_ratio(e["coeff"]))
         for e in data.get("auto", [])
     }
-    noise = {e["vertex"]: _exact(e["variance"]) for e in data.get("noise", [])}
+    noise = {e["vertex"]: Fraction(*_ratio(e["variance"])) for e in data.get("noise", [])}
     return SvarParams(cross=cross, auto=auto, noise=noise)
 
 
@@ -344,7 +392,7 @@ def estimate_from_dict(data: dict) -> SpectrumEstimate:
         np.array(m["real"]) + 1j * np.array(m["imag"]) for m in data["matrices"]
     ])
     return SpectrumEstimate(
-        labels=tuple(data["labels"]),
+        labels=tuple(_labels(data["labels"], "estimate labels")),
         frequencies=tuple(float(f) for f in data["frequencies"]),
         matrices=mats,
         segment_count=int(data["segment_count"]),

@@ -88,6 +88,13 @@ def _normalize(num: int, den: int, ints: list[int]) -> tuple[Fraction, tuple[int
     return Fraction(num * g, den), tuple(ints)
 
 
+def _from_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[Fraction, tuple[int, ...]]:
+    """The (content, primitive part) pair of the polynomial whose coefficient of
+    z^k is p/q for ratios[k] = (p, q), q > 0, with no `Fraction` per coefficient."""
+    den = math.lcm(*[q for _, q in ratios])
+    return _normalize(1, den, [p * (den // q) for p, q in ratios])
+
+
 def _new(c: Fraction, p: tuple[int, ...]) -> Poly:
     """Wrap a pair that is already normalized."""
     out = object.__new__(Poly)
@@ -127,9 +134,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
         fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*[f.denominator for f in fracs])
-        self.c, self.p = _normalize(
-            1, den, [f.numerator * (den // f.denominator) for f in fracs])
+        self.c, self.p = _from_ratios([(f.numerator, f.denominator) for f in fracs])
 
     # -- structure ---------------------------------------------------------
 
@@ -430,10 +435,15 @@ class RatFn:
         if g.degree > 0:
             num = num.divexact(g)
             den = den.divexact(g)
-        lead = den.c * den.p[-1]
-        if lead != 1:
+        self._set_coprime(num, den)
+
+    def _set_coprime(self, num: Poly, den: Poly) -> None:
+        """Store the coprime pair num/den, num nonzero, with the denominator made monic."""
+        c, top = den.c, den.p[-1]
+        if c.numerator != 1 or c.denominator != top:  # c in lowest terms, top > 0
+            lead = c * top
             num = _new(num.c / lead, num.p)
-            den = _new(Fraction(1, den.p[-1]), den.p)
+            den = _new(Fraction(1, top), den.p)
         self.num, self.den = num, den
 
     # -- structure ------------------------------------------------------------
@@ -513,14 +523,26 @@ class RatFn:
     # -- conjugation and evaluation ------------------------------------------------
 
     def conj(self) -> RatFn:
-        """The involution (f/g)* = (f*/g*) * z**(deg g - deg f)."""
+        """The involution (f/g)* = (f*/g*) * z**(deg g - deg f).
+
+        No gcd is needed: the pair is already coprime.  Write f = z^a f1 with
+        f1(0) != 0; then f* = z^(deg f1) f1(1/z), so f*(0) = lc(f) != 0 and the
+        roots of f* are the reciprocals of the nonzero roots of f, with their
+        multiplicities; likewise for g.  As f and g share no root, neither do
+        f* and g*, and since neither vanishes at 0 the power of z moved to one
+        side shares no factor with the other.  Only the denominator's leading
+        coefficient has to be made 1.
+        """
         if self.is_zero:
             return self
         fs, gs = self.num.conj(), self.den.conj()
         k = self.den.degree - self.num.degree
+        out = object.__new__(RatFn)
         if k >= 0:
-            return RatFn(fs.shift(k), gs)
-        return RatFn(fs, gs.shift(-k))
+            out._set_coprime(fs.shift(k), gs)
+        else:
+            out._set_coprime(fs, gs.shift(-k))
+        return out
 
     def __call__(self, point):
         d = self.den(point)

@@ -4,6 +4,8 @@ Every coefficient is a `Fraction` and every operation works on them one by
 one, with no integer representation and no modular arithmetic, so tests can
 compare `svarspec.ratfield` against it.  Rational functions are plain
 (num, den) pairs of `FracPoly`, brought to canonical form by `canonical`.
+`ratfn_to_dict` and `ratfn_from_dict` are the JSON codec of exact values as
+`svarspec.io` once wrote it, one `Fraction` per coefficient string.
 """
 
 from __future__ import annotations
@@ -129,3 +131,26 @@ def rat_mul(r, s):
 
 def rat_div(r, s):
     return canonical(r[0] * s[1], r[1] * s[0])
+
+
+# -- the JSON codec of rational functions -----------------------------------------
+
+
+def exact(s) -> Fraction:
+    """A coefficient string as `Fraction` parses it, decimals and exponents refused."""
+    if not isinstance(s, str) or "." in s or "e" in s.lower():
+        raise ValueError(f"coefficient {s!r} is not an exact rational string 'p/q'")
+    return Fraction(s)
+
+
+def ratfn_to_dict(r) -> dict:
+    """The coefficient strings of a `svarspec.ratfield.RatFn`, one `str(Fraction)` each."""
+    return {"num": [str(c) for c in r.num.coeffs], "den": [str(c) for c in r.den.coeffs]}
+
+
+def ratfn_from_dict(data: dict) -> tuple[FracPoly, FracPoly]:
+    num = FracPoly([exact(s) for s in data["num"]])
+    den = FracPoly([exact(s) for s in data["den"]])
+    if den.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    return canonical(num, den)

@@ -682,9 +682,9 @@ def test_targeted_input_files_map_to_exit_codes(tmp_path, valid_documents, mutat
 
 
 #: Malformed inputs that once loaded as something else and exited 0: a string
-#: of observed labels split into characters, a lag truncated or read from a
-#: bool, and a series or estimate naming one process twice (the latent l's
-#: column is read as u's).
+#: of labels or coefficients split into characters, a lag truncated or read
+#: from a bool, and a series or estimate naming one process twice (the latent
+#: l's column is read as u's).
 MISREAD_INPUTS = {
     "observed string": ("graph", lambda d: d.__setitem__("observed", "uvw")),
     "latent string": ("graph", lambda d: d.__setitem__("latent", "l")),
@@ -695,6 +695,11 @@ MISREAD_INPUTS = {
     "params lag true": ("params", lambda d: d["auto"][0].__setitem__("lag", True)),
     "series duplicate label": ("series", lambda rows: rows[0].__setitem__(0, "u")),
     "estimate duplicate label": ("estimate", lambda d: d["labels"].__setitem__(0, "u")),
+    "estimate labels string": ("estimate", lambda d: d.update(labels="".join(d["labels"]))),
+    "bundle rows string": ("bundle", lambda d: d["S"].update(rows="".join(d["S"]["rows"]))),
+    "bundle cols string": ("bundle", lambda d: d["S"].update(cols="".join(d["S"]["cols"]))),
+    "bundle coefficient string":  # read as 1 + 2z
+        ("bundle", lambda d: d["S"]["entries"][0][0].update(num="12", den=["1"])),
 }
 
 
@@ -703,13 +708,15 @@ def test_misread_inputs_exit_validation(capsys, tmp_path, valid_documents, case)
     kind, mutate = MISREAD_INPUTS[case]
     docs = json.loads(json.dumps(valid_documents))
     mutate(docs[kind])
-    for name in ("graph", "params", "estimate"):
+    for name in ("graph", "params", "bundle", "estimate"):
         (tmp_path / name).write_text(json.dumps(docs[name]))
     (tmp_path / "series").write_text(_series_text(docs["series"]))
     out = str(tmp_path / "out")
     argv = {"graph": ["validate", "--graph", str(tmp_path / "graph")],
             "params": ["spectrum", "--graph", str(tmp_path / "graph"),
                        "--params", str(tmp_path / "params"), "--out", out],
+            "bundle": ["identify", "--graph", str(tmp_path / "graph"),
+                       "--spectrum", str(tmp_path / "bundle"), "--out", out],
             "series": ["estimate", "--series", str(tmp_path / "series"),
                        "--frequencies", "2", "--segments", "16", "--out", out],
             "estimate": ["discover", "--graph", str(tmp_path / "graph"),

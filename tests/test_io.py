@@ -1,14 +1,19 @@
 """Round trips and validation for the file formats."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fraction_reference
 import series_reference
 from svarspec import io as sio
 from svarspec.graph import GraphValidationError
 from svarspec.identify import identify_all
+from svarspec.ratfield import Poly, RatFn
 from svarspec.ratlinalg import RatMatrix
 from svarspec.simulate import SeriesSample, estimate_spectrum, simulate_series
 from svarspec.svar import sample_stable_params, spectrum
@@ -26,6 +31,70 @@ def test_ratfn_serialization_round_trip():
 def test_serialization_rejects_decimal_strings():
     with pytest.raises(ValueError):
         sio.ratfn_from_dict({"num": ["0.5"], "den": ["1"]})
+
+
+#: Coefficient strings off the writers' form `-?[0-9]+(/[0-9]+)?`, or in it but
+#: not in lowest terms, or with a zero denominator.
+ODD_COEFFICIENTS = ["2/4", "-0", "007", " +3/4", "1/0", "0/0", "-0/7", "0.5", "1e3",
+                    "1E3", "-1/-2", "+5", "\t7\n", "1/", "/2", "", "-", "1_0", "inf",
+                    "nan", "\u0663", "\u0661/\u0662", "3/\u0664", "\u00b2", "12/1"]
+
+coefficient_strings = st.one_of(
+    st.sampled_from(ODD_COEFFICIENTS),
+    st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(0, 10**6)),
+    st.integers(-10**30, 10**30).map(str),
+    st.text(alphabet="0123456789-+/ .e_\u0663\u00b2", max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.lists(st.just("1"), max_size=1),
+)
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(coefficient_strings, max_size=4), st.lists(coefficient_strings, max_size=4))
+def test_coefficient_parser_matches_the_fraction_oracle(num, den):
+    for s in num + den:
+        parsed = _outcome(lambda v: Fraction(*sio._ratio(v)), s)
+        assert parsed == _outcome(fraction_reference.exact, s)
+    data = {"num": num, "den": den}
+    got = _outcome(sio.ratfn_from_dict, data)
+    expected = _outcome(fraction_reference.ratfn_from_dict, data)
+    if isinstance(got, RatFn):
+        got = (got.num.coeffs, got.den.coeffs)
+        expected = (expected[0].coeffs, expected[1].coeffs)
+    assert got == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**12), max_size=5),
+       st.lists(st.fractions(max_denominator=10**12), min_size=1, max_size=5))
+def test_coefficient_writer_matches_the_fraction_oracle(num, den):
+    assume(any(den))
+    r = RatFn(Poly(num), Poly(den))
+    assert sio.ratfn_to_dict(r) == fraction_reference.ratfn_to_dict(r)
+
+
+def test_written_files_never_reach_the_fallback_parser(tmp_path, monkeypatch, instrument_tsg):
+    params = sample_stable_params(instrument_tsg, seed=3)
+    bundle = spectrum(instrument_tsg, params)
+    sio.save_params(params, tmp_path / "p.json")
+    sio.save_bundle(bundle, tmp_path / "b.json")
+
+    def refuse(s):
+        raise AssertionError(f"{s!r} went through the Fraction parser")
+
+    monkeypatch.setattr(sio, "_exact", refuse)
+    assert sio.load_params(tmp_path / "p.json") == params
+    loaded = sio.load_bundle(tmp_path / "b.json")
+    for name in ("H", "S_I", "S_LI", "S"):
+        assert getattr(loaded, name) == getattr(bundle, name)
+    with pytest.raises(AssertionError, match="Fraction parser"):
+        sio.ratfn_from_dict({"num": ["2/4"], "den": [" 1"]})
 
 
 def test_matrix_serialization_round_trip():

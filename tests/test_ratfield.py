@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from svarspec import ratfield
 from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, NEG_INFINITY, P_ONE,
                                P_ZERO, Poly, PoleError, R_ONE, R_ZERO, RatFn,
                                UnluckyReduction, poly_gcd)
@@ -172,6 +173,41 @@ def test_rat_conj_well_defined_on_representatives():
         g = random_poly(rng, zero_ok=False)
         h = random_poly(rng, zero_ok=False)
         assert RatFn(f * h, g * h).conj() == RatFn(f, g).conj()
+
+
+def _conj_through_gcd(r: RatFn) -> RatFn:
+    """The conjugate's pair (f*/g*) z**(deg g - deg f), made canonical by `RatFn`."""
+    fs, gs = r.num.conj(), r.den.conj()
+    k = r.den.degree - r.num.degree
+    return RatFn(fs.shift(k), gs) if k >= 0 else RatFn(fs, gs.shift(-k))
+
+
+def test_rat_conj_equals_the_canonical_form_of_its_pair():
+    rng = random.Random(9)
+    signs = set()
+    for _ in range(300):
+        # powers of z on either side give zero low coefficients before canonicalisation
+        f = random_poly(rng, zero_ok=False).shift(rng.randint(0, 2))
+        g = random_poly(rng, zero_ok=False).shift(rng.randint(0, 2))
+        r = RatFn(f, g)
+        got, expected = r.conj(), _conj_through_gcd(r)
+        assert (got.num.c, got.num.p, got.den.c, got.den.p) == \
+            (expected.num.c, expected.num.p, expected.den.c, expected.den.p)
+        signs.add((r.den.degree > r.num.degree) - (r.den.degree < r.num.degree))
+    assert signs == {-1, 0, 1}
+
+
+def test_rat_conj_takes_no_gcd(monkeypatch):
+    rng = random.Random(10)
+    functions = [random_ratfn(rng) for _ in range(100)]
+    calls = []
+    gcd = ratfield.poly_gcd
+    monkeypatch.setattr(ratfield, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    for r in functions:
+        r.conj()
+    assert not calls
+    RatFn(Poly([1, 1]), Poly([2, 1]))
+    assert calls  # the counter sees RatFn's own gcd
 
 
 def test_canonical_form_idempotent():
