@@ -55,6 +55,23 @@ class CliError(Exception):
         super().__init__(message)
 
 
+class _UsageError(CliError):
+    """A command line the parser rejects; `command` is the subcommand it names, if any."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(EXIT_VALIDATION, message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach `main`, to be reported and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        # a subcommand's parser is named "svarspec <command>", the top one "svarspec"
+        raise _UsageError(self.prog.partition(" ")[2] or None, f"usage error: {message}")
+
+
 def _report(command: str, inputs: dict, outputs, seed=None, warnings=()) -> dict:
     return {
         "command": command,
@@ -258,7 +275,7 @@ def cmd_discover(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svarspec",
         description="Exact frequency-domain algebra and causal identification "
                     "for SVAR process graphs",
@@ -330,10 +347,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; every failure it can meet maps to its exit code here."""
-    args = _parser().parse_args(argv)
-    started = time.perf_counter()
+    command = None
     try:
+        args = _parser().parse_args(argv)
+        command, started = args.command, time.perf_counter()
         report = args.fn(args)
+    except _UsageError as exc:
+        command, code, message = exc.command, exc.code, exc.message
     except CliError as exc:
         code, message = exc.code, exc.message
     except SingularMatrixError as exc:
@@ -347,7 +367,7 @@ def main(argv=None) -> int:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
         return EXIT_OK
-    json.dump({"command": args.command, "error": message}, sys.stdout, indent=2)
+    json.dump({"command": command, "error": message}, sys.stdout, indent=2)
     print()
     return code
 

@@ -4,10 +4,11 @@ Provides directed-path and trek enumeration and counting, d-separation,
 t-separation, half-trek reachability, and the latent-factor half-trek
 criterion (check, search and fixpoint ordering).  One augmenting-path routine
 on a doubled trek graph decides t-separation, finds a minimal t-separating
-pair as a weighted minimum cut, and decides condition 3 of the criterion as a
-unit-capacity flow, all in polynomial time.  The exhaustive path-system,
-trek-system and half-trek-system searches those flows replace are test
-oracles (`tests/graph_reference.py`), not library code.
+pair as a weighted minimum cut, and decides d-separation and condition 3 of
+the criterion as unit-capacity flows, all in polynomial time.  The exhaustive
+path-system, trek-system and half-trek-system searches and the ancestral
+moral graph those flows replace are test oracles (`tests/graph_reference.py`),
+not library code.
 Latent vertices must have in-degree zero; graphs are
 immutable after construction and every query is pure.  A graph computes its
 directed paths and each vertex's observed and latent parents once, on first
@@ -171,18 +172,6 @@ class ProcessGraph:
                 stack.extend(self.children(w))
         return frozenset(seen)
 
-    def ancestral_closure(self, nodes) -> frozenset[str]:
-        """nodes together with all their ancestors."""
-        seen = set(nodes)
-        stack = list(nodes)
-        while stack:
-            w = stack.pop()
-            for p in self.parents(w):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return frozenset(seen)
-
     def with_edges(self, edges) -> "ProcessGraph":
         """Same vertex sets, restricted/replaced edge set."""
         return ProcessGraph.make(self.observed, self.latent, edges)
@@ -342,44 +331,7 @@ def _require_labels(graph: ProcessGraph, labels) -> None:
         raise KeyError(f"unknown label {unknown[0]!r}")
 
 
-# -- d-separation ------------------------------------------------------------------
-
-
-def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
-    """Whether Z blocks every path between X and Y (ancestral moral graph test)."""
-    graph.require_acyclic()
-    X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
-    if (X & Y) or (X & Z) or (Y & Z):
-        raise ValueError("X, Y, Z must be pairwise disjoint")
-    _require_labels(graph, X | Y | Z)
-    if not X or not Y:
-        return True
-    relevant = graph.ancestral_closure(X | Y | Z)
-    neighbours: dict[str, set[str]] = {v: set() for v in relevant}
-    for a, b in graph.edges:
-        if a in relevant and b in relevant:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-    for v in relevant:  # moralization: marry parents of a common child
-        ps = [p for p in graph.parents(v) if p in relevant]
-        for p, q in combinations(ps, 2):
-            neighbours[p].add(q)
-            neighbours[q].add(p)
-    blocked = Z
-    stack = [v for v in X if v not in blocked]
-    seen = set(stack)
-    while stack:
-        v = stack.pop()
-        if v in Y:
-            return False
-        for w in neighbours[v]:
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return True
-
-
-# -- the doubled trek graph and t-separation ---------------------------------------------
+# -- the doubled trek graph: t- and d-separation -----------------------------------------
 
 
 def _trek_network(graph: ProcessGraph, capacity, climb, descend, sources, sinks, big) -> dict:
@@ -436,6 +388,29 @@ def t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
     cut = {"L": frozenset(Z_X), "R": frozenset(Z_Y)}
     network = _tsep_network(graph, X, Y, lambda x, side: int(x not in cut[side]))
     return _augment(network, "source") is not None
+
+
+def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
+    """Whether Z d-separates X and Y: at most |Z| sided-disjoint treks join X | Z to Y | Z.
+
+    For disjoint X, Y and Z in a DAG, Z d-separates X and Y exactly when
+    Sigma[X | Z, Y | Z] has generic rank |Z| (Sullivant, Talaska & Draisma
+    2010, Thm 2.8), and that rank is the least size of a pair t-separating
+    X | Z from Y | Z (ibid., Thm 2.2).  By Menger's theorem that least size
+    is the most paths through distinct copies in the doubled trek graph with
+    unit capacities, its maximum flow.  The trivial treks z -> z are |Z|
+    disjoint paths, so the flow is at least |Z|, and Z separates exactly when
+    |Z| + 1 augmentations do not all succeed.
+    """
+    graph.require_acyclic()
+    X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
+    if (X & Y) or (X & Z) or (Y & Z):
+        raise ValueError("X, Y, Z must be pairwise disjoint")
+    _require_labels(graph, X | Y | Z)
+    if not X or not Y:
+        return True
+    network = _tsep_network(graph, X | Z, Y | Z, lambda x, side: 1)
+    return any(_augment(network, "source") is not None for _ in range(len(Z) + 1))
 
 
 def t_separation_min(graph: ProcessGraph, X, Y):

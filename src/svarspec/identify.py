@@ -4,7 +4,9 @@ Implements regression and instrument identification, the half-trek-criterion
 identification step (a linear system over R(z) whose solution contains the
 link functions into one vertex), the full pipeline producing a replayable
 certificate, lag-coefficient recovery from link functions, and CPDAG
-discovery from a conditional-independence oracle.
+discovery from a conditional-independence oracle.  The spectral oracle tests
+each conditional independence as a rank condition on a block of the
+spectrum, modulo a prime first and over R(z) when that does not decide.
 
 The linear systems are oriented so that unknown link functions multiply
 *row*-indexed spectrum entries (S[u, y], unconjugated side); solving then
@@ -13,15 +15,15 @@ returns the link functions themselves rather than their conjugates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
 from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, d_separated, htr,
                     lfhtc_check, lfhtc_order)
-from .ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction
-from .ratlinalg import RatMatrix, matmul_mod, solve, solve_mod
-from .svar import conditional_spectrum
+from .ratfield import EVAL_POINT, RatFn, UnluckyReduction
+from .ratlinalg import RatMatrix, SingularMatrixError, rank, rank_mod, solve
 
 Edge = tuple[str, str]
 
@@ -252,13 +254,15 @@ def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:
 def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
     """Exact symbolic oracle: the conditional cross-spectrum vanishes identically.
 
-    S is evaluated once at EVAL_POINT modulo MOD_PRIME (`RatFn.eval_mod`).
-    Where the image of S[Z, Z] is invertible, S[Z, Z] is invertible over R(z)
-    and the image of the Schur complement S[X, Y] - S[X, Z] S[Z, Z]^{-1}
-    S[Z, Y] is the Schur complement of the images; a nonzero one proves the
-    verdict "dependent" with no exact solve.  Every other case (a zero image,
-    a singular image of S[Z, Z], an S with no image, or sets that
-    `conditional_spectrum` rejects) is decided by `conditional_spectrum`.
+    With S[Z, Z] invertible, rank S[Z | X, Z | Y] is |Z| plus the rank of the
+    Schur complement S[X, Y] - S[X, Z] S[Z, Z]^{-1} S[Z, Y] (Guttman rank
+    additivity), so the verdict is that block's rank being |Z|.  S is
+    evaluated once at EVAL_POINT modulo MOD_PRIME (`RatFn.eval_mod`).  An
+    image of S[Z, Z] of rank |Z| proves S[Z, Z] invertible, the identity then
+    holds over GF(P) for the image of the Schur complement, and an image
+    block of rank above |Z| proves "dependent".  Every other verdict comes
+    from the rank of the block over R(z).  Overlapping sets raise ValueError,
+    unknown labels KeyError, and a singular S[Z, Z] SingularMatrixError.
     """
     try:
         image = S.eval_mod(EVAL_POINT)
@@ -266,31 +270,29 @@ def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
         image = None
     rows = {v: i for i, v in enumerate(S.row_labels)}
     cols = {v: j for j, v in enumerate(S.col_labels)}
-    cache: dict[tuple, bool] = {}
 
-    def dependent_mod(X: frozenset, Y: frozenset, Z: frozenset) -> bool:
-        if (image is None or X & Y or X & Z or Y & Z
-                or not X | Z <= rows.keys() or not Y | Z <= cols.keys()):
+    def block(r, c):
+        return [[image[rows[a]][cols[b]] for b in c] for a in r]
+
+    @functools.cache
+    def invertible_mod(Z: frozenset) -> bool:
+        return image is not None and rank_mod(block(sorted(Z), sorted(Z))) == len(Z)
+
+    @functools.cache
+    def independent(X: frozenset, Y: frozenset, Z: frozenset) -> bool:
+        if X & Y or X & Z or Y & Z:
+            raise ValueError("X, Y, Z must be pairwise disjoint")
+        z = sorted(Z)
+        r, c = z + sorted(X), z + sorted(Y)
+        joint = S.submatrix(r, c)  # raises KeyError for an unknown label
+        if invertible_mod(Z) and rank_mod(block(r, c)) > len(z):
             return False
-
-        def block(r, c):
-            return [[image[rows[a]][cols[b]] for b in sorted(c)] for a in sorted(r)]
-
-        schur = block(X, Y)
-        if Z:
-            W = solve_mod(block(Z, Z), block(Z, Y))
-            if W is None:
-                return False
-            schur = [[(s - p) % MOD_PRIME for s, p in zip(srow, prow)]
-                     for srow, prow in zip(schur, matmul_mod(block(X, Z), W))]
-        return any(any(row) for row in schur)
+        if not invertible_mod(Z) and rank(S.submatrix(z, z)) < len(z):
+            raise SingularMatrixError("S[Z, Z] is singular over R(z)")
+        return rank(joint) == len(z)
 
     def oracle(X, Y, Z) -> bool:
-        key = (frozenset(X), frozenset(Y), frozenset(Z))
-        if key not in cache:
-            cache[key] = (not dependent_mod(*key)
-                          and conditional_spectrum(S, set(X), set(Y), set(Z)).is_zero)
-        return cache[key]
+        return independent(frozenset(X), frozenset(Y), frozenset(Z))
 
     return oracle
 

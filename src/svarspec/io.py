@@ -282,7 +282,7 @@ def _triple_to_dict(triple: LfhtcTriple) -> dict:
 
 
 def _triple_from_dict(data: dict) -> LfhtcTriple:
-    return LfhtcTriple.make(data["Y"], data["W"], data["Lp"])
+    return LfhtcTriple.make(*(_labels(data[k], f"triple {k}") for k in ("Y", "W", "Lp")))
 
 
 def certificate_to_dict(cert: IdentificationCertificate) -> dict:
@@ -321,8 +321,8 @@ def certificate_from_dict(data: dict) -> IdentificationCertificate:
         ))
     return IdentificationCertificate(
         tuple(steps),
-        tuple(data.get("unresolved_vertices", ())),
-        tuple(tuple(e) for e in data.get("unresolved_edges", ())),
+        tuple(_labels(data.get("unresolved_vertices", []), "unresolved vertices")),
+        tuple(tuple(_labels(e, "unresolved edge")) for e in data.get("unresolved_edges", ())),
     )
 
 

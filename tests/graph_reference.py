@@ -1,4 +1,4 @@
-"""Path systems, trek systems and latent-factor half-treks by exhaustive search.
+"""Path systems, trek systems, half-treks and d-separation by direct search.
 
 Each function here enumerates every system of paths or treks between two
 label sets by backtracking, which is exponential in the graph size.
@@ -13,7 +13,10 @@ determinant expansions in `svar_reference` are checked against:
   2010);
 - `latent_factor_half_treks` lists the half-treks of the criterion, and
   `minimal_halftrek_subsystem` reduces a half-trek system to a minimal,
-  source-orderable one.
+  source-orderable one;
+- `moral_d_separated` decides d-separation by search in the moral graph of
+  the ancestral closure (`ancestral_closure`), the test `graph.d_separated`
+  replaced with a trek flow.
 
 `is_empty`, `vertex_set`, `validate_path` and `trek_edges` are the views of
 a `Path` or `Trek` that only these searches and the tests need.
@@ -22,6 +25,7 @@ a `Path` or `Trek` that only these searches and the tests need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from svarspec.graph import (Edge, GraphValidationError, Path, ProcessGraph, Trek,
                             _require_labels, enumerate_paths, enumerate_treks)
@@ -258,3 +262,53 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
         raise ValueError("input system admits no orderable half-trek subsystem")
     valid.sort(key=lambda s: (sum(len(trek_edges(t)) for t in s.treks), s.treks))
     return valid[0]
+
+
+# -- d-separation in the ancestral moral graph -----------------------------------------------
+
+
+def ancestral_closure(graph: ProcessGraph, nodes) -> frozenset[str]:
+    """nodes together with all their ancestors."""
+    seen = set(nodes)
+    stack = list(nodes)
+    while stack:
+        w = stack.pop()
+        for p in graph.parents(w):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return frozenset(seen)
+
+
+def moral_d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
+    """Whether Z separates X and Y in the moral graph of the ancestral closure
+    of X | Y | Z (Lauritzen et al. 1990), with the checks of `d_separated`."""
+    graph.require_acyclic()
+    X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
+    if (X & Y) or (X & Z) or (Y & Z):
+        raise ValueError("X, Y, Z must be pairwise disjoint")
+    _require_labels(graph, X | Y | Z)
+    if not X or not Y:
+        return True
+    relevant = ancestral_closure(graph, X | Y | Z)
+    neighbours: dict[str, set[str]] = {v: set() for v in relevant}
+    for a, b in graph.edges:
+        if a in relevant and b in relevant:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    for v in relevant:  # moralization: marry parents of a common child
+        ps = [p for p in graph.parents(v) if p in relevant]
+        for p, q in combinations(ps, 2):
+            neighbours[p].add(q)
+            neighbours[q].add(p)
+    stack = [v for v in X if v not in Z]
+    seen = set(stack)
+    while stack:
+        v = stack.pop()
+        if v in Y:
+            return False
+        for w in neighbours[v]:
+            if w not in seen and w not in Z:
+                seen.add(w)
+                stack.append(w)
+    return True

@@ -341,6 +341,33 @@ def test_discover_requires_some_input(capsys, instrument_files):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, command, needle", [
+    (["identify", "--graph", "g.json"], "identify", "--out"),
+    (["query", "--graph", "g.json", "--query", "bogus", "--x", "a", "--y", "b"],
+     "query", "invalid choice"),
+    (["query", "--graph", "g.json", "--query", "rank", "--x", "a", "--y", "b",
+      "--trials", "two"], "query", "--trials"),
+    ([], None, "command"),
+    (["bogus"], None, "invalid choice"),
+])
+def test_usage_errors_print_the_error_report(capsys, argv, command, needle):
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == EXIT_VALIDATION
+    assert set(report) == {"command", "error"}
+    assert report["command"] == command and needle in report["error"]
+    assert captured.err.startswith("usage: svarspec")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
+def test_help_still_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: svarspec")
+
+
 def test_discover_empty_graph(capsys, tmp_path):
     g = ProcessGraph.make(["a", "b"], [], [])
     tsg = TimeSeriesGraph.make(g, {}, {"a": (1,), "b": (1,)})

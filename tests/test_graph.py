@@ -16,8 +16,9 @@ from svarspec.graph import (CyclicGraphError, GraphValidationError,
                             t_separation_min, _half_trek_linked)
 
 from conftest import random_dag, random_latent_dag
-from graph_reference import (TrekSystem, is_empty, latent_factor_half_treks,
-                             minimal_halftrek_subsystem, nonintersecting_path_systems,
+from graph_reference import (TrekSystem, ancestral_closure, is_empty,
+                             latent_factor_half_treks, minimal_halftrek_subsystem,
+                             moral_d_separated, nonintersecting_path_systems,
                              sided_nonintersecting_trek_systems, trek_edges, vertex_set,
                              _sided_disjoint, _system_search)
 
@@ -440,7 +441,7 @@ def test_dsep_overlapping_sets_rejected(chain_graph):
 
 
 def _blocked(g, path, Z):
-    anc_z = g.ancestral_closure(Z)
+    anc_z = ancestral_closure(g, Z)
     for i in range(1, len(path) - 1):
         prev_vertex, vertex, nxt = path[i - 1], path[i], path[i + 1]
         into_prev = g.has_edge(prev_vertex, vertex)
@@ -497,6 +498,20 @@ def test_dsep_matches_exhaustive_path_blocking():
             rest = pool[2:]
             Z = set(rng.sample(rest, rng.randint(0, len(rest))))
             assert d_separated(g, {x}, {y}, Z) == _dsep_by_path_blocking(g, {x}, {y}, Z)
+
+
+def test_dsep_flow_matches_the_moral_graph_oracle():
+    # set-valued X, Y and Z over observed and latent labels, each possibly empty
+    rng = random.Random(27)
+    for _ in range(300):
+        n, k = rng.randint(2, 9), rng.randint(0, 3)
+        g = random_latent_dag(rng, [f"x{i}" for i in range(n)], [f"l{i}" for i in range(k)],
+                              p=rng.uniform(0.1, 0.7), p_latent=rng.uniform(0.2, 0.8))
+        verts = list(g.vertices)
+        for _ in range(20):
+            part = [rng.randrange(4) for _ in verts]  # 0, 1, 2: X, Y, Z; 3: left out
+            X, Y, Z = ({v for v, p in zip(verts, part) if p == i} for i in range(3))
+            assert d_separated(g, X, Y, Z) == moral_d_separated(g, X, Y, Z), (g.edges, X, Y, Z)
 
 
 def test_dsep_equals_partitioned_tsep():

@@ -19,7 +19,7 @@ from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
                                lfhtc_identify_step, recover_lag_coefficients,
                                replay_certificate, spectral_ci_oracle)
 from svarspec.ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction
-from svarspec.ratlinalg import RatMatrix, SingularMatrixError
+from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank
 from svarspec.svar import (SvarParams, conditional_spectrum,
                            sample_stable_params, spectrum, transfer_matrix)
 
@@ -382,29 +382,34 @@ def _queries(labels):
                     yield frozenset({a}), frozenset({b}), frozenset(Z)
 
 
-def _oracle_against_reference(S: RatMatrix) -> tuple[int, int]:
-    """Run both oracles on every query; returns (queries, exact confirmations).
+def _oracle_against_reference(S: RatMatrix) -> tuple[int, set]:
+    """Run both oracles on every query; returns the query count and the
+    queries the oracle decided with exact ranks over R(z).
 
-    Every verdict must agree, and a verdict reached without a call to
-    `conditional_spectrum` must be "dependent" in the exact reference.
+    Every verdict must agree, and a verdict reached without a call to `rank`
+    must be "dependent" in the exact reference.
     """
-    exact_keys = []
+    ranks = []
 
-    def recording(S, X, Y, Z):
-        exact_keys.append((frozenset(X), frozenset(Y), frozenset(Z)))
-        return conditional_spectrum(S, X, Y, Z)
+    def recording(matrix):
+        ranks.append(matrix.shape)
+        return rank(matrix)
 
     reference = reference_spectral_ci_oracle(S)
+    exact_keys = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identify_module, "conditional_spectrum", recording)
+        mp.setattr(identify_module, "rank", recording)
         oracle = spectral_ci_oracle(S)
         queries = list(_queries(S.row_labels))
         for key in queries:
             want = reference(*key)
+            before = len(ranks)
             assert oracle(*key) == want, key
-            if key not in exact_keys:
+            if len(ranks) > before:
+                exact_keys.add(key)
+            else:
                 assert want is False, key
-    return len(queries), len(exact_keys)
+    return len(queries), exact_keys
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -424,13 +429,13 @@ def test_modular_filter_decides_dependence_without_solving(confounded_chain_tsg)
     S = spectrum(confounded_chain_tsg, sample_stable_params(confounded_chain_tsg, seed=4)).S
     queries, exact = _oracle_against_reference(S)
     # the latent confounds every pair, so no verdict is "independent"
-    assert (queries, exact) == (160, 0)
+    assert (queries, len(exact)) == (160, 0)
 
 
 def _check_forced_fallback(S: RatMatrix) -> None:
     """With no image of S, every verdict comes from the exact path."""
     queries, exact = _oracle_against_reference(S)
-    assert exact == queries
+    assert len(exact) == queries
 
 
 def test_oracle_falls_back_when_a_denominator_is_divisible_by_the_prime(chain_tsg):
@@ -463,7 +468,34 @@ def test_oracle_falls_back_when_the_conditioning_block_is_singular_at_the_point(
                   [[root, one, root], [one, RatFn(2), one], [root, one, RatFn(3)]])
     assert S.eval_mod(5)[0][0] == 0
     assert spectral_ci_oracle(S)({"x"}, {"y"}, {"c"}) is True
-    _oracle_against_reference(S)
+    _, exact = _oracle_against_reference(S)
+    assert (frozenset({"x"}), frozenset({"y"}), frozenset({"c"})) in exact
+
+
+def _outcome(oracle, X, Y, Z):
+    try:
+        return oracle(X, Y, Z)
+    except (ValueError, KeyError, SingularMatrixError) as exc:
+        return type(exc)
+
+
+def test_oracle_raises_where_the_conditional_spectrum_raises():
+    # S[{c, d}, {c, d}] has equal rows over R(z), and q is no label of S
+    one, p = RatFn(1), RatFn([1, 1])
+    S = RatMatrix(["c", "d", "x", "y"], ["c", "d", "x", "y"],
+                  [[p, p, one, RatFn([0, 1])], [p, p, RatFn(2), one],
+                   [one, RatFn(2), RatFn(3), one], [RatFn([0, 0, 1]), one, one, RatFn(5)]])
+    labels = ["c", "d", "q", "x", "y"]
+    sets = [frozenset(c) for k in range(3) for c in combinations(labels, k)]
+    oracle, reference = spectral_ci_oracle(S), reference_spectral_ci_oracle(S)
+    seen = set()
+    for X in sets:
+        for Y in sets:
+            for Z in sets:
+                want = _outcome(reference, X, Y, Z)
+                assert _outcome(oracle, X, Y, Z) == want, (X, Y, Z)
+                seen.add(want if isinstance(want, type) else bool)
+    assert seen == {bool, ValueError, KeyError, SingularMatrixError}
 
 
 def test_spectral_discovery_scales_to_dense_eight_node_dags():

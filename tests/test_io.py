@@ -172,6 +172,22 @@ def test_certificate_round_trip(tmp_path, confounded_chain_graph, confounded_cha
     assert [s.method for s in loaded.steps] == [s.method for s in cert.steps]
 
 
+@pytest.mark.parametrize("where, value", [
+    ("Y", "vu"), ("W", "w"), ("Lp", "l"),
+    ("unresolved_vertices", "uv"), ("unresolved_edges", ["ab"]), ("Y", ["u", 1]),
+])
+def test_certificate_label_lists_must_be_lists(confounded_chain_graph, confounded_chain_tsg,
+                                               where, value):
+    # a string where a label list belongs would load as its characters
+    p = sample_stable_params(confounded_chain_tsg, seed=3)
+    data = sio.certificate_to_dict(
+        identify_all(confounded_chain_graph, spectrum(confounded_chain_tsg, p).S))
+    target = data if where.startswith("unresolved") else data["steps"][0]["triple"]
+    target[where] = value
+    with pytest.raises(ValueError, match="list of label strings"):
+        sio.certificate_from_dict(data)
+
+
 def test_series_round_trip(tmp_path, chain_tsg):
     p = sample_stable_params(chain_tsg, seed=4)
     series = simulate_series(chain_tsg, p, length=500, burn_in=50, seed=5)
