@@ -12,9 +12,8 @@ from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     t_separated, t_separation_min)
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
                    conditional_spectrum, generic_rank, internal_spectrum,
-                   lag_poly, link_function, projected_internal_spectrum,
-                   sample_stable_params, spectrum, spectrum_trek,
-                   transfer_matrix)
+                   lag_poly, projected_internal_spectrum, sample_stable_params,
+                   spectrum, spectrum_trek, transfer_matrix)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
                        ZeroInstrumentError, discover_cpdag, dsep_ci_oracle,

@@ -47,6 +47,18 @@ MAX_TREKS = 100_000
 #: series, and 263 MiB and 42 MB for 8.
 MAX_FREQUENCIES = 4096
 
+#: Most values F * k^2 an estimate of k series at F frequencies holds; more
+#: exit 2 before any DFT.  At the bound, 32 series of 2,048 steps at 256
+#: frequencies with --segments 64 wrote 16.7 MB and peaked at 136 MiB.
+MAX_ESTIMATE_VALUES = 32 * 32 * 256
+
+#: Most conditional-independence tests `discover` runs; one more exits 2.
+#: The PC search runs n(n-1) 2^(n-2) of them on a complete n-vertex DAG:
+#: 23,040 in 1.6 s for n = 10, and about 2.5 times as many per added vertex.
+#: Sparse graphs remove edges early and run far fewer, so the tests are
+#: counted as the search runs rather than bounded in advance.
+MAX_CI_TESTS = 25_000
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -116,6 +128,21 @@ def _with_resampling(build, seed: int, warnings: list[str]):
 
 
 # -- commands -------------------------------------------------------------------------
+
+
+def _bounded(oracle):
+    """The CI oracle, counting its tests; the test past MAX_CI_TESTS exits 2."""
+    count = 0
+
+    def bounded(X, Y, Z):
+        nonlocal count
+        count += 1
+        if count > MAX_CI_TESTS:
+            raise CliError(EXIT_VALIDATION, f"discover reached {count} CI tests, "
+                                            f"past the limit of {MAX_CI_TESTS}")
+        return oracle(X, Y, Z)
+
+    return bounded
 
 
 def cmd_validate(args) -> dict:
@@ -213,6 +240,11 @@ def cmd_estimate(args) -> dict:
         frequencies = _parse_frequencies(args.frequencies)
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"invalid --frequencies: {exc}") from exc
+    values = len(frequencies) * len(series.labels) ** 2
+    if values > MAX_ESTIMATE_VALUES:
+        raise CliError(EXIT_VALIDATION,
+                       f"{len(frequencies)} frequencies of {len(series.labels)} series make "
+                       f"{values} values, past the limit of {MAX_ESTIMATE_VALUES}")
     est = estimate_spectrum(series, frequencies,
                             segment_length=args.segments, overlap=args.overlap)
     sio.save_estimate(est, args.out)
@@ -243,12 +275,12 @@ def cmd_discover(args) -> dict:
                 warnings.append(str(exc))
                 return False
 
-        cpdag = discover_cpdag(oracle, observed)
+        cpdag = discover_cpdag(_bounded(oracle), observed)
         inputs["estimate"] = args.estimate
     elif args.params:
         params = _load_params(tsg, args.params)
         S = spectrum(tsg, params).S
-        cpdag = discover_cpdag(spectral_ci_oracle(S), observed)
+        cpdag = discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
         inputs["params"] = args.params
     elif args.seed is not None:
         seed = args.seed
@@ -256,7 +288,7 @@ def cmd_discover(args) -> dict:
         def build(s):
             params = sample_stable_params(tsg, seed=s)
             S = spectrum(tsg, params).S
-            return discover_cpdag(spectral_ci_oracle(S), observed)
+            return discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
 
         cpdag = _with_resampling(build, seed, warnings)
     else:

@@ -224,17 +224,26 @@ def _lag(entry: dict) -> int:
     return k
 
 
+def _keyed(entries, key, value: str, what: str) -> dict:
+    """{key(e): e[value] as a Fraction}; a key listed twice is a ValueError, not
+    a silent overwrite by the later entry."""
+    out = {}
+    for e in entries:
+        k = key(e)
+        if k in out:
+            raise ValueError(f"{what} {k!r} is listed more than once")
+        out[k] = Fraction(*_ratio(e[value]))
+    return out
+
+
 def params_from_dict(data: dict) -> SvarParams:
-    cross = {
-        (e["from"], e["to"], _lag(e)): Fraction(*_ratio(e["coeff"]))
-        for e in data.get("cross", [])
-    }
-    auto = {
-        (e["vertex"], _lag(e)): Fraction(*_ratio(e["coeff"]))
-        for e in data.get("auto", [])
-    }
-    noise = {e["vertex"]: Fraction(*_ratio(e["variance"])) for e in data.get("noise", [])}
-    return SvarParams(cross=cross, auto=auto, noise=noise)
+    return SvarParams(
+        cross=_keyed(data.get("cross", []), lambda e: (e["from"], e["to"], _lag(e)), "coeff",
+                     "cross coefficient"),
+        auto=_keyed(data.get("auto", []), lambda e: (e["vertex"], _lag(e)), "coeff",
+                    "auto coefficient"),
+        noise=_keyed(data.get("noise", []), lambda e: e["vertex"], "variance", "noise variance"),
+    )
 
 
 def save_params(params: SvarParams, path) -> None:

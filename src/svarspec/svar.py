@@ -14,26 +14,26 @@ S = (I - H^T)^{-1} S_internal (I - conj(H))^{-1} with H[a, b] the link
 function of edge a -> b.
 
 The known denominator.  Let D_v = 1 - A_v(z) be the auto-lag denominator of
-v, so H[a, b] = L_ab / D_b and S_I[t, t] = sigma_t / (D_t(z) D_t(1/z)).  By
-the trek rule (Sullivant, Talaska & Draisma 2010), on an acyclic graph S[v, w]
-is a sum of one term per trek, and a trek's sides are directed paths, so each
-term has each D_u at most once on the left and each D_u(1/z) = D_u*(z) z^-deg
-at most once on the right, where D_u* is the reversal `Poly.conj`.  So
-prod_u D_u(z) D_u(1/z) clears every entry, and `spectrum`, `spectrum_trek`
-and the projected internal spectrum sum their terms over it with `Poly`
-products and sums only (`_KnownDenominator`), then reduce each entry once.
+v, so H[a, b] = L_ab / D_b and S_I[t, t] = sigma_t / (D_t(z) D_t(1/z)).
+`_trek_parts` alone turns parameters into polynomials: each link and each
+S_I[t, t] as a value over these factors.  By the trek rule (Sullivant,
+Talaska & Draisma 2010), on an acyclic graph S[v, w] is a sum of one term per
+trek, and a trek's sides are directed paths, so each term has each D_u at
+most once on the left and each D_u(1/z) = D_u*(z) z^-deg at most once on the
+right, where D_u* is the reversal `Poly.conj`.  So prod_u D_u(z) D_u(1/z)
+clears every entry: H, S_I, S_LI, S and `spectrum_trek` are read off these
+values with `Poly` products and sums only (`_KnownDenominator`), each entry
+reduced once, and `spectrum_mod` maps the same values to GF(P).
 
 What can cancel.  Under the stability bound sum_k |phi_k| < 1, D_v has no
-root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*,
-being the reciprocal of a root of D_w, lies inside the open disk: D_v and
-D_w* never share a root.  A factor of the numerator can therefore cancel
-against left factors D_v jointly, or right factors D_w* jointly, but never
-across the two sides; equal or overlapping D_v and D_w (two vertices with the
-same auto-lag polynomial) are the cases that cancel.  The reduction divides
-out each whole factor that divides the numerator, and the final `RatFn` gcd
-removes whatever is left.  That gcd, not the stability argument, is what
-guarantees the canonical form, so the bytes of every spectrum are those of
-the unique reduced fraction, stable or not.
+root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*, the
+reciprocal of a root of D_w, lies inside the open disk and D_v, D_w* never
+share a root: a factor of the numerator cancels only against left factors
+jointly or right factors jointly, as when two vertices share one auto-lag
+polynomial.  The reduction divides out each whole factor that divides the
+numerator, and the final `RatFn` gcd removes the rest.  That gcd, not the
+stability argument, guarantees the canonical form, so the bytes of every
+spectrum are those of the unique reduced fraction, stable or not.
 
 A cyclic observed part has no trek expansion with this denominator: there
 `spectrum` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
@@ -51,7 +51,7 @@ from fractions import Fraction
 from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     t_separation_min)
 from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
-                       UnluckyReduction)
+                       _horner_mod)
 from .ratlinalg import (RatMatrix, inverse, matmul_mod, rank, rank_mod,
                         solve_many, solve_mod)
 
@@ -81,22 +81,16 @@ class SvarParams:
 
     def validate(self, tsg: TimeSeriesGraph) -> None:
         """Check key structure and the stability inequalities; raises ParameterError."""
-        expected_cross = {(a, b, k) for (a, b), lags in tsg.cross_lags.items() for k in lags}
-        if set(self.cross) != expected_cross:
-            missing = expected_cross - set(self.cross)
-            extra = set(self.cross) - expected_cross
-            raise ParameterError(
-                f"cross coefficients do not match lag structure "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        expected_auto = {(v, k) for v, lags in tsg.auto_lags.items() for k in lags}
-        if set(self.auto) != expected_auto:
-            missing = expected_auto - set(self.auto)
-            extra = set(self.auto) - expected_auto
-            raise ParameterError(
-                f"auto coefficients do not match lag structure "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
+        for kind, got, expected in (
+                ("cross", set(self.cross),
+                 {(a, b, k) for (a, b), lags in tsg.cross_lags.items() for k in lags}),
+                ("auto", set(self.auto),
+                 {(v, k) for v, lags in tsg.auto_lags.items() for k in lags})):
+            if got != expected:
+                raise ParameterError(
+                    f"{kind} coefficients do not match lag structure "
+                    f"(missing {sorted(expected - got)}, extra {sorted(got - expected)})"
+                )
         vertices = set(tsg.base.vertices)
         if set(self.noise) != vertices:
             raise ParameterError("noise variances must cover every vertex exactly once")
@@ -141,41 +135,21 @@ class SpectrumBundle:
 def lag_poly(tsg: TimeSeriesGraph, params: SvarParams, x: str, y: str) -> Poly:
     """The generating polynomial of x's coefficients onto y across lags."""
     if x == y:
-        lags = tsg.auto_lags_of(x)
-        coeffs = {k: params.auto.get((x, k), Fraction(0)) for k in lags}
+        coeffs = {k: params.auto.get((x, k), 0) for k in tsg.auto_lags_of(x)}
+    elif (x, y) in tsg.cross_lags:
+        coeffs = {k: params.cross.get((x, y, k), 0) for k in tsg.cross_lags[(x, y)]}
     else:
-        if (x, y) not in tsg.cross_lags:
-            raise KeyError(f"no edge ({x!r}, {y!r}) in the time series graph")
-        lags = tsg.cross_lags[(x, y)]
-        coeffs = {k: params.cross.get((x, y, k), Fraction(0)) for k in lags}
-    if not lags:
-        return Poly()
-    out = [Fraction(0)] * (max(lags) + 1)
+        raise KeyError(f"no edge ({x!r}, {y!r}) in the time series graph")
+    out = [0] * (max(coeffs, default=-1) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return Poly(out)
 
 
-def _auto_denominator(tsg: TimeSeriesGraph, params: SvarParams, v: str) -> Poly:
-    return Poly((1,)) - lag_poly(tsg, params, v, v)
-
-
-def link_function(tsg: TimeSeriesGraph, params: SvarParams, x: str, y: str) -> RatFn:
-    """Rational causal effect along the edge x -> y."""
-    return RatFn(lag_poly(tsg, params, x, y), _auto_denominator(tsg, params, y))
-
-
 def transfer_matrix(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     """H over all vertices, zero off the edge set."""
-    edges = set(tsg.base.edges)
-    labels = tsg.base.vertices
-
-    def fn(a: str, b: str) -> RatFn:
-        if (a, b) in edges:
-            return link_function(tsg, params, a, b)
-        return R_ZERO
-
-    return RatMatrix.build(labels, labels, fn)
+    kd, _, links = _trek_parts(tsg, params)
+    return _transfer(tsg.base, kd, links)
 
 
 # -- the known-denominator kernel --------------------------------------------------------
@@ -303,7 +277,7 @@ def _trek_parts(tsg: TimeSeriesGraph, params: SvarParams):
     tops: dict[str, _Value] = {}
     bits: dict[str, int] = {}
     for v in tsg.base.vertices:
-        d = _auto_denominator(tsg, params, v)
+        d = P_ONE - lag_poly(tsg, params, v, v)
         bit = 0
         if d.degree > 0:
             bit = 1 << len(factors)
@@ -313,6 +287,12 @@ def _trek_parts(tsg: TimeSeriesGraph, params: SvarParams):
         tops[v] = (Poly((params.noise[v],)), bit, bit, d.degree)
     links = {(a, b): (lag_poly(tsg, params, a, b), bits[b], 0, 0) for a, b in tsg.base.edges}
     return _KnownDenominator(factors), tops, links
+
+
+def _transfer(graph: ProcessGraph, kd: _KnownDenominator, links) -> RatMatrix:
+    """H[a, b] = L_ab / D_b on each edge a -> b, zero elsewhere."""
+    return RatMatrix.build(graph.vertices, graph.vertices,
+                           lambda a, b: kd.ratfn(links[(a, b)]) if (a, b) in links else R_ZERO)
 
 
 def _internal(graph: ProcessGraph, kd: _KnownDenominator, tops) -> RatMatrix:
@@ -352,7 +332,7 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     """
     graph = tsg.base
     kd, tops, links = _trek_parts(tsg, params)
-    H = transfer_matrix(tsg, params)
+    H = _transfer(graph, kd, links)
     S_I = _internal(graph, kd, tops)
     S_LI = _projected(graph, kd, tops, links)
     observed = graph.observed
@@ -429,31 +409,49 @@ def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
     return S_XY - S.submatrix(X, Z) @ W
 
 
+def _poly_mod(f: Poly, z: int) -> int:
+    """f(z) modulo MOD_PRIME; ValueError when P divides f's content denominator."""
+    return f.c.numerator * _horner_mod(f.p, z) * pow(f.c.denominator, -1, MOD_PRIME) % MOD_PRIME
+
+
 def spectrum_mod(tsg: TimeSeriesGraph, params: SvarParams) -> list[list[int]] | None:
     """The image of the observed spectrum S at EVAL_POINT modulo MOD_PRIME.
 
-    Rows and columns follow tsg.base.observed.  Nothing is multiplied over
-    R(z): H and S_I are evaluated at z0 and at 1/z0, since conj is evaluation
-    at 1/z (`RatFn.eval_mod`), and S(z0) = N^T S_LI conj(N) with
-    N = (I - H_OO)^{-1} and S_LI = S_I[O, O] + H_LO^T S_I[L, L] conj(H_LO) is
-    formed in GF(P).  The result equals `spectrum(tsg, params).S.eval_mod`
-    at z0.  Returns None when an entry of H or S_I has no image at z0 or
-    1/z0, or when I - H_OO is singular there.
+    Rows and columns follow tsg.base.observed.  Nothing is built over R(z):
+    the kernel values of `_trek_parts` (each link, its conjugate and each
+    S_I[v, v]) map to num(z0) z0**shift over their factors' images, with each
+    D_i and D_i* evaluated once.  That map is the ring homomorphism of
+    `RatFn.eval_mod`, so S(z0) = N^T S_LI conj(N) with N = (I - H_OO)^{-1},
+    formed in GF(P), equals `spectrum(tsg, params).S.eval_mod` at z0.  Returns
+    None when a factor or a content denominator vanishes modulo P, or when
+    I - H_OO is singular there.
     """
-    z0 = EVAL_POINT
-    H = transfer_matrix(tsg, params)
+    P, z0 = MOD_PRIME, EVAL_POINT
+    graph = tsg.base
+    kd, tops, links = _trek_parts(tsg, params)
+
+    def image(a: _Value) -> int:
+        num, left, right, shift = a
+        out = _poly_mod(num, z0) * pow(z0, shift, P) % P
+        for i, (d, d_star) in enumerate(inverses):
+            out = out * (d if left >> i & 1 else 1) * (d_star if right >> i & 1 else 1) % P
+        return out
+
     try:
-        Hz, Hw = H.eval_mod(z0), H.eval_mod(pow(z0, -1, MOD_PRIME))
-        Iz = internal_spectrum(tsg, params).eval_mod(z0)
-    except UnluckyReduction:
+        # pow raises ValueError when a factor or a content denominator vanishes mod P
+        inverses = [(pow(_poly_mod(d, z0), -1, P), pow(_poly_mod(d_star, z0), -1, P))
+                    for d, d_star in zip(kd.left, kd.right)]
+        Hz = {e: image(value) for e, value in links.items()}
+        Hw = {e: image(kd.conj(value)) for e, value in links.items()}
+        Iz = {v: image(tops[v]) for v in graph.vertices}
+    except ValueError:
         return None
-    index = {v: i for i, v in enumerate(H.row_labels)}
-    obs = [index[v] for v in tsg.base.observed]
-    lat = [index[v] for v in tsg.base.latent]
-    S_LI = [[(Iz[a][b] + sum(Hz[l][a] * Iz[l][l] * Hw[l][b] for l in lat)) % MOD_PRIME
+    obs = graph.observed
+    S_LI = [[(Iz[a] * (a == b) + sum(Hz[(l, a)] * Iz[l] * Hw[(l, b)]
+                                     for l in graph.pa_latent(a) if (l, b) in Hw)) % P
              for b in obs] for a in obs]
     eye = [[int(i == j) for j in range(len(obs))] for i in range(len(obs))]
-    N, Nw = (solve_mod([[(int(a == b) - M[a][b]) % MOD_PRIME for b in obs] for a in obs], eye)
+    N, Nw = (solve_mod([[(int(a == b) - M.get((a, b), 0)) % P for b in obs] for a in obs], eye)
              for M in (Hz, Hw))
     if N is None or Nw is None:
         return None

@@ -6,6 +6,8 @@ the graph size.  `svarspec.svar` builds the internal, projected internal and
 observed spectra over the known denominator prod_v D_v(z) D_v(1/z) instead;
 these functions are the oracles it must match entry for entry:
 
+- `link_function` and `transfer_matrix` form H[a, b] = L_ab / D_b as one
+  `RatFn` per edge, straight from `lag_poly`, not from the kernel's values;
 - `internal_spectrum` and `spectrum` form sigma_v / (D_v D_v*) with RatFn
   products, S_LI with RatFn matrix products, and S = N^T S_LI conj(N) with
   N = (I - H_OO)^{-1} from `unit_inverse`, which sums I + H_OO + H_OO^2 + ...
@@ -24,8 +26,7 @@ from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             enumerate_treks)
 from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
 from svarspec.ratlinalg import RatMatrix, inverse
-from svarspec.svar import (SpectrumBundle, SvarParams, _auto_denominator,
-                           link_function, transfer_matrix)
+from svarspec.svar import SpectrumBundle, SvarParams, lag_poly
 
 from graph_reference import (nonintersecting_path_systems,
                              sided_nonintersecting_trek_systems, validate_path)
@@ -52,6 +53,25 @@ def unit_inverse(M: RatMatrix) -> RatMatrix:
             break
         total = total + power
     return total
+
+
+def _auto_denominator(tsg: TimeSeriesGraph, params: SvarParams, v: str) -> Poly:
+    return P_ONE - lag_poly(tsg, params, v, v)
+
+
+def link_function(tsg: TimeSeriesGraph, params: SvarParams, x: str, y: str) -> RatFn:
+    """Rational causal effect along the edge x -> y."""
+    return RatFn(lag_poly(tsg, params, x, y), _auto_denominator(tsg, params, y))
+
+
+def transfer_matrix(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
+    """H over all vertices, zero off the edge set."""
+    edges = set(tsg.base.edges)
+
+    def fn(a: str, b: str) -> RatFn:
+        return link_function(tsg, params, a, b) if (a, b) in edges else R_ZERO
+
+    return RatMatrix.build(tsg.base.vertices, tsg.base.vertices, fn)
 
 
 def internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from svarspec import cli
 from svarspec import io as sio
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
@@ -294,6 +295,26 @@ def test_estimate_frequencies_over_the_limit_exit_validation_quickly(capsys, tmp
     assert code == EXIT_OK and len(report["outputs"]["frequencies"]) == MAX_FREQUENCIES
 
 
+def test_estimate_exits_validation_past_max_estimate_values(capsys, tmp_path, monkeypatch,
+                                                            instrument_files):
+    graph, params = instrument_files
+    series = tmp_path / "series.txt"
+    run(capsys, "simulate", "--graph", graph, "--params", params,
+        "--length", "256", "--seed", "1", "--out", str(series))
+    argv = ["estimate", "--series", str(series), "--frequencies", "3", "--segments", "64",
+            "--out", str(tmp_path / "e.json")]
+    # four series (u, v, w and the latent l) at three frequencies: 3 * 4^2 values
+    monkeypatch.setattr(cli, "MAX_ESTIMATE_VALUES", 48)
+    assert run(capsys, *argv)[0] == EXIT_OK
+    (tmp_path / "e.json").unlink()
+    monkeypatch.setattr(cli, "MAX_ESTIMATE_VALUES", 47)
+    monkeypatch.setattr(cli, "estimate_spectrum", None)  # refused before any DFT
+    code, report = run(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert "48 values" in report["error"] and "limit of 47" in report["error"]
+    assert not (tmp_path / "e.json").exists()
+
+
 #: sha256 of the primary outputs for the README instrument graph and
 #: sample_stable_params(seed=7); exact outputs and the simulated series must
 #: not change by a byte.  The estimate is not pinned: its bytes depend on BLAS.
@@ -333,6 +354,51 @@ def test_discover_exact_and_sampled(capsys, tmp_path, instrument_files):
     code, report2 = run(capsys, "discover", "--graph", graph, "--seed", "7")
     assert code == EXIT_OK
     assert report2["outputs"]["undirected"] == report["outputs"]["undirected"]
+
+
+def _complete_dag_files(tmp_path, n: int) -> dict[str, str]:
+    """Graph, parameter and estimate files of a complete n-vertex DAG."""
+    labels = [f"x{i}" for i in range(n)]
+    edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    g = ProcessGraph.make(labels, [], edges)
+    tsg = TimeSeriesGraph.full(g, 1)
+    params = sample_stable_params(tsg, seed=1)
+    files = {name: str(tmp_path / f"{name}.json") for name in ("graph", "params", "estimate")}
+    sio.save_graph(tsg, files["graph"])
+    sio.save_params(params, files["params"])
+    series = simulate_series(tsg, params, length=128, burn_in=50, seed=1)
+    sio.save_estimate(estimate_spectrum(series, [0.5, 1.5], segment_length=32), files["estimate"])
+    return files
+
+
+@pytest.mark.parametrize("source", ["params", "seed", "estimate"])
+def test_discover_exits_validation_past_max_ci_tests(capsys, tmp_path, monkeypatch, source):
+    # every test answers "dependent" on a complete DAG (the empirical test is
+    # made to), so PC removes no edge and runs n(n-1) 2^(n-2) = 48 tests for n = 4
+    files = _complete_dag_files(tmp_path, 4)
+    monkeypatch.setattr(cli, "empirical_ci_test", lambda *args, **kwargs: False)
+    argv = ["discover", "--graph", files["graph"],
+            *{"params": ["--params", files["params"]], "seed": ["--seed", "1"],
+              "estimate": ["--estimate", files["estimate"]]}[source]]
+    monkeypatch.setattr(cli, "MAX_CI_TESTS", 48)
+    code, report = run(capsys, *argv)
+    assert code == EXIT_OK and len(report["outputs"]["undirected"]) == 6
+    monkeypatch.setattr(cli, "MAX_CI_TESTS", 47)
+    code, report = run(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert "48 CI tests" in report["error"] and "limit of 47" in report["error"]
+
+
+def test_discover_bound_does_not_refuse_sparse_graphs(capsys, tmp_path):
+    # a 16-vertex chain: a complete DAG of that size would run n(n-1) 2^(n-2),
+    # 3.9 million tests, but the chain's search runs few
+    labels = [f"x{i:02d}" for i in range(16)]
+    tsg = TimeSeriesGraph.full(ProcessGraph.make(labels, [], list(zip(labels, labels[1:]))), 1)
+    graph = tmp_path / "chain.json"
+    sio.save_graph(tsg, graph)
+    assert 16 * 15 * 2 ** 14 > cli.MAX_CI_TESTS
+    code, report = run(capsys, "discover", "--graph", str(graph), "--seed", "1")
+    assert code == EXIT_OK and len(report["outputs"]["undirected"]) == 15
 
 
 def test_discover_requires_some_input(capsys, instrument_files):
@@ -710,8 +776,9 @@ def test_targeted_input_files_map_to_exit_codes(tmp_path, valid_documents, mutat
 
 #: Malformed inputs that once loaded as something else and exited 0: a string
 #: of labels or coefficients split into characters, a lag truncated or read
-#: from a bool, and a series or estimate naming one process twice (the latent
-#: l's column is read as u's).
+#: from a bool, a series or estimate naming one process twice (the latent
+#: l's column is read as u's), and a parameter listed twice (the later value
+#: won).
 MISREAD_INPUTS = {
     "observed string": ("graph", lambda d: d.__setitem__("observed", "uvw")),
     "latent string": ("graph", lambda d: d.__setitem__("latent", "l")),
@@ -727,6 +794,12 @@ MISREAD_INPUTS = {
     "bundle cols string": ("bundle", lambda d: d["S"].update(cols="".join(d["S"]["cols"]))),
     "bundle coefficient string":  # read as 1 + 2z
         ("bundle", lambda d: d["S"]["entries"][0][0].update(num="12", den=["1"])),
+    "params cross entry twice":  # read as the later 1/3
+        ("params", lambda d: d["cross"].append({**d["cross"][0], "coeff": "1/3"})),
+    "params auto entry twice":
+        ("params", lambda d: d["auto"].append({**d["auto"][0], "coeff": "1/100"})),
+    "params noise entry twice":
+        ("params", lambda d: d["noise"].append({**d["noise"][0], "variance": "5"})),
 }
 
 

@@ -21,7 +21,7 @@ from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
 from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
                            conditional_spectrum,
                            generic_rank, internal_spectrum, lag_poly,
-                           link_function, projected_internal_spectrum,
+                           projected_internal_spectrum,
                            sample_stable_params, spectrum, spectrum_mod,
                            spectrum_trek, transfer_matrix)
 
@@ -61,14 +61,14 @@ def test_link_function_quotient_shape(instrument_tsg):
     a0 = p.cross[("u", "v", 0)]
     a1 = p.cross[("u", "v", 1)]
     b = p.auto[("v", 1)]
-    assert link_function(instrument_tsg, p, "u", "v") == RatFn([a0, a1], [1, -b])
+    assert transfer_matrix(instrument_tsg, p).entry("u", "v") == RatFn([a0, a1], [1, -b])
 
 
 def test_link_function_denominator_one_without_auto_lags():
     g = ProcessGraph.make(["a", "b"], [], [("a", "b")])
     tsg = TimeSeriesGraph.make(g, {("a", "b"): (0, 1)})
     p = sample_stable_params(tsg, seed=5)
-    h = link_function(tsg, p, "a", "b")
+    h = transfer_matrix(tsg, p).entry("a", "b")
     assert h.den == P_ONE
 
 
@@ -634,6 +634,60 @@ def test_spectrum_mod_is_the_image_of_the_exact_spectrum():
         tsg = random_instance(seed, cyclic=seed % 2 == 1)
         params = sample_stable_params(tsg, seed=seed)
         assert spectrum_mod(tsg, params) == spectrum(tsg, params).S.eval_mod(EVAL_POINT), seed
+
+
+def three_kinds(seed: int) -> TimeSeriesGraph:
+    """A seeded acyclic, latent or cyclic instance as seed % 3 is 0, 1 or 2;
+    `random_instance`'s latent DAGs always have latent edges."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(rng.randint(2, 5))]
+    if seed % 3 == 0:
+        graph = random_dag(rng, labels, p=0.5)
+    elif seed % 3 == 1:
+        graph = random_latent_dag(rng, labels, ["h", "k"], p=0.5, p_latent=0.7)
+    else:
+        graph = random_cyclic_graph(rng, len(labels))
+    return random_tsg(rng, graph, max_order=2)
+
+
+def test_spectrum_mod_takes_no_gcd(monkeypatch):
+    """The image comes from the kernel values alone: no RatFn is reduced."""
+    cases = []
+    for seed in range(30):
+        tsg = three_kinds(seed)
+        params = sample_stable_params(tsg, seed=seed)
+        cases.append((tsg, params, spectrum(tsg, params).S.eval_mod(EVAL_POINT)))
+    graphs = [tsg.base for tsg, _, _ in cases]
+    assert any(not g.is_acyclic for g in graphs)
+    assert any(a in g.latent for g in graphs for a, _ in g.edges)
+    assert any(g.is_acyclic and not set(g.latent) & {a for a, _ in g.edges} for g in graphs)
+
+    def fail(f, g):
+        raise AssertionError("spectrum_mod took a gcd")
+
+    monkeypatch.setattr(ratfield, "poly_gcd", fail)
+    for seed, (tsg, params, want) in enumerate(cases):
+        assert spectrum_mod(tsg, params) == want, seed
+
+
+def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
+    """H read off the kernel's link values equals one RatFn L_ab / D_b per edge,
+    and `spectrum` reads each lag polynomial once: D_v per vertex, L_ab per edge."""
+    reads = []
+
+    def counted(tsg, params, x, y):
+        reads.append((x, y))
+        return lag_poly(tsg, params, x, y)
+
+    monkeypatch.setattr(svar_module, "lag_poly", counted)
+    for seed in range(60):
+        tsg = three_kinds(seed)
+        params = sample_stable_params(tsg, seed=seed)
+        want = svar_reference.transfer_matrix(tsg, params)
+        reads.clear()
+        assert spectrum(tsg, params).H == want, seed
+        assert sorted(reads) == sorted([(v, v) for v in tsg.base.vertices] + list(tsg.base.edges))
+        assert transfer_matrix(tsg, params) == want, seed
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
