@@ -11,9 +11,9 @@ from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     lfhtc_order, lfhtc_prerequisite_edges, lfhtc_search,
                     t_separated, t_separation_min)
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
-                   conditional_spectrum, generic_rank, internal_spectrum,
-                   lag_poly, projected_internal_spectrum, sample_stable_params,
-                   spectrum, spectrum_trek, transfer_matrix)
+                   conditional_spectrum, generic_rank, lag_poly,
+                   sample_stable_params, spectral_density, spectrum,
+                   spectrum_trek, transfer_matrix)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
                        ZeroInstrumentError, discover_cpdag, dsep_ci_oracle,

@@ -25,7 +25,8 @@ from .identify import discover_cpdag, identify_all, spectral_ci_oracle
 from .ratlinalg import SingularMatrixError
 from .simulate import (EstimationError, IllConditionedBlockError,
                        empirical_ci_test, estimate_spectrum, simulate_series)
-from .svar import SvarParams, generic_rank, sample_stable_params, spectrum
+from .svar import (SvarParams, generic_rank, sample_stable_params, spectral_density,
+                   spectrum)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -195,11 +196,11 @@ def cmd_spectrum(args) -> dict:
 def cmd_identify(args) -> dict:
     tsg = _load("graph", sio.load_graph, args.graph)
     if args.spectrum:
-        S = _load("spectrum", sio.load_bundle, args.spectrum).S
+        S = _load("spectrum", sio.load_spectral_density, args.spectrum)
         inputs = {"graph": args.graph, "spectrum": args.spectrum}
     elif args.params:
         params = _load_params(tsg, args.params)
-        S = spectrum(tsg, params).S
+        S = spectral_density(tsg, params)
         inputs = {"graph": args.graph, "params": args.params}
     else:
         raise CliError(EXIT_VALIDATION, "identify needs --params or --spectrum")
@@ -279,7 +280,7 @@ def cmd_discover(args) -> dict:
         inputs["estimate"] = args.estimate
     elif args.params:
         params = _load_params(tsg, args.params)
-        S = spectrum(tsg, params).S
+        S = spectral_density(tsg, params)
         cpdag = discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
         inputs["params"] = args.params
     elif args.seed is not None:
@@ -287,7 +288,7 @@ def cmd_discover(args) -> dict:
 
         def build(s):
             params = sample_stable_params(tsg, seed=s)
-            S = spectrum(tsg, params).S
+            S = spectral_density(tsg, params)
             return discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
 
         cpdag = _with_resampling(build, seed, warnings)

@@ -284,12 +284,14 @@ def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
             raise ValueError("X, Y, Z must be pairwise disjoint")
         z = sorted(Z)
         r, c = z + sorted(X), z + sorted(Y)
-        joint = S.submatrix(r, c)  # raises KeyError for an unknown label
+        unknown = [v for v in r if v not in rows] + [v for v in c if v not in cols]
+        if unknown:
+            raise KeyError(f"unknown label {unknown[0]!r}")
         if invertible_mod(Z) and rank_mod(block(r, c)) > len(z):
             return False
         if not invertible_mod(Z) and rank(S.submatrix(z, z)) < len(z):
             raise SingularMatrixError("S[Z, Z] is singular over R(z)")
-        return rank(joint) == len(z)
+        return rank(S.submatrix(r, c)) == len(z)
 
     def oracle(X, Y, Z) -> bool:
         return independent(frozenset(X), frozenset(Y), frozenset(Z))

@@ -5,7 +5,9 @@ identical inputs produce byte-identical files.  Exact rational coefficients
 travel as strings "p/q" in lowest terms, read and written as integer pairs;
 decimal notation is rejected on load.  A rational function is the
 coefficient lists of its numerator and denominator, made canonical again on
-load, and a matrix adds its row and column labels.
+load, and a matrix adds its row and column labels.  `load_spectral_density`
+reads a bundle's S alone: it checks H, S_I and S_LI as `load_bundle` does but
+makes only S canonical.
 Series are columnar text with a label header row.
 """
 
@@ -103,10 +105,14 @@ def _coeff_strings(poly: Poly) -> list[str]:
     return out
 
 
-def _poly(coeffs) -> Poly:
+def _ratios(coeffs) -> list[tuple[int, int]]:
     if not isinstance(coeffs, list):
         raise ValueError(f"coefficients must be a list of strings, got {coeffs!r}")
-    return _new(*_from_ratios([_ratio(s) for s in coeffs]))
+    return [_ratio(s) for s in coeffs]
+
+
+def _poly(coeffs) -> Poly:
+    return _new(*_from_ratios(_ratios(coeffs)))
 
 
 def ratfn_to_dict(r: RatFn) -> dict:
@@ -118,6 +124,14 @@ def ratfn_from_dict(data: dict) -> RatFn:
     return RatFn(_poly(data["num"]), _poly(data["den"]))
 
 
+def _checked_ratfn(data: dict) -> None:
+    """Read a rational function's coefficients and refuse it where
+    `ratfn_from_dict` would, without building it: no `Poly`, gcd or `RatFn`."""
+    _ratios(data["num"])
+    if not any(p for p, _ in _ratios(data["den"])):
+        raise ZeroDivisionError("rational function with zero denominator")
+
+
 def matrix_to_dict(matrix: RatMatrix) -> dict:
     return {
         "rows": list(matrix.row_labels),
@@ -126,10 +140,12 @@ def matrix_to_dict(matrix: RatMatrix) -> dict:
     }
 
 
-def matrix_from_dict(data: dict) -> RatMatrix:
+def matrix_from_dict(data: dict, entry=ratfn_from_dict) -> RatMatrix:
+    """Read a matrix, each entry by `entry`; `RatMatrix` refuses duplicate labels
+    and a grid of the wrong shape."""
     return RatMatrix(
         _labels(data["rows"], "matrix rows"), _labels(data["cols"], "matrix cols"),
-        [[ratfn_from_dict(e) for e in row] for row in data["entries"]],
+        [[entry(e) for e in row] for row in data["entries"]],
     )
 
 
@@ -266,13 +282,16 @@ def bundle_to_dict(bundle: SpectrumBundle) -> dict:
     }
 
 
+def _bundle_matrices(data: dict, canonical: set[str]) -> dict[str, RatMatrix]:
+    """H, S_I, S_LI and S, read in that order and each refused as a whole matrix
+    would be; only those named in `canonical` hold `RatFn` entries."""
+    return {key: matrix_from_dict(data[key], ratfn_from_dict if key in canonical
+                                  else _checked_ratfn)
+            for key in ("H", "S_I", "S_LI", "S")}
+
+
 def bundle_from_dict(data: dict) -> SpectrumBundle:
-    return SpectrumBundle(
-        H=matrix_from_dict(data["H"]),
-        S_I=matrix_from_dict(data["S_I"]),
-        S_LI=matrix_from_dict(data["S_LI"]),
-        S=matrix_from_dict(data["S"]),
-    )
+    return SpectrumBundle(**_bundle_matrices(data, {"H", "S_I", "S_LI", "S"}))
 
 
 def save_bundle(bundle: SpectrumBundle, path) -> None:
@@ -281,6 +300,12 @@ def save_bundle(bundle: SpectrumBundle, path) -> None:
 
 def load_bundle(path) -> SpectrumBundle:
     return bundle_from_dict(_load(path))
+
+
+def load_spectral_density(path) -> RatMatrix:
+    """S of a bundle file, refused wherever `load_bundle` refuses the file; only
+    S is made canonical."""
+    return _bundle_matrices(_load(path), {"S"})["S"]
 
 
 # -- certificates ---------------------------------------------------------------------------------
@@ -371,8 +396,9 @@ def save_series(series: SeriesSample, path) -> None:
 
 def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
-    `float` rejects, or a ragged row, raises ValueError."""
-    lines = Path(path).read_text().strip().splitlines()
+    `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
+    stripped from the ends of the text, so a label keeps its spaces."""
+    lines = Path(path).read_text().strip("\n").splitlines()
     labels = tuple(lines[0].split("\t"))
     values = np.array([line.split("\t") for line in lines[1:]], dtype=np.float64)
     return SeriesSample(labels, values)

@@ -209,8 +209,9 @@ def exact_spectrum_values(S: RatMatrix, frequencies) -> np.ndarray:
     This is the evaluation convention the Welch estimator targets: its DFT
     kernel exp(-i*theta*n) pairs lag k with z^k at z = exp(-i*theta).
     """
+    frequencies = tuple(frequencies)
     n = len(S.row_labels)
-    out = np.zeros((len(tuple(frequencies)), n, n), dtype=complex)
+    out = np.zeros((len(frequencies), n, n), dtype=complex)
     for f, theta in enumerate(frequencies):
         z = np.exp(-1j * float(theta))
         for i in range(n):

@@ -1,11 +1,12 @@
 """Frequency-domain parameterisation of SVAR processes over R(z).
 
 Maps exact rational coefficients (per edge and lag, plus auto-lags and noise
-variances) to the transfer matrix H, the internal spectrum, the projected
-internal spectrum, and the full spectrum of the observed processes.  Also
-provides the trek-rule spectrum used as a cross-check, a Schur-complement
-conditional spectrum, generic rank by random rational sampling, and the
-stable-parameter sampler itself.
+variances) to the observed spectral density S (`spectral_density`, which
+builds S alone) or to the whole bundle of H, the internal spectrum S_I, the
+projected internal spectrum S_LI and S (`spectrum`).  Also provides the
+trek-rule spectrum used as a cross-check, a Schur-complement conditional
+spectrum, generic rank by random rational sampling, and the stable-parameter
+sampler itself.
 
 Index convention, used consistently everywhere: the spectrum entry S[v, w]
 carries the *unconjugated* path products into its row label v and the
@@ -23,7 +24,10 @@ most once on the left and each D_u(1/z) = D_u*(z) z^-deg at most once on the
 right, where D_u* is the reversal `Poly.conj`.  So prod_u D_u(z) D_u(1/z)
 clears every entry: H, S_I, S_LI, S and `spectrum_trek` are read off these
 values with `Poly` products and sums only (`_KnownDenominator`), each entry
-reduced once, and `spectrum_mod` maps the same values to GF(P).
+reduced once, and `spectrum_mod` maps the same values to GF(P).  S_LI and the
+acyclic S are one Gram form, M[v, w] = sum_t into[v][t] S_I[t, t]
+conj(into[w][t]), where into[v][t] sums the link products of the directed
+paths t .. v (for S_LI, v itself and the edges from its latent parents).
 
 What can cancel.  Under the stability bound sum_k |phi_k| < 1, D_v has no
 root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*, the
@@ -36,7 +40,7 @@ stability argument, guarantees the canonical form, so the bytes of every
 spectrum are those of the unique reduced fraction, stable or not.
 
 A cyclic observed part has no trek expansion with this denominator: there
-`spectrum` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
+`spectral_density` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
 N^T S_LI conj(N) over R(z).  It does so even when zero coefficients leave
 H_OO an acyclic support: the inverse is unique, so elimination gives the
 canonical matrix that the finite sum I + H_OO + H_OO^2 + ... would.
@@ -200,6 +204,8 @@ class _KnownDenominator:
     def mul(a: _Value, b: _Value) -> _Value:
         if not (a[0] and b[0]):
             return _ZERO
+        if a is _ONE or b is _ONE:  # the value of the empty path
+            return b if a is _ONE else a
         assert not (a[1] & b[1] or a[2] & b[2]), "a factor repeats on one side"
         return a[0] * b[0], a[1] | b[1], a[2] | b[2], a[3] + b[3]
 
@@ -223,8 +229,8 @@ class _KnownDenominator:
     def conj(self, a: _Value) -> _Value:
         """The value at 1/z: num(1/z) = num* z**-deg num, and the masks swap sides."""
         num, left, right, shift = a
-        if not num:
-            return _ZERO
+        if not num or a is _ONE:  # zero and one are their own conjugates
+            return a
         return num.conj(), right, left, self.lift(left, right).degree - num.degree - shift
 
     def ratfn(self, a: _Value) -> RatFn:
@@ -301,44 +307,23 @@ def _internal(graph: ProcessGraph, kd: _KnownDenominator, tops) -> RatMatrix:
 
 def _projected(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
     """S_LI[a, b] = [a = b] S_I[a, a] + sum over latent l of H[l, a] S_I[l, l] conj(H[l, b])."""
-    def entry(a: str, b: str) -> _Value:
-        terms = [tops[a]] if a == b else []
-        terms += [kd.mul(kd.mul(links[(l, a)], tops[l]), kd.conj(links[(l, b)]))
-                  for l in graph.pa_latent(a) if graph.has_edge(l, b)]
-        return kd.total(terms)
-
-    return kd.hermitian(graph.observed, entry)
+    into = {a: {a: _ONE, **{l: links[(l, a)] for l in graph.pa_latent(a)}} for a in graph.observed}
+    return _gram(kd, graph.observed, into, tops)
 
 
-def internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """Diagonal spectrum sigma_v / (D_v(z) D_v(1/z)) of each vertex's internal dynamics."""
-    kd, tops, _ = _trek_parts(tsg, params)
-    return _internal(tsg.base, kd, tops)
+def _gram(kd: _KnownDenominator, labels, into, tops) -> RatMatrix:
+    """M[v, w] = sum_t into[v][t] S_I[t, t] conj(into[w][t]) over the labels."""
+    left = {v: {t: kd.mul(value, tops[t]) for t, value in into[v].items()} for v in labels}
+    right = {w: {t: kd.conj(value) for t, value in into[w].items()} for w in labels}
+
+    def entry(v: str, w: str) -> _Value:
+        return kd.total(kd.mul(value, right[w][t]) for t, value in left[v].items() if t in right[w])
+
+    return kd.hermitian(labels, entry)
 
 
-def projected_internal_spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """Internal spectrum of the observed block plus all latent-parent contributions."""
-    return _projected(tsg.base, *_trek_parts(tsg, params))
-
-
-def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
-    """Full bundle (H, internal, projected internal, observed spectrum).
-
-    On an acyclic graph, into[v][t] is the sum over directed paths t .. v of
-    their link products, by dynamic programming over parents in topological
-    order, and S[v, w] = sum_t into[v][t] S_I[t, t] conj(into[w][t]), all in
-    the known-denominator kernel.  A cyclic observed part solves
-    N = (I - H_OO)^{-1} by Bareiss elimination and forms N^T S_LI conj(N).
-    """
-    graph = tsg.base
-    kd, tops, links = _trek_parts(tsg, params)
-    H = _transfer(graph, kd, links)
-    S_I = _internal(graph, kd, tops)
-    S_LI = _projected(graph, kd, tops, links)
-    observed = graph.observed
-    if not graph.is_acyclic:
-        N = inverse(RatMatrix.identity(observed) - H.submatrix(observed, observed))
-        return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=N.transpose() @ S_LI @ N.conj())
+def _acyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
+    """S, with into[v][t] by dynamic programming over parents in topological order."""
     into: dict[str, dict[str, _Value]] = {}
     for v in graph.topological_order():
         terms: dict[str, list[_Value]] = {v: [_ONE]}
@@ -349,13 +334,33 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
                     terms.setdefault(t, []).append(kd.mul(value, link))
         sums = ((t, kd.total(ts)) for t, ts in terms.items())
         into[v] = {t: value for t, value in sums if value[0]}
-    left = {v: {t: kd.mul(value, tops[t]) for t, value in into[v].items()} for v in observed}
-    right = {w: {t: kd.conj(value) for t, value in into[w].items()} for w in observed}
+    return _gram(kd, graph.observed, into, tops)
 
-    def entry(v: str, w: str) -> _Value:
-        return kd.total(kd.mul(value, right[w][t]) for t, value in left[v].items() if t in right[w])
 
-    return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=kd.hermitian(observed, entry))
+def _cyclic_density(observed, H: RatMatrix, S_LI: RatMatrix) -> RatMatrix:
+    """S = N^T S_LI conj(N) with N = (I - H_OO)^{-1}, by Bareiss elimination."""
+    N = inverse(RatMatrix.identity(observed) - H.submatrix(observed, observed))
+    return N.transpose() @ S_LI @ N.conj()
+
+
+def spectral_density(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
+    """The observed spectrum S alone; only a cyclic observed part builds H and S_LI."""
+    graph = tsg.base
+    kd, tops, links = _trek_parts(tsg, params)
+    if graph.is_acyclic:
+        return _acyclic_density(graph, kd, tops, links)
+    return _cyclic_density(graph.observed, _transfer(graph, kd, links),
+                           _projected(graph, kd, tops, links))
+
+
+def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
+    """The bundle (H, S_I, S_LI, S), each matrix built once from one `_trek_parts`."""
+    graph = tsg.base
+    kd, tops, links = _trek_parts(tsg, params)
+    H, S_LI = _transfer(graph, kd, links), _projected(graph, kd, tops, links)
+    S = (_acyclic_density(graph, kd, tops, links) if graph.is_acyclic
+         else _cyclic_density(graph.observed, H, S_LI))
+    return SpectrumBundle(H=H, S_I=_internal(graph, kd, tops), S_LI=S_LI, S=S)
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
@@ -491,8 +496,7 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
         if image is not None and rank_mod(
                 [[image[observed[x]][observed[y]] for y in Y] for x in X]) == bound:
             return bound
-        S = spectrum(tsg, params).S
-        best = max(best, rank(S.submatrix(X, Y)))
+        best = max(best, rank(spectral_density(tsg, params).submatrix(X, Y)))
     return best
 
 
@@ -502,16 +506,13 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
 STABILITY_MARGIN = Fraction(1, 10)
 
 
-def _random_fraction(rng: random.Random, bound: Fraction) -> Fraction:
+def _random_fraction(rng: random.Random) -> Fraction:
     sign = rng.choice((-1, 1))
     value = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-    if value > 1:
-        value = 1 / value  # keep magnitudes below one before the stability rescale
-    return sign * value * bound
+    return sign * min(value, 1 / value)  # magnitudes at most one before the stability rescale
 
 
-def sample_stable_params(tsg: TimeSeriesGraph, seed: int,
-                         magnitude_bound: Fraction = Fraction(1)) -> SvarParams:
+def sample_stable_params(tsg: TimeSeriesGraph, seed: int) -> SvarParams:
     """Deterministic-per-seed rational coefficients meeting stability strictly.
 
     Coefficients come from a finite set of rationals with small numerator and
@@ -520,14 +521,13 @@ def sample_stable_params(tsg: TimeSeriesGraph, seed: int,
     """
     # string seeding hashes with sha512, so draws are stable across processes
     rng = random.Random(f"svar-params:{seed}")
-    bound = Fraction(magnitude_bound)
     cross = {
-        (a, b, k): _random_fraction(rng, bound)
+        (a, b, k): _random_fraction(rng)
         for (a, b) in sorted(tsg.cross_lags)
         for k in tsg.cross_lags[(a, b)]
     }
     auto = {
-        (v, k): _random_fraction(rng, bound)
+        (v, k): _random_fraction(rng)
         for v in sorted(tsg.auto_lags)
         for k in tsg.auto_lags[v]
     }

@@ -59,7 +59,7 @@ def save_series(series: SeriesSample, path) -> None:
 
 
 def load_series(path) -> SeriesSample:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = Path(path).read_text().strip("\n").splitlines()
     labels = tuple(lines[0].split("\t"))
     values = np.array([[float(x) for x in line.split("\t")] for line in lines[1:]])
     return SeriesSample(labels, values)

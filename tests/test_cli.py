@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 from svarspec import cli
 from svarspec import io as sio
+from svarspec import ratfield
+from svarspec import svar as svar_module
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
                           _with_resampling, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
+from svarspec.identify import IdentificationCertificate
+from svarspec.ratfield import RatFn
 from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
 from svarspec.ratlinalg import SingularMatrixError
 from svarspec.svar import SvarParams, sample_stable_params, spectrum
@@ -179,6 +183,92 @@ def test_spectrum_identify_pipeline(capsys, tmp_path, instrument_files):
                   "--out", str(cert2))
     assert code == EXIT_OK
     assert cert1.read_bytes() == cert2.read_bytes()
+
+
+def _outputs(capsys, out, commands) -> list:
+    """Each command's exit code, report without its timing, and `out` bytes."""
+    results = []
+    for argv in commands:
+        out.unlink(missing_ok=True)
+        code, report = run(capsys, *argv)
+        del report["timing_seconds"]
+        results.append((code, report, out.read_bytes() if out.exists() else None))
+    return results
+
+
+def test_commands_that_read_s_alone_build_no_other_matrix(capsys, tmp_path, monkeypatch,
+                                                         instrument_files):
+    """On an acyclic graph S comes from `spectral_density`, which builds no H,
+    S_I or S_LI; the exact fallback of a rank query is forced by a modular rank
+    of 0.  Every report and file equals the one made without the patches."""
+    graph, params = instrument_files
+    out = tmp_path / "out.json"
+    g, o = ["--graph", graph], ["--out", str(out)]
+    commands = [["identify", *g, "--params", params, *o],
+                ["discover", *g, "--params", params, *o],
+                ["discover", *g, "--seed", "3", *o],
+                ["query", *g, "--query", "rank", "--x", "u,v", "--y", "w", "--seed", "1"]]
+    want = _outputs(capsys, out, commands)
+    assert {code for code, _, _ in want} == {EXIT_OK}
+
+    def refuse(*args):
+        raise AssertionError("built a matrix other than S")
+
+    for name in ("_transfer", "_internal", "_projected"):
+        monkeypatch.setattr(svar_module, name, refuse)
+    monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
+    assert _outputs(capsys, out, commands) == want
+
+
+def test_identify_spectrum_makes_only_s_canonical(capsys, tmp_path, monkeypatch,
+                                                  instrument_files):
+    """Loading the bundle builds one `RatFn`, and takes at most one gcd, per
+    entry of S, and none for an entry of H, S_I or S_LI."""
+    graph, params = instrument_files
+    bundle = tmp_path / "bundle.json"
+    run(capsys, "spectrum", "--graph", graph, "--params", params, "--out", str(bundle))
+    n = len(sio.load_bundle(bundle).S.row_labels)
+    read = []
+    monkeypatch.setattr(cli, "identify_all", lambda graph, S: read.append(S) or
+                        IdentificationCertificate((), (), ()))
+    made, gcds = [], []
+    real_init, real_gcd = RatFn.__init__, ratfield.poly_gcd
+
+    def init(self, num, den=ratfield.P_ONE):
+        made.append((num, den))
+        real_init(self, num, den)
+
+    def gcd(f, g):
+        gcds.append((f, g))
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(RatFn, "__init__", init)
+    monkeypatch.setattr(ratfield, "poly_gcd", gcd)
+    code, _ = run(capsys, "identify", "--graph", graph, "--spectrum", str(bundle),
+                  "--out", str(tmp_path / "cert.json"))
+    assert code == EXIT_OK and len(read) == 1
+    assert len(made) == n * n and len(gcds) <= n * n
+    monkeypatch.undo()
+    assert read[0] == sio.load_bundle(bundle).S
+
+
+def test_series_labels_with_edge_spaces_round_trip(capsys, tmp_path):
+    """A label's leading and trailing spaces survive simulate, estimate and discover."""
+    labels = [" a", "b ", " c "]
+    tsg = TimeSeriesGraph.full(ProcessGraph.make(labels, [], [(" a", "b "), ("b ", " c ")]), 1)
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    sio.save_graph(tsg, graph)
+    sio.save_params(sample_stable_params(tsg, seed=1), params)
+    series, est = tmp_path / "series.txt", tmp_path / "est.json"
+    for argv in (["simulate", "--graph", str(graph), "--params", str(params),
+                  "--length", "1024", "--seed", "1", "--out", str(series)],
+                 ["estimate", "--series", str(series), "--frequencies", "4",
+                  "--segments", "64", "--out", str(est)]):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert sio.load_series(series).labels == tsg.base.vertices
+    code, report = run(capsys, "discover", "--graph", str(graph), "--estimate", str(est))
+    assert code == EXIT_OK, report
+    assert report["outputs"]["nodes"] == sorted(labels)
 
 
 def test_spectrum_rejects_unstable_params(capsys, tmp_path, instrument_tsg, instrument_files):
@@ -760,7 +850,23 @@ TARGETED_MUTATIONS = {
         lambda d: d["bundle"]["S"]["entries"][0][0]["den"].__setitem__(0, "0.5"),
     "cross lag at MAX_LAG": lambda d: _lag_at_bound(d, "cross"),
     "auto lag at MAX_LAG": lambda d: _lag_at_bound(d, "auto"),
+    # valid: identify --spectrum reads H unreduced, and must not refuse it
+    "non-canonical H entry":
+        lambda d: d["bundle"]["H"]["entries"][0][0].update(num=["3", "3"], den=["6", "6"]),
 }
+
+#: Faults in H, S_I or S_LI, which `identify --spectrum` reads only to check.
+BUNDLE_MATRIX_FAULTS = {
+    "zero denominator": lambda m: m["entries"][0][0].update(den=["0"]),
+    "decimal coefficient": lambda m: m["entries"][0][0].update(den=["0.5"]),
+    "rows string": lambda m: m.update(rows="".join(m["rows"])),
+    "duplicate label": lambda m: m["rows"].__setitem__(1, m["rows"][0]),
+    "missing den": lambda m: m["entries"][0][0].pop("den"),
+}
+TARGETED_MUTATIONS.update({
+    f"{key} {fault}": (lambda d, key=key, edit=edit: edit(d["bundle"][key]))
+    for key in ("H", "S_I", "S_LI") for fault, edit in BUNDLE_MATRIX_FAULTS.items()
+})
 
 
 @pytest.mark.parametrize("mutation", sorted(TARGETED_MUTATIONS))
@@ -768,7 +874,7 @@ def test_targeted_input_files_map_to_exit_codes(tmp_path, valid_documents, mutat
     docs = json.loads(json.dumps(valid_documents))
     TARGETED_MUTATIONS[mutation](docs)
     codes = _run_commands(tmp_path, docs)
-    if mutation.endswith("at MAX_LAG"):
+    if mutation.endswith("at MAX_LAG") or mutation == "non-canonical H entry":
         assert set(codes) == {EXIT_OK}  # the bound itself is a valid lag
     else:
         assert EXIT_VALIDATION in codes
@@ -801,6 +907,11 @@ MISREAD_INPUTS = {
     "params noise entry twice":
         ("params", lambda d: d["noise"].append({**d["noise"][0], "variance": "5"})),
 }
+# faults that a reader of S alone could skip: every matrix of a bundle is checked
+MISREAD_INPUTS.update({
+    f"bundle {key} {fault}": ("bundle", lambda d, key=key, edit=edit: edit(d[key]))
+    for key in ("H", "S_I", "S_LI") for fault, edit in BUNDLE_MATRIX_FAULTS.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(MISREAD_INPUTS))

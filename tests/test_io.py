@@ -1,5 +1,6 @@
 """Round trips and validation for the file formats."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -95,6 +96,53 @@ def test_written_files_never_reach_the_fallback_parser(tmp_path, monkeypatch, in
         assert getattr(loaded, name) == getattr(bundle, name)
     with pytest.raises(AssertionError, match="Fraction parser"):
         sio.ratfn_from_dict({"num": ["2/4"], "den": [" 1"]})
+
+
+#: Edits of one matrix of a bundle document: each breaks the file, or (the
+#: last two) leaves it valid with an entry out of lowest terms.
+BUNDLE_MATRIX_EDITS = {
+    "zero denominator": lambda m: m["entries"][0][0].update(den=["0"]),
+    "empty denominator": lambda m: m["entries"][0][0].update(den=[]),
+    "decimal coefficient": lambda m: m["entries"][0][0].update(den=["0.5"]),
+    "coefficient string": lambda m: m["entries"][0][0].update(num="12"),
+    "missing den": lambda m: m["entries"][0][0].pop("den"),
+    "entry a list": lambda m: m["entries"][0].__setitem__(0, ["1"]),
+    "rows string": lambda m: m.update(rows="".join(m["rows"])),
+    "duplicate label": lambda m: m["cols"].__setitem__(1, m["cols"][0]),
+    "short row": lambda m: m["entries"][0].pop(),
+    "entries number": lambda m: m.update(entries=3),
+    "missing rows": lambda m: m.pop("rows"),
+    "not canonical": lambda m: m["entries"][0][0].update(num=["2", "2"], den=["4", "4"]),
+    "zero over two": lambda m: m["entries"][0][0].update(num=["0"], den=["2"]),
+}
+
+
+@pytest.mark.parametrize("key", ["H", "S_I", "S_LI", "S"])
+def test_spectral_density_loader_refuses_what_the_bundle_loader_refuses(
+        tmp_path, instrument_tsg, key):
+    bundle = sio.bundle_to_dict(spectrum(instrument_tsg, sample_stable_params(instrument_tsg,
+                                                                              seed=2)))
+    path = tmp_path / "bundle.json"
+
+    def outcome(load):
+        try:
+            return load(path)
+        except Exception as exc:  # the class and the message are compared
+            return type(exc), str(exc)
+
+    for name, edit in BUNDLE_MATRIX_EDITS.items():
+        data = json.loads(json.dumps(bundle))
+        edit(data[key])
+        path.write_text(json.dumps(data))
+        want, got = outcome(sio.load_bundle), outcome(sio.load_spectral_density)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            assert name in ("not canonical", "zero over two"), name
+            assert got == want.S, name
+    del bundle[key]
+    path.write_text(json.dumps(bundle))
+    assert outcome(sio.load_spectral_density) == outcome(sio.load_bundle) == (KeyError, repr(key))
 
 
 def test_matrix_serialization_round_trip():

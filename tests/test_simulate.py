@@ -224,6 +224,14 @@ def test_chain_benchmark_relative_error():
     assert relative.max() < 0.15
 
 
+def test_exact_spectrum_values_reads_a_generator_once():
+    tsg, p = chain_benchmark()
+    S = spectrum(tsg, p).S
+    want = exact_spectrum_values(S, [0.5, 1.0])
+    assert np.abs(want).min() > 0
+    assert np.array_equal(exact_spectrum_values(S, (f for f in [0.5, 1.0])), want)
+
+
 def test_error_shrinks_as_segment_count_doubles():
     tsg, p = chain_benchmark()
     exact = exact_spectrum_values(spectrum(tsg, p).S, BENCH_FREQUENCIES)
@@ -275,7 +283,9 @@ def test_empirical_ci_matches_exact_oracle_mostly():
     for trial in range(20):
         g = random_dag(rng, ["a", "b", "c", "d"], p=0.5)
         tsg = random_tsg(rng, g)
-        p = sample_stable_params(tsg, seed=trial + 900, magnitude_bound=Fraction(1, 2))
+        p = sample_stable_params(tsg, seed=trial + 900)
+        p = SvarParams(cross={k: c / 2 for k, c in p.cross.items()},
+                       auto={k: c / 2 for k, c in p.auto.items()}, noise=p.noise)
         s = simulate_series(tsg, p, length=2**16, burn_in=1000, seed=trial)
         est = estimate_spectrum(s, BENCH_FREQUENCIES, segment_length=128)
         oracle = spectral_ci_oracle(spectrum(tsg, p).S)

@@ -19,11 +19,9 @@ from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
                                R_ZERO, RatFn, UnluckyReduction)
 from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
 from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
-                           conditional_spectrum,
-                           generic_rank, internal_spectrum, lag_poly,
-                           projected_internal_spectrum,
-                           sample_stable_params, spectrum, spectrum_mod,
-                           spectrum_trek, transfer_matrix)
+                           conditional_spectrum, generic_rank, lag_poly,
+                           sample_stable_params, spectral_density, spectrum,
+                           spectrum_mod, spectrum_trek, transfer_matrix)
 
 import svar_reference
 from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
@@ -94,13 +92,13 @@ def test_internal_spectrum_constant_without_auto_lags():
     g = ProcessGraph.make(["a"], [], [])
     tsg = TimeSeriesGraph.make(g, {})
     p = SvarParams.make({}, {}, {"a": Fraction(5, 3)})
-    S_I = internal_spectrum(tsg, p)
+    S_I = spectrum(tsg, p).S_I
     assert S_I.entry("a", "a") == RatFn(Fraction(5, 3))
 
 
 def test_internal_spectrum_unit_circle_formula(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=8)
-    S_I = internal_spectrum(instrument_tsg, p)
+    S_I = spectrum(instrument_tsg, p).S_I
     phi = float(p.auto[("u", 1)])
     omega = float(p.noise["u"])
     for k in range(1, 9):
@@ -112,23 +110,23 @@ def test_internal_spectrum_unit_circle_formula(instrument_tsg):
 
 def test_internal_spectrum_self_conjugate(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=9)
-    S_I = internal_spectrum(instrument_tsg, p)
+    S_I = spectrum(instrument_tsg, p).S_I
     for v in instrument_tsg.base.vertices:
         assert S_I.entry(v, v).conj() == S_I.entry(v, v)
 
 
 def test_projected_internal_spectrum_without_latents(chain_tsg):
     p = sample_stable_params(chain_tsg, seed=10)
-    S_I = internal_spectrum(chain_tsg, p)
-    S_LI = projected_internal_spectrum(chain_tsg, p)
+    b = spectrum(chain_tsg, p)
+    S_I, S_LI = b.S_I, b.S_LI
     assert S_LI == S_I.submatrix(chain_tsg.base.observed, chain_tsg.base.observed)
 
 
 def test_projected_internal_spectrum_latent_entries(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=11)
     H = transfer_matrix(instrument_tsg, p)
-    S_I = internal_spectrum(instrument_tsg, p)
-    S_LI = projected_internal_spectrum(instrument_tsg, p)
+    b = spectrum(instrument_tsg, p)
+    S_I, S_LI = b.S_I, b.S_LI
     assert S_LI.entry("u", "v").is_zero
     assert S_LI.entry("u", "w").is_zero
     assert S_LI.entry("v", "w") == H.entry("l", "v") * S_I.entry("l", "l") * H.entry("l", "w").conj()
@@ -139,7 +137,7 @@ def test_projected_internal_spectrum_latent_entries(instrument_tsg):
 
 def test_projected_internal_spectrum_positive_definite_on_circle(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=12)
-    S_LI = projected_internal_spectrum(instrument_tsg, p)
+    S_LI = spectrum(instrument_tsg, p).S_LI
     n = len(S_LI.row_labels)
     for k in range(8):
         theta = 0.2 + k * (math.pi - 0.4) / 7
@@ -199,7 +197,7 @@ def test_spectrum_trek_isolated_vertices():
     tsg = TimeSeriesGraph.make(g, {}, {"a": (1,), "b": (1,)})
     p = sample_stable_params(tsg, seed=16)
     S = spectrum_trek(tsg, p)
-    S_I = internal_spectrum(tsg, p)
+    S_I = spectrum(tsg, p).S_I
     assert S == S_I.submatrix(("a", "b"), ("a", "b"))
 
 
@@ -273,8 +271,6 @@ def _assert_matches_reference(tsg: TimeSeriesGraph, params: SvarParams) -> Spect
     got, want = spectrum(tsg, params), svar_reference.spectrum(tsg, params)
     for name in ("H", "S_I", "S_LI", "S"):
         assert getattr(got, name) == getattr(want, name), name
-    assert internal_spectrum(tsg, params) == want.S_I
-    assert projected_internal_spectrum(tsg, params) == want.S_LI
     if tsg.base.is_acyclic:
         assert spectrum_trek(tsg, params) == svar_reference.spectrum_trek(tsg, params) == want.S
     return got
@@ -403,16 +399,17 @@ def test_kernel_zero_coefficients_make_entries_vanish():
     assert not S.entry("a", "b").is_zero
     # a zero variance at the latent h removes its term from S_LI
     q = SvarParams(cross=p.cross, auto=p.auto, noise={**p.noise, "h": Fraction(0)})
-    assert _assert_matches_reference(tsg, q).S_LI.entry("a", "a") == \
-        internal_spectrum(tsg, q).entry("a", "a")
+    b = _assert_matches_reference(tsg, q)
+    assert b.S_LI.entry("a", "a") == b.S_I.entry("a", "a")
 
 
 def test_kernel_isolated_vertex():
     g = ProcessGraph.make(["a", "b", "c"], ["h"], [("a", "b"), ("h", "a"), ("h", "b")])
     tsg = TimeSeriesGraph.full(g, 2)
     p = sample_stable_params(tsg, seed=6)
-    S = _assert_matches_reference(tsg, p).S
-    assert S.entry("c", "c") == internal_spectrum(tsg, p).entry("c", "c")
+    b = _assert_matches_reference(tsg, p)
+    S = b.S
+    assert S.entry("c", "c") == b.S_I.entry("c", "c")
     assert all(S.entry("c", v).is_zero and S.entry(v, "c").is_zero for v in ("a", "b"))
 
 
@@ -531,14 +528,14 @@ def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
 
     def counting_spectrum(tsg, params):
         spectra.append(tsg)
-        return spectrum(tsg, params)
+        return spectral_density(tsg, params)
 
     def reset():
         draws.clear()
         spectra.clear()
 
     monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
-    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
     # the first draw reaches the bound modulo the prime: no exact spectrum
     assert generic_rank(instrument_tsg, ["v"], ["w"], trials=3, seed=1) == 1
     assert (len(draws), len(spectra)) == (1, 0)
@@ -564,7 +561,7 @@ def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
     cyclic = TimeSeriesGraph.full(ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")]), 1)
     monkeypatch.undo()
     monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
-    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
     reset()
     assert generic_rank(cyclic, ["a"], ["b"], trials=3, seed=1) == 1
     assert (len(draws), len(spectra)) == (1, 0)
@@ -690,6 +687,35 @@ def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
         assert transfer_matrix(tsg, params) == want, seed
 
 
+def test_spectral_density_builds_s_alone(monkeypatch):
+    """`spectral_density` is the bundle's S; on an acyclic graph it builds no H,
+    S_I or S_LI, and a cyclic graph builds H and S_LI once, in either function."""
+    cases = [(tsg, sample_stable_params(tsg, seed=seed))
+             for tsg in map(three_kinds, range(36)) for seed in (0, 1)]
+    want = [spectrum(tsg, params).S for tsg, params in cases]
+    assert {tsg.base.is_acyclic for tsg, _ in cases} == {True, False}
+    calls = []
+
+    def counted(name):
+        real = getattr(svar_module, name)
+
+        def wrapper(graph, *args):
+            calls.append(name)
+            return real(graph, *args)
+
+        return wrapper
+
+    for name in ("_transfer", "_internal", "_projected"):
+        monkeypatch.setattr(svar_module, name, counted(name))
+    for (tsg, params), S in zip(cases, want):
+        calls.clear()
+        assert spectral_density(tsg, params) == S
+        assert calls == ([] if tsg.base.is_acyclic else ["_transfer", "_projected"])
+        calls.clear()
+        assert spectrum(tsg, params).S == S
+        assert sorted(calls) == ["_internal", "_projected", "_transfer"]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 10**6), cyclic=st.booleans())
 def test_modular_rank_never_exceeds_the_exact_rank(seed, cyclic):
@@ -738,10 +764,10 @@ def _forced_fallback(monkeypatch, tsg, params, X, Y):
 
     def counting_spectrum(tsg, params):
         spectra.append(params)
-        return spectrum(tsg, params)
+        return spectral_density(tsg, params)
 
     monkeypatch.setattr(svar_module, "sample_stable_params", lambda tsg, seed: params)
-    monkeypatch.setattr(svar_module, "spectrum", counting_spectrum)
+    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
     return generic_rank(tsg, X, Y, trials=1, seed=0), spectra
 
 
@@ -816,7 +842,7 @@ def test_det_trek_expansion_isolated_vertex():
     g = ProcessGraph.make(["a"], [], [])
     tsg = TimeSeriesGraph.make(g, {}, {"a": (1,)})
     p = sample_stable_params(tsg, seed=26)
-    S_I = internal_spectrum(tsg, p)
+    S_I = spectrum(tsg, p).S_I
     assert det_trek_expansion(tsg, p, ["a"], ["a"]) == S_I.entry("a", "a")
 
 
