@@ -97,7 +97,7 @@ def _labels(value, what: str, error: type[ValueError] = ValueError) -> list[str]
 def _coeff_strings(poly: Poly) -> list[str]:
     """The coefficients of poly as `str` of their `Fraction`s, from the content
     n/d and primitive integers a: gcd(n, d) = 1, so n*a/d reduces by gcd(a, d)."""
-    n, d = poly.c.numerator, poly.c.denominator
+    n, d = poly.n, poly.d
     out = []
     for a in poly.p:
         g = math.gcd(a, d)

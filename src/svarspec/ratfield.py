@@ -6,11 +6,14 @@ forms coincide.  The canonical form of a fraction is the coprime pair whose
 denominator is monic; in particular the denominator's leading coefficient is
 positive and the representative is unique.
 
-A polynomial is stored as a rational content times a primitive integer
+A polynomial is stored as a rational content n/d times a primitive integer
 polynomial: the integer coefficients have gcd 1 and a positive leading one,
-so the pair is unique.  By Gauss's lemma a product of primitive polynomials
+and the content is a reduced pair of integers, d > 0 and gcd(n, d) = 1, so
+the triple is unique.  By Gauss's lemma a product of primitive polynomials
 is primitive, so products and exact quotients run on Python integers and
-touch the content once; sums take one content gcd.
+touch the content once, with two cross-gcds; sums take one content gcd.
+`Fraction` appears only where coefficients enter or leave: `Poly(coeffs)`,
+`Poly.coeffs`, indexing and evaluation at a point.
 
 The conjugation ``conj`` sends f/g to (f*/g*) * z**(deg g - deg f), where p*
 reverses the coefficients of p.  Restricted to the complex unit circle this
@@ -74,32 +77,45 @@ def _content(ints: Sequence[int]) -> int:
     return -g if ints[-1] < 0 else g
 
 
-def _normalize(num: int, den: int, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
-    """The (content, primitive part) pair of the polynomial (num/den) * ints."""
+def _normalize(num: int, den: int, ints: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """The (n, d, primitive part) triple of the polynomial (num/den) * ints, den > 0."""
     n = len(ints)
     while n and not ints[n - 1]:
         n -= 1
     if not n:
-        return Fraction(0), ()
+        return 0, 1, ()
     del ints[n:]
     g = _content(ints)
     if g != 1:
         ints = [c // g for c in ints]
-    return Fraction(num * g, den), tuple(ints)
+    num *= g
+    g = math.gcd(num, den)
+    return num // g, den // g, tuple(ints)
 
 
-def _from_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[Fraction, tuple[int, ...]]:
-    """The (content, primitive part) pair of the polynomial whose coefficient of
+def _from_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[int, int, tuple[int, ...]]:
+    """The (n, d, primitive part) triple of the polynomial whose coefficient of
     z^k is p/q for ratios[k] = (p, q), q > 0, with no `Fraction` per coefficient."""
     den = math.lcm(*[q for _, q in ratios])
     return _normalize(1, den, [p * (den // q) for p, q in ratios])
 
 
-def _new(c: Fraction, p: tuple[int, ...]) -> Poly:
-    """Wrap a pair that is already normalized."""
+def _new(n: int, d: int, p: tuple[int, ...]) -> Poly:
+    """Wrap a triple that is already normalized."""
     out = object.__new__(Poly)
-    out.c, out.p = c, p
+    out.n, out.d, out.p = n, d, p
     return out
+
+
+def _times(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) * (n2/d2) in lowest terms, for reduced inputs with d1, d2 > 0."""
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _over(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) / (n2/d2) in lowest terms, for reduced inputs with n2 != 0."""
+    return _times(n1, d1, -d2, -n2) if n2 < 0 else _times(n1, d1, d2, n2)
 
 
 def _long_division(a: Sequence[int], b: Sequence[int]):
@@ -124,25 +140,26 @@ def _long_division(a: Sequence[int], b: Sequence[int]):
 
 
 class Poly:
-    """Univariate polynomial over Q: the content c times the primitive integer tuple p.
+    """Univariate polynomial over Q: the content n/d times the primitive integer tuple p.
 
-    p[k] multiplies z^k; its coefficients have gcd 1 and p[-1] > 0, so the pair
-    is unique.  The zero polynomial is (0, ()).
+    p[k] multiplies z^k; its coefficients have gcd 1 and p[-1] > 0, and d > 0
+    with gcd(n, d) = 1, so the triple is unique.  The zero polynomial is
+    (0, 1, ()).
     """
 
-    __slots__ = ("c", "p")
+    __slots__ = ("n", "d", "p")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
         fracs = [Fraction(c) for c in coeffs]
-        self.c, self.p = _from_ratios([(f.numerator, f.denominator) for f in fracs])
+        self.n, self.d, self.p = _from_ratios([(f.numerator, f.denominator) for f in fracs])
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coefficients; coeffs[k] multiplies z^k."""
-        c = self.c
-        return tuple(c * a for a in self.p)
+        n, d = self.n, self.d
+        return tuple(Fraction(n * a, d) for a in self.p)
 
     @property
     def is_zero(self) -> bool:
@@ -154,13 +171,14 @@ class Poly:
         return len(self.p) - 1 if self.p else NEG_INFINITY
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.c * self.p[k] if 0 <= k < len(self.p) else Fraction(0)
+        return Fraction(self.n * self.p[k], self.d) if 0 <= k < len(self.p) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.p == other.p and self.c == other.c
+        return (isinstance(other, Poly) and self.p == other.p
+                and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
-        return hash(("Poly", self.c, self.p))
+        return hash(("Poly", self.n, self.d, self.p))
 
     def __bool__(self) -> bool:
         return bool(self.p)
@@ -173,9 +191,8 @@ class Poly:
             return other
         if not b:
             return self
-        # c_a a + c_b b = (g_n / lcm of denominators) * (m_a a + m_b b)
-        na, da = self.c.numerator, self.c.denominator
-        nb, db = other.c.numerator, other.c.denominator
+        # n_a/d_a a + n_b/d_b b = (g_n / lcm of denominators) * (m_a a + m_b b)
+        na, da, nb, db = self.n, self.d, other.n, other.d
         gn, gd = math.gcd(na, nb), math.gcd(da, db)
         ma, mb = na // gn * (db // gd), nb // gn * (da // gd)
         if len(a) < len(b):
@@ -186,32 +203,33 @@ class Poly:
         return _new(*_normalize(gn, da // gd * db, out))
 
     def __neg__(self) -> Poly:
-        return _new(-self.c, self.p)
+        return _new(-self.n, self.d, self.p)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + _new(-other.c, other.p)
+        return self + _new(-other.n, other.d, other.p)
 
     def __mul__(self, other: Poly) -> Poly:
         a, b = self.p, other.p
         if not a or not b:
             return P_ZERO
+        n, d = _times(self.n, self.d, other.n, other.d)
         if len(b) == 1:  # a primitive constant is 1
-            return _new(self.c * other.c, a)
+            return _new(n, d, a)
         if len(a) == 1:
-            return _new(self.c * other.c, b)
+            return _new(n, d, b)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         # Gauss's lemma: the product of primitive polynomials is primitive
-        return _new(self.c * other.c, tuple(out))
+        return _new(n, d, tuple(out))
 
     def scale(self, c: Coeff) -> Poly:
-        c = Fraction(c)
+        """c times self, for an int or a `Fraction` c."""
         if not c or not self.p:
             return P_ZERO
-        return _new(self.c * c, self.p)
+        return _new(*_times(self.n, self.d, c.numerator, c.denominator), self.p)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k (k >= 0)."""
@@ -219,26 +237,7 @@ class Poly:
             raise ValueError("negative shift")
         if self.is_zero or k == 0:
             return self
-        return _new(self.c, (0,) * k + self.p)
-
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        b = other.p
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        a = self.p
-        if len(a) < len(b):
-            return P_ZERO, self
-        # lead^k a divides step by step over Z, where k is the quotient's length
-        k = len(a) - len(b) + 1
-        scale = b[-1] ** k
-        quot, rem = _long_division([scale * x for x in a], b)
-        cq = self.c / (other.c * scale)
-        cr = self.c / scale
-        return (_new(*_normalize(cq.numerator, cq.denominator, quot)),
-                _new(*_normalize(cr.numerator, cr.denominator, rem)))
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
+        return _new(self.n, self.d, (0,) * k + self.p)
 
     def divexact(self, other: Poly) -> Poly:
         """The quotient self / other; ArithmeticError unless other divides self.
@@ -253,17 +252,17 @@ class Poly:
         if not a:
             return P_ZERO
         if len(b) == 1:
-            return _new(self.c / other.c, a)
+            return _new(*_over(self.n, self.d, other.n, other.d), a)
         result = _long_division(a, b) if len(a) >= len(b) else None
         if result is None or any(result[1]):
             raise ArithmeticError("inexact polynomial division")
-        return _new(self.c / other.c, tuple(result[0]))
+        return _new(*_over(self.n, self.d, other.n, other.d), tuple(result[0]))
 
     def monic(self) -> Poly:
-        if not self.p:
+        p = self.p
+        if not p or (self.n == 1 and self.d == p[-1]):
             return self
-        c = Fraction(1, self.p[-1])
-        return self if c == self.c else _new(c, self.p)
+        return _new(1, p[-1], p)
 
     # -- conjugation and evaluation ------------------------------------------
 
@@ -275,8 +274,8 @@ class Poly:
         low = next(i for i, x in enumerate(p) if x)
         r = p[low:][::-1]
         if r[-1] < 0:
-            return _new(-self.c, tuple(-x for x in r))
-        return _new(self.c, r)
+            return _new(-self.n, self.d, tuple(-x for x in r))
+        return _new(self.n, self.d, r)
 
     def __call__(self, x):
         acc = 0
@@ -405,7 +404,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while len(b) > 1:
         rem = _pseudo_remainder(a, b)
         if not rem:
-            return _new(Fraction(1, b[-1]), tuple(b))
+            return _new(1, b[-1], tuple(b))
         a, b = b, _primitive(rem)
     return P_ONE
 
@@ -439,11 +438,11 @@ class RatFn:
 
     def _set_coprime(self, num: Poly, den: Poly) -> None:
         """Store the coprime pair num/den, num nonzero, with the denominator made monic."""
-        c, top = den.c, den.p[-1]
-        if c.numerator != 1 or c.denominator != top:  # c in lowest terms, top > 0
-            lead = c * top
-            num = _new(num.c / lead, num.p)
-            den = _new(Fraction(1, top), den.p)
+        n, d, top = den.n, den.d, den.p[-1]
+        if n != 1 or d != top:  # the content n/d is in lowest terms, top > 0
+            lead = _times(n, d, top, 1)
+            num = _new(*_over(num.n, num.d, *lead), num.p)
+            den = _new(1, top, den.p)
         self.num, self.den = num, den
 
     # -- structure ------------------------------------------------------------
@@ -465,11 +464,12 @@ class RatFn:
             isinstance(other, RatFn)
             and self.num.p == other.num.p
             and self.den.p == other.den.p
-            and self.num.c == other.num.c
+            and self.num.n == other.num.n
+            and self.num.d == other.num.d
         )
 
     def __hash__(self):
-        return hash(("RatFn", self.num.c, self.num.p, self.den.p))
+        return hash(("RatFn", self.num.n, self.num.d, self.num.p, self.den.p))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -561,7 +561,7 @@ class RatFn:
         it is a ring homomorphism R -> GF(P).
 
         The canonical form is u p / q with p, q primitive and coprime and u in
-        Q (here u = c l for the numerator's content c and the leading
+        Q (here u = l n/d for the numerator's content n/d and the leading
         coefficient l of q).  It lies in R exactly when P divides neither the
         denominator of u nor q(z): if self = F/G with P not dividing G(z),
         Gauss's lemma gives G = q k and F = u p k with k in Z[z], so q(z) k(z)
@@ -584,11 +584,11 @@ class RatFn:
         if not num.p:
             return 0
         den = self.den.p
-        u = num.c * den[-1]
-        d = u.denominator * _horner_mod(den, z) % MOD_PRIME
+        un, ud = _times(num.n, num.d, den[-1], 1)
+        d = ud * _horner_mod(den, z) % MOD_PRIME
         if not d:
             raise UnluckyReduction(f"{self!r} has no image at {z} modulo {MOD_PRIME}")
-        return u.numerator * _horner_mod(num.p, z) * pow(d, -1, MOD_PRIME) % MOD_PRIME
+        return un * _horner_mod(num.p, z) * pow(d, -1, MOD_PRIME) % MOD_PRIME
 
     # -- display ----------------------------------------------------------------------
 

@@ -35,8 +35,10 @@ reciprocal of a root of D_w, lies inside the open disk and D_v, D_w* never
 share a root: a factor of the numerator cancels only against left factors
 jointly or right factors jointly, as when two vertices share one auto-lag
 polynomial.  The reduction divides out each whole factor that divides the
-numerator, and the final `RatFn` gcd removes the rest.  That gcd, not the
-stability argument, guarantees the canonical form, so the bytes of every
+numerator.  When every factor left is linear, the pair is then coprime
+(the proof is in `_KnownDenominator.ratfn`) and takes no gcd; otherwise the
+final `RatFn` gcd removes the rest.  That proof and that gcd, not the
+stability argument, guarantee the canonical form, so the bytes of every
 spectrum are those of the unique reduced fraction, stable or not.
 
 A cyclic observed part has no trek expansion with this denominator: there
@@ -178,13 +180,15 @@ class _KnownDenominator:
     z**deg D_i / D_i*.  A product ORs the masks, and its factors must not share
     a bit on either side; a sum lifts each term by the factors it lacks.  Both
     take `Poly` products and sums only.  `ratfn` reaches the canonical form.
+    `_nonlinear` has bit i set when D_i has degree 2 or more.
     """
 
-    __slots__ = ("left", "right", "_lifts")
+    __slots__ = ("left", "right", "_nonlinear", "_lifts")
 
     def __init__(self, factors: list[Poly]):
         self.left = factors
         self.right = [f.conj() for f in factors]
+        self._nonlinear = sum(1 << i for i, f in enumerate(factors) if f.degree > 1)
         self._lifts: dict[tuple[int, int], Poly] = {(0, 0): P_ONE}
 
     def lift(self, left: int, right: int) -> Poly:
@@ -212,8 +216,8 @@ class _KnownDenominator:
     def total(self, values) -> _Value:
         """The sum of the values, over the union of their masks."""
         values = [v for v in values if v[0]]
-        if not values:
-            return _ZERO
+        if len(values) < 2:
+            return values[0] if values else _ZERO
         left = right = 0
         for _, l, r, _ in values:
             left |= l
@@ -235,8 +239,19 @@ class _KnownDenominator:
 
     def ratfn(self, a: _Value) -> RatFn:
         """The canonical form.  Each D_i or D_i* that divides the numerator is
-        divided out, and so is the power of z it shares with the denominator;
-        the `RatFn` gcd then removes whatever common factor is left."""
+        divided out, and so is the power of z it shares with the denominator.
+        A `RatFn` gcd then removes whatever common factor is left, unless every
+        factor left is linear: then the pair is already coprime, stable or not.
+
+        Proof.  Each D_i or D_i* left in the masks failed to divide a numerator
+        N, and the final numerator divides N z**k for some k >= 0.  A linear
+        polynomial is irreducible, and neither factor carries z: D_i(0) = 1
+        and D_i*(0) = lc(D_i) != 0.  So a factor left divides neither N z**k
+        nor the final numerator.  After the shift step z divides at most one
+        side: when a power of z is left in the denominator, the numerator no
+        longer vanishes at 0.  So numerator and denominator share no
+        irreducible factor.
+        """
         num, left, right, shift = a
         if not num:
             return R_ZERO
@@ -261,7 +276,11 @@ class _KnownDenominator:
             num = num.shift(shift)
         elif shift < 0:
             den = den.shift(-shift)
-        return RatFn(num, den)
+        if (masks[0] | masks[1]) & self._nonlinear:
+            return RatFn(num, den)
+        out = object.__new__(RatFn)
+        out._set_coprime(num, den)
+        return out
 
     def hermitian(self, labels, entry) -> RatMatrix:
         """The matrix with ratfn(entry(v, w)) on and above the diagonal, and
@@ -416,7 +435,7 @@ def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
 
 def _poly_mod(f: Poly, z: int) -> int:
     """f(z) modulo MOD_PRIME; ValueError when P divides f's content denominator."""
-    return f.c.numerator * _horner_mod(f.p, z) * pow(f.c.denominator, -1, MOD_PRIME) % MOD_PRIME
+    return f.n * _horner_mod(f.p, z) * pow(f.d, -1, MOD_PRIME) % MOD_PRIME
 
 
 def spectrum_mod(tsg: TimeSeriesGraph, params: SvarParams) -> list[list[int]] | None:

@@ -133,6 +133,15 @@ def rat_div(r, s):
     return canonical(r[0] * s[1], r[1] * s[0])
 
 
+def rat_conj(r):
+    """(f/g)* = (f*/g*) z**(deg g - deg f), where p* reverses p's coefficients."""
+    num, den = r
+    if num.is_zero:
+        return r
+    k = len(den.coeffs) - len(num.coeffs)
+    return canonical(num.conj().shift(max(k, 0)), den.conj().shift(max(-k, 0)))
+
+
 # -- the JSON codec of rational functions -----------------------------------------
 
 

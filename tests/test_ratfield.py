@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic, conjugation, evaluation."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, NEG_INFINITY, P_ONE,
 
 from conftest import random_poly, random_ratfn
 from fraction_reference import (FracPoly, canonical, euclid_gcd, rat_add,
-                                rat_div, rat_mul)
+                                rat_conj, rat_div, rat_mul)
 
 
 def test_poly_add_cancellation():
@@ -61,8 +62,8 @@ def test_gcd_of_common_factor_is_monic_factor():
         got = poly_gcd(f * h, g * h)
         assert got == h.monic()
         # divisibility both ways
-        assert (f * h) % got == P_ZERO
-        assert (g * h) % got == P_ZERO
+        assert (f * h).divexact(got) * got == f * h
+        assert (g * h).divexact(got) * got == g * h
         checked += 1
 
 
@@ -191,8 +192,8 @@ def test_rat_conj_equals_the_canonical_form_of_its_pair():
         g = random_poly(rng, zero_ok=False).shift(rng.randint(0, 2))
         r = RatFn(f, g)
         got, expected = r.conj(), _conj_through_gcd(r)
-        assert (got.num.c, got.num.p, got.den.c, got.den.p) == \
-            (expected.num.c, expected.num.p, expected.den.c, expected.den.p)
+        assert [(p.n, p.d, p.p) for p in (got.num, got.den)] == \
+            [(p.n, p.d, p.p) for p in (expected.num, expected.den)]
         signs.add((r.den.degree > r.num.degree) - (r.den.degree < r.num.degree))
     assert signs == {-1, 0, 1}
 
@@ -315,8 +316,7 @@ def test_hypothesis_poly_arithmetic_matches_fraction_reference(a, b, c, k):
     for got, want in pairs:
         assert got.coeffs == want.coeffs
     if not g.is_zero:
-        (q, r), (Q, R) = divmod(f, g), divmod(F, G)
-        assert (q.coeffs, r.coeffs) == (Q.coeffs, R.coeffs)
+        Q, R = divmod(F, G)
         assert (f * g).divexact(g).coeffs == F.coeffs
         if R.is_zero:
             assert f.divexact(g).coeffs == Q.coeffs
@@ -417,3 +417,58 @@ def test_eval_mod_unlucky_cases():
     assert RatFn([MOD_PRIME]).eval_mod(EVAL_POINT) == 0
     assert R_ZERO.eval_mod(0) == 0 and R_ONE.eval_mod(0) == 1
 
+
+# -- the integer kernel builds no Fraction ----------------------------------------------
+
+
+def _no_fraction(*args, **kwargs):
+    raise AssertionError("the integer kernel built a Fraction")
+
+
+def _normal(f: Poly) -> bool:
+    """The content is a reduced pair of ints with d > 0, the part primitive, lc > 0."""
+    if not f.p:
+        return (f.n, f.d) == (0, 1)
+    return (type(f.n) is int and type(f.d) is int and f.d > 0 and math.gcd(f.n, f.d) == 1
+            and all(type(a) is int for a in f.p) and math.gcd(*f.p) == 1 and f.p[-1] > 0)
+
+
+def _residue_at(f: FracPoly, z: int) -> int:
+    return sum(_residue(c) * pow(z, k, MOD_PRIME) for k, c in enumerate(f.coeffs)) % MOD_PRIME
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_coeffs, ref_nonzero, ref_coeffs, ref_nonzero,
+       st.fractions(min_value=-5, max_value=5, max_denominator=7), st.integers(0, 3))
+@example([1, 1], [2, 1], [-1, -1], [Fraction(1, 3), Fraction(1, 2), 0, 1], Fraction(-2, 3), 1)
+@example([Fraction(-3, 2), 0, Fraction(9, 4)], [Fraction(-1, 2)], [0, Fraction(6, 5)],
+         [Fraction(3, 7), Fraction(-3, 7)], 4, 0)
+def test_hypothesis_integer_kernel_builds_no_fraction(a, b, n2, d2, c, k):
+    """Every Poly and RatFn operation on built operands runs with `Fraction` patched
+    to raise, leaves every content a reduced int pair, and matches the reference."""
+    f, g = Poly(a), Poly(b)
+    r, s = RatFn(f, g), RatFn(Poly(n2), Poly(d2))
+    F, G = FracPoly(a), FracPoly(b)
+    R, S = canonical(F, G), canonical(FracPoly(n2), FracPoly(d2))
+    again = RatFn(f * Poly([1, c]), g * Poly([1, c]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratfield, "Fraction", _no_fraction)
+        patch.setattr(Fraction, "__new__", _no_fraction)
+        polys = [f + g, f - g, f * g, -f, (f * g).divexact(g), f.scale(c), f.monic(),
+                 f.conj(), f.shift(k), poly_gcd(f, g), poly_gcd(f * g, g)]
+        ratfns = [RatFn(f, g), r + s, r - s, r * s, r.conj(), r / s if s else R_ZERO]
+        same = r == again and hash(r) == hash(again)
+        images = [r.eval_mod(EVAL_POINT), (r * s).eval_mod(EVAL_POINT)]
+    assert same
+    want = [F + G, F - G, F * G, -F, F, F.scale(c), F.monic(), F.conj(), F.shift(k),
+            euclid_gcd(F, G), euclid_gcd(F * G, G)]
+    for got, ref in zip(polys, want, strict=True):
+        assert _normal(got) and got.coeffs == ref.coeffs
+    want = [R, rat_add(R, S), rat_add(R, (-S[0], S[1])), rat_mul(R, S), rat_conj(R),
+            rat_div(R, S) if s else (FracPoly(), FracPoly([1]))]
+    for got, ref in zip(ratfns, want, strict=True):
+        assert _normal(got.num) and _normal(got.den)
+        assert _pair(got) == _ref_pair(ref)
+    for got, (num, den) in zip(images, [R, rat_mul(R, S)], strict=True):
+        assert got == _residue_at(num, EVAL_POINT) * pow(_residue_at(den, EVAL_POINT), -1,
+                                                          MOD_PRIME) % MOD_PRIME

@@ -331,6 +331,8 @@ def test_kernel_operations_match_ratfn_arithmetic(data):
     assert kd.ratfn(kd.mul(a, b)) == _kernel_value(kd, a) * _kernel_value(kd, b)
     assert kd.ratfn(kd.total([a, b, c])) == \
         _kernel_value(kd, a) + _kernel_value(kd, b) + _kernel_value(kd, c)
+    if a[0]:
+        assert kd.total([a]) is a  # a lone value is its own sum
 
 
 def _forbid_remainder_sequences(monkeypatch):
@@ -357,6 +359,55 @@ def test_kernel_cancels_a_repeated_auto_polynomial(monkeypatch):
     assert want.entry("y", "y").den == (D_x * D_y * D_x.conj() * D_y.conj()).monic()
     _forbid_remainder_sequences(monkeypatch)
     assert spectrum(tsg, p).S == spectrum_trek(tsg, p) == want
+
+
+def test_kernel_takes_no_gcd_over_linear_factors(monkeypatch):
+    """With every D_v linear, each entry of H, S_I, S_LI, S and the trek-rule S
+    is canonical without a gcd; a and b share one D_v in both graphs."""
+    acyclic = ProcessGraph.make(["a", "b", "c", "d"], [],
+                                [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    latent = ProcessGraph.make(["a", "b", "c"], ["h"],
+                               [("a", "b"), ("b", "c"), ("h", "a"), ("h", "c")])
+    cases = []
+    for seed, graph in enumerate((acyclic, latent)):
+        tsg = TimeSeriesGraph.full(graph, 1)
+        p = sample_stable_params(tsg, seed=seed)
+        p = SvarParams(cross=p.cross, auto={**p.auto, ("b", 1): p.auto[("a", 1)]}, noise=p.noise)
+        cases.append((tsg, p, svar_reference.spectrum(tsg, p),
+                      svar_reference.spectrum_trek(tsg, p)))
+
+    def fail(f, g):
+        raise AssertionError("a gcd ran")
+
+    monkeypatch.setattr(ratfield, "poly_gcd", fail)
+    for tsg, p, want, trek in cases:
+        got = spectrum(tsg, p)
+        for name in ("H", "S_I", "S_LI", "S"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == trek == want.S
+
+
+def test_kernel_takes_the_gcd_over_a_reducible_quadratic(monkeypatch):
+    # D_v = (1 - z/2)(1 + z/3) = 1 - z/6 - z^2/6 beside D_w = 1 - z/2: the link
+    # L_wv = 1 - z/2 divides neither D_v nor D_v*, yet shares a root with D_v,
+    # so H[w, v] = L_wv / D_v reduces to 1 / (1 + z/3) only through the gcd
+    g = ProcessGraph.make(["w", "v"], [], [("w", "v")])
+    tsg = TimeSeriesGraph.make(g, {("w", "v"): (0, 1)}, {"w": (1,), "v": (1, 2)})
+    p = SvarParams.make(
+        {("w", "v", 0): Fraction(1), ("w", "v", 1): Fraction(-1, 2)},
+        {("w", 1): Fraction(1, 2), ("v", 1): Fraction(1, 6), ("v", 2): Fraction(1, 6)},
+        {"w": Fraction(1), "v": Fraction(2)},
+    )
+    want, trek = svar_reference.spectrum(tsg, p), svar_reference.spectrum_trek(tsg, p)
+    assert want.H.entry("w", "v") == RatFn([1], [1, Fraction(1, 3)])
+    calls = []
+    gcd = ratfield.poly_gcd
+    monkeypatch.setattr(ratfield, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    got = spectrum(tsg, p)
+    for name in ("H", "S_I", "S_LI", "S"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == trek == want.S
+    assert calls
 
 
 def test_kernel_cancels_a_power_of_z(monkeypatch):
