@@ -287,9 +287,10 @@ class Trek:
 def enumerate_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:
     """All directed paths x .. y, including the empty path when x == y."""
     graph.require_acyclic()
-    if x not in graph.vertices or y not in graph.vertices:
-        raise KeyError(f"unknown label {x!r} or {y!r}")
-    return graph._paths[x].get(y, ())
+    paths = graph._paths
+    if x not in paths or y not in paths:  # a dict lookup first: treks call this per top
+        _require_labels(graph, (x, y))
+    return paths[x].get(y, ())
 
 
 def enumerate_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
@@ -311,8 +312,7 @@ def count_treks(graph: ProcessGraph, v: str, w: str) -> int:
     target follow the children, sinks first, in O(|V| + |E|) time.
     """
     graph.require_acyclic()
-    if v not in graph.vertices or w not in graph.vertices:
-        raise KeyError(f"unknown label {v!r} or {w!r}")
+    _require_labels(graph, (v, w))
     order = graph.topological_order()[::-1]
 
     def paths_into(target: str) -> dict[str, int]:

@@ -35,11 +35,13 @@ reciprocal of a root of D_w, lies inside the open disk and D_v, D_w* never
 share a root: a factor of the numerator cancels only against left factors
 jointly or right factors jointly, as when two vertices share one auto-lag
 polynomial.  The reduction divides out each whole factor that divides the
-numerator.  When every factor left is linear, the pair is then coprime
-(the proof is in `_KnownDenominator.ratfn`) and takes no gcd; otherwise the
-final `RatFn` gcd removes the rest.  That proof and that gcd, not the
-stability argument, guarantee the canonical form, so the bytes of every
-spectrum are those of the unique reduced fraction, stable or not.
+numerator.  A linear factor is tried only when the numerator vanishes modulo
+P at the image of its root, which a factor that divides must do, so almost
+no trial division fails.  When every factor left is linear, the pair is then
+coprime (both proofs are in `_KnownDenominator.ratfn`) and takes no gcd;
+otherwise the final `RatFn` gcd removes the rest.  That proof and that gcd,
+not the stability argument, guarantee the canonical form, so the bytes of
+every spectrum are those of the unique reduced fraction, stable or not.
 
 A cyclic observed part has no trek expansion with this denominator: there
 `spectral_density` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
@@ -57,7 +59,7 @@ from fractions import Fraction
 from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     t_separation_min)
 from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
-                       _horner_mod)
+                       _from_ratios, _horner_mod, _new)
 from .ratlinalg import (RatMatrix, inverse, matmul_mod, rank, rank_mod,
                         solve_many, solve_mod)
 
@@ -146,10 +148,10 @@ def lag_poly(tsg: TimeSeriesGraph, params: SvarParams, x: str, y: str) -> Poly:
         coeffs = {k: params.cross.get((x, y, k), 0) for k in tsg.cross_lags[(x, y)]}
     else:
         raise KeyError(f"no edge ({x!r}, {y!r}) in the time series graph")
-    out = [0] * (max(coeffs, default=-1) + 1)
+    ratios = [(0, 1)] * (max(coeffs, default=-1) + 1)
     for k, c in coeffs.items():
-        out[k] = c
-    return Poly(out)
+        ratios[k] = (c.numerator, c.denominator)
+    return _new(*_from_ratios(ratios))
 
 
 def transfer_matrix(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
@@ -180,15 +182,18 @@ class _KnownDenominator:
     z**deg D_i / D_i*.  A product ORs the masks, and its factors must not share
     a bit on either side; a sum lifts each term by the factors it lacks.  Both
     take `Poly` products and sums only.  `ratfn` reaches the canonical form.
-    `_nonlinear` has bit i set when D_i has degree 2 or more.
+    `_nonlinear` has bit i set when D_i has degree 2 or more, and `_roots`
+    holds, per side, the image in GF(P) of each linear factor's root (see
+    `_root_mod`).
     """
 
-    __slots__ = ("left", "right", "_nonlinear", "_lifts")
+    __slots__ = ("left", "right", "_nonlinear", "_roots", "_lifts")
 
     def __init__(self, factors: list[Poly]):
         self.left = factors
         self.right = [f.conj() for f in factors]
         self._nonlinear = sum(1 << i for i, f in enumerate(factors) if f.degree > 1)
+        self._roots = ([_root_mod(f) for f in self.left], [_root_mod(f) for f in self.right])
         self._lifts: dict[tuple[int, int], Poly] = {(0, 0): P_ONE}
 
     def lift(self, left: int, right: int) -> Poly:
@@ -243,34 +248,44 @@ class _KnownDenominator:
         A `RatFn` gcd then removes whatever common factor is left, unless every
         factor left is linear: then the pair is already coprime, stable or not.
 
-        Proof.  Each D_i or D_i* left in the masks failed to divide a numerator
-        N, and the final numerator divides N z**k for some k >= 0.  A linear
-        polynomial is irreducible, and neither factor carries z: D_i(0) = 1
-        and D_i*(0) = lc(D_i) != 0.  So a factor left divides neither N z**k
-        nor the final numerator.  After the shift step z divides at most one
-        side: when a power of z is left in the denominator, the numerator no
-        longer vanishes at 0.  So numerator and denominator share no
-        irreducible factor.
+        Root test.  A linear factor f with a root image r (`_root_mod`) is
+        tried only when num.p(r) = 0 modulo P: if f divides num over Q, Gauss's
+        lemma gives f.p q = num.p with q in Z[z], so num.p(r) = f.p(r) q(r) = 0
+        modulo P, and a nonzero image proves that f does not divide num.  A
+        factor without an image (P divides its leading coefficient) and a
+        factor of degree 2 or more take the trial division.
+
+        Proof of coprimality.  Each D_i or D_i* left in the masks does not
+        divide a numerator N, and the final numerator divides N z**k for some
+        k >= 0.  A linear polynomial is irreducible, and neither factor carries
+        z: D_i(0) = 1 and D_i*(0) = lc(D_i) != 0.  So a factor left divides
+        neither N z**k nor the final numerator.  After the shift step z divides
+        at most one side: when a power of z is left in the denominator, the
+        numerator no longer vanishes at 0.  So numerator and denominator share
+        no irreducible factor.
         """
         num, left, right, shift = a
         if not num:
             return R_ZERO
         masks = [left, right]
-        for side, factors in enumerate((self.left, self.right)):
+        for side, (factors, roots) in enumerate(zip((self.left, self.right), self._roots)):
             rest = masks[side]
             while rest:
                 low = rest & -rest
                 rest ^= low
+                i = low.bit_length() - 1
+                if roots[i] is not None and _horner_mod(num.p, roots[i]):
+                    continue
                 try:
-                    num = num.divexact(factors[low.bit_length() - 1])
+                    num = num.divexact(factors[i])
                 except ArithmeticError:
                     continue
                 masks[side] ^= low
         den = self.lift(*masks)
         if shift < 0:
             zeros = min(next(i for i, c in enumerate(num.p) if c), -shift)
-            if zeros:
-                num = num.divexact(P_ONE.shift(zeros))
+            if zeros:  # num / z**zeros: dropping zero coefficients keeps p primitive
+                num = _new(num.n, num.d, num.p[zeros:])
                 shift += zeros
         if shift > 0:
             num = num.shift(shift)
@@ -295,6 +310,14 @@ class _KnownDenominator:
         return RatMatrix(labels, labels, rows)
 
 
+def _root_mod(f: Poly) -> int | None:
+    """The root -p0/p1 of a linear f = n/d (p0 + p1 z) modulo P, or None when
+    f is not linear or P divides its leading coefficient p1."""
+    if len(f.p) != 2 or not f.p[1] % MOD_PRIME:
+        return None
+    return -f.p[0] * pow(f.p[1], -1, MOD_PRIME) % MOD_PRIME
+
+
 def _trek_parts(tsg: TimeSeriesGraph, params: SvarParams):
     """The kernel, each vertex's internal spectrum S_I[v, v] and each edge's link
     function, the last two as kernel values."""
@@ -309,7 +332,9 @@ def _trek_parts(tsg: TimeSeriesGraph, params: SvarParams):
             factors.append(d)
         bits[v] = bit
         # sigma_v / (D_v(z) D_v(1/z)) = sigma_v z**deg D_v / (D_v D_v*)
-        tops[v] = (Poly((params.noise[v],)), bit, bit, d.degree)
+        sigma = params.noise[v]
+        num = _new(sigma.numerator, sigma.denominator, (1,)) if sigma else P_ZERO
+        tops[v] = (num, bit, bit, d.degree)
     links = {(a, b): (lag_poly(tsg, params, a, b), bits[b], 0, 0) for a, b in tsg.base.edges}
     return _KnownDenominator(factors), tops, links
 
@@ -386,8 +411,11 @@ def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     """Observed spectrum assembled entrywise from trek terms, one per trek.
 
     The term of a trek is its left side's link product, times S_I at its top,
-    times the conjugate of its right side's link product.  Each entry's terms
-    are summed in the known-denominator kernel and reduced once.
+    times the conjugate of its right side's link product.  Each entry on and
+    above the diagonal sums its terms in the known-denominator kernel and is
+    reduced once; an entry below it is the conjugate of its mirror, since
+    swapping the sides of every trek from v to w gives the treks from w to v
+    and conjugates each term.
     """
     graph = tsg.base
     graph.require_acyclic()
@@ -410,10 +438,10 @@ def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
             rights[right] = kd.conj(side(trek.right))
         return kd.mul(lefts[left], rights[right])
 
-    def fn(v: str, w: str) -> RatFn:
-        return kd.ratfn(kd.total(term(trek) for trek in enumerate_treks(graph, v, w)))
+    def entry(v: str, w: str) -> _Value:
+        return kd.total(term(trek) for trek in enumerate_treks(graph, v, w))
 
-    return RatMatrix.build(graph.observed, graph.observed, fn)
+    return kd.hermitian(graph.observed, entry)
 
 
 def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:

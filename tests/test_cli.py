@@ -167,6 +167,17 @@ def test_query_unknown_label(capsys, instrument_files):
         assert code == EXIT_VALIDATION and "nope" in report["error"]
 
 
+def test_query_treks_names_only_the_unknown_label(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"observed": ["a", "b"], "latent": [],
+                                "edges": [{"from": "a", "to": "b", "lags": [0]}]}))
+    for x, y in (("a", "zz"), ("zz", "a")):
+        code, report = run(capsys, "query", "--graph", str(path), "--query", "treks",
+                           "--x", x, "--y", y)
+        assert code == EXIT_VALIDATION
+        assert "'zz'" in report["error"] and "'a'" not in report["error"]
+
+
 def test_spectrum_identify_pipeline(capsys, tmp_path, instrument_files):
     graph, params = instrument_files
     bundle = tmp_path / "bundle.json"

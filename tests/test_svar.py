@@ -201,6 +201,21 @@ def test_spectrum_trek_isolated_vertices():
     assert S == S_I.submatrix(("a", "b"), ("a", "b"))
 
 
+def test_spectrum_trek_enumerates_the_upper_triangle_only(monkeypatch, instrument_tsg):
+    # one trek enumeration per entry on or above the diagonal: n(n + 1)/2, not n^2
+    calls = []
+    enumerate_treks = svar_module.enumerate_treks
+    monkeypatch.setattr(svar_module, "enumerate_treks",
+                        lambda g, v, w: calls.append((v, w)) or enumerate_treks(g, v, w))
+    rng = random.Random(31)
+    for tsg in (instrument_tsg, random_tsg(rng, random_dag(rng, "abcde", p=0.6))):
+        calls.clear()
+        p = sample_stable_params(tsg, seed=17)
+        assert spectrum_trek(tsg, p) == svar_reference.spectrum_trek(tsg, p)
+        n = len(tsg.base.observed)
+        assert len(calls) == len(set(calls)) == n * (n + 1) // 2
+
+
 def test_spectrum_on_cyclic_observed_graph():
     # spectra exist for cyclic graphs under the joint stability bound
     g = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
@@ -342,10 +357,29 @@ def _forbid_remainder_sequences(monkeypatch):
     monkeypatch.setattr(ratfield, "_pseudo_remainder", fail)
 
 
+def _record_divexact(monkeypatch) -> list[tuple[Poly, bool]]:
+    """Patch `Poly.divexact` to record (divisor, raised) per call."""
+    calls = []
+    divexact = Poly.divexact
+
+    def recording(self, other):
+        try:
+            out = divexact(self, other)
+        except ArithmeticError:
+            calls.append((other, True))
+            raise
+        calls.append((other, False))
+        return out
+
+    monkeypatch.setattr(Poly, "divexact", recording)
+    return calls
+
+
 def test_kernel_cancels_a_repeated_auto_polynomial(monkeypatch):
     # D_x = D_z: S[y, y] sums terms over D_x and over D_z, never both, so the
-    # lifted numerator carries D_x D_x* once too often, and whole factors are
-    # divided out before the gcd, which then needs no remainder sequence
+    # lifted numerator carries D_x D_x* once too often.  Both pass the root
+    # test and are divided out, no trial division fails, and with every
+    # factor linear no gcd runs
     g = ProcessGraph.make(["x", "y", "z"], [], [("x", "y"), ("z", "y")])
     tsg = TimeSeriesGraph.full(g, 1)
     p = SvarParams.make(
@@ -357,8 +391,11 @@ def test_kernel_cancels_a_repeated_auto_polynomial(monkeypatch):
     want = _assert_matches_reference(tsg, p).S
     D_x, D_y = P_ONE - Poly([0, Fraction(1, 2)]), P_ONE - Poly([0, Fraction(-1, 3)])
     assert want.entry("y", "y").den == (D_x * D_y * D_x.conj() * D_y.conj()).monic()
-    _forbid_remainder_sequences(monkeypatch)
+    monkeypatch.setattr(ratfield, "poly_gcd", lambda f, g: pytest.fail("a gcd ran"))
+    calls = _record_divexact(monkeypatch)
     assert spectrum(tsg, p).S == spectrum_trek(tsg, p) == want
+    assert (D_x, False) in calls and (D_x.conj(), False) in calls
+    assert not any(raised for _, raised in calls)
 
 
 def test_kernel_takes_no_gcd_over_linear_factors(monkeypatch):
@@ -385,6 +422,47 @@ def test_kernel_takes_no_gcd_over_linear_factors(monkeypatch):
         for name in ("H", "S_I", "S_LI", "S"):
             assert getattr(got, name) == getattr(want, name), name
         assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == trek == want.S
+
+
+def test_kernel_tries_no_division_that_the_root_test_rules_out(monkeypatch):
+    """With every D_v linear, each trial division that `ratfn` makes succeeds:
+    a nonzero root image proves the factor does not divide the numerator."""
+    rng = random.Random(40)
+    cases = []
+    for trial in range(80):  # 60 six-vertex DAGs and 20 latent graphs
+        labels = [f"x{i}" for i in range(6)]
+        graph = (random_dag(rng, labels, p=0.5) if trial % 4 else
+                 random_latent_dag(rng, labels[:4], ["h1", "h2"], p=0.5))
+        tsg = random_tsg(rng, graph, max_order=1)
+        p = sample_stable_params(tsg, seed=trial)
+        cases.append((tsg, p, svar_reference.spectrum(tsg, p)))
+    calls = _record_divexact(monkeypatch)
+    for tsg, p, want in cases:
+        got = spectrum(tsg, p)
+        for name in ("H", "S_I", "S_LI", "S"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == want.S
+    assert not any(raised for _, raised in calls)
+
+
+def test_kernel_divides_when_the_prime_divides_a_leading_coefficient(monkeypatch):
+    # D_x = D_z = 1 - z/P: D_x* = z - 1/P, whose primitive part P z - 1 has
+    # leading coefficient P, has no root image and takes the trial division
+    g = ProcessGraph.make(["x", "y", "z"], [], [("x", "y"), ("z", "y")])
+    tsg = TimeSeriesGraph.full(g, 1)
+    p = sample_stable_params(tsg, seed=8)
+    tiny = Fraction(1, MOD_PRIME)
+    p = SvarParams(cross=p.cross, auto={**p.auto, ("x", 1): tiny, ("z", 1): tiny},
+                   noise=p.noise)
+    D_star = (P_ONE - Poly([0, tiny])).conj()
+    assert D_star.p[-1] % MOD_PRIME == 0
+    want = svar_reference.spectrum(tsg, p)
+    calls = _record_divexact(monkeypatch)
+    got = spectrum(tsg, p)
+    for name in ("H", "S_I", "S_LI", "S"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == want.S
+    assert (D_star, False) in calls
 
 
 def test_kernel_takes_the_gcd_over_a_reducible_quadratic(monkeypatch):
