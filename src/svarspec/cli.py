@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -397,11 +396,9 @@ def main(argv=None) -> int:
         code, message = EXIT_VALIDATION, f"{type(exc).__name__}: {exc}"
     else:
         report["timing_seconds"] = round(time.perf_counter() - started, 6)
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(sio.to_json(report))
         return EXIT_OK
-    json.dump({"command": command, "error": message}, sys.stdout, indent=2)
-    print()
+    print(sio.to_json({"command": command, "error": message}))
     return code
 
 

@@ -1,13 +1,16 @@
 """Every file the package reads or writes, and the JSON form of exact values.
 
-Everything structured is JSON with sorted keys and a trailing newline, so
-identical inputs produce byte-identical files.  Exact rational coefficients
-travel as strings "p/q" in lowest terms, read and written as integer pairs;
-decimal notation is rejected on load.  A rational function is the
-coefficient lists of its numerator and denominator, made canonical again on
-load, and a matrix adds its row and column labels.  `load_spectral_density`
-reads a bundle's S alone: it checks H, S_I and S_LI as `load_bundle` does but
-makes only S canonical.
+Everything structured is JSON written by `to_json`, this module's emitter of
+`json.dumps(value, indent=2, sort_keys=True)` bytes, plus a trailing
+newline, so identical inputs produce byte-identical files.  Exact rational
+coefficients travel as strings "p/q" in lowest terms, read and written as
+integer pairs; decimal notation is rejected on load.  A coefficient list in
+that form is checked by one match over the joined list, any other list
+coefficient by coefficient.  A rational function is the coefficient lists of
+its numerator and denominator, made canonical again on load, and a matrix
+adds its row and column labels.  `load_spectral_density` checks every entry
+of a bundle's four matrices as `load_bundle` does, but makes an entry of S
+canonical only when it is first read, and H, S_I and S_LI never.
 Series are columnar text with a label header row.
 """
 
@@ -17,6 +20,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -35,8 +39,64 @@ from .svar import SpectrumBundle, SvarParams
 MAX_LAG = 1000
 
 
+#: JSON's quoted, ASCII-only form of a string; C code where CPython has it.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _emit(value, newline: str) -> str:
+    """value as `json.dumps(value, indent=2, sort_keys=True)` writes it, at the
+    depth whose line break and indent is `newline`.  No value is both a
+    container and a scalar, so testing containers first changes no output."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _emit(value[k], inner) for k in sorted(value)]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:  # a list of strings, such as a coefficient list, is quoted in C
+            items = list(map(_quote, value))
+        except TypeError:
+            items = [_emit(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def to_json(value) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)` for a value of
+    dicts with string keys, lists, tuples, strings, ints, floats, bools and
+    None, built without the standard library's pure-Python encoder, which
+    that call runs whenever an indent is set."""
+    return _emit(value, "\n")
+
+
 def _dump(data: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(to_json(data) + "\n")
 
 
 def _load(path: str | Path) -> dict:
@@ -51,7 +111,7 @@ def digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _is_lag(k) -> bool:
+def _is_int(k) -> bool:
     """Whether k is a JSON integer: `int` would truncate 1.7, and `True` is an int."""
     return isinstance(k, int) and not isinstance(k, bool)
 
@@ -111,25 +171,102 @@ def _ratios(coeffs) -> list[tuple[int, int]]:
     return [_ratio(s) for s in coeffs]
 
 
-def _poly(coeffs) -> Poly:
-    return _new(*_from_ratios(_ratios(coeffs)))
+#: A whole coefficient list in the writers' form, joined by commas, with no
+#: zero denominator; and such a list whose numerators are all zero.
+_RATIO_LIST = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?(?:,-?[0-9]+(?:/0*[1-9][0-9]*)?)*")
+_ZERO_LIST = re.compile(r"-?0+(?:/[0-9]+)?(?:,-?0+(?:/[0-9]+)?)*")
+
+#: The most digits `int` reads from a string (0: no limit).
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _checked(coeffs) -> str | list[tuple[int, int]]:
+    """A coefficient list, refused where `_ratios` refuses it.
+
+    A list of strings that one match shows in the writers' form, each too
+    short to pass `int`'s digit limit, is returned joined by commas and not
+    yet read; every other list goes through `_ratios`, which reads each
+    coefficient and raises as it always has.  A coefficient holding a comma
+    adds one to the joined list's count, so it never matches.
+    """
+    if isinstance(coeffs, list):
+        try:
+            joined = ",".join(coeffs)
+        except TypeError:  # a coefficient that is not a string
+            return _ratios(coeffs)
+        limit = _max_digits()
+        if (joined.count(",") == len(coeffs) - 1
+                and (not limit or max(map(len, coeffs)) <= limit)
+                and _RATIO_LIST.fullmatch(joined)):
+            return joined
+    return _ratios(coeffs)
+
+
+def _is_zero(coeffs: str | list[tuple[int, int]]) -> bool:
+    if isinstance(coeffs, str):
+        return _ZERO_LIST.fullmatch(coeffs) is not None
+    return not any(p for p, _ in coeffs)
+
+
+def _poly(coeffs: str | list[tuple[int, int]]) -> Poly:
+    """The polynomial of a list `_checked` returned."""
+    if isinstance(coeffs, str):
+        ratios = []
+        for s in coeffs.split(","):
+            p, _, q = s.partition("/")
+            ratios.append((int(p), int(q) if q else 1))
+        coeffs = ratios
+    return _new(*_from_ratios(coeffs))
 
 
 def ratfn_to_dict(r: RatFn) -> dict:
     return {"num": _coeff_strings(r.num), "den": _coeff_strings(r.den)}
 
 
+def _checked_ratfn(data: dict) -> tuple:
+    """A rational function's coefficient lists from `_checked`, refused where
+    `ratfn_from_dict` would refuse them, without building it: no `Poly`, gcd
+    or `RatFn`."""
+    num, den = _checked(data["num"]), _checked(data["den"])
+    if _is_zero(den):
+        raise ZeroDivisionError("rational function with zero denominator")
+    return num, den
+
+
+def _ratfn(checked: tuple) -> RatFn:
+    return RatFn(_poly(checked[0]), _poly(checked[1]))
+
+
 def ratfn_from_dict(data: dict) -> RatFn:
     """Read a rational function; `RatFn` makes it canonical again."""
-    return RatFn(_poly(data["num"]), _poly(data["den"]))
+    return _ratfn(_checked_ratfn(data))
 
 
-def _checked_ratfn(data: dict) -> None:
-    """Read a rational function's coefficients and refuse it where
-    `ratfn_from_dict` would, without building it: no `Poly`, gcd or `RatFn`."""
-    _ratios(data["num"])
-    if not any(p for p, _ in _ratios(data["den"])):
-        raise ZeroDivisionError("rational function with zero denominator")
+class _OnDemand(RatMatrix):
+    """A matrix whose entries, checked by `_checked_ratfn`, are made canonical
+    (a `RatFn`, with its gcd) when first read: `entry` and `at` build the one
+    entry they return, and `entries`, so also `==` and every other matrix
+    operation, builds them all."""
+
+    __slots__ = ("_cells", "_all")
+
+    @property
+    def entries(self) -> tuple[tuple[RatFn, ...], ...]:
+        if self._all is None:
+            self._all = tuple(tuple(self.at(i, j) for j in range(len(row)))
+                              for i, row in enumerate(self._cells))
+        return self._all
+
+    @entries.setter
+    def entries(self, rows) -> None:  # `RatMatrix.__init__` stores the checked grid
+        self._cells = [list(row) for row in rows]
+        self._all = None
+
+    def at(self, i: int, j: int) -> RatFn:
+        cell = self._cells[i][j]
+        if not isinstance(cell, RatFn):
+            cell = self._cells[i][j] = _ratfn(cell)
+        return cell
 
 
 def matrix_to_dict(matrix: RatMatrix) -> dict:
@@ -140,10 +277,10 @@ def matrix_to_dict(matrix: RatMatrix) -> dict:
     }
 
 
-def matrix_from_dict(data: dict, entry=ratfn_from_dict) -> RatMatrix:
+def matrix_from_dict(data: dict, entry=ratfn_from_dict, cls=RatMatrix) -> RatMatrix:
     """Read a matrix, each entry by `entry`; `RatMatrix` refuses duplicate labels
     and a grid of the wrong shape."""
-    return RatMatrix(
+    return cls(
         _labels(data["rows"], "matrix rows"), _labels(data["cols"], "matrix cols"),
         [[entry(e) for e in row] for row in data["entries"]],
     )
@@ -185,7 +322,7 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
         if not lags:
             raise GraphValidationError(f"edge entry #{i} ({a} -> {b}) has an empty lag list")
         for k in lags:
-            if not _is_lag(k) or not 0 <= k <= MAX_LAG:
+            if not _is_int(k) or not 0 <= k <= MAX_LAG:
                 raise GraphValidationError(
                     f"edge entry #{i} ({a} -> {b}) has invalid lag {k!r}, not in 0..{MAX_LAG}"
                 )
@@ -197,7 +334,7 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
     auto = {}
     for v, lags in auto_entries.items():
         for k in lags:
-            if not _is_lag(k) or not 1 <= k <= MAX_LAG:
+            if not _is_int(k) or not 1 <= k <= MAX_LAG:
                 raise GraphValidationError(f"auto lag {k!r} at {v!r} is not in 1..{MAX_LAG}")
         if lags:
             auto[v] = tuple(sorted(set(lags)))
@@ -235,7 +372,7 @@ def params_to_dict(params: SvarParams) -> dict:
 
 def _lag(entry: dict) -> int:
     k = entry["lag"]
-    if not _is_lag(k):
+    if not _is_int(k):
         raise ValueError(f"lag {k!r} in parameter entry {entry!r} is not an integer")
     return k
 
@@ -273,6 +410,10 @@ def load_params(path) -> SvarParams:
 # -- spectrum bundles --------------------------------------------------------------------------
 
 
+#: A bundle's matrices, in the order they are read.
+_BUNDLE_KEYS = ("H", "S_I", "S_LI", "S")
+
+
 def bundle_to_dict(bundle: SpectrumBundle) -> dict:
     return {
         "H": matrix_to_dict(bundle.H),
@@ -282,16 +423,8 @@ def bundle_to_dict(bundle: SpectrumBundle) -> dict:
     }
 
 
-def _bundle_matrices(data: dict, canonical: set[str]) -> dict[str, RatMatrix]:
-    """H, S_I, S_LI and S, read in that order and each refused as a whole matrix
-    would be; only those named in `canonical` hold `RatFn` entries."""
-    return {key: matrix_from_dict(data[key], ratfn_from_dict if key in canonical
-                                  else _checked_ratfn)
-            for key in ("H", "S_I", "S_LI", "S")}
-
-
 def bundle_from_dict(data: dict) -> SpectrumBundle:
-    return SpectrumBundle(**_bundle_matrices(data, {"H", "S_I", "S_LI", "S"}))
+    return SpectrumBundle(**{key: matrix_from_dict(data[key]) for key in _BUNDLE_KEYS})
 
 
 def save_bundle(bundle: SpectrumBundle, path) -> None:
@@ -303,9 +436,11 @@ def load_bundle(path) -> SpectrumBundle:
 
 
 def load_spectral_density(path) -> RatMatrix:
-    """S of a bundle file, refused wherever `load_bundle` refuses the file; only
-    S is made canonical."""
-    return _bundle_matrices(_load(path), {"S"})["S"]
+    """S of a bundle file, refused wherever `load_bundle` refuses the file; each
+    entry of S is made canonical when first read."""
+    data = _load(path)
+    return {key: matrix_from_dict(data[key], _checked_ratfn, _OnDemand)
+            for key in _BUNDLE_KEYS}["S"]
 
 
 # -- certificates ---------------------------------------------------------------------------------
@@ -422,16 +557,31 @@ def estimate_to_dict(est: SpectrumEstimate) -> dict:
     }
 
 
+def _count(data: dict, key: str, least: int) -> int:
+    k = data[key]
+    if not _is_int(k) or k < least:
+        raise ValueError(f"estimate {key} {k!r} is not an integer of at least {least}")
+    return k
+
+
+def _frequencies(value) -> tuple[float, ...]:
+    """value as floats if it is a list of JSON numbers: `float` would read "0.5" and True."""
+    if not isinstance(value, list) or not all(
+            isinstance(f, (int, float)) and not isinstance(f, bool) for f in value):
+        raise ValueError(f"estimate frequencies must be a list of numbers, got {value!r}")
+    return tuple(float(f) for f in value)
+
+
 def estimate_from_dict(data: dict) -> SpectrumEstimate:
     mats = np.array([
         np.array(m["real"]) + 1j * np.array(m["imag"]) for m in data["matrices"]
     ])
     return SpectrumEstimate(
         labels=tuple(_labels(data["labels"], "estimate labels")),
-        frequencies=tuple(float(f) for f in data["frequencies"]),
+        frequencies=_frequencies(data["frequencies"]),
         matrices=mats,
-        segment_count=int(data["segment_count"]),
-        segment_length=int(data["segment_length"]),
+        segment_count=_count(data, "segment_count", 1),
+        segment_length=_count(data, "segment_length", 2),
         window=data.get("window", "hann"),
     )
 

@@ -95,9 +95,10 @@ class RatMatrix:
 
     def entry(self, row: str, col: str) -> RatFn:
         try:
-            return self.entries[self._rindex[row]][self._cindex[col]]
+            i, j = self._rindex[row], self._cindex[col]
         except KeyError as exc:
             raise KeyError(f"unknown label {exc.args[0]!r}") from None
+        return self.at(i, j)
 
     def at(self, i: int, j: int) -> RatFn:
         return self.entries[i][j]

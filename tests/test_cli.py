@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -19,10 +20,10 @@ from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
                           _with_resampling, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
-from svarspec.identify import IdentificationCertificate
+from svarspec.identify import identify_all
 from svarspec.ratfield import RatFn
 from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
-from svarspec.ratlinalg import SingularMatrixError
+from svarspec.ratlinalg import RatMatrix, SingularMatrixError
 from svarspec.svar import SvarParams, sample_stable_params, spectrum
 
 
@@ -47,6 +48,25 @@ def test_validate_ok(capsys, instrument_files):
     assert code == EXIT_OK
     assert report["outputs"]["acyclic"] is True
     assert report["outputs"]["latent"] == ["l"]
+
+
+def test_reports_are_pinned_to_the_byte(capsys, tmp_path):
+    """The stdout reports of a success (its timing aside) and of an exit-2
+    error: two-space indent, sorted keys, non-ASCII escaped."""
+    graph = tmp_path / "graph.json"
+    graph.write_bytes('{"observed": ["b", "a\u00e9"], "latent": [], "edges": '
+                      '[{"from": "b", "to": "a\u00e9", "lags": [0, 1]}]}'.encode())
+    assert main(["validate", "--graph", str(graph)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.sub(r'"timing_seconds": [0-9.e-]+,', '"timing_seconds": T,', out) == (
+        '{\n  "command": "validate",\n  "inputs": {\n    "graph": "d9fd9577d8e05892"\n  },\n'
+        '  "outputs": {\n    "acyclic": true,\n    "edges": 1,\n    "latent": [],\n'
+        '    "observed": [\n      "a\\u00e9",\n      "b"\n    ],\n    "order": 1\n  },\n'
+        '  "seed": null,\n  "timing_seconds": T,\n  "warnings": []\n}\n')
+    assert main(["identify", "--graph", str(graph)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == (
+        '{\n  "command": "identify",\n'
+        '  "error": "usage error: the following arguments are required: --out"\n}\n')
 
 
 def test_validate_rejects_edge_into_latent(capsys, tmp_path):
@@ -231,36 +251,46 @@ def test_commands_that_read_s_alone_build_no_other_matrix(capsys, tmp_path, monk
     assert _outputs(capsys, out, commands) == want
 
 
-def test_identify_spectrum_makes_only_s_canonical(capsys, tmp_path, monkeypatch,
-                                                  instrument_files):
-    """Loading the bundle builds one `RatFn`, and takes at most one gcd, per
-    entry of S, and none for an entry of H, S_I or S_LI."""
+def test_identify_spectrum_builds_only_the_s_entries_it_reads(capsys, tmp_path, monkeypatch,
+                                                              instrument_files):
+    """`identify --spectrum` makes one `RatFn` per distinct entry of S that
+    identification reads, and none for the other entries of S or for H, S_I
+    and S_LI: as many as identification makes on a built S, plus one per
+    entry read."""
     graph, params = instrument_files
     bundle = tmp_path / "bundle.json"
     run(capsys, "spectrum", "--graph", graph, "--params", params, "--out", str(bundle))
-    n = len(sio.load_bundle(bundle).S.row_labels)
-    read = []
-    monkeypatch.setattr(cli, "identify_all", lambda graph, S: read.append(S) or
-                        IdentificationCertificate((), (), ()))
-    made, gcds = [], []
-    real_init, real_gcd = RatFn.__init__, ratfield.poly_gcd
+    built = sio.load_bundle(bundle).S
+    made, reads, loaded = [], set(), []
+    real_init, real_entry = RatFn.__init__, RatMatrix.entry
 
     def init(self, num, den=ratfield.P_ONE):
         made.append((num, den))
         real_init(self, num, den)
 
-    def gcd(f, g):
-        gcds.append((f, g))
-        return real_gcd(f, g)
+    def entry(self, row, col):
+        if loaded and self is loaded[0]:
+            reads.add((row, col))
+        return real_entry(self, row, col)
+
+    def identify(graph, S):
+        loaded.append(S)
+        return identify_all(graph, S)
 
     monkeypatch.setattr(RatFn, "__init__", init)
-    monkeypatch.setattr(ratfield, "poly_gcd", gcd)
+    monkeypatch.setattr(RatMatrix, "entry", entry)
+    monkeypatch.setattr(cli, "identify_all", identify)
+    identify_all(sio.load_graph(graph).base, built)
+    on_built = len(made)
+    made.clear()
     code, _ = run(capsys, "identify", "--graph", graph, "--spectrum", str(bundle),
                   "--out", str(tmp_path / "cert.json"))
-    assert code == EXIT_OK and len(read) == 1
-    assert len(made) == n * n and len(gcds) <= n * n
+    assert code == EXIT_OK and len(loaded) == 1
+    n = len(built.row_labels)
+    assert 0 < len(reads) < n * n
+    assert len(made) - on_built == len(reads)
     monkeypatch.undo()
-    assert read[0] == sio.load_bundle(bundle).S
+    assert loaded[0] == built
 
 
 def test_series_labels_with_edge_spaces_round_trip(capsys, tmp_path):
@@ -917,6 +947,16 @@ MISREAD_INPUTS = {
         ("params", lambda d: d["auto"].append({**d["auto"][0], "coeff": "1/100"})),
     "params noise entry twice":
         ("params", lambda d: d["noise"].append({**d["noise"][0], "variance": "5"})),
+    # read as 2, -5, 15 and 1 segments, segments of length 1, the numbers in the
+    # strings and the frequency 1.0
+    "estimate segment_count float": ("estimate", lambda d: d.update(segment_count=2.7)),
+    "estimate segment_count negative": ("estimate", lambda d: d.update(segment_count=-5)),
+    "estimate segment_count string": ("estimate", lambda d: d.update(segment_count="15")),
+    "estimate segment_count true": ("estimate", lambda d: d.update(segment_count=True)),
+    "estimate segment_length true": ("estimate", lambda d: d.update(segment_length=True)),
+    "estimate frequencies strings":
+        ("estimate", lambda d: d.update(frequencies=[str(f) for f in d["frequencies"]])),
+    "estimate frequency true": ("estimate", lambda d: d["frequencies"].__setitem__(0, True)),
 }
 # faults that a reader of S alone could skip: every matrix of a bundle is checked
 MISREAD_INPUTS.update({

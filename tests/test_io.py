@@ -1,7 +1,10 @@
 """Round trips and validation for the file formats."""
 
+import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import fraction_reference
 import series_reference
 from svarspec import io as sio
+from svarspec.cli import EXIT_VALIDATION, main
 from svarspec.graph import GraphValidationError
 from svarspec.identify import identify_all
 from svarspec.ratfield import Poly, RatFn
@@ -35,10 +39,12 @@ def test_serialization_rejects_decimal_strings():
 
 
 #: Coefficient strings off the writers' form `-?[0-9]+(/[0-9]+)?`, or in it but
-#: not in lowest terms, or with a zero denominator.
+#: not in lowest terms, or with a zero denominator, or two of them joined by
+#: the comma that the whole-list check joins a list with.
 ODD_COEFFICIENTS = ["2/4", "-0", "007", " +3/4", "1/0", "0/0", "-0/7", "0.5", "1e3",
                     "1E3", "-1/-2", "+5", "\t7\n", "1/", "/2", "", "-", "1_0", "inf",
-                    "nan", "\u0663", "\u0661/\u0662", "3/\u0664", "\u00b2", "12/1"]
+                    "nan", "\u0663", "\u0661/\u0662", "3/\u0664", "\u00b2", "12/1",
+                    "1,2", "0,0", "3/4,5"]
 
 coefficient_strings = st.one_of(
     st.sampled_from(ODD_COEFFICIENTS),
@@ -105,6 +111,8 @@ BUNDLE_MATRIX_EDITS = {
     "empty denominator": lambda m: m["entries"][0][0].update(den=[]),
     "decimal coefficient": lambda m: m["entries"][0][0].update(den=["0.5"]),
     "coefficient string": lambda m: m["entries"][0][0].update(num="12"),
+    "coefficient past the digit limit":  # int refuses it, whichever matrix holds it
+        lambda m: m["entries"][0][0].update(num=["1" * (sys.get_int_max_str_digits() + 1)]),
     "missing den": lambda m: m["entries"][0][0].pop("den"),
     "entry a list": lambda m: m["entries"][0].__setitem__(0, ["1"]),
     "rows string": lambda m: m.update(rows="".join(m["rows"])),
@@ -117,18 +125,50 @@ BUNDLE_MATRIX_EDITS = {
 }
 
 
-@pytest.mark.parametrize("key", ["H", "S_I", "S_LI", "S"])
+def _unread_entry_first(S: dict, graph) -> dict:
+    """S with its rows and columns reordered so that its first entry is one
+    that `identify_all` never reads."""
+    matrix = sio.matrix_from_dict(S)
+    reads = set()
+
+    class Recording(RatMatrix):
+        def entry(self, row, col):
+            reads.add((row, col))
+            return super().entry(row, col)
+
+    identify_all(graph, Recording(matrix.row_labels, matrix.col_labels, matrix.entries))
+    r, c = min(set(itertools.product(S["rows"], S["cols"])) - reads)
+    rows = [r] + [x for x in S["rows"] if x != r]
+    cols = [c] + [x for x in S["cols"] if x != c]
+    return {"rows": rows, "cols": cols,
+            "entries": [[S["entries"][S["rows"].index(x)][S["cols"].index(y)] for y in cols]
+                        for x in rows]}
+
+
+@pytest.mark.parametrize("key", ["H", "S_I", "S_LI", "S", "S unread"])
 def test_spectral_density_loader_refuses_what_the_bundle_loader_refuses(
-        tmp_path, instrument_tsg, key):
+        tmp_path, capsys, instrument_tsg, key):
+    """Every entry of every matrix is checked at load, an entry of S that
+    identification never reads ("S unread") included: `identify --spectrum`
+    exits 2 wherever `load_bundle` refuses the file."""
     bundle = sio.bundle_to_dict(spectrum(instrument_tsg, sample_stable_params(instrument_tsg,
                                                                               seed=2)))
-    path = tmp_path / "bundle.json"
+    if key == "S unread":
+        key, bundle["S"] = "S", _unread_entry_first(bundle["S"], instrument_tsg.base)
+    path, graph = tmp_path / "bundle.json", tmp_path / "graph.json"
+    sio.save_graph(instrument_tsg, graph)
 
     def outcome(load):
         try:
             return load(path)
         except Exception as exc:  # the class and the message are compared
             return type(exc), str(exc)
+
+    def identify():
+        code = main(["identify", "--graph", str(graph), "--spectrum", str(path),
+                     "--out", str(tmp_path / "cert.json")])
+        capsys.readouterr()
+        return code
 
     for name, edit in BUNDLE_MATRIX_EDITS.items():
         data = json.loads(json.dumps(bundle))
@@ -137,6 +177,7 @@ def test_spectral_density_loader_refuses_what_the_bundle_loader_refuses(
         want, got = outcome(sio.load_bundle), outcome(sio.load_spectral_density)
         if isinstance(want, tuple):
             assert got == want, name
+            assert identify() == EXIT_VALIDATION, name
         else:
             assert name in ("not canonical", "zero over two"), name
             assert got == want.S, name
@@ -313,3 +354,39 @@ def test_saved_files_are_byte_deterministic(tmp_path, instrument_tsg):
     sio.save_params(p, a)
     sio.save_params(p, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not JSON"
+
+
+#: Keys and strings with quotes, backslashes, control and non-ASCII characters.
+json_text = st.text(alphabet=st.sampled_from(
+    ['a', 'z', '"', '\\', '/', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9', '\u2028',
+     '\U0001f600', '\ud800', ' ']), max_size=4)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), json_text,
+    st.integers(), st.integers(-10**40, 10**40), st.builds(_Int, st.integers()),
+    st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.builds(_Float, st.floats()),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.lists(json_text, max_size=4),
+                               st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(json_values)
+def test_emitter_writes_what_json_dumps_writes(value):
+    assert sio.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
