@@ -2,8 +2,8 @@
 
 from .ratfield import (NEG_INFINITY, P_ONE, P_ZERO, Poly, PoleError, R_ONE,
                        R_ZERO, RatFn, poly_gcd, poly_lcm)
-from .ratlinalg import (RatMatrix, SingularMatrixError, det, inverse, rank,
-                        solve, solve_many)
+from .ratlinalg import (RatMatrix, SingularMatrixError, det, rank, solve,
+                        solve_many)
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     LfhtcOrder, LfhtcTriple, Path, ProcessGraph,
                     TimeSeriesGraph, Trek, count_treks, d_separated,

@@ -564,25 +564,44 @@ def _count(data: dict, key: str, least: int) -> int:
     return k
 
 
+def _is_number(x) -> bool:
+    """Whether x is a JSON number: `float` would read "0.5", and `True` is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _frequencies(value) -> tuple[float, ...]:
-    """value as floats if it is a list of JSON numbers: `float` would read "0.5" and True."""
-    if not isinstance(value, list) or not all(
-            isinstance(f, (int, float)) and not isinstance(f, bool) for f in value):
+    """value as floats if it is a list of JSON numbers."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ValueError(f"estimate frequencies must be a list of numbers, got {value!r}")
     return tuple(float(f) for f in value)
 
 
+def _matrix(m: dict, frequency: float) -> np.ndarray:
+    """One estimate matrix, if it is at `frequency` and every cell of its real
+    and imag parts is a finite JSON number (`json` reads NaN and Infinity)."""
+    if m["frequency"] != frequency:
+        raise ValueError(f"estimate matrix at {m['frequency']!r} where the grid has {frequency!r}")
+    if not all(_is_number(x) for part in (m["real"], m["imag"]) for row in part for x in row):
+        raise ValueError("estimate matrix cells must be JSON numbers")
+    out = np.array(m["real"]) + 1j * np.array(m["imag"])
+    if not np.isfinite(out).all():
+        raise ValueError("estimate matrix cells must be finite")
+    return out
+
+
 def estimate_from_dict(data: dict) -> SpectrumEstimate:
-    mats = np.array([
-        np.array(m["real"]) + 1j * np.array(m["imag"]) for m in data["matrices"]
-    ])
+    frequencies = _frequencies(data["frequencies"])
+    window = data.get("window", "hann")
+    if window != "hann":
+        raise ValueError(f"estimate window {window!r} is not 'hann'")
     return SpectrumEstimate(
         labels=tuple(_labels(data["labels"], "estimate labels")),
-        frequencies=_frequencies(data["frequencies"]),
-        matrices=mats,
+        frequencies=frequencies,
+        matrices=np.array([_matrix(m, f) for m, f in zip(data["matrices"], frequencies,
+                                                         strict=True)]),
         segment_count=_count(data, "segment_count", 1),
         segment_length=_count(data, "segment_length", 2),
-        window=data.get("window", "hann"),
+        window=window,
     )
 
 

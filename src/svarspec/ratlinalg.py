@@ -6,14 +6,14 @@ entries' denominators; the polynomial rows are then eliminated with every
 update divided exactly by the previous pivot, which keeps intermediate
 expression swell polynomial instead of exponential.  The determinant is the
 signed last pivot over the row factors, the rank is the pivot count, and
-solving back-substitutes in the fraction field.  All operations are pure;
-matrices are immutable after construction.
+solving back-substitutes in the fraction field; `adjugate` back-substitutes
+over Z[z], where every division is exact.  All operations are pure, and
+matrices are immutable after construction; none is multiplied or inverted.
 
 The modular filters work on images of matrices in GF(P), P = `MOD_PRIME`
 (`RatMatrix.eval_mod`).  There one Gauss-Jordan routine serves rank and
-solving (an inverse is a solve against the identity).  It never replaces
-the Bareiss kernel: a rank modulo P is only a lower bound on the rank over
-R(z), and a singular image proves nothing.
+solving.  It never replaces the Bareiss kernel: a rank modulo P is only a
+lower bound on the rank over R(z), and a singular image proves nothing.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ class RatMatrix:
         return cls(rows, cols, [[fn(r, c) for c in cols] for r in rows])
 
     @classmethod
-    def identity(cls, labels: Iterable[str]) -> RatMatrix:
-        labs = tuple(labels)
-        return cls(labs, labs,
-                   [[R_ONE if i == j else R_ZERO for j in range(len(labs))]
-                    for i in range(len(labs))])
-
-    @classmethod
-    def zeros(cls, row_labels: Iterable[str], col_labels: Iterable[str]) -> RatMatrix:
-        rows, cols = tuple(row_labels), tuple(col_labels)
-        return cls(rows, cols, [[R_ZERO] * len(cols) for _ in rows])
-
-    @classmethod
     def diagonal(cls, labels: Iterable[str], values: Sequence[RatFn]) -> RatMatrix:
         labs = tuple(labels)
         return cls(labs, labs,
@@ -111,9 +99,6 @@ class RatMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.row_labels, self.col_labels, self.entries))
-
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
@@ -146,63 +131,9 @@ class RatMatrix:
             [[self.entries[self._rindex[r]][self._cindex[c]] for c in cols] for r in rows],
         )
 
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(
-            self.col_labels, self.row_labels,
-            [[self.entries[i][j] for i in range(len(self.row_labels))]
-             for j in range(len(self.col_labels))],
-        )
-
-    def conj(self) -> RatMatrix:
-        """Entrywise conjugation."""
-        return RatMatrix(self.row_labels, self.col_labels,
-                         [[e.conj() for e in row] for row in self.entries])
-
     def eval_mod(self, z: int) -> list[list[int]]:
         """Entrywise `RatFn.eval_mod` at z; UnluckyReduction if an entry has no image."""
         return [[e.eval_mod(z) for e in row] for row in self.entries]
-
-    # -- algebra -----------------------------------------------------------------
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        self._check_same_shape(other)
-        return RatMatrix(
-            self.row_labels, self.col_labels,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        self._check_same_shape(other)
-        return RatMatrix(
-            self.row_labels, self.col_labels,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
-    def __matmul__(self, other: RatMatrix) -> RatMatrix:
-        if self.col_labels != other.row_labels:
-            raise ValueError("inner labels do not match")
-        n = len(other.row_labels)
-        out = []
-        for row in self.entries:
-            new_row = []
-            for j in range(len(other.col_labels)):
-                acc = R_ZERO
-                for k in range(n):
-                    a = row[k]
-                    if a.is_zero:
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero:
-                        continue
-                    acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return RatMatrix(self.row_labels, other.col_labels, out)
-
-    def _check_same_shape(self, other: RatMatrix) -> None:
-        if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
-            raise ValueError("label mismatch")
-
 
 # -- fraction-free elimination ------------------------------------------------------
 
@@ -312,14 +243,27 @@ def solve_many(matrix: RatMatrix, rhs_rows: Sequence[Sequence[RatFn]]) -> list[l
     return solution
 
 
-def inverse(matrix: RatMatrix) -> RatMatrix:
-    """Matrix inverse over R(z); raises SingularMatrixError when not invertible."""
-    if not matrix.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = len(matrix.row_labels)
-    eye = [[R_ONE if i == j else R_ZERO for j in range(n)] for i in range(n)]
-    rows = solve_many(matrix, eye)
-    return RatMatrix(matrix.col_labels, matrix.row_labels, rows)
+def adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
+    """(X, d) with M X = d I and d = +-det M, for the square polynomial matrix M
+    given by rows; raises SingularMatrixError when det M = 0.
+
+    The forward elimination of [M | I] leaves [U | B] with U = B M, and its
+    last pivot is d.  So X = d M^{-1} solves U X = d B, and back-substitution
+    X_i = (d B_i - sum_{j > i} U_ij X_j) / U_ii divides exactly: X = +-adj M
+    is a polynomial matrix, and the quotient is its row i.
+    """
+    n = len(rows)
+    work = [list(row) + [P_ONE if j == i else P_ZERO for j in range(n)]
+            for i, row in enumerate(rows)]
+    if _eliminate(work, n)[0] < n:
+        raise SingularMatrixError("matrix is singular over R(z)")
+    d = work[-1][n - 1] if n else P_ONE
+    X: list[list[Poly]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        U = work[i]
+        X[i] = [(d * U[n + b] - sum((U[j] * X[j][b] for j in range(i + 1, n)), P_ZERO))
+                .divexact(U[i]) for b in range(n)]
+    return X, d
 
 
 # -- elimination over GF(P) -------------------------------------------------------------

@@ -43,16 +43,15 @@ otherwise the final `RatFn` gcd removes the rest.  That proof and that gcd,
 not the stability argument, guarantee the canonical form, so the bytes of
 every spectrum are those of the unique reduced fraction, stable or not.
 
-A cyclic observed part has no trek expansion with this denominator: there
-`spectral_density` solves N = (I - H_OO)^{-1} by Bareiss elimination and forms
-N^T S_LI conj(N) over R(z).  It does so even when zero coefficients leave
-H_OO an acyclic support: the inverse is unique, so elimination gives the
-canonical matrix that the finite sum I + H_OO + H_OO^2 + ... would.
+A cyclic observed part has no finite trek expansion; `_cyclic_density` reads
+(I - H_OO)^{-1} off the adjugate of a polynomial matrix whose determinant joins
+the kernel, so S is again one Gram form and no matrix is inverted over R(z).
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +59,7 @@ from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     t_separation_min)
 from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
                        _from_ratios, _horner_mod, _new)
-from .ratlinalg import (RatMatrix, inverse, matmul_mod, rank, rank_mod,
+from .ratlinalg import (RatMatrix, adjugate, matmul_mod, rank, rank_mod,
                         solve_many, solve_mod)
 
 CrossKey = tuple[str, str, int]  # (tail, head, lag)
@@ -177,14 +176,14 @@ class _KnownDenominator:
         num * z**shift / (prod_{i in left} D_i * prod_{i in right} D_i*),
 
     where bit i of a mask names D_i = `left[i]`, a nontrivial auto-lag
-    denominator, and D_i* = `right[i]` is its reversal (`Poly.conj`).  Since
-    D_i(0) = 1, D_i(1/z) = D_i*(z) z**-deg D_i, so conj(1 / D_i) is
-    z**deg D_i / D_i*.  A product ORs the masks, and its factors must not share
-    a bit on either side; a sum lifts each term by the factors it lacks.  Both
-    take `Poly` products and sums only.  `ratfn` reaches the canonical form.
-    `_nonlinear` has bit i set when D_i has degree 2 or more, and `_roots`
-    holds, per side, the image in GF(P) of each linear factor's root (see
-    `_root_mod`).
+    denominator or the determinant factor of `_cyclic_density`, and D_i* =
+    `right[i]` is its reversal (`Poly.conj`).  Since D_i(0) != 0, D_i(1/z) =
+    D_i*(z) z**-deg D_i, so conj(1 / D_i) is z**deg D_i / D_i*.  A product ORs
+    the masks, and its factors must not share a bit on either side; a sum
+    lifts each term by the factors it lacks.  Both take `Poly` products and
+    sums only.  `ratfn` reaches the canonical form.  `_nonlinear` has bit i
+    set when D_i has degree 2 or more, and `_roots` holds, per side, the
+    image in GF(P) of each linear factor's root (see `_root_mod`).
     """
 
     __slots__ = ("left", "right", "_nonlinear", "_roots", "_lifts")
@@ -258,7 +257,7 @@ class _KnownDenominator:
         Proof of coprimality.  Each D_i or D_i* left in the masks does not
         divide a numerator N, and the final numerator divides N z**k for some
         k >= 0.  A linear polynomial is irreducible, and neither factor carries
-        z: D_i(0) = 1 and D_i*(0) = lc(D_i) != 0.  So a factor left divides
+        z: D_i(0) != 0 and D_i*(0) = lc(D_i) != 0.  So a factor left divides
         neither N z**k nor the final numerator.  After the shift step z divides
         at most one side: when a power of z is left in the denominator, the
         numerator no longer vanishes at 0.  So numerator and denominator share
@@ -381,30 +380,66 @@ def _acyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) ->
     return _gram(kd, graph.observed, into, tops)
 
 
-def _cyclic_density(observed, H: RatMatrix, S_LI: RatMatrix) -> RatMatrix:
-    """S = N^T S_LI conj(N) with N = (I - H_OO)^{-1}, by Bareiss elimination."""
-    N = inverse(RatMatrix.identity(observed) - H.submatrix(observed, observed))
-    return N.transpose() @ S_LI @ N.conj()
+def _cyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
+    """S = N^T S_LI conj(N) with N = (I - H_OO)^{-1}, as one Gram form.
+
+    I - H_OO = M diag(D)^{-1} for the polynomial matrix M[a, b] = [a = b] D_b -
+    L_ab, so N = diag(D) X / d for (X, d) = `adjugate(M)`.  So into[v][a] =
+    D_a X[a][v] / d for an observed a, and into[v][l] = sum_a X[a][v] L_la / d
+    for a latent l: N's D_a cancels that of each link L_la / D_a exactly.
+    Each D_a that divides d leaves d and into[v][a] and keeps its own bit: det
+    M is the product of the determinants of M's diagonal blocks over its strong
+    components, so the D_a of each vertex off the cycles divides d.
+
+    The rest, c z**k d' with d'(0) != 0, joins the kernel as d', one more
+    factor bit (d' on the left, d'* on the right); z**-k goes into the shift
+    and c into the content, so every factor keeps a nonzero constant term.
+    Validated parameters give k = 0: d(0) = +-det(I - B_0), B_0[a, b] the
+    lag-0 coefficient of a -> b, since D_b(0) = 1.  On a cyclic graph
+    `validate` bounds the absolute observed cross coefficients by a sum below
+    1, so B_0's max-row-sum norm, and with it its spectral radius, is below 1.
+    """
+    obs = graph.observed
+    D = {a: kd.lift(tops[a][1], 0) for a in obs}
+    M = [[(D[b] if a == b else P_ZERO) - links.get((a, b), _ZERO)[0] for b in obs] for a in obs]
+    X, d = adjugate(M)
+    known = 0  # the mask of 1/d: each D_a divided out of d, then d'
+    for a in obs:
+        with suppress(ArithmeticError):  # D_a does not divide d
+            d, known = d.divexact(D[a]), known | tops[a][1]
+    low = next(i for i, c in enumerate(d.p) if c)
+    core = _new(d.n, d.d, d.p[low:])  # dropping zero coefficients keeps p primitive
+    if core.degree:  # else the constant core goes into the content
+        kd = _KnownDenominator(kd.left + [core])
+        known, core = known | 1 << len(kd.left) - 1, P_ONE
+    into: dict[str, dict[str, _Value]] = {}
+    for j, v in enumerate(obs):
+        sums: dict[str, list] = {}  # t: [numerator, mask]
+        for i, a in enumerate(obs):
+            x = X[i][j]
+            if x:
+                bit = tops[a][1]
+                sums[a] = [x if bit & known else D[a] * x, known & ~bit]
+                for l in graph.pa_latent(a):
+                    sums.setdefault(l, [P_ZERO, known])[0] += x * links[(l, a)][0]
+        into[v] = {t: (num.divexact(core), mask, 0, -low)
+                   for t, (num, mask) in sums.items() if num}
+    return _gram(kd, obs, into, tops)
 
 
 def spectral_density(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """The observed spectrum S alone; only a cyclic observed part builds H and S_LI."""
-    graph = tsg.base
-    kd, tops, links = _trek_parts(tsg, params)
-    if graph.is_acyclic:
-        return _acyclic_density(graph, kd, tops, links)
-    return _cyclic_density(graph.observed, _transfer(graph, kd, links),
-                           _projected(graph, kd, tops, links))
+    """The observed spectrum S alone, with no H, S_I or S_LI."""
+    density = _acyclic_density if tsg.base.is_acyclic else _cyclic_density
+    return density(tsg.base, *_trek_parts(tsg, params))
 
 
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     """The bundle (H, S_I, S_LI, S), each matrix built once from one `_trek_parts`."""
     graph = tsg.base
-    kd, tops, links = _trek_parts(tsg, params)
-    H, S_LI = _transfer(graph, kd, links), _projected(graph, kd, tops, links)
-    S = (_acyclic_density(graph, kd, tops, links) if graph.is_acyclic
-         else _cyclic_density(graph.observed, H, S_LI))
-    return SpectrumBundle(H=H, S_I=_internal(graph, kd, tops), S_LI=S_LI, S=S)
+    parts = kd, tops, links = _trek_parts(tsg, params)
+    density = _acyclic_density if graph.is_acyclic else _cyclic_density
+    return SpectrumBundle(H=_transfer(graph, kd, links), S_I=_internal(graph, kd, tops),
+                          S_LI=_projected(graph, kd, tops, links), S=density(graph, *parts))
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
@@ -454,11 +489,10 @@ def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
     S_XY = S.submatrix(X, Y)
     if not Z:
         return S_XY
-    S_ZZ = S.submatrix(Z, Z)
-    S_ZY = S.submatrix(Z, Y)
-    W_rows = solve_many(S_ZZ, S_ZY.entries)  # raises SingularMatrixError
-    W = RatMatrix(Z, Y, W_rows)
-    return S_XY - S.submatrix(X, Z) @ W
+    W = solve_many(S.submatrix(Z, Z), S.submatrix(Z, Y).entries)  # raises SingularMatrixError
+    return RatMatrix(X, Y, [[e - sum((a * w[j] for a, w in zip(s_xz, W)), R_ZERO)
+                             for j, e in enumerate(s_xy)]
+                            for s_xy, s_xz in zip(S_XY.entries, S.submatrix(X, Z).entries)])
 
 
 def _poly_mod(f: Poly, z: int) -> int:
@@ -516,8 +550,9 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
     Takes the maximum over up to `trials` independent draws, and stops at the
     first draw that reaches a bound no draw can exceed: the minimal
     t-separation size on an acyclic graph (Sullivant, Talaska & Draisma 2010),
-    min(|X|, |Y|) on a cyclic one.  Exact except on a measure-zero sampling
-    event per draw.
+    min(|X|, |Y|) on a cyclic one.  It never exceeds the generic rank, and
+    falls short of it with a bounded, nonzero probability, not probability
+    zero: `_random_fraction` draws from 92 values before the stability rescale.
 
     Each draw first takes the rank of `spectrum_mod`'s S[X, Y] over GF(P), a
     lower bound on its rank over R(z).  When it meets the bound, the draw's

@@ -11,13 +11,17 @@ these functions are the oracles it must match entry for entry:
 - `internal_spectrum` and `spectrum` form sigma_v / (D_v D_v*) with RatFn
   products, S_LI with RatFn matrix products, and S = N^T S_LI conj(N) with
   N = (I - H_OO)^{-1} from `unit_inverse`, which sums I + H_OO + H_OO^2 + ...
-  when the support of H_OO is acyclic and solves by Bareiss elimination
-  otherwise (the library always solves);
+  when the support of H_OO is acyclic and otherwise solves against the
+  identity (the library reads N off the adjugate of a polynomial matrix);
 - `spectrum_trek` sums one RatFn trek term per trek;
 - `path_function`, `trek_function`, `det_path_expansion` and
   `det_trek_expansion` give the Gessel-Viennot and trek-system determinant
   expansions (Sullivant, Talaska & Draisma 2010), over the systems that
   `graph_reference` enumerates.
+
+The labelled-matrix algebra these oracles need (`identity`, `zeros`,
+`transpose`, `conj`, `plus`, `minus`, `matmul` and `inverse`) is kept here,
+entrywise over RatFn: the library multiplies and inverts no matrix over R(z).
 """
 
 from __future__ import annotations
@@ -25,11 +29,53 @@ from __future__ import annotations
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             enumerate_treks)
 from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
-from svarspec.ratlinalg import RatMatrix, inverse
+from svarspec.ratlinalg import RatMatrix, solve_many
 from svarspec.svar import SpectrumBundle, SvarParams, lag_poly
 
 from graph_reference import (nonintersecting_path_systems,
                              sided_nonintersecting_trek_systems, validate_path)
+
+
+def identity(labels) -> RatMatrix:
+    labels = tuple(labels)
+    return RatMatrix.diagonal(labels, [R_ONE] * len(labels))
+
+
+def zeros(rows, cols) -> RatMatrix:
+    return RatMatrix.build(rows, cols, lambda r, c: R_ZERO)
+
+
+def transpose(M: RatMatrix) -> RatMatrix:
+    return RatMatrix.build(M.col_labels, M.row_labels, lambda c, r: M.entry(r, c))
+
+
+def conj(M: RatMatrix) -> RatMatrix:
+    """Entrywise conjugation."""
+    return RatMatrix.build(M.row_labels, M.col_labels, lambda r, c: M.entry(r, c).conj())
+
+
+def plus(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    assert (A.row_labels, A.col_labels) == (B.row_labels, B.col_labels), "label mismatch"
+    return RatMatrix.build(A.row_labels, A.col_labels, lambda r, c: A.entry(r, c) + B.entry(r, c))
+
+
+def minus(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    assert (A.row_labels, A.col_labels) == (B.row_labels, B.col_labels), "label mismatch"
+    return RatMatrix.build(A.row_labels, A.col_labels, lambda r, c: A.entry(r, c) - B.entry(r, c))
+
+
+def matmul(A: RatMatrix, *rest: RatMatrix) -> RatMatrix:
+    """The product A B C ..., left to right."""
+    for B in rest:
+        assert A.col_labels == B.row_labels, "inner labels do not match"
+        A = RatMatrix.build(A.row_labels, B.col_labels, lambda r, c, A=A, B=B: sum(
+            (A.entry(r, k) * B.entry(k, c) for k in A.col_labels), R_ZERO))
+    return A
+
+
+def inverse(M: RatMatrix) -> RatMatrix:
+    """M^{-1}, a solve against the identity; SingularMatrixError when det M = 0."""
+    return RatMatrix(M.col_labels, M.row_labels, solve_many(M, identity(M.row_labels).entries))
 
 
 def unit_inverse(M: RatMatrix) -> RatMatrix:
@@ -42,16 +88,16 @@ def unit_inverse(M: RatMatrix) -> RatMatrix:
     labels = M.row_labels
     support = [(a, b) for a, row in zip(labels, M.entries)
                for b, e in zip(M.col_labels, row) if not e.is_zero]
-    eye = RatMatrix.identity(labels)
+    eye = identity(labels)
     if any(a == b for a, b in support) or not ProcessGraph.make(labels, (), support).is_acyclic:
-        return inverse(eye - M)
+        return inverse(minus(eye, M))
     total = eye
     power = eye
     for _ in range(len(labels)):
-        power = power @ M
+        power = matmul(power, M)
         if power.is_zero:
             break
-        total = total + power
+        total = plus(total, power)
     return total
 
 
@@ -91,9 +137,9 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     S_LI = S_I.submatrix(observed, observed)
     if latent:
         H_LO = H.submatrix(latent, observed)
-        S_LI = S_LI + H_LO.transpose() @ S_I.submatrix(latent, latent) @ H_LO.conj()
+        S_LI = plus(S_LI, matmul(transpose(H_LO), S_I.submatrix(latent, latent), conj(H_LO)))
     N = unit_inverse(H.submatrix(observed, observed))
-    S = N.transpose() @ S_LI @ N.conj()
+    S = matmul(transpose(N), S_LI, conj(N))
     return SpectrumBundle(H=H, S_I=S_I, S_LI=S_LI, S=S)
 
 

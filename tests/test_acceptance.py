@@ -26,7 +26,7 @@ from svarspec.simulate import (estimate_spectrum, exact_spectrum_values,
 
 from conftest import (dag_shapes, random_dag, random_latent_dag, random_ratfn,
                       random_tsg, record_acceptance)
-from svar_reference import det_path_expansion, unit_inverse
+from svar_reference import det_path_expansion, matmul, minus, unit_inverse
 
 
 def _criterion(number, description, budget_seconds, body):
@@ -149,7 +149,7 @@ def _conditional_given(S, Z):
     S_zz = S.submatrix(Z, Z)
     S_zr = S.submatrix(Z, rest)
     W = RatMatrix(Z, rest, solve_many(S_zz, S_zr.entries))
-    return S_rr - S.submatrix(rest, Z) @ W
+    return minus(S_rr, matmul(S.submatrix(rest, Z), W))
 
 
 def _all_triples(vertices):

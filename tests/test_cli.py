@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -741,7 +742,8 @@ def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials
 #: sha256 of `spectrum --out` on a cyclic observed graph, a -> b -> c -> a with
 #: a latent h into a and b, at lag order 1 and sample_stable_params(seed=7):
 #: as drawn, and with every c -> a coefficient zero, which leaves H_OO an
-#: acyclic support.  Both bundles come from one exact inverse of I - H_OO.
+#: acyclic support.  Both S come from the adjugate of M = diag(D) - L_OO, with
+#: det M as one more factor of the known denominator.
 CYCLIC_SHA256 = {
     "cyclic": "b4e180b8756544987086a22cf08742c29b2420c5a88a35a90415652216daa3d1",
     "acyclic": "ec79d197b5dccf04d1039a88d6575f615f8f7bf4a0e5f0ca1226dfb03e45bf1a",
@@ -957,6 +959,19 @@ MISREAD_INPUTS = {
     "estimate frequencies strings":
         ("estimate", lambda d: d.update(frequencies=[str(f) for f in d["frequencies"]])),
     "estimate frequency true": ("estimate", lambda d: d["frequencies"].__setitem__(0, True)),
+    # read as 1 and 0, the first matrix at the second frequency, any window, and
+    # non-finite cells that the Hermitian check lets through
+    "estimate real cell true":
+        ("estimate", lambda d: d["matrices"][0]["real"][0].__setitem__(0, True)),
+    "estimate imag cell false":
+        ("estimate", lambda d: d["matrices"][0]["imag"][0].__setitem__(0, False)),
+    "estimate matrix frequency off the grid":
+        ("estimate", lambda d: d["matrices"][0].update(frequency=d["frequencies"][1])),
+    "estimate window number": ("estimate", lambda d: d.update(window=5)),
+    "estimate cell nan":
+        ("estimate", lambda d: d["matrices"][0]["real"][0].__setitem__(1, math.nan)),
+    "estimate cell infinity":
+        ("estimate", lambda d: d["matrices"][1]["real"][1].__setitem__(1, -math.inf)),
 }
 # faults that a reader of S alone could skip: every matrix of a bundle is checked
 MISREAD_INPUTS.update({

@@ -17,7 +17,7 @@ from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             count_treks, t_separation_min)
 from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
                                R_ZERO, RatFn, UnluckyReduction)
-from svarspec.ratlinalg import RatMatrix, det, inverse, rank, rank_mod
+from svarspec.ratlinalg import RatMatrix, adjugate, det, rank, rank_mod
 from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
                            conditional_spectrum, generic_rank, lag_poly,
                            sample_stable_params, spectral_density, spectrum,
@@ -28,8 +28,9 @@ from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
                       random_ratfn, random_tsg)
 from graph_reference import (TrekSystem, minimal_halftrek_subsystem,
                              sided_nonintersecting_trek_systems)
-from svar_reference import (det_path_expansion, det_trek_expansion,
-                            path_function, trek_function, unit_inverse)
+from svar_reference import (conj, det_path_expansion, det_trek_expansion, identity,
+                            inverse, minus, path_function, transpose,
+                            trek_function, unit_inverse)
 
 
 # -- lag polynomials and link functions -------------------------------------------
@@ -174,7 +175,7 @@ def test_spectrum_instrument_graph_identities(instrument_tsg):
 def test_spectrum_hermitian(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=14)
     S = spectrum(instrument_tsg, p).S
-    assert S.conj() == S.transpose()
+    assert conj(S) == transpose(S)
 
 
 def test_spectrum_matches_trek_rule_on_random_instances():
@@ -226,7 +227,7 @@ def test_spectrum_on_cyclic_observed_graph():
     )
     p.validate(tsg)
     S = spectrum(tsg, p).S
-    assert S.conj() == S.transpose()
+    assert conj(S) == transpose(S)
     assert not S.entry("a", "b").is_zero
 
 
@@ -234,7 +235,7 @@ def test_unit_inverse_reads_nilpotency_off_the_zero_pattern():
     # a cyclic support is not nilpotent: a truncated geometric sum gives 7/6 at [a, a]
     ab = ["a", "b"]
     M = RatMatrix(ab, ab, [[R_ZERO, RatFn(Fraction(1, 2))], [RatFn(Fraction(1, 3)), R_ZERO]])
-    assert unit_inverse(M) == inverse(RatMatrix.identity(ab) - M)
+    assert unit_inverse(M) == inverse(minus(identity(ab), M))
     assert unit_inverse(M).entry("a", "a") == RatFn(Fraction(6, 5))
     # a strictly upper triangular support is nilpotent
     rng = random.Random(36)
@@ -243,7 +244,7 @@ def test_unit_inverse_reads_nilpotency_off_the_zero_pattern():
         [random_ratfn(rng, max_degree=1) if j > i else R_ZERO for j in range(4)]
         for i in range(4)
     ])
-    assert unit_inverse(N) == inverse(RatMatrix.identity(labels) - N)
+    assert unit_inverse(N) == inverse(minus(identity(labels), N))
 
 
 # -- path/trek functions --------------------------------------------------------------------------
@@ -543,13 +544,15 @@ def test_kernel_isolated_vertex():
 
 
 def test_cyclic_observed_graph_keeps_the_bareiss_path(monkeypatch):
+    """A cyclic observed part takes one adjugate of the |O| x |O| matrix M; an
+    acyclic graph takes none."""
     calls = []
 
-    def counting_inverse(M):
-        calls.append(M.row_labels)
-        return inverse(M)
+    def counting_adjugate(rows):
+        calls.append(len(rows))
+        return adjugate(rows)
 
-    monkeypatch.setattr(svar_module, "inverse", counting_inverse)
+    monkeypatch.setattr(svar_module, "adjugate", counting_adjugate)
     rng = random.Random(38)
     for trial in range(6):
         graph = random_cyclic_graph(rng, rng.randint(2, 4))
@@ -558,11 +561,79 @@ def test_cyclic_observed_graph_keeps_the_bareiss_path(monkeypatch):
         tsg = random_tsg(rng, graph, max_order=1)
         calls.clear()
         _assert_matches_reference(tsg, sample_stable_params(tsg, seed=trial))
-        assert calls == [graph.observed]
+        assert calls == [len(graph.observed)]
     tsg = TimeSeriesGraph.full(random_dag(rng, ["a", "b", "c", "d"], p=0.7), 1)
     calls.clear()
     _assert_matches_reference(tsg, sample_stable_params(tsg, seed=0))
     assert calls == []
+
+
+def test_cyclic_spectrum_over_a_linear_determinant(monkeypatch):
+    """A 2-cycle without auto lags, a -> b at lag 0 and b -> a at lag 1: d is
+    1 - c e z, linear, the only factor, so every entry takes no gcd."""
+    g = ProcessGraph.make(["a", "b"], ["h"], [("a", "b"), ("b", "a"), ("h", "a")])
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (0,), ("b", "a"): (1,), ("h", "a"): (0, 1)})
+    p = sample_stable_params(tsg, seed=3)
+    c, e = p.cross[("a", "b", 0)], p.cross[("b", "a", 1)]
+    want = _assert_matches_reference(tsg, p).S
+    d = Poly([1, -c * e])
+    assert want.entry("a", "b").den == (d * d.conj()).monic()
+
+    def fail(f, g):
+        raise AssertionError("a gcd ran")
+
+    monkeypatch.setattr(ratfield, "poly_gcd", fail)
+    assert spectral_density(tsg, p) == want
+
+
+def test_cyclic_spectrum_where_d_shares_a_factor_off_the_cycle(monkeypatch):
+    """c is off the cycle a <-> b and D_c = 1 - z/16 equals the cycle's own
+    determinant 1 - z/16, so d = D_c^2.  D_c is divided out of d, which leaves
+    the kernel two linear factors, D_c and d', and no entry takes a gcd."""
+    g = ProcessGraph.make(["a", "b", "c"], ["h"],
+                          [("a", "b"), ("b", "a"), ("a", "c"), ("h", "b"), ("h", "c")])
+    tsg = TimeSeriesGraph.make(g, {("a", "b"): (0,), ("b", "a"): (1,), ("a", "c"): (0, 1),
+                                   ("h", "b"): (0,), ("h", "c"): (1,)}, {"c": (1,)})
+    quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+    p = SvarParams.make({("a", "b", 0): quarter, ("b", "a", 1): quarter, ("a", "c", 0): eighth,
+                         ("a", "c", 1): -eighth, ("h", "b", 0): 2, ("h", "c", 1): 3},
+                        {("c", 1): quarter * quarter}, {"a": 1, "b": 2, "c": 3, "h": eighth})
+    p.validate(tsg)
+    D_c = Poly([1, -quarter * quarter])
+    M = [[P_ONE, -Poly([quarter]), -Poly([eighth, -eighth])],
+         [-Poly([0, quarter]), P_ONE, Poly([])],
+         [Poly([]), Poly([]), D_c]]
+    assert adjugate(M)[1].monic() == (D_c * D_c).monic()
+    want = _assert_matches_reference(tsg, p).S
+
+    def fail(f, g):
+        raise AssertionError("a gcd ran")
+
+    monkeypatch.setattr(ratfield, "poly_gcd", fail)
+    assert spectral_density(tsg, p) == want
+
+
+def test_cyclic_spectrum_where_d_vanishes_at_zero():
+    """Unvalidated parameters with det M = -5z/6: z leaves d for the shift and
+    -5/6 for the content, and the kernel gets no factor from d.  So it does
+    with d = z/5, where a kernel factor z would leave entries non-canonical."""
+    g = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
+    cross = {("a", "b"): (0,), ("b", "a"): (0, 1)}
+    p = SvarParams.make({("a", "b", 0): 1, ("b", "a", 0): 1, ("b", "a", 1): Fraction(1, 3)},
+                        {("a", 1): Fraction(1, 2)}, {"a": 1, "b": 1})
+    tsg = TimeSeriesGraph.make(g, cross, {"a": (1,)})
+    with pytest.raises(ParameterError):
+        p.validate(tsg)
+    S = _assert_matches_reference(tsg, p).S
+    assert S.entry("a", "a") == RatFn([Fraction(12, 25), Fraction(76, 25), Fraction(12, 25)],
+                                      [0, 1])
+    q = SvarParams.make({("a", "b", 0): Fraction(3, 5), ("b", "a", 0): Fraction(5, 3),
+                         ("b", "a", 1): Fraction(1, 2)}, {("b", 1): Fraction(-1, 2)},
+                        {"a": 1, "b": 1})
+    M = [[P_ONE, -Poly([Fraction(3, 5)])],
+         [-Poly([Fraction(5, 3), Fraction(1, 2)]), Poly([1, Fraction(1, 2)])]]
+    assert adjugate(M)[1].monic() == Poly([0, 1])
+    _assert_matches_reference(TimeSeriesGraph.make(g, cross, {"b": (1,)}), q)
 
 
 def test_spectrum_gcd_calls_are_linear_in_the_graph(monkeypatch):
@@ -817,8 +888,8 @@ def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
 
 
 def test_spectral_density_builds_s_alone(monkeypatch):
-    """`spectral_density` is the bundle's S; on an acyclic graph it builds no H,
-    S_I or S_LI, and a cyclic graph builds H and S_LI once, in either function."""
+    """`spectral_density` is the bundle's S and builds no H, S_I or S_LI, on an
+    acyclic graph and a cyclic one alike; `spectrum` builds each once."""
     cases = [(tsg, sample_stable_params(tsg, seed=seed))
              for tsg in map(three_kinds, range(36)) for seed in (0, 1)]
     want = [spectrum(tsg, params).S for tsg, params in cases]
@@ -839,7 +910,7 @@ def test_spectral_density_builds_s_alone(monkeypatch):
     for (tsg, params), S in zip(cases, want):
         calls.clear()
         assert spectral_density(tsg, params) == S
-        assert calls == ([] if tsg.base.is_acyclic else ["_transfer", "_projected"])
+        assert calls == []
         calls.clear()
         assert spectrum(tsg, params).S == S
         assert sorted(calls) == ["_internal", "_projected", "_transfer"]
@@ -1168,8 +1239,8 @@ def test_cauchy_binet_expansion(instrument_tsg):
     lhs = det(b.S.submatrix(X, Y))
     rhs = R_ZERO
     for S_top in combinations(V, 2):
-        term = (det(N.transpose().submatrix(X, S_top))
+        term = (det(transpose(N).submatrix(X, S_top))
                 * det(b.S_I.submatrix(S_top, S_top))
-                * det(N.conj().submatrix(S_top, Y)))
+                * det(conj(N).submatrix(S_top, Y)))
         rhs = rhs + term
     assert lhs == rhs
