@@ -579,7 +579,7 @@ def _frequencies(value) -> tuple[float, ...]:
 def _matrix(m: dict, frequency: float) -> np.ndarray:
     """One estimate matrix, if it is at `frequency` and every cell of its real
     and imag parts is a finite JSON number (`json` reads NaN and Infinity)."""
-    if m["frequency"] != frequency:
+    if not _is_number(m["frequency"]) or m["frequency"] != frequency:
         raise ValueError(f"estimate matrix at {m['frequency']!r} where the grid has {frequency!r}")
     if not all(_is_number(x) for part in (m["real"], m["imag"]) for row in part for x in row):
         raise ValueError("estimate matrix cells must be JSON numbers")

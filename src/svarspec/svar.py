@@ -365,8 +365,11 @@ def _gram(kd: _KnownDenominator, labels, into, tops) -> RatMatrix:
     return kd.hermitian(labels, entry)
 
 
-def _acyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
-    """S, with into[v][t] by dynamic programming over parents in topological order."""
+def _density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
+    """S, with into[v][t] by dynamic programming over parents in topological
+    order; a graph with a cycle takes `_cyclic_density`."""
+    if not graph.is_acyclic:
+        return _cyclic_density(graph, kd, tops, links)
     into: dict[str, dict[str, _Value]] = {}
     for v in graph.topological_order():
         terms: dict[str, list[_Value]] = {v: [_ONE]}
@@ -429,17 +432,15 @@ def _cyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> 
 
 def spectral_density(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     """The observed spectrum S alone, with no H, S_I or S_LI."""
-    density = _acyclic_density if tsg.base.is_acyclic else _cyclic_density
-    return density(tsg.base, *_trek_parts(tsg, params))
+    return _density(tsg.base, *_trek_parts(tsg, params))
 
 
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     """The bundle (H, S_I, S_LI, S), each matrix built once from one `_trek_parts`."""
     graph = tsg.base
     parts = kd, tops, links = _trek_parts(tsg, params)
-    density = _acyclic_density if graph.is_acyclic else _cyclic_density
     return SpectrumBundle(H=_transfer(graph, kd, links), S_I=_internal(graph, kd, tops),
-                          S_LI=_projected(graph, kd, tops, links), S=density(graph, *parts))
+                          S_LI=_projected(graph, kd, tops, links), S=_density(graph, *parts))
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:

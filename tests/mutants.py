@@ -9,8 +9,7 @@ on the unchanged copy, where they must pass, and then applies each entry in
 turn and runs its tests with `-x`.  A mutant is caught when pytest reports a
 failing test (exit status 1); a pass, or any other status, fails the script.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py
 
 pytest does not collect this file: its name does not match `test_*.py`.
 See DeMillo, Lipton & Sayward 1978 (IEEE Computer 11(4)) and Jia & Harman
@@ -93,12 +92,8 @@ def _pytest(src: Path, tests) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant {sorted(unknown)[0]!r}")
-        return 2
-    mutants = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
+    mutants = MUTANTS
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -129,4 +124,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

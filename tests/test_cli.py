@@ -959,7 +959,8 @@ MISREAD_INPUTS = {
     "estimate frequencies strings":
         ("estimate", lambda d: d.update(frequencies=[str(f) for f in d["frequencies"]])),
     "estimate frequency true": ("estimate", lambda d: d["frequencies"].__setitem__(0, True)),
-    # read as 1 and 0, the first matrix at the second frequency, any window, and
+    # read as 1 and 0, the first matrix at the second frequency or at true, any
+    # window, and
     # non-finite cells that the Hermitian check lets through
     "estimate real cell true":
         ("estimate", lambda d: d["matrices"][0]["real"][0].__setitem__(0, True)),
@@ -967,6 +968,9 @@ MISREAD_INPUTS = {
         ("estimate", lambda d: d["matrices"][0]["imag"][0].__setitem__(0, False)),
     "estimate matrix frequency off the grid":
         ("estimate", lambda d: d["matrices"][0].update(frequency=d["frequencies"][1])),
+    "estimate matrix frequency true":  # True == 1.0 on the grid
+        ("estimate", lambda d: (d["frequencies"].__setitem__(0, 1.0),
+                                d["matrices"][0].update(frequency=True))),
     "estimate window number": ("estimate", lambda d: d.update(window=5)),
     "estimate cell nan":
         ("estimate", lambda d: d["matrices"][0]["real"][0].__setitem__(1, math.nan)),
