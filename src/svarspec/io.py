@@ -100,7 +100,10 @@ def _dump(data: Any, path: str | Path) -> None:
 
 
 def _load(path: str | Path) -> dict:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     return data
@@ -583,7 +586,10 @@ def _matrix(m: dict, frequency: float) -> np.ndarray:
         raise ValueError(f"estimate matrix at {m['frequency']!r} where the grid has {frequency!r}")
     if not all(_is_number(x) for part in (m["real"], m["imag"]) for row in part for x in row):
         raise ValueError("estimate matrix cells must be JSON numbers")
-    out = np.array(m["real"]) + 1j * np.array(m["imag"])
+    try:
+        out = np.array(m["real"], dtype=float) + 1j * np.array(m["imag"], dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        raise ValueError("estimate matrix cells must be finite") from None
     if not np.isfinite(out).all():
         raise ValueError("estimate matrix cells must be finite")
     return out

@@ -11,9 +11,11 @@ over Z[z], where every division is exact.  All operations are pure, and
 matrices are immutable after construction; none is multiplied or inverted.
 
 The modular filters work on images of matrices in GF(P), P = `MOD_PRIME`
-(`RatMatrix.eval_mod`).  There one Gauss-Jordan routine serves rank and
-solving.  It never replaces the Bareiss kernel: a rank modulo P is only a
-lower bound on the rank over R(z), and a singular image proves nothing.
+(`RatMatrix.eval_mod`, or the spectrum kernel's values mapped by
+`svar._KnownDenominator.image`).  There `rank_mod`'s forward elimination is
+the only routine, and only a rank is taken.  It never replaces the Bareiss
+kernel: a rank modulo P is only a lower bound on the rank over R(z), and a
+deficient image proves nothing.
 """
 
 from __future__ import annotations
@@ -269,52 +271,22 @@ def adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
 # -- elimination over GF(P) -------------------------------------------------------------
 
 
-def _gauss_jordan_mod(rows: list[list[int]], n: int) -> int:
-    """Gauss-Jordan elimination over GF(P) of integer rows, in place.
-
-    Pivots are sought in the first n columns in order; each pivot row is
-    scaled to a leading 1 and its column cleared in every other row.  Returns
-    r, the rank of the first n columns; the first r rows are then reduced.
-    """
+def rank_mod(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(P) of a matrix given by rows of integers, by forward
+    elimination of their residues: pivots are sought column by column, and
+    each clears its column in the rows below it."""
     P = MOD_PRIME
-    n_rows = len(rows)
+    work = [[x % P for x in row] for row in rows]
     r = 0
-    for c in range(n):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+    for c in range(len(work[0]) if work else 0):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, P)
-        pivot = rows[r] = [x * inv % P for x in rows[r]]
-        for i in range(n_rows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], pivot)]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot, inv = work[r], pow(work[r][c], -1, P)
+        for i in range(r + 1, len(work)):
+            f = work[i][c] * inv % P
+            if f:
+                work[i] = [(x - f * y) % P for x, y in zip(work[i], pivot)]
         r += 1
     return r
-
-
-def rank_mod(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(P) of a matrix given by rows of residues."""
-    work = [list(row) for row in rows]
-    return _gauss_jordan_mod(work, len(work[0]) if work else 0)
-
-
-def solve_mod(rows: Sequence[Sequence[int]],
-              rhs_rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """The rows of X with M X = B over GF(P), for square M; None when M is singular there."""
-    n = len(rows)
-    work = [list(row) + list(extra) for row, extra in zip(rows, rhs_rows)]
-    if _gauss_jordan_mod(work, n) < n:
-        return None
-    return [row[n:] for row in work]
-
-
-def matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The product of two matrices of residues over GF(P)."""
-    P = MOD_PRIME
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % P for col in columns] for row in a]
-

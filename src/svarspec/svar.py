@@ -24,8 +24,9 @@ most once on the left and each D_u(1/z) = D_u*(z) z^-deg at most once on the
 right, where D_u* is the reversal `Poly.conj`.  So prod_u D_u(z) D_u(1/z)
 clears every entry: H, S_I, S_LI, S and `spectrum_trek` are read off these
 values with `Poly` products and sums only (`_KnownDenominator`), each entry
-reduced once, and `spectrum_mod` maps the same values to GF(P).  S_LI and the
-acyclic S are one Gram form, M[v, w] = sum_t into[v][t] S_I[t, t]
+reduced once, and `generic_rank` maps the values of a block S[X, Y] to GF(P)
+(`_KnownDenominator.image`) before it reduces any.  S_LI and S are one Gram
+form over any rows and columns, M[v, w] = sum_t into[v][t] S_I[t, t]
 conj(into[w][t]), where into[v][t] sums the link products of the directed
 paths t .. v (for S_LI, v itself and the edges from its latent parents).
 
@@ -59,8 +60,7 @@ from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
                     t_separation_min)
 from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
                        _from_ratios, _horner_mod, _new)
-from .ratlinalg import (RatMatrix, adjugate, matmul_mod, rank, rank_mod,
-                        solve_many, solve_mod)
+from .ratlinalg import RatMatrix, adjugate, rank, rank_mod, solve_many
 
 CrossKey = tuple[str, str, int]  # (tail, head, lag)
 AutoKey = tuple[str, int]
@@ -183,10 +183,11 @@ class _KnownDenominator:
     lifts each term by the factors it lacks.  Both take `Poly` products and
     sums only.  `ratfn` reaches the canonical form.  `_nonlinear` has bit i
     set when D_i has degree 2 or more, and `_roots` holds, per side, the
-    image in GF(P) of each linear factor's root (see `_root_mod`).
+    image in GF(P) of each linear factor's root (see `_root_mod`).  `image`
+    maps a value to GF(P).
     """
 
-    __slots__ = ("left", "right", "_nonlinear", "_roots", "_lifts")
+    __slots__ = ("left", "right", "_nonlinear", "_roots", "_lifts", "_inverses")
 
     def __init__(self, factors: list[Poly]):
         self.left = factors
@@ -194,6 +195,7 @@ class _KnownDenominator:
         self._nonlinear = sum(1 << i for i, f in enumerate(factors) if f.degree > 1)
         self._roots = ([_root_mod(f) for f in self.left], [_root_mod(f) for f in self.right])
         self._lifts: dict[tuple[int, int], Poly] = {(0, 0): P_ONE}
+        self._inverses: list[tuple[int, int]] | None = None
 
     def lift(self, left: int, right: int) -> Poly:
         """prod_{i in left} D_i * prod_{i in right} D_i*, built once per pair of masks."""
@@ -296,6 +298,23 @@ class _KnownDenominator:
         out._set_coprime(num, den)
         return out
 
+    def image(self, a: _Value) -> int:
+        """The value at EVAL_POINT modulo MOD_PRIME: num(z0) z0**shift times the
+        inverse images of its factors, each D_i and D_i* inverted once per
+        kernel.  This is the ring homomorphism of `RatFn.eval_mod`, so it equals
+        `ratfn(a).eval_mod(z0)` wherever both are defined, with no `RatFn`
+        built.  ValueError when a factor or a content denominator vanishes
+        modulo P."""
+        P, z0 = MOD_PRIME, EVAL_POINT
+        if self._inverses is None:
+            self._inverses = [(pow(_poly_mod(d, z0), -1, P), pow(_poly_mod(d_star, z0), -1, P))
+                              for d, d_star in zip(self.left, self.right)]
+        num, left, right, shift = a
+        out = _poly_mod(num, z0) * pow(z0, shift, P) % P
+        for i, (d, d_star) in enumerate(self._inverses):
+            out = out * (d if left >> i & 1 else 1) * (d_star if right >> i & 1 else 1) % P
+        return out
+
     def hermitian(self, labels, entry) -> RatMatrix:
         """The matrix with ratfn(entry(v, w)) on and above the diagonal, and
         below it the conjugate of the entry mirrored above."""
@@ -307,6 +326,11 @@ class _KnownDenominator:
                 if j > i:
                     rows[j][i] = rows[i][j].conj()
         return RatMatrix(labels, labels, rows)
+
+
+def _poly_mod(f: Poly, z: int) -> int:
+    """f(z) modulo MOD_PRIME; ValueError when P divides f's content denominator."""
+    return f.n * _horner_mod(f.p, z) * pow(f.d, -1, MOD_PRIME) % MOD_PRIME
 
 
 def _root_mod(f: Poly) -> int | None:
@@ -350,26 +374,29 @@ def _internal(graph: ProcessGraph, kd: _KnownDenominator, tops) -> RatMatrix:
 
 def _projected(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
     """S_LI[a, b] = [a = b] S_I[a, a] + sum over latent l of H[l, a] S_I[l, l] conj(H[l, b])."""
-    into = {a: {a: _ONE, **{l: links[(l, a)] for l in graph.pa_latent(a)}} for a in graph.observed}
-    return _gram(kd, graph.observed, into, tops)
+    obs = graph.observed
+    into = {a: {a: _ONE, **{l: links[(l, a)] for l in graph.pa_latent(a)}} for a in obs}
+    return kd.hermitian(obs, _gram(kd, obs, obs, into, tops)[1])
 
 
-def _gram(kd: _KnownDenominator, labels, into, tops) -> RatMatrix:
-    """M[v, w] = sum_t into[v][t] S_I[t, t] conj(into[w][t]) over the labels."""
-    left = {v: {t: kd.mul(value, tops[t]) for t, value in into[v].items()} for v in labels}
-    right = {w: {t: kd.conj(value) for t, value in into[w].items()} for w in labels}
+def _gram(kd: _KnownDenominator, rows, cols, into, tops):
+    """(kd, entry) with entry(v, w) = sum_t into[v][t] S_I[t, t] conj(into[w][t])
+    as a kernel value, for v in rows and w in cols."""
+    left = {v: {t: kd.mul(value, tops[t]) for t, value in into[v].items()} for v in rows}
+    right = {w: {t: kd.conj(value) for t, value in into[w].items()} for w in cols}
 
     def entry(v: str, w: str) -> _Value:
         return kd.total(kd.mul(value, right[w][t]) for t, value in left[v].items() if t in right[w])
 
-    return kd.hermitian(labels, entry)
+    return kd, entry
 
 
-def _density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
-    """S, with into[v][t] by dynamic programming over parents in topological
-    order; a graph with a cycle takes `_cyclic_density`."""
+def _density(graph: ProcessGraph, kd: _KnownDenominator, tops, links, rows, cols):
+    """(kd, entry) for the block S[rows, cols] (`_gram`), with into[v][t] by
+    dynamic programming over parents in topological order; a graph with a
+    cycle takes `_cyclic_density`, whose kernel gains a factor."""
     if not graph.is_acyclic:
-        return _cyclic_density(graph, kd, tops, links)
+        return _cyclic_density(graph, kd, tops, links, rows, cols)
     into: dict[str, dict[str, _Value]] = {}
     for v in graph.topological_order():
         terms: dict[str, list[_Value]] = {v: [_ONE]}
@@ -380,10 +407,10 @@ def _density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatr
                     terms.setdefault(t, []).append(kd.mul(value, link))
         sums = ((t, kd.total(ts)) for t, ts in terms.items())
         into[v] = {t: value for t, value in sums if value[0]}
-    return _gram(kd, graph.observed, into, tops)
+    return _gram(kd, rows, cols, into, tops)
 
 
-def _cyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> RatMatrix:
+def _cyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links, rows, cols):
     """S = N^T S_LI conj(N) with N = (I - H_OO)^{-1}, as one Gram form.
 
     I - H_OO = M diag(D)^{-1} for the polynomial matrix M[a, b] = [a = b] D_b -
@@ -427,20 +454,23 @@ def _cyclic_density(graph: ProcessGraph, kd: _KnownDenominator, tops, links) -> 
                     sums.setdefault(l, [P_ZERO, known])[0] += x * links[(l, a)][0]
         into[v] = {t: (num.divexact(core), mask, 0, -low)
                    for t, (num, mask) in sums.items() if num}
-    return _gram(kd, obs, into, tops)
+    return _gram(kd, rows, cols, into, tops)
 
 
 def spectral_density(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     """The observed spectrum S alone, with no H, S_I or S_LI."""
-    return _density(tsg.base, *_trek_parts(tsg, params))
+    obs = tsg.base.observed
+    kd, entry = _density(tsg.base, *_trek_parts(tsg, params), obs, obs)
+    return kd.hermitian(obs, entry)
 
 
 def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
     """The bundle (H, S_I, S_LI, S), each matrix built once from one `_trek_parts`."""
-    graph = tsg.base
-    parts = kd, tops, links = _trek_parts(tsg, params)
+    graph, obs = tsg.base, tsg.base.observed
+    kd, tops, links = _trek_parts(tsg, params)
+    S_kd, entry = _density(graph, kd, tops, links, obs, obs)
     return SpectrumBundle(H=_transfer(graph, kd, links), S_I=_internal(graph, kd, tops),
-                          S_LI=_projected(graph, kd, tops, links), S=_density(graph, *parts))
+                          S_LI=_projected(graph, kd, tops, links), S=S_kd.hermitian(obs, entry))
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
@@ -496,55 +526,6 @@ def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:
                             for s_xy, s_xz in zip(S_XY.entries, S.submatrix(X, Z).entries)])
 
 
-def _poly_mod(f: Poly, z: int) -> int:
-    """f(z) modulo MOD_PRIME; ValueError when P divides f's content denominator."""
-    return f.n * _horner_mod(f.p, z) * pow(f.d, -1, MOD_PRIME) % MOD_PRIME
-
-
-def spectrum_mod(tsg: TimeSeriesGraph, params: SvarParams) -> list[list[int]] | None:
-    """The image of the observed spectrum S at EVAL_POINT modulo MOD_PRIME.
-
-    Rows and columns follow tsg.base.observed.  Nothing is built over R(z):
-    the kernel values of `_trek_parts` (each link, its conjugate and each
-    S_I[v, v]) map to num(z0) z0**shift over their factors' images, with each
-    D_i and D_i* evaluated once.  That map is the ring homomorphism of
-    `RatFn.eval_mod`, so S(z0) = N^T S_LI conj(N) with N = (I - H_OO)^{-1},
-    formed in GF(P), equals `spectrum(tsg, params).S.eval_mod` at z0.  Returns
-    None when a factor or a content denominator vanishes modulo P, or when
-    I - H_OO is singular there.
-    """
-    P, z0 = MOD_PRIME, EVAL_POINT
-    graph = tsg.base
-    kd, tops, links = _trek_parts(tsg, params)
-
-    def image(a: _Value) -> int:
-        num, left, right, shift = a
-        out = _poly_mod(num, z0) * pow(z0, shift, P) % P
-        for i, (d, d_star) in enumerate(inverses):
-            out = out * (d if left >> i & 1 else 1) * (d_star if right >> i & 1 else 1) % P
-        return out
-
-    try:
-        # pow raises ValueError when a factor or a content denominator vanishes mod P
-        inverses = [(pow(_poly_mod(d, z0), -1, P), pow(_poly_mod(d_star, z0), -1, P))
-                    for d, d_star in zip(kd.left, kd.right)]
-        Hz = {e: image(value) for e, value in links.items()}
-        Hw = {e: image(kd.conj(value)) for e, value in links.items()}
-        Iz = {v: image(tops[v]) for v in graph.vertices}
-    except ValueError:
-        return None
-    obs = graph.observed
-    S_LI = [[(Iz[a] * (a == b) + sum(Hz[(l, a)] * Iz[l] * Hw[(l, b)]
-                                     for l in graph.pa_latent(a) if (l, b) in Hw)) % P
-             for b in obs] for a in obs]
-    eye = [[int(i == j) for j in range(len(obs))] for i in range(len(obs))]
-    N, Nw = (solve_mod([[(int(a == b) - M.get((a, b), 0)) % P for b in obs] for a in obs], eye)
-             for M in (Hz, Hw))
-    if N is None or Nw is None:
-        return None
-    return matmul_mod(matmul_mod(list(zip(*N)), S_LI), Nw)
-
-
 def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> int:
     """Rank of the observed subspectrum under random stable rational parameters.
 
@@ -555,31 +536,34 @@ def generic_rank(tsg: TimeSeriesGraph, X, Y, trials: int = 3, seed: int = 0) -> 
     falls short of it with a bounded, nonzero probability, not probability
     zero: `_random_fraction` draws from 92 values before the stability rescale.
 
-    Each draw first takes the rank of `spectrum_mod`'s S[X, Y] over GF(P), a
-    lower bound on its rank over R(z).  When it meets the bound, the draw's
-    rank is proved equal to the bound without building a spectrum; otherwise
-    the draw computes the exact spectrum and its Bareiss rank.
+    Each draw reads the block S[X, Y] off the spectrum kernel as values over
+    its known denominator (`_density`), and first takes the rank of their
+    images in GF(P) (`_KnownDenominator.image`), a lower bound on the block's
+    rank over R(z).  When it meets the bound, the draw's rank is proved equal
+    to the bound with no `RatFn` built; otherwise the same values are reduced
+    to canonical form and the draw takes their Bareiss rank.
     """
     X = tuple(sorted(X))
     Y = tuple(sorted(Y))
-    unknown = sorted(set(X + Y) - set(tsg.base.observed))
+    graph = tsg.base
+    unknown = sorted(set(X + Y) - set(graph.observed))
     if unknown:
         raise KeyError(f"unknown observed label {unknown[0]!r}")
-    if tsg.base.is_acyclic:
-        bound = t_separation_min(tsg.base, X, Y)[0]
+    if graph.is_acyclic:
+        bound = t_separation_min(graph, X, Y)[0]
     else:
         bound = min(len(X), len(Y))
-    observed = {v: i for i, v in enumerate(tsg.base.observed)}
     best = 0
     for t in range(trials):
         if best == bound:
             break
         params = sample_stable_params(tsg, seed=seed * 1_000_003 + t)
-        image = spectrum_mod(tsg, params)
-        if image is not None and rank_mod(
-                [[image[observed[x]][observed[y]] for y in Y] for x in X]) == bound:
-            return bound
-        best = max(best, rank(spectral_density(tsg, params).submatrix(X, Y)))
+        kd, entry = _density(graph, *_trek_parts(tsg, params), X, Y)
+        block = [[entry(x, y) for y in Y] for x in X]
+        with suppress(ValueError):  # a factor or a content denominator vanishes modulo P
+            if rank_mod([[kd.image(a) for a in row] for row in block]) == bound:
+                return bound
+        best = max(best, rank(RatMatrix(X, Y, [[kd.ratfn(a) for a in row] for row in block])))
     return best
 
 

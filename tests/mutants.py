@@ -73,6 +73,37 @@ MUTANTS = [
     Mutant("the mirror without conj", "svar.py",
            "rows[j][i] = rows[i][j].conj()", "rows[j][i] = rows[i][j]",
            (SVAR + "test_spectrum_hermitian",)),
+    Mutant("the own term dropped from S_LI", "svar.py",
+           "{a: {a: _ONE, **{", "{a: {**{",
+           (SVAR + "test_projected_internal_spectrum_without_latents",)),
+    # the rank filter of generic_rank over the kernel's values
+    Mutant("image ignores the right mask", "svar.py",
+           "(d_star if right >> i & 1 else 1)", "1",
+           (SVAR + "test_kernel_image_is_the_image_of_the_exact_spectrum",)),
+    Mutant("the fallback reads rank_mod where it needs rank", "svar.py",
+           "rank(RatMatrix(X, Y, [[kd.ratfn(a) for a in row] for row in block]))",
+           "rank_mod([[kd.image(a) for a in row] for row in block])",
+           (SVAR + "test_generic_rank_stops_at_full_rank",)),
+    Mutant("generic_rank accepts bound - 1", "svar.py",
+           "for row in block]) == bound:", "for row in block]) >= bound - 1:",
+           (SVAR + "test_generic_rank_stops_at_full_rank",)),
+    # the spectral CI oracle and the graph searches
+    Mutant(">= for > in the oracle's modular verdict", "identify.py",
+           "rank_mod(block(r, c)) > len(z)", "rank_mod(block(r, c)) >= len(z)",
+           ("tests/test_identify.py::test_modular_filter_never_proves_a_vanishing_spectrum_nonzero",)),
+    Mutant("the augmenting path not reversed", "graph.py",
+           "        residual[b][a] = residual[b].get(a, 0) + push\n", "",
+           ("tests/test_graph.py::test_tsep_matches_brute_force_reference",)),
+    Mutant("the regression-first rule dropped", "graph.py",
+           "if lfhtc_check(graph, v, regression).ok and all(", "if False and all(",
+           ("tests/test_graph.py::test_lfhtc_search_regression_on_fully_observed",)),
+    # the input bounds: each has a test at the bound and one past it
+    Mutant(">= for > in the CI-test bound", "cli.py",
+           "if count > MAX_CI_TESTS:", "if count >= MAX_CI_TESTS:",
+           ("tests/test_cli.py::test_discover_exits_validation_past_max_ci_tests",)),
+    Mutant(">= for > in the estimate-size bound", "cli.py",
+           "if values > MAX_ESTIMATE_VALUES:", "if values >= MAX_ESTIMATE_VALUES:",
+           ("tests/test_cli.py::test_estimate_exits_validation_past_max_estimate_values",)),
     # exact JSON input
     Mutant("no comma count in the list checker", "io.py",
            'joined.count(",") == len(coeffs) - 1', "True",

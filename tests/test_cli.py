@@ -880,6 +880,15 @@ def _lag_at_bound(docs, where):
         params["auto"].append({"vertex": "u", "lag": sio.MAX_LAG, "coeff": "1/3"})
 
 
+def _series_past_max_estimate_values(rows):
+    """Widen the series until the 2 frequencies that `_run_commands` asks
+    `estimate` for make more than cli.MAX_ESTIMATE_VALUES values."""
+    extra = math.isqrt(cli.MAX_ESTIMATE_VALUES // 2) + 1 - len(rows[0])
+    rows[0].extend(f"x{i}" for i in range(extra))
+    for row in rows[1:]:
+        row.extend(row[:1] * extra)
+
+
 #: Inputs that random mutation rarely reaches, each applied to the valid documents.
 TARGETED_MUTATIONS = {
     "duplicate observed label": lambda d: d["graph"]["observed"].append("u"),
@@ -891,6 +900,7 @@ TARGETED_MUTATIONS = {
     "decimal noise variance": lambda d: d["params"]["noise"][0].__setitem__("variance", "1.5"),
     "decimal bundle coefficient":
         lambda d: d["bundle"]["S"]["entries"][0][0]["den"].__setitem__(0, "0.5"),
+    "series past MAX_ESTIMATE_VALUES": lambda d: _series_past_max_estimate_values(d["series"]),
     "cross lag at MAX_LAG": lambda d: _lag_at_bound(d, "cross"),
     "auto lag at MAX_LAG": lambda d: _lag_at_bound(d, "auto"),
     # valid: identify --spectrum reads H unreduced, and must not refuse it
@@ -976,12 +986,23 @@ MISREAD_INPUTS = {
         ("estimate", lambda d: d["matrices"][0]["real"][0].__setitem__(1, math.nan)),
     "estimate cell infinity":
         ("estimate", lambda d: d["matrices"][1]["real"][1].__setitem__(1, -math.inf)),
+    # once a traceback: numpy overflows converting the integer to a double
+    "estimate cell past the double range":
+        ("estimate", lambda d: d["matrices"][0]["real"][1].__setitem__(0, 10**400)),
 }
 # faults that a reader of S alone could skip: every matrix of a bundle is checked
 MISREAD_INPUTS.update({
     f"bundle {key} {fault}": ("bundle", lambda d, key=key, edit=edit: edit(d[key]))
     for key in ("H", "S_I", "S_LI") for fault, edit in BUNDLE_MATRIX_FAULTS.items()
 })
+
+
+def test_deeply_nested_json_exits_validation(capsys, tmp_path):
+    """`json` parses nesting by recursion: input nested past the stack is refused."""
+    path = tmp_path / "graph.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, report = run(capsys, "validate", "--graph", str(path))
+    assert code == EXIT_VALIDATION and "nested too deeply" in report["error"]
 
 
 @pytest.mark.parametrize("case", sorted(MISREAD_INPUTS))

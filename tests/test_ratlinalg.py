@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 
 from svarspec.ratfield import EVAL_POINT, MOD_PRIME, P_ZERO, Poly, R_ONE, R_ZERO, RatFn
-from svarspec.ratlinalg import (RatMatrix, SingularMatrixError, adjugate, det,
-                                matmul_mod, rank, rank_mod, solve, solve_mod)
+from svarspec.ratlinalg import (RatMatrix, SingularMatrixError, adjugate, det, rank,
+                                rank_mod, solve)
 
 from conftest import random_ratfn
 from svar_reference import conj, identity, inverse, matmul, transpose, zeros
@@ -258,32 +258,6 @@ def test_rank_mod_is_the_rank_of_the_image():
     # a rank that exists only over Q: P is 0 modulo P
     assert rank_mod([[1, 1], [1, 1 + MOD_PRIME]]) == 1
     assert rank_mod([]) == 0
-
-
-def test_solve_mod_is_the_image_of_solve():
-    rng = random.Random(18)
-    solved = 0
-    while solved < 40:
-        n = rng.randint(1, 4)
-        M = random_matrix(rng, labels(n), labels(n, "c"), max_degree=1)
-        if det(M).is_zero:
-            continue
-        b = [random_ratfn(rng, max_degree=1) for _ in range(n)]
-        x = solve(M, b)
-        got = solve_mod(M.eval_mod(EVAL_POINT), [[e.eval_mod(EVAL_POINT)] for e in b])
-        assert got == [[e.eval_mod(EVAL_POINT)] for e in x]
-        inv = solve_mod(M.eval_mod(EVAL_POINT), identity(labels(n)).eval_mod(0))
-        assert inv == inverse(M).eval_mod(EVAL_POINT)
-        assert matmul_mod(M.eval_mod(EVAL_POINT), inv) == identity(labels(n)).eval_mod(0)
-        solved += 1
-
-
-def test_solve_mod_singular_image_is_none():
-    assert solve_mod([[1, 2], [2, 4]], [[1], [1]]) is None
-    # singular modulo P only: the exact solve succeeds
-    M = RatMatrix(["a", "b"], ["a", "b"], [[RatFn(1), RatFn(1)], [RatFn(1), RatFn(1 + MOD_PRIME)]])
-    assert solve_mod(M.eval_mod(EVAL_POINT), [[1], [1]]) is None
-    assert solve(M, [R_ONE, R_ONE]) == [R_ONE, R_ZERO]
 
 
 # -- conjugation ----------------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
 from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
                                R_ZERO, RatFn, UnluckyReduction)
 from svarspec.ratlinalg import RatMatrix, adjugate, det, rank, rank_mod
-from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams,
-                           conditional_spectrum, generic_rank, lag_poly,
+from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams, _density,
+                           _trek_parts, conditional_spectrum, generic_rank, lag_poly,
                            sample_stable_params, spectral_density, spectrum,
-                           spectrum_mod, spectrum_trek, transfer_matrix)
+                           spectrum_trek, transfer_matrix)
 
 import svar_reference
 from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
@@ -719,57 +719,76 @@ def test_generic_rank_fork_example(fork3_tsg):
     assert generic_rank(fork3_tsg, ["2"], ["3"], trials=3, seed=2) == 1
 
 
+def spy_on_generic_rank(monkeypatch, params=None, exact_rank=rank):
+    """Records generic_rank's draws, the blocks it reads off the kernel and the
+    blocks it ranks exactly, each block as (rows, cols); building a full S
+    fails.  With `params`, every draw takes them; `exact_rank` replaces the
+    Bareiss rank."""
+    log: dict[str, list] = {"draws": [], "blocks": [], "exact": []}
+
+    def sampler(tsg, seed):
+        log["draws"].append(seed)
+        return sample_stable_params(tsg, seed=seed) if params is None else params
+
+    def density(graph, kd, tops, links, rows, cols):
+        log["blocks"].append((tuple(rows), tuple(cols)))
+        return _density(graph, kd, tops, links, rows, cols)
+
+    def exact(M):
+        log["exact"].append((M.row_labels, M.col_labels))
+        return exact_rank(M)
+
+    def full_s(*args):
+        raise AssertionError("generic_rank built a full S")
+
+    monkeypatch.setattr(svar_module, "sample_stable_params", sampler)
+    monkeypatch.setattr(svar_module, "_density", density)
+    monkeypatch.setattr(svar_module, "rank", exact)
+    monkeypatch.setattr(svar_module, "spectral_density", full_s)
+    monkeypatch.setattr(svar_module._KnownDenominator, "hermitian", full_s)
+    return log
+
+
 def test_generic_rank_stops_at_full_rank(monkeypatch, instrument_tsg):
-    draws, spectra = [], []
+    log = spy_on_generic_rank(monkeypatch)
 
-    def counting_sampler(tsg, seed):
-        draws.append(seed)
-        return sample_stable_params(tsg, seed=seed)
+    def counts():
+        """(draws, blocks read, blocks ranked exactly) since the last call."""
+        out = tuple(len(log[key]) for key in ("draws", "blocks", "exact"))
+        for calls in log.values():
+            calls.clear()
+        return out
 
-    def counting_spectrum(tsg, params):
-        spectra.append(tsg)
-        return spectral_density(tsg, params)
-
-    def reset():
-        draws.clear()
-        spectra.clear()
-
-    monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
-    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
-    # the first draw reaches the bound modulo the prime: no exact spectrum
+    # the first draw reaches the bound modulo the prime: no exact rank
     assert generic_rank(instrument_tsg, ["v"], ["w"], trials=3, seed=1) == 1
-    assert (len(draws), len(spectra)) == (1, 0)
+    assert counts() == (1, 1, 0)
     # every trek from {x1, x2} to {y1, y2} passes through m: the bound is 1 < 2,
     # and the first draw reaches it
     g = ProcessGraph.make(["x1", "x2", "m", "y1", "y2"], [],
                           [("x1", "m"), ("x2", "m"), ("m", "y1"), ("m", "y2")])
     tsg = TimeSeriesGraph.full(g, 1)
-    reset()
-    assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 1
-    assert (len(draws), len(spectra)) == (1, 0)
-    # a draw that stays below the bound modulo the prime builds the exact
-    # spectrum, and one that stays below it exactly too draws every trial
+    assert generic_rank(tsg, ["x2", "x1"], ["y1", "y2"], trials=3, seed=1) == 1
+    assert log["blocks"] == [(("x1", "x2"), ("y1", "y2"))]
+    assert counts() == (1, 1, 0)
+    # a draw that stays below the bound modulo the prime ranks its block
+    # exactly, and one that stays below it exactly too draws every trial
     monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
-    reset()
     assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 1
-    assert (len(draws), len(spectra)) == (1, 1)
-    monkeypatch.setattr(svar_module, "rank", lambda M: 0)
-    reset()
+    assert log["exact"] == [(("x1", "x2"), ("y1", "y2"))]
+    assert counts() == (1, 1, 1)
+    log = spy_on_generic_rank(monkeypatch, exact_rank=lambda M: 0)
     assert generic_rank(tsg, ["x1", "x2"], ["y1", "y2"], trials=3, seed=1) == 0
-    assert (len(draws), len(spectra)) == (3, 3)
+    assert counts() == (3, 3, 3)
     # a cyclic graph keeps min(|X|, |Y|) as its bound, modulo the prime or exactly
     cyclic = TimeSeriesGraph.full(ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")]), 1)
     monkeypatch.undo()
-    monkeypatch.setattr(svar_module, "sample_stable_params", counting_sampler)
-    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
-    reset()
+    log = spy_on_generic_rank(monkeypatch)
     assert generic_rank(cyclic, ["a"], ["b"], trials=3, seed=1) == 1
-    assert (len(draws), len(spectra)) == (1, 0)
+    assert counts() == (1, 1, 0)
     monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
-    monkeypatch.setattr(svar_module, "rank", lambda M: 1)
-    reset()
+    log = spy_on_generic_rank(monkeypatch, exact_rank=lambda M: 1)
     assert generic_rank(cyclic, ["a"], ["b"], trials=3, seed=1) == 1
-    assert (len(draws), len(spectra)) == (1, 1)
+    assert counts() == (1, 1, 1)
 
 
 def test_generic_rank_rejects_labels_outside_the_observed_spectrum():
@@ -826,13 +845,6 @@ def random_instance(seed: int, cyclic: bool) -> TimeSeriesGraph:
     return random_tsg(rng, graph, max_order=1)
 
 
-def test_spectrum_mod_is_the_image_of_the_exact_spectrum():
-    for seed in range(40):
-        tsg = random_instance(seed, cyclic=seed % 2 == 1)
-        params = sample_stable_params(tsg, seed=seed)
-        assert spectrum_mod(tsg, params) == spectrum(tsg, params).S.eval_mod(EVAL_POINT), seed
-
-
 def three_kinds(seed: int) -> TimeSeriesGraph:
     """A seeded acyclic, latent or cyclic instance as seed % 3 is 0, 1 or 2;
     `random_instance`'s latent DAGs always have latent edges."""
@@ -847,10 +859,17 @@ def three_kinds(seed: int) -> TimeSeriesGraph:
     return random_tsg(rng, graph, max_order=2)
 
 
-def test_spectrum_mod_takes_no_gcd(monkeypatch):
-    """The image comes from the kernel values alone: no RatFn is reduced."""
+def kernel_block(tsg: TimeSeriesGraph, params: SvarParams, rows, cols):
+    """The kernel and the values of S[rows, cols], by row."""
+    kd, entry = _density(tsg.base, *_trek_parts(tsg, params), rows, cols)
+    return kd, [[entry(v, w) for w in cols] for v in rows]
+
+
+def test_kernel_image_is_the_image_of_the_exact_spectrum(monkeypatch):
+    """`_KnownDenominator.image` maps each value of S to its entry's image
+    modulo P, on acyclic, latent and cyclic graphs, and takes no gcd."""
     cases = []
-    for seed in range(30):
+    for seed in range(45):
         tsg = three_kinds(seed)
         params = sample_stable_params(tsg, seed=seed)
         cases.append((tsg, params, spectrum(tsg, params).S.eval_mod(EVAL_POINT)))
@@ -860,11 +879,28 @@ def test_spectrum_mod_takes_no_gcd(monkeypatch):
     assert any(g.is_acyclic and not set(g.latent) & {a for a, _ in g.edges} for g in graphs)
 
     def fail(f, g):
-        raise AssertionError("spectrum_mod took a gcd")
+        raise AssertionError("the image took a gcd")
 
     monkeypatch.setattr(ratfield, "poly_gcd", fail)
     for seed, (tsg, params, want) in enumerate(cases):
-        assert spectrum_mod(tsg, params) == want, seed
+        obs = tsg.base.observed
+        kd, values = kernel_block(tsg, params, obs, obs)
+        assert [[kd.image(a) for a in row] for row in values] == want, seed
+
+
+def test_rectangular_block_is_the_submatrix_of_s():
+    """The block read off the kernel for rows X and columns Y, in any order,
+    overlapping or not, is S[X, Y], below S's diagonal as well as above it."""
+    for seed in range(45):
+        tsg = three_kinds(seed)
+        params = sample_stable_params(tsg, seed=seed)
+        obs = list(tsg.base.observed)
+        rng = random.Random(seed)
+        X = rng.sample(obs, rng.randint(1, len(obs)))
+        Y = rng.sample(obs, rng.randint(1, len(obs)))
+        kd, values = kernel_block(tsg, params, X, Y)
+        got = RatMatrix(X, Y, [[kd.ratfn(a) for a in row] for row in values])
+        assert got == spectral_density(tsg, params).submatrix(X, Y), seed
 
 
 def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
@@ -923,14 +959,14 @@ def test_modular_rank_never_exceeds_the_exact_rank(seed, cyclic):
     tsg = random_instance(seed, cyclic)
     params = sample_stable_params(tsg, seed=seed)
     S = spectrum(tsg, params).S
-    image = spectrum_mod(tsg, params)
     observed = list(tsg.base.observed)
-    index = {v: i for i, v in enumerate(observed)}
+    kd, values = kernel_block(tsg, params, observed, observed)
+    image = {(v, w): kd.image(a) for v, row in zip(observed, values) for w, a in zip(observed, row)}
     for k in range(1, len(observed) + 1):
         for X in combinations(observed, k):
             for Y in combinations(observed, k):
                 exact = rank(S.submatrix(X, Y))
-                assert rank_mod([[image[index[x]][index[y]] for y in Y] for x in X]) <= exact
+                assert rank_mod([[image[x, y] for y in Y] for x in X]) <= exact
     rng = random.Random(seed)
     k = rng.randint(1, len(observed))
     X, Y = rng.sample(observed, k), rng.sample(observed, k)
@@ -958,17 +994,14 @@ def test_generic_rank_matches_exact_reference_on_criterion_four():
                 reference_generic_rank(tsg, X, Y, trials=3, seed=seed), (trial, seed)
 
 
-def _forced_fallback(monkeypatch, tsg, params, X, Y):
-    """generic_rank on fixed parameters; returns the result and the exact spectra built."""
-    spectra = []
-
-    def counting_spectrum(tsg, params):
-        spectra.append(params)
-        return spectral_density(tsg, params)
-
-    monkeypatch.setattr(svar_module, "sample_stable_params", lambda tsg, seed: params)
-    monkeypatch.setattr(svar_module, "spectral_density", counting_spectrum)
-    return generic_rank(tsg, X, Y, trials=1, seed=0), spectra
+def _forced_fallback(monkeypatch, tsg, params):
+    """generic_rank of S[v, w] on fixed parameters whose block has no image
+    modulo P; returns the result and the spy's log."""
+    kd, values = kernel_block(tsg, params, ["v"], ["w"])
+    with pytest.raises(ValueError):
+        kd.image(values[0][0])
+    log = spy_on_generic_rank(monkeypatch, params)
+    return generic_rank(tsg, ["v"], ["w"], trials=1, seed=0), log
 
 
 def test_generic_rank_falls_back_when_a_denominator_is_divisible_by_the_prime(
@@ -978,10 +1011,10 @@ def test_generic_rank_falls_back_when_a_denominator_is_divisible_by_the_prime(
                         auto=params.auto, noise=params.noise)
     with pytest.raises(UnluckyReduction):
         transfer_matrix(instrument_tsg, params).eval_mod(EVAL_POINT)
-    assert spectrum_mod(instrument_tsg, params) is None
-    got, spectra = _forced_fallback(monkeypatch, instrument_tsg, params, ["v"], ["w"])
-    assert spectra == [params]
-    assert got == rank(spectrum(instrument_tsg, params).S.submatrix(["v"], ["w"])) == 1
+    want = rank(spectrum(instrument_tsg, params).S.submatrix(["v"], ["w"]))
+    got, log = _forced_fallback(monkeypatch, instrument_tsg, params)
+    assert log["blocks"] == log["exact"] == [(("v",), ("w",))]
+    assert got == want == 1
 
 
 def test_generic_rank_falls_back_when_the_point_is_a_pole(monkeypatch, instrument_tsg):
@@ -992,9 +1025,8 @@ def test_generic_rank_falls_back_when_the_point_is_a_pole(monkeypatch, instrumen
     monkeypatch.setattr(svar_module, "EVAL_POINT", 2)
     with pytest.raises(UnluckyReduction):
         transfer_matrix(instrument_tsg, params).eval_mod(2)
-    assert spectrum_mod(instrument_tsg, params) is None
-    got, spectra = _forced_fallback(monkeypatch, instrument_tsg, params, ["v"], ["w"])
-    assert spectra == [params]
+    got, log = _forced_fallback(monkeypatch, instrument_tsg, params)
+    assert log["blocks"] == log["exact"] == [(("v",), ("w",))]
     assert got == 1
 
 
