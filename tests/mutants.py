@@ -79,7 +79,7 @@ MUTANTS = [
     # the rank filter of generic_rank over the kernel's values
     Mutant("image ignores the right mask", "svar.py",
            "(d_star if right >> i & 1 else 1)", "1",
-           (SVAR + "test_kernel_image_is_the_image_of_the_exact_spectrum",)),
+           (SVAR + "test_spectrum_mod_takes_no_gcd",)),
     Mutant("the fallback reads rank_mod where it needs rank", "svar.py",
            "rank(RatMatrix(X, Y, [[kd.ratfn(a) for a in row] for row in block]))",
            "rank_mod([[kd.image(a) for a in row] for row in block])",

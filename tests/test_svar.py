@@ -865,9 +865,26 @@ def kernel_block(tsg: TimeSeriesGraph, params: SvarParams, rows, cols):
     return kd, [[entry(v, w) for w in cols] for v in rows]
 
 
-def test_kernel_image_is_the_image_of_the_exact_spectrum(monkeypatch):
+def kernel_image_of_s(tsg: TimeSeriesGraph, params: SvarParams):
+    """S over the observed vertices modulo P, by `_KnownDenominator.image`."""
+    obs = tsg.base.observed
+    kd, values = kernel_block(tsg, params, obs, obs)
+    return [[kd.image(a) for a in row] for row in values]
+
+
+def test_spectrum_mod_is_the_image_of_the_exact_spectrum():
     """`_KnownDenominator.image` maps each value of S to its entry's image
-    modulo P, on acyclic, latent and cyclic graphs, and takes no gcd."""
+    modulo P, on acyclic, latent and cyclic graphs."""
+    for seed in range(40):
+        tsg = random_instance(seed, cyclic=seed % 2 == 1)
+        params = sample_stable_params(tsg, seed=seed)
+        want = spectrum(tsg, params).S.eval_mod(EVAL_POINT)
+        assert kernel_image_of_s(tsg, params) == want, seed
+
+
+def test_spectrum_mod_takes_no_gcd(monkeypatch):
+    """The image modulo P comes from the kernel values alone: no RatFn is
+    reduced, on acyclic, latent and cyclic graphs."""
     cases = []
     for seed in range(45):
         tsg = three_kinds(seed)
@@ -883,9 +900,7 @@ def test_kernel_image_is_the_image_of_the_exact_spectrum(monkeypatch):
 
     monkeypatch.setattr(ratfield, "poly_gcd", fail)
     for seed, (tsg, params, want) in enumerate(cases):
-        obs = tsg.base.observed
-        kd, values = kernel_block(tsg, params, obs, obs)
-        assert [[kd.image(a) for a in row] for row in values] == want, seed
+        assert kernel_image_of_s(tsg, params) == want, seed
 
 
 def test_rectangular_block_is_the_submatrix_of_s():
