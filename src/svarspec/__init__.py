@@ -20,9 +20,22 @@ from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        identify_all, identify_instrument, identify_regression,
                        lfhtc_identify_step, recover_lag_coefficients,
                        replay_certificate, spectral_ci_oracle)
-from .simulate import (EstimationError, IllConditionedBlockError,
-                       SeriesSample, SimulationError, SpectrumEstimate,
-                       empirical_ci_test, estimate_spectrum,
-                       exact_spectrum_values, simulate_series)
 
 __version__ = "0.1.0"
+
+#: The floating-point layer's names, re-exported on first use: `simulate`
+#: loads numpy, which the exact layer never needs.
+_SIMULATION = ("EstimationError", "IllConditionedBlockError", "SeriesSample",
+               "SimulationError", "SpectrumEstimate", "empirical_ci_test",
+               "estimate_spectrum", "exact_spectrum_values", "simulate_series")
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SIMULATION))

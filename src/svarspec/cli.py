@@ -6,24 +6,22 @@ identical invocations; randomized commands therefore require an explicit
 --seed.  Exit codes: 0 success, 2 validation failure (including an
 unreadable input file or an unwritable --out), 3 non-generic or singular
 input after retries, 4 estimation precondition failure.  `main` is the one
-place that maps an exception to its exit code.
+place that maps an exception to its exit code.  Only `simulate`, `estimate`
+and `discover --estimate` load numpy; the exact commands never import it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
-
-import numpy as np
 
 from . import io as sio
 from .graph import count_treks, d_separated, enumerate_treks, t_separation_min
 from .identify import discover_cpdag, identify_all, spectral_ci_oracle
 from .ratlinalg import SingularMatrixError
-from .simulate import (EstimationError, IllConditionedBlockError,
-                       empirical_ci_test, estimate_spectrum, simulate_series)
 from .svar import (SvarParams, generic_rank, sample_stable_params, spectral_density,
                    spectrum)
 
@@ -214,8 +212,9 @@ def cmd_identify(args) -> dict:
 def cmd_simulate(args) -> dict:
     tsg = _load("graph", sio.load_graph, args.graph)
     params = _load_params(tsg, args.params)
-    series = simulate_series(tsg, params, length=args.length,
-                             burn_in=args.burn_in, seed=args.seed)
+    from . import simulate
+    series = simulate.simulate_series(tsg, params, length=args.length,
+                                      burn_in=args.burn_in, seed=args.seed)
     sio.save_series(series, args.out)
     return _report("simulate", {"graph": args.graph, "params": args.params},
                    {"out": args.out, "length": series.length}, seed=args.seed)
@@ -230,7 +229,7 @@ def _parse_frequencies(arg: str) -> tuple[float, ...]:
     if count > MAX_FREQUENCIES:
         raise ValueError(f"{count} frequencies exceed the limit of {MAX_FREQUENCIES}")
     if counted:
-        return tuple(np.pi * (j + 1) / (count + 1) for j in range(count))
+        return tuple(math.pi * (j + 1) / (count + 1) for j in range(count))
     return tuple(float(p) for p in parts)
 
 
@@ -245,8 +244,9 @@ def cmd_estimate(args) -> dict:
         raise CliError(EXIT_VALIDATION,
                        f"{len(frequencies)} frequencies of {len(series.labels)} series make "
                        f"{values} values, past the limit of {MAX_ESTIMATE_VALUES}")
-    est = estimate_spectrum(series, frequencies,
-                            segment_length=args.segments, overlap=args.overlap)
+    from . import simulate
+    est = simulate.estimate_spectrum(series, frequencies,
+                                     segment_length=args.segments, overlap=args.overlap)
     sio.save_estimate(est, args.out)
     return _report("estimate", {"series": args.series},
                    {"out": args.out, "segments": est.segment_count,
@@ -260,18 +260,24 @@ def cmd_discover(args) -> dict:
     warnings: list[str] = []
     seed = None
     if args.estimate:
+        threshold = args.threshold
+        if not 0 < threshold < math.inf:
+            raise CliError(EXIT_VALIDATION,
+                           f"--threshold must be a positive finite number, got {threshold}")
+        from . import simulate
+
         def covers_graph(est):
             missing = sorted(set(observed) - set(est.labels))
             if missing:
                 raise ValueError(f"no series for observed labels {missing}")
 
         est = _load("estimate", sio.load_estimate, args.estimate, check=covers_graph)
-        threshold = args.threshold
 
         def oracle(X, Y, Z):
             try:
-                return empirical_ci_test(est, set(X), set(Y), set(Z), threshold=threshold)
-            except IllConditionedBlockError as exc:
+                return simulate.empirical_ci_test(est, set(X), set(Y), set(Z),
+                                                  threshold=threshold)
+            except simulate.IllConditionedBlockError as exc:
                 warnings.append(str(exc))
                 return False
 
@@ -371,6 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _estimation_error() -> tuple[type[Exception], ...]:
+    """`simulate.EstimationError`, once a command has loaded `simulate`; until
+    then nothing can raise it, and `except ()` catches nothing."""
+    simulate = sys.modules.get(f"{__package__}.simulate")
+    return (simulate.EstimationError,) if simulate else ()
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of `main`, built once per process: parsing leaves it unchanged."""
@@ -390,7 +403,7 @@ def main(argv=None) -> int:
         code, message = exc.code, exc.message
     except SingularMatrixError as exc:
         code, message = EXIT_NON_GENERIC, f"{type(exc).__name__}: {exc}"
-    except EstimationError as exc:  # a ValueError, so caught before the validation errors
+    except _estimation_error() as exc:  # a ValueError, so caught before the validation errors
         code, message = EXIT_ESTIMATION, f"{type(exc).__name__}: {exc}"
     except (OSError, ValueError, LookupError) as exc:
         code, message = EXIT_VALIDATION, f"{type(exc).__name__}: {exc}"

@@ -11,7 +11,8 @@ its numerator and denominator, made canonical again on load, and a matrix
 adds its row and column labels.  `load_spectral_density` checks every entry
 of a bundle's four matrices as `load_bundle` does, but makes an entry of S
 canonical only when it is first read, and H, S_I and S_LI never.
-Series are columnar text with a label header row.
+Series are columnar text with a label header row.  Only the series and
+estimate readers and writers touch numpy, and they import it where they run.
 """
 
 from __future__ import annotations
@@ -23,17 +24,19 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .graph import (GraphValidationError, LfhtcTriple, ProcessGraph,
                     TimeSeriesGraph)
 from .identify import Cpdag, IdentificationCertificate, IdentificationStep
 from .ratfield import Poly, RatFn, _from_ratios, _new
 from .ratlinalg import RatMatrix
-from .simulate import SeriesSample, SpectrumEstimate
 from .svar import SpectrumBundle, SvarParams
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .simulate import SeriesSample, SpectrumEstimate
 
 #: Largest lag a graph file may name; exact spectra grow with the lags.
 MAX_LAG = 1000
@@ -536,6 +539,9 @@ def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
     `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
     stripped from the ends of the text, so a label keeps its spaces."""
+    import numpy as np
+
+    from .simulate import SeriesSample
     lines = Path(path).read_text().strip("\n").splitlines()
     labels = tuple(lines[0].split("\t"))
     values = np.array([line.split("\t") for line in lines[1:]], dtype=np.float64)
@@ -552,8 +558,8 @@ def estimate_to_dict(est: SpectrumEstimate) -> dict:
         "matrices": [
             {
                 "frequency": f,
-                "real": np.real(m).tolist(),
-                "imag": np.imag(m).tolist(),
+                "real": m.real.tolist(),
+                "imag": m.imag.tolist(),
             }
             for f, m in zip(est.frequencies, est.matrices)
         ],
@@ -582,6 +588,7 @@ def _frequencies(value) -> tuple[float, ...]:
 def _matrix(m: dict, frequency: float) -> np.ndarray:
     """One estimate matrix, if it is at `frequency` and every cell of its real
     and imag parts is a finite JSON number (`json` reads NaN and Infinity)."""
+    import numpy as np
     if not _is_number(m["frequency"]) or m["frequency"] != frequency:
         raise ValueError(f"estimate matrix at {m['frequency']!r} where the grid has {frequency!r}")
     if not all(_is_number(x) for part in (m["real"], m["imag"]) for row in part for x in row):
@@ -596,6 +603,9 @@ def _matrix(m: dict, frequency: float) -> np.ndarray:
 
 
 def estimate_from_dict(data: dict) -> SpectrumEstimate:
+    import numpy as np
+
+    from .simulate import SpectrumEstimate
     frequencies = _frequencies(data["frequencies"])
     window = data.get("window", "hann")
     if window != "hann":

@@ -73,6 +73,10 @@ MUTANTS = [
     Mutant("the mirror without conj", "svar.py",
            "rows[j][i] = rows[i][j].conj()", "rows[j][i] = rows[i][j]",
            (SVAR + "test_spectrum_hermitian",)),
+    Mutant("the shift slice off by one", "svar.py",
+           "num = _new(num.n, num.d, num.p[zeros:])",
+           "num = _new(num.n, num.d, num.p[zeros - 1:])",
+           (SVAR + "test_rectangular_block_is_the_submatrix_of_s",)),
     Mutant("the own term dropped from S_LI", "svar.py",
            "{a: {a: _ONE, **{", "{a: {**{",
            (SVAR + "test_projected_internal_spectrum_without_latents",)),
@@ -87,6 +91,9 @@ MUTANTS = [
     Mutant("generic_rank accepts bound - 1", "svar.py",
            "for row in block]) == bound:", "for row in block]) >= bound - 1:",
            (SVAR + "test_generic_rank_stops_at_full_rank",)),
+    Mutant("eval_mod ignores the content denominator", "ratfield.py",
+           "d = ud * _horner_mod(den, z) % MOD_PRIME", "d = _horner_mod(den, z) % MOD_PRIME",
+           ("tests/test_ratfield.py::test_eval_mod_unlucky_cases",)),
     # the spectral CI oracle and the graph searches
     Mutant(">= for > in the oracle's modular verdict", "identify.py",
            "rank_mod(block(r, c)) > len(z)", "rank_mod(block(r, c)) >= len(z)",
@@ -112,6 +119,11 @@ MUTANTS = [
            "matrix_from_dict(data[key], _checked_ratfn, _OnDemand)",
            "matrix_from_dict(data[key])",
            ("tests/test_cli.py::test_identify_spectrum_builds_only_the_s_entries_it_reads",)),
+    # the exact layer loads no numpy
+    Mutant("numpy imported when io loads", "io.py",
+           "from typing import TYPE_CHECKING, Any\n",
+           "from typing import TYPE_CHECKING, Any\n\nimport numpy as np\n",
+           ("tests/test_imports.py::test_exact_commands_never_load_numpy",)),
 ]
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from svarspec import cli
 from svarspec import io as sio
 from svarspec import ratfield
+from svarspec import simulate as simulate_module
 from svarspec import svar as svar_module
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
                           EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
@@ -440,7 +441,7 @@ def test_estimate_exits_validation_past_max_estimate_values(capsys, tmp_path, mo
     assert run(capsys, *argv)[0] == EXIT_OK
     (tmp_path / "e.json").unlink()
     monkeypatch.setattr(cli, "MAX_ESTIMATE_VALUES", 47)
-    monkeypatch.setattr(cli, "estimate_spectrum", None)  # refused before any DFT
+    monkeypatch.setattr(simulate_module, "estimate_spectrum", None)  # refused before any DFT
     code, report = run(capsys, *argv)
     assert code == EXIT_VALIDATION
     assert "48 values" in report["error"] and "limit of 47" in report["error"]
@@ -508,7 +509,7 @@ def test_discover_exits_validation_past_max_ci_tests(capsys, tmp_path, monkeypat
     # every test answers "dependent" on a complete DAG (the empirical test is
     # made to), so PC removes no edge and runs n(n-1) 2^(n-2) = 48 tests for n = 4
     files = _complete_dag_files(tmp_path, 4)
-    monkeypatch.setattr(cli, "empirical_ci_test", lambda *args, **kwargs: False)
+    monkeypatch.setattr(simulate_module, "empirical_ci_test", lambda *args, **kwargs: False)
     argv = ["discover", "--graph", files["graph"],
             *{"params": ["--params", files["params"]], "seed": ["--seed", "1"],
               "estimate": ["--estimate", files["estimate"]]}[source]]
@@ -652,6 +653,23 @@ def test_discover_malformed_estimate_exits_validation(capsys, tmp_path, instrume
     code, report = run(capsys, "discover", "--graph", graph, "--estimate", str(est))
     assert code == EXIT_VALIDATION
     assert "estimate file" in report["error"]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-0.1"])
+def test_discover_estimate_refuses_a_threshold_not_positive_and_finite(capsys, tmp_path,
+                                                                      monkeypatch, threshold):
+    # every comparison with NaN is false, so a NaN threshold once removed no
+    # edge and exited 0, and an infinite one removed every edge
+    files = _complete_dag_files(tmp_path, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CI test ran")
+
+    monkeypatch.setattr(simulate_module, "empirical_ci_test", refuse)
+    code, report = run(capsys, "discover", "--graph", files["graph"],
+                       "--estimate", files["estimate"], f"--threshold={threshold}")
+    assert code == EXIT_VALIDATION
+    assert "--threshold" in report["error"]
 
 
 def test_discover_estimate_missing_observed_label_exits_validation(capsys, tmp_path,
@@ -903,6 +921,8 @@ TARGETED_MUTATIONS = {
     "series past MAX_ESTIMATE_VALUES": lambda d: _series_past_max_estimate_values(d["series"]),
     "cross lag at MAX_LAG": lambda d: _lag_at_bound(d, "cross"),
     "auto lag at MAX_LAG": lambda d: _lag_at_bound(d, "auto"),
+    # valid documents under a lowered bound (see LOWERED_BOUNDS)
+    "PC search past MAX_CI_TESTS": lambda d: None,
     # valid: identify --spectrum reads H unreduced, and must not refuse it
     "non-canonical H entry":
         lambda d: d["bundle"]["H"]["entries"][0][0].update(num=["3", "3"], den=["6", "6"]),
@@ -922,10 +942,19 @@ TARGETED_MUTATIONS.update({
 })
 
 
+#: The cli bound an entry lowers, and its value.  The latent l keeps every
+#: observed pair dependent, so the PC search removes no edge and runs all 12
+#: tests of three vertices.
+LOWERED_BOUNDS = {"PC search past MAX_CI_TESTS": ("MAX_CI_TESTS", 11)}
+
+
 @pytest.mark.parametrize("mutation", sorted(TARGETED_MUTATIONS))
-def test_targeted_input_files_map_to_exit_codes(tmp_path, valid_documents, mutation):
+def test_targeted_input_files_map_to_exit_codes(tmp_path, monkeypatch, valid_documents,
+                                                mutation):
     docs = json.loads(json.dumps(valid_documents))
     TARGETED_MUTATIONS[mutation](docs)
+    if mutation in LOWERED_BOUNDS:
+        monkeypatch.setattr(cli, *LOWERED_BOUNDS[mutation])
     codes = _run_commands(tmp_path, docs)
     if mutation.endswith("at MAX_LAG") or mutation == "non-canonical H entry":
         assert set(codes) == {EXIT_OK}  # the bound itself is a valid lag

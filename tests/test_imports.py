@@ -1,5 +1,6 @@
 """Source checks: no module of the package imports a name it never uses, and
-only `io` touches a file or knows a file format.
+only `io` touches a file or knows a file format.  Import checks: the exact
+commands run in a fresh interpreter without loading numpy.
 
 Code that moves out of a module (to another module, or to a test oracle)
 tends to leave its imports behind; pyflakes would catch them, but the check
@@ -7,7 +8,11 @@ needs only `ast`.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +115,74 @@ def save(data, path):
                                           if p.name != "io.py"))
 def test_only_io_touches_files(module):
     assert file_access((PACKAGE / module).read_text()) == []
+
+
+# -- the exact layer loads no numpy ------------------------------------------------------
+
+#: Each exact command, run through `cli.main` in one fresh interpreter after
+#: `import svarspec.cli`; "{dir}" is the directory of the input files.
+EXACT_COMMANDS = [
+    ["validate", "--graph", "{dir}/graph.json"],
+    ["query", "--graph", "{dir}/graph.json", "--query", "dsep", "--x", "u", "--y", "w",
+     "--z", "v,l"],
+    ["query", "--graph", "{dir}/graph.json", "--query", "tsep", "--x", "v", "--y", "w"],
+    ["query", "--graph", "{dir}/graph.json", "--query", "treks", "--x", "v", "--y", "w"],
+    ["query", "--graph", "{dir}/graph.json", "--query", "rank", "--x", "v", "--y", "w",
+     "--seed", "3"],
+    ["spectrum", "--graph", "{dir}/graph.json", "--params", "{dir}/params.json",
+     "--out", "{dir}/bundle.json"],
+    ["identify", "--graph", "{dir}/graph.json", "--spectrum", "{dir}/bundle.json",
+     "--out", "{dir}/cert_spectrum.json"],
+    ["identify", "--graph", "{dir}/graph.json", "--params", "{dir}/params.json",
+     "--out", "{dir}/cert_params.json"],
+    ["discover", "--graph", "{dir}/graph.json", "--params", "{dir}/params.json"],
+    ["discover", "--graph", "{dir}/graph.json", "--seed", "1"],
+]
+
+#: Prints, as JSON, the floating-point modules loaded after the import and
+#: after each command, with each command's exit code.
+FRESH_RUN = """
+import contextlib, io, json, sys
+FLOAT = ("numpy", "svarspec.simulate")
+import svarspec.cli
+seen = [["import", 0, [m for m in FLOAT if m in sys.modules]]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = svarspec.cli.main(argv)
+    seen.append([" ".join(argv[:2]), code, [m for m in FLOAT if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_never_load_numpy(tmp_path, instrument_tsg):
+    import svarspec
+    from svarspec import io as sio
+    from svarspec.svar import sample_stable_params
+    sio.save_graph(instrument_tsg, tmp_path / "graph.json")
+    sio.save_params(sample_stable_params(instrument_tsg, seed=7), tmp_path / "params.json")
+    commands = [[a.format(dir=tmp_path) for a in argv] for argv in EXACT_COMMANDS]
+    # the package under test, wherever it was imported from
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(svarspec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == len(commands) + 1
+    assert [(step, code, loaded) for step, code, loaded in seen
+            if code or loaded] == []
+
+
+SIMULATION_NAMES = ["EstimationError", "IllConditionedBlockError", "SeriesSample",
+                    "SimulationError", "SpectrumEstimate", "empirical_ci_test",
+                    "estimate_spectrum", "exact_spectrum_values", "simulate_series"]
+
+
+def test_simulation_names_are_re_exported_on_first_use():
+    import svarspec
+    import svarspec.simulate
+    assert svarspec.simulate_series is svarspec.simulate.simulate_series
+    assert set(SIMULATION_NAMES) <= set(dir(svarspec))
+    for name in SIMULATION_NAMES:
+        assert getattr(svarspec, name) is getattr(svarspec.simulate, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        svarspec.no_such_name
