@@ -57,6 +57,12 @@ MAX_ESTIMATE_VALUES = 32 * 32 * 256
 #: counted as the search runs rather than bounded in advance.
 MAX_CI_TESTS = 25_000
 
+#: Most draws `query --query rank --trials` asks for; more exit 2 before any
+#: draw.  A draw that falls short of the rank bound is followed by the next:
+#: on a 6-vertex cyclic graph whose cross block stays below min(|X|, |Y|),
+#: 1,000 draws took 2.8 s on a 2-CPU machine.
+MAX_TRIALS = 1000
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -167,6 +173,9 @@ def cmd_query(args) -> dict:
             raise CliError(EXIT_VALIDATION, "rank queries require --seed")
         if args.trials < 1:
             raise CliError(EXIT_VALIDATION, f"--trials must be at least 1, got {args.trials}")
+        if args.trials > MAX_TRIALS:
+            raise CliError(EXIT_VALIDATION,
+                           f"--trials {args.trials} exceeds the limit of {MAX_TRIALS}")
         outputs = {"generic_rank": generic_rank(tsg, X, Y, trials=args.trials,
                                                 seed=args.seed)}
     else:  # treks
@@ -285,16 +294,14 @@ def cmd_discover(args) -> dict:
         inputs["estimate"] = args.estimate
     elif args.params:
         params = _load_params(tsg, args.params)
-        S = spectral_density(tsg, params)
-        cpdag = discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
+        cpdag = discover_cpdag(_bounded(spectral_ci_oracle(tsg, params)), observed)
         inputs["params"] = args.params
     elif args.seed is not None:
         seed = args.seed
 
         def build(s):
             params = sample_stable_params(tsg, seed=s)
-            S = spectral_density(tsg, params)
-            return discover_cpdag(_bounded(spectral_ci_oracle(S)), observed)
+            return discover_cpdag(_bounded(spectral_ci_oracle(tsg, params)), observed)
 
         cpdag = _with_resampling(build, seed, warnings)
     else:

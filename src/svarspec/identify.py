@@ -4,9 +4,11 @@ Implements regression and instrument identification, the half-trek-criterion
 identification step (a linear system over R(z) whose solution contains the
 link functions into one vertex), the full pipeline producing a replayable
 certificate, lag-coefficient recovery from link functions, and CPDAG
-discovery from a conditional-independence oracle.  The spectral oracle tests
-each conditional independence as a rank condition on a block of the
-spectrum, modulo a prime first and over R(z) when that does not decide.
+discovery from a conditional-independence oracle.  The spectral oracle is
+built from parameters: it reads the values of S off the spectrum kernel once
+and tests each conditional independence as a rank condition on a block of S,
+on the values' images modulo a prime first (`svar._KnownDenominator.image`)
+and over R(z) when that does not decide.
 
 The linear systems are oriented so that unknown link functions multiply
 *row*-indexed spectrum entries (S[u, y], unconjugated side); solving then
@@ -20,10 +22,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
-from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, d_separated, htr,
-                    lfhtc_check, lfhtc_order)
-from .ratfield import EVAL_POINT, RatFn, UnluckyReduction
-from .ratlinalg import RatMatrix, SingularMatrixError, rank, rank_mod, solve
+from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, d_separated,
+                    htr, lfhtc_check, lfhtc_order)
+from .ratfield import RatFn
+from .ratlinalg import RatMatrix, rank, rank_mod, solve
+from .svar import SvarParams, _density, _trek_parts
 
 Edge = tuple[str, str]
 
@@ -251,32 +254,41 @@ def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:
     return oracle
 
 
-def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
+def spectral_ci_oracle(tsg: TimeSeriesGraph, params: SvarParams) -> CiOracle:
     """Exact symbolic oracle: the conditional cross-spectrum vanishes identically.
 
-    With S[Z, Z] invertible, rank S[Z | X, Z | Y] is |Z| plus the rank of the
-    Schur complement S[X, Y] - S[X, Z] S[Z, Z]^{-1} S[Z, Y] (Guttman rank
-    additivity), so the verdict is that block's rank being |Z|.  S is
-    evaluated once at EVAL_POINT modulo MOD_PRIME (`RatFn.eval_mod`).  An
-    image of S[Z, Z] of rank |Z| proves S[Z, Z] invertible, the identity then
-    holds over GF(P) for the image of the Schur complement, and an image
-    block of rank above |Z| proves "dependent".  Every other verdict comes
-    from the rank of the block over R(z).  Overlapping sets raise ValueError,
-    unknown labels KeyError, and a singular S[Z, Z] SingularMatrixError.
-    """
-    try:
-        image = S.eval_mod(EVAL_POINT)
-    except UnluckyReduction:
-        image = None
-    rows = {v: i for i, v in enumerate(S.row_labels)}
-    cols = {v: j for j, v in enumerate(S.col_labels)}
+    Validated parameters have positive noise, so S is Hermitian positive
+    definite at a generic point of the unit circle, and every principal block
+    S[Z, Z] is nonsingular over R(z).  So rank S[Z | X, Z | Y] is |Z| plus the
+    rank of the Schur complement S[X, Y] - S[X, Z] S[Z, Z]^{-1} S[Z, Y]
+    (Guttman rank additivity), and the verdict is that block's rank being |Z|.
 
-    def block(r, c):
-        return [[image[rows[a]][cols[b]] for b in c] for a in r]
+    The values of S are read once off the spectrum kernel (`svar._density`),
+    each entry below the diagonal as the conjugate of its mirror, and mapped
+    to GF(P) by `_KnownDenominator.image`.  An image's rank is a lower bound
+    on the rank over R(z), so an image block of rank above |Z| proves
+    "dependent", whatever the image of S[Z, Z].  Every other verdict is the
+    block's Bareiss rank over R(z), on entries made canonical only when a
+    block needs them; when a value has no image, every verdict is.
+    Overlapping sets raise ValueError and unknown labels KeyError.
+    """
+    obs = tsg.base.observed
+    kd, entry = _density(tsg.base, *_trek_parts(tsg, params), obs, obs)
+    index = {v: i for i, v in enumerate(obs)}
+    values: list[list] = [[None] * len(obs) for _ in obs]
+    for i, v in enumerate(obs):
+        for j in range(i, len(obs)):
+            values[i][j] = entry(v, obs[j])
+            if j > i:
+                values[j][i] = kd.conj(values[i][j])
+    try:
+        image = [[kd.image(a) for a in row] for row in values]
+    except ValueError:  # a factor or a content denominator vanishes modulo P
+        image = None
 
     @functools.cache
-    def invertible_mod(Z: frozenset) -> bool:
-        return image is not None and rank_mod(block(sorted(Z), sorted(Z))) == len(Z)
+    def exact(i: int, j: int) -> RatFn:
+        return kd.ratfn(values[i][j])
 
     @functools.cache
     def independent(X: frozenset, Y: frozenset, Z: frozenset) -> bool:
@@ -284,14 +296,13 @@ def spectral_ci_oracle(S: RatMatrix) -> CiOracle:
             raise ValueError("X, Y, Z must be pairwise disjoint")
         z = sorted(Z)
         r, c = z + sorted(X), z + sorted(Y)
-        unknown = [v for v in r if v not in rows] + [v for v in c if v not in cols]
+        unknown = [v for v in r + c if v not in index]
         if unknown:
             raise KeyError(f"unknown label {unknown[0]!r}")
-        if invertible_mod(Z) and rank_mod(block(r, c)) > len(z):
+        rows, cols = [index[v] for v in r], [index[v] for v in c]
+        if image is not None and rank_mod([[image[i][j] for j in cols] for i in rows]) > len(z):
             return False
-        if not invertible_mod(Z) and rank(S.submatrix(z, z)) < len(z):
-            raise SingularMatrixError("S[Z, Z] is singular over R(z)")
-        return rank(S.submatrix(r, c)) == len(z)
+        return rank(RatMatrix(r, c, [[exact(i, j) for j in cols] for i in rows])) == len(z)
 
     def oracle(X, Y, Z) -> bool:
         return independent(frozenset(X), frozenset(Y), frozenset(Z))

@@ -30,12 +30,9 @@ polynomial remainder sequence (Collins 1967) runs on the primitive parts,
 and only the final divisor is made monic over Q.  Since the monic gcd is
 unique, canonical forms do not depend on how it is computed.
 
-`RatFn.eval_mod` maps a rational function to its value at a point modulo the
-same prime.  That map is a ring homomorphism wherever it is defined (the
-proof is in its docstring), so a nonzero image proves a nonzero function and
-the rank of an evaluated matrix is a lower bound on its rank over Q(z).  The
-callers use it only to prove "nonzero" and "full rank"; every other verdict
-is decided by exact arithmetic.
+The same prime and the point `EVAL_POINT` fix where the spectrum kernel's
+values are mapped to GF(P) (`svar._KnownDenominator.image`, whose docstring
+proves the map a ring homomorphism); no `RatFn` is evaluated modulo P.
 """
 
 from __future__ import annotations
@@ -49,18 +46,14 @@ Coeff = Union[int, Fraction]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
-#: The Mersenne prime modulo which `poly_gcd` tests coprimality and
-#: `RatFn.eval_mod` evaluates.
+#: The Mersenne prime modulo which `poly_gcd` tests coprimality and the
+#: spectrum kernel takes its images.
 MOD_PRIME = 2**61 - 1
 
 #: The fixed point z0 at which the modular filters evaluate.  Any nonzero
 #: point gives sound verdicts; one other than 1 and -1 keeps z0 and 1/z0
 #: apart, where a function and its conjugate would otherwise take one value.
 EVAL_POINT = 1_152_921_504_606_846_883
-
-
-class UnluckyReduction(ArithmeticError):
-    """A rational function has no image at the chosen point modulo `MOD_PRIME`."""
 
 
 class PoleError(ArithmeticError):
@@ -549,46 +542,6 @@ class RatFn:
         if not d:
             raise PoleError(point)
         return self.num(point) / d
-
-    def eval_mod(self, z: int) -> int:
-        """The image of self at z in GF(P), P = `MOD_PRIME`; UnluckyReduction if none.
-
-        Proof that this is a ring homomorphism.  Let R be the functions that can
-        be written F/G with F, G in Z[z] and G(z) not divisible by P.  R is a
-        subring of Q(z) (the localisation of Z[z] at the maximal ideal
-        (P, z - z0)), and F/G -> F(z) / G(z) mod P is well defined on it, since
-        F G' = F' G gives F(z) G'(z) = F'(z) G(z) mod P with G(z), G'(z) units;
-        it is a ring homomorphism R -> GF(P).
-
-        The canonical form is u p / q with p, q primitive and coprime and u in
-        Q (here u = l n/d for the numerator's content n/d and the leading
-        coefficient l of q).  It lies in R exactly when P divides neither the
-        denominator of u nor q(z): if self = F/G with P not dividing G(z),
-        Gauss's lemma gives G = q k and F = u p k with k in Z[z], so q(z) k(z)
-        is a unit mod P and u's denominator divides the content of k, which P
-        does not divide.  So UnluckyReduction is raised in exactly two cases:
-        P divides a content denominator, or the denominator q vanishes at z
-        modulo P.  The caller then decides exactly.
-
-        Consequences.  A nonzero image proves a nonzero function.  A minor is a
-        polynomial in the entries, so a matrix over R whose image has rank r has
-        a nonzero r x r minor over Q(z): rank modulo P is a lower bound on the
-        rank.  A square matrix over R with an invertible image has a unit of R
-        as determinant, so its inverse lies over R and maps to the inverse of
-        the image.  Finally conj(r) = r(1/z) in Q(z), and r(1/z) is
-        (z^k F(1/z)) / (z^k G(1/z)) with integer polynomials for k at least both
-        degrees, whose denominator at z0 is z0^k G(1/z0): so the image of
-        conj(r) at z0 is the image of r at 1/z0 whenever the latter exists.
-        """
-        num = self.num
-        if not num.p:
-            return 0
-        den = self.den.p
-        un, ud = _times(num.n, num.d, den[-1], 1)
-        d = ud * _horner_mod(den, z) % MOD_PRIME
-        if not d:
-            raise UnluckyReduction(f"{self!r} has no image at {z} modulo {MOD_PRIME}")
-        return un * _horner_mod(num.p, z) * pow(d, -1, MOD_PRIME) % MOD_PRIME
 
     # -- display ----------------------------------------------------------------------
 

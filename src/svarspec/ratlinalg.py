@@ -10,12 +10,11 @@ solving back-substitutes in the fraction field; `adjugate` back-substitutes
 over Z[z], where every division is exact.  All operations are pure, and
 matrices are immutable after construction; none is multiplied or inverted.
 
-The modular filters work on images of matrices in GF(P), P = `MOD_PRIME`
-(`RatMatrix.eval_mod`, or the spectrum kernel's values mapped by
-`svar._KnownDenominator.image`).  There `rank_mod`'s forward elimination is
-the only routine, and only a rank is taken.  It never replaces the Bareiss
-kernel: a rank modulo P is only a lower bound on the rank over R(z), and a
-deficient image proves nothing.
+The modular filters work on images in GF(P), P = `MOD_PRIME`, of the
+spectrum kernel's values (`svar._KnownDenominator.image`).  There `rank_mod`'s
+forward elimination is the only routine, and only a rank is taken.  It never
+replaces the Bareiss kernel: a rank modulo P is only a lower bound on the rank
+over R(z), and a deficient image proves nothing.
 """
 
 from __future__ import annotations
@@ -132,10 +131,6 @@ class RatMatrix:
             rows, cols,
             [[self.entries[self._rindex[r]][self._cindex[c]] for c in cols] for r in rows],
         )
-
-    def eval_mod(self, z: int) -> list[list[int]]:
-        """Entrywise `RatFn.eval_mod` at z; UnluckyReduction if an entry has no image."""
-        return [[e.eval_mod(z) for e in row] for row in self.entries]
 
 # -- fraction-free elimination ------------------------------------------------------
 

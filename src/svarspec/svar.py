@@ -24,8 +24,9 @@ most once on the left and each D_u(1/z) = D_u*(z) z^-deg at most once on the
 right, where D_u* is the reversal `Poly.conj`.  So prod_u D_u(z) D_u(1/z)
 clears every entry: H, S_I, S_LI, S and `spectrum_trek` are read off these
 values with `Poly` products and sums only (`_KnownDenominator`), each entry
-reduced once, and `generic_rank` maps the values of a block S[X, Y] to GF(P)
-(`_KnownDenominator.image`) before it reduces any.  S_LI and S are one Gram
+reduced once.  `_KnownDenominator.image` is the one map of these values to
+GF(P): `generic_rank` and `identify.spectral_ci_oracle` take the rank of a
+block's image before they reduce any of its entries.  S_LI and S are one Gram
 form over any rows and columns, M[v, w] = sum_t into[v][t] S_I[t, t]
 conj(into[w][t]), where into[v][t] sums the link products of the directed
 paths t .. v (for S_LI, v itself and the edges from its latent parents).
@@ -299,12 +300,30 @@ class _KnownDenominator:
         return out
 
     def image(self, a: _Value) -> int:
-        """The value at EVAL_POINT modulo MOD_PRIME: num(z0) z0**shift times the
-        inverse images of its factors, each D_i and D_i* inverted once per
-        kernel.  This is the ring homomorphism of `RatFn.eval_mod`, so it equals
-        `ratfn(a).eval_mod(z0)` wherever both are defined, with no `RatFn`
-        built.  ValueError when a factor or a content denominator vanishes
-        modulo P."""
+        """The value at z0 = EVAL_POINT modulo P = MOD_PRIME: num(z0) z0**shift
+        times the inverse images of its factors, each D_i and D_i* inverted
+        once per kernel, with no `RatFn` built.  ValueError when P divides a
+        content denominator or the image of a factor, or z0 = 0 meets a
+        negative shift.  This is the one map from spectrum values to GF(P).
+
+        Proof that it is a ring homomorphism.  Let R be the functions that can
+        be written F/G with F, G in Z[z] and P not dividing G(z0).  R is a
+        subring of Q(z) (the localisation of Z[z] at the maximal ideal
+        (P, z - z0)), and F/G -> F(z0) / G(z0) mod P is well defined on it,
+        since F G' = F' G gives F(z0) G'(z0) = F'(z0) G(z0) mod P with G(z0),
+        G'(z0) units; it is a ring homomorphism R -> GF(P).  A value with an
+        image lies in R: times its content denominators it is F/G with F, G in
+        Z[z] and G(z0) a product of the units inverted here, and the image is
+        F(z0) / G(z0).  So the image depends only on the function a value
+        stands for, and `mul` and `total` map to products and sums of images;
+        the image of `ratfn(a)`'s value is that of a.  conj(a) maps to the value
+        of a's function at 1/z0: a(1/z) = (z**k F(1/z)) / (z**k G(1/z)), with
+        integer polynomials for k at least both degrees.
+
+        Consequences.  A nonzero image proves a nonzero function.  A minor is
+        a polynomial in the entries, so a matrix over R whose image has rank r
+        has a nonzero r x r minor over Q(z): the rank modulo P is a lower bound
+        on the rank over R(z), and a deficient image proves nothing."""
         P, z0 = MOD_PRIME, EVAL_POINT
         if self._inverses is None:
             self._inverses = [(pow(_poly_mod(d, z0), -1, P), pow(_poly_mod(d_star, z0), -1, P))

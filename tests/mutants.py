@@ -91,13 +91,17 @@ MUTANTS = [
     Mutant("generic_rank accepts bound - 1", "svar.py",
            "for row in block]) == bound:", "for row in block]) >= bound - 1:",
            (SVAR + "test_generic_rank_stops_at_full_rank",)),
-    Mutant("eval_mod ignores the content denominator", "ratfield.py",
-           "d = ud * _horner_mod(den, z) % MOD_PRIME", "d = _horner_mod(den, z) % MOD_PRIME",
-           ("tests/test_ratfield.py::test_eval_mod_unlucky_cases",)),
+    Mutant("the kernel image ignores the content denominator", "svar.py",
+           "return f.n * _horner_mod(f.p, z) * pow(f.d, -1, MOD_PRIME) % MOD_PRIME",
+           "return f.n * _horner_mod(f.p, z) % MOD_PRIME",
+           (SVAR + "test_kernel_image_unlucky_cases",)),
     # the spectral CI oracle and the graph searches
     Mutant(">= for > in the oracle's modular verdict", "identify.py",
-           "rank_mod(block(r, c)) > len(z)", "rank_mod(block(r, c)) >= len(z)",
+           "for i in rows]) > len(z)", "for i in rows]) >= len(z)",
            ("tests/test_identify.py::test_modular_filter_never_proves_a_vanishing_spectrum_nonzero",)),
+    Mutant("the oracle's lower triangle without kd.conj", "identify.py",
+           "values[j][i] = kd.conj(values[i][j])", "values[j][i] = values[i][j]",
+           ("tests/test_cli.py::test_discover_reads_the_kernel_and_makes_canonical_only_what_it_ranks",)),
     Mutant("the augmenting path not reversed", "graph.py",
            "        residual[b][a] = residual[b].get(a, 0) + push\n", "",
            ("tests/test_graph.py::test_tsep_matches_brute_force_reference",)),
@@ -111,6 +115,9 @@ MUTANTS = [
     Mutant(">= for > in the estimate-size bound", "cli.py",
            "if values > MAX_ESTIMATE_VALUES:", "if values >= MAX_ESTIMATE_VALUES:",
            ("tests/test_cli.py::test_estimate_exits_validation_past_max_estimate_values",)),
+    Mutant(">= for > in the trials bound", "cli.py",
+           "if args.trials > MAX_TRIALS:", "if args.trials >= MAX_TRIALS:",
+           ("tests/test_cli.py::test_query_rank_runs_max_trials_and_refuses_one_more_before_any_draw",)),
     # exact JSON input
     Mutant("no comma count in the list checker", "io.py",
            'joined.count(",") == len(coeffs) - 1', "True",

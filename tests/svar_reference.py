@@ -22,13 +22,16 @@ these functions are the oracles it must match entry for entry:
 The labelled-matrix algebra these oracles need (`identity`, `zeros`,
 `transpose`, `conj`, `plus`, `minus`, `matmul` and `inverse`) is kept here,
 entrywise over RatFn: the library multiplies and inverts no matrix over R(z).
+`residue` and `image` evaluate a `RatFn` and a matrix at a point modulo
+`MOD_PRIME` one `Fraction` coefficient at a time: the oracle for the
+kernel's images (`svar._KnownDenominator.image`) and for `rank_mod`.
 """
 
 from __future__ import annotations
 
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             enumerate_treks)
-from svarspec.ratfield import P_ONE, Poly, R_ONE, R_ZERO, RatFn
+from svarspec.ratfield import MOD_PRIME, P_ONE, Poly, R_ONE, R_ZERO, RatFn
 from svarspec.ratlinalg import RatMatrix, solve_many
 from svarspec.svar import SpectrumBundle, SvarParams, lag_poly
 
@@ -221,3 +224,27 @@ def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
             term = term * trek_function(tsg, params, trek, H, S_I)
         acc = acc + (term if system.sign > 0 else -term)
     return acc
+
+
+# -- evaluation modulo the prime ---------------------------------------------------------
+
+
+def residue(r: RatFn, z: int) -> int:
+    """r at z modulo P = MOD_PRIME: numerator and denominator by Horner's rule
+    on their `Fraction` coefficients, each c taken as c.numerator /
+    c.denominator modulo P.  ValueError when P divides a coefficient's
+    denominator or the denominator's value."""
+    P = MOD_PRIME
+
+    def at(coeffs) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * z + c.numerator * pow(c.denominator, -1, P)) % P
+        return acc
+
+    return at(r.num.coeffs) * pow(at(r.den.coeffs), -1, P) % P
+
+
+def image(M: RatMatrix, z: int) -> list[list[int]]:
+    """`residue` of every entry, by row."""
+    return [[residue(e, z) for e in row] for row in M.entries]

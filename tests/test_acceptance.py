@@ -363,8 +363,7 @@ def test_criterion_11_cpdag_discovery():
             reference = discover_cpdag(dsep_ci_oracle(graph), graph.observed)
             for attempt in range(3):  # resample on an unfaithful draw
                 params = sample_stable_params(tsg, seed=trial + attempt * 70_001)
-                S = spectrum(tsg, params).S
-                got = discover_cpdag(spectral_ci_oracle(S), graph.observed)
+                got = discover_cpdag(spectral_ci_oracle(tsg, params), graph.observed)
                 if got == reference:
                     break
             assert got == reference, (trial, graph.edges)

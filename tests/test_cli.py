@@ -14,19 +14,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svarspec import cli
+from svarspec import identify as identify_module
 from svarspec import io as sio
 from svarspec import ratfield
 from svarspec import simulate as simulate_module
 from svarspec import svar as svar_module
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
-                          EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, CliError,
-                          _with_resampling, main)
+                          EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, MAX_TRIALS,
+                          CliError, _with_resampling, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
-from svarspec.identify import identify_all
+from svarspec.identify import discover_cpdag, identify_all
 from svarspec.ratfield import RatFn
 from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
-from svarspec.ratlinalg import RatMatrix, SingularMatrixError
-from svarspec.svar import SvarParams, sample_stable_params, spectrum
+from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank
+from svarspec.svar import (SvarParams, conditional_spectrum, sample_stable_params,
+                           spectral_density, spectrum)
 
 
 @pytest.fixture
@@ -251,6 +253,69 @@ def test_commands_that_read_s_alone_build_no_other_matrix(capsys, tmp_path, monk
         monkeypatch.setattr(svar_module, name, refuse)
     monkeypatch.setattr(svar_module, "rank_mod", lambda rows: 0)
     assert _outputs(capsys, out, commands) == want
+
+
+def test_discover_reads_the_kernel_and_makes_canonical_only_what_it_ranks(capsys, tmp_path,
+                                                                         monkeypatch):
+    """`discover --params` and `--seed` build no full S (neither
+    `spectral_density` nor `kd.hermitian`), rank blocks of S itself, entries
+    below the diagonal included, and call `kd.ratfn` only on entries of the
+    blocks that go to `rank`.  Each CPDAG is the one an oracle of conditional
+    spectra over the full S finds, and reports and files are unchanged by the
+    spies.  Acyclic, latent and cyclic graphs, lag order 1."""
+    graphs = [ProcessGraph.make(["a", "b", "c", "d"], [], [("a", "b"), ("a", "c"), ("b", "d"),
+                                                           ("c", "d")]),
+              ProcessGraph.make(["u", "v", "w", "x"], ["l"], [("u", "v"), ("v", "w"), ("l", "v"),
+                                                               ("l", "x"), ("w", "x")]),
+              ProcessGraph.make(["a", "b", "c", "d"], [], [("a", "b"), ("b", "a"), ("c", "a"),
+                                                           ("b", "d")])]
+    out = tmp_path / "out.json"
+    commands, spectra = [], []
+    for i, g in enumerate(graphs):
+        tsg = TimeSeriesGraph.full(g, 1)
+        graph, params = tmp_path / f"graph{i}.json", tmp_path / f"params{i}.json"
+        sio.save_graph(tsg, graph)
+        sio.save_params(sample_stable_params(tsg, seed=4), params)
+        for source, seed in ((["--params", str(params)], 4), (["--seed", "3"], 3)):
+            commands.append(["discover", "--graph", str(graph), *source, "--out", str(out)])
+            spectra.append(spectral_density(tsg, sample_stable_params(tsg, seed=seed)))
+    want = _outputs(capsys, out, commands)
+    assert {code for code, _, _ in want} == {EXIT_OK}
+    for S, (_, report, _) in zip(spectra, want):
+        cpdag = discover_cpdag(lambda X, Y, Z: conditional_spectrum(S, X, Y, Z).is_zero,
+                               S.row_labels)
+        assert report["outputs"] == {"out": str(out), **sio.cpdag_to_dict(cpdag)}
+
+    def refuse(*args):
+        raise AssertionError("built a full S")
+
+    made, ranked = [], []
+    ratfn = svar_module._KnownDenominator.ratfn
+
+    def recording_ratfn(kd, value):
+        made.append(ratfn(kd, value))
+        return made[-1]
+
+    def recording_rank(M):
+        ranked.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(cli, "spectral_density", refuse)
+    monkeypatch.setattr(svar_module, "spectral_density", refuse)
+    monkeypatch.setattr(svar_module._KnownDenominator, "hermitian", refuse)
+    monkeypatch.setattr(svar_module._KnownDenominator, "ratfn", recording_ratfn)
+    monkeypatch.setattr(identify_module, "rank", recording_rank)
+    total = 0
+    for command, S, expected in zip(commands, spectra, want):
+        made.clear()
+        ranked.clear()
+        assert _outputs(capsys, out, [command]) == [expected]
+        for M in ranked:
+            assert M == S.submatrix(M.row_labels, M.col_labels), command
+        entries = {id(e) for M in ranked for row in M.entries for e in row}
+        assert all(id(r) in entries for r in made), command
+        total += len(ranked)
+    assert total
 
 
 def test_identify_spectrum_builds_only_the_s_entries_it_reads(capsys, tmp_path, monkeypatch,
@@ -755,6 +820,27 @@ def test_query_rank_rejects_non_positive_trials(capsys, instrument_files, trials
                        "--x", "v", "--y", "w", "--seed", "3", "--trials", trials)
     assert code == EXIT_VALIDATION
     assert "--trials" in report["error"]
+
+
+def test_query_rank_runs_max_trials_and_refuses_one_more_before_any_draw(capsys, monkeypatch,
+                                                                         instrument_files):
+    draws = []
+
+    def sampler(tsg, seed):
+        draws.append(seed)
+        return sample_stable_params(tsg, seed=seed)
+
+    monkeypatch.setattr(svar_module, "sample_stable_params", sampler)
+    graph, _ = instrument_files
+    argv = ["query", "--graph", graph, "--query", "rank", "--x", "v", "--y", "w",
+            "--seed", "3", "--trials"]
+    code, report = run(capsys, *argv, str(MAX_TRIALS))
+    assert code == EXIT_OK and report["outputs"]["generic_rank"] == 1
+    assert len(draws) == 1  # the first draw meets the bound
+    draws.clear()
+    code, report = run(capsys, *argv, str(MAX_TRIALS + 1))
+    assert code == EXIT_VALIDATION and "--trials" in report["error"]
+    assert draws == []
 
 
 #: sha256 of `spectrum --out` on a cyclic observed graph, a -> b -> c -> a with

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svarspec import identify as identify_module
+from svarspec import svar as svar_module
 
 from svarspec.graph import LfhtcTriple, ProcessGraph, TimeSeriesGraph, lfhtc_order
 from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
@@ -18,10 +19,11 @@ from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
                                identify_instrument, identify_regression,
                                lfhtc_identify_step, recover_lag_coefficients,
                                replay_certificate, spectral_ci_oracle)
-from svarspec.ratfield import EVAL_POINT, MOD_PRIME, RatFn, UnluckyReduction
+from svarspec.ratfield import MOD_PRIME, RatFn
 from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank
-from svarspec.svar import (SvarParams, conditional_spectrum,
-                           sample_stable_params, spectrum, transfer_matrix)
+from svarspec.svar import (SvarParams, _density, _trek_parts, conditional_spectrum,
+                           sample_stable_params, spectral_density, spectrum,
+                           transfer_matrix)
 
 from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
                       random_tsg)
@@ -349,8 +351,7 @@ def test_cpdag_dual_oracle_agreement():
         g = random_dag(rng, [f"x{i}" for i in range(n)], p=0.5)
         tsg = random_tsg(rng, g)
         p = sample_stable_params(tsg, seed=trial + 800)
-        S = spectrum(tsg, p).S
-        assert discover_cpdag(spectral_ci_oracle(S), g.observed) == \
+        assert discover_cpdag(spectral_ci_oracle(tsg, p), g.observed) == \
             discover_cpdag(dsep_ci_oracle(g), g.observed)
 
 
@@ -382,7 +383,7 @@ def _queries(labels):
                     yield frozenset({a}), frozenset({b}), frozenset(Z)
 
 
-def _oracle_against_reference(S: RatMatrix) -> tuple[int, set]:
+def _oracle_against_reference(tsg: TimeSeriesGraph, params: SvarParams) -> tuple[int, set]:
     """Run both oracles on every query; returns the query count and the
     queries the oracle decided with exact ranks over R(z).
 
@@ -395,12 +396,12 @@ def _oracle_against_reference(S: RatMatrix) -> tuple[int, set]:
         ranks.append(matrix.shape)
         return rank(matrix)
 
-    reference = reference_spectral_ci_oracle(S)
+    reference = reference_spectral_ci_oracle(spectral_density(tsg, params))
     exact_keys = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identify_module, "rank", recording)
-        oracle = spectral_ci_oracle(S)
-        queries = list(_queries(S.row_labels))
+        oracle = spectral_ci_oracle(tsg, params)
+        queries = list(_queries(tsg.base.observed))
         for key in queries:
             want = reference(*key)
             before = len(ranks)
@@ -422,19 +423,19 @@ def test_modular_filter_never_proves_a_vanishing_spectrum_nonzero(seed, cyclic):
     else:
         graph = random_latent_dag(rng, [f"x{i}" for i in range(n)], ["h"], p=0.5)
     tsg = random_tsg(rng, graph, max_order=1)
-    _oracle_against_reference(spectrum(tsg, sample_stable_params(tsg, seed=seed)).S)
+    _oracle_against_reference(tsg, sample_stable_params(tsg, seed=seed))
 
 
 def test_modular_filter_decides_dependence_without_solving(confounded_chain_tsg):
-    S = spectrum(confounded_chain_tsg, sample_stable_params(confounded_chain_tsg, seed=4)).S
-    queries, exact = _oracle_against_reference(S)
+    params = sample_stable_params(confounded_chain_tsg, seed=4)
+    queries, exact = _oracle_against_reference(confounded_chain_tsg, params)
     # the latent confounds every pair, so no verdict is "independent"
     assert (queries, len(exact)) == (160, 0)
 
 
-def _check_forced_fallback(S: RatMatrix) -> None:
+def _check_forced_fallback(tsg: TimeSeriesGraph, params: SvarParams) -> None:
     """With no image of S, every verdict comes from the exact path."""
-    queries, exact = _oracle_against_reference(S)
+    queries, exact = _oracle_against_reference(tsg, params)
     assert len(exact) == queries
 
 
@@ -442,10 +443,7 @@ def test_oracle_falls_back_when_a_denominator_is_divisible_by_the_prime(chain_ts
     params = sample_stable_params(chain_tsg, seed=2)
     params = SvarParams(cross={**params.cross, ("a", "b", 0): Fraction(1, MOD_PRIME)},
                         auto=params.auto, noise=params.noise)
-    S = spectrum(chain_tsg, params).S
-    with pytest.raises(UnluckyReduction):
-        S.eval_mod(EVAL_POINT)
-    _check_forced_fallback(S)
+    _check_forced_fallback(chain_tsg, params)
 
 
 def test_oracle_falls_back_when_the_point_is_a_pole(monkeypatch, chain_tsg):
@@ -453,41 +451,46 @@ def test_oracle_falls_back_when_the_point_is_a_pole(monkeypatch, chain_tsg):
     params = sample_stable_params(chain_tsg, seed=2)
     params = SvarParams(cross=params.cross, auto={**params.auto, ("b", 1): Fraction(1, 2)},
                         noise=params.noise)
-    S = spectrum(chain_tsg, params).S
-    monkeypatch.setattr(identify_module, "EVAL_POINT", 2)
-    with pytest.raises(UnluckyReduction):
-        S.eval_mod(2)
-    _check_forced_fallback(S)
+    monkeypatch.setattr(svar_module, "EVAL_POINT", 2)
+    _check_forced_fallback(chain_tsg, params)
 
 
 def test_oracle_falls_back_when_the_conditioning_block_is_singular_at_the_point(monkeypatch):
-    # S[c, c] = z - 5 vanishes at z0 = 5 only, and S[x, y] - S[x, c] S[c, y] / S[c, c] = 0
-    monkeypatch.setattr(identify_module, "EVAL_POINT", 5)
-    one, root = RatFn(1), RatFn([-5, 1])
-    S = RatMatrix(["c", "x", "y"], ["c", "x", "y"],
-                  [[root, one, root], [one, RatFn(2), one], [root, one, RatFn(3)]])
-    assert S.eval_mod(5)[0][0] == 0
-    assert spectral_ci_oracle(S)({"x"}, {"y"}, {"c"}) is True
-    _, exact = _oracle_against_reference(S)
+    # c = (u + u_{-1}) / 4 + noise of variance 9/64, so 16 z S[c, c] is
+    # z^2 + 17 z / 4 + 1 = (z + 4)(z + 1/4), which vanishes at z0 = -4; and
+    # c separates x from y
+    graph = ProcessGraph.make(["c", "u", "x", "y"], [], [("u", "c"), ("c", "x"), ("c", "y")])
+    tsg = TimeSeriesGraph.make(graph, {("u", "c"): (0, 1), ("c", "x"): (0,), ("c", "y"): (0,)})
+    quarter = Fraction(1, 4)
+    params = SvarParams.make(
+        {("u", "c", 0): quarter, ("u", "c", 1): quarter, ("c", "x", 0): 1, ("c", "y", 0): 1},
+        {}, {"c": Fraction(9, 64), "u": 1, "x": 1, "y": 1})
+    params.validate(tsg)
+    monkeypatch.setattr(svar_module, "EVAL_POINT", -4 % MOD_PRIME)
+    kd, entry = _density(graph, *_trek_parts(tsg, params), ["c"], ["c"])
+    assert kd.image(entry("c", "c")) == 0
+    assert spectral_ci_oracle(tsg, params)({"x"}, {"y"}, {"c"}) is True
+    _, exact = _oracle_against_reference(tsg, params)
     assert (frozenset({"x"}), frozenset({"y"}), frozenset({"c"})) in exact
 
 
 def _outcome(oracle, X, Y, Z):
     try:
         return oracle(X, Y, Z)
-    except (ValueError, KeyError, SingularMatrixError) as exc:
+    except (ValueError, KeyError) as exc:
         return type(exc)
 
 
 def test_oracle_raises_where_the_conditional_spectrum_raises():
-    # S[{c, d}, {c, d}] has equal rows over R(z), and q is no label of S
-    one, p = RatFn(1), RatFn([1, 1])
-    S = RatMatrix(["c", "d", "x", "y"], ["c", "d", "x", "y"],
-                  [[p, p, one, RatFn([0, 1])], [p, p, RatFn(2), one],
-                   [one, RatFn(2), RatFn(3), one], [RatFn([0, 0, 1]), one, one, RatFn(5)]])
+    # q is no label of S; validated parameters leave no S[Z, Z] singular
+    graph = ProcessGraph.make(["c", "d", "x", "y"], ["h"],
+                              [("c", "x"), ("d", "x"), ("x", "y"), ("h", "d"), ("h", "y")])
+    tsg = TimeSeriesGraph.full(graph, 1)
+    params = sample_stable_params(tsg, seed=5)
     labels = ["c", "d", "q", "x", "y"]
     sets = [frozenset(c) for k in range(3) for c in combinations(labels, k)]
-    oracle, reference = spectral_ci_oracle(S), reference_spectral_ci_oracle(S)
+    oracle = spectral_ci_oracle(tsg, params)
+    reference = reference_spectral_ci_oracle(spectral_density(tsg, params))
     seen = set()
     for X in sets:
         for Y in sets:
@@ -495,7 +498,7 @@ def test_oracle_raises_where_the_conditional_spectrum_raises():
                 want = _outcome(reference, X, Y, Z)
                 assert _outcome(oracle, X, Y, Z) == want, (X, Y, Z)
                 seen.add(want if isinstance(want, type) else bool)
-    assert seen == {bool, ValueError, KeyError, SingularMatrixError}
+    assert seen == {bool, ValueError, KeyError}
 
 
 def test_spectral_discovery_scales_to_dense_eight_node_dags():
@@ -507,9 +510,9 @@ def test_spectral_discovery_scales_to_dense_eight_node_dags():
         rng = random.Random(9100 + seed)
         graph = ProcessGraph.make(labels, [], rng.sample(pairs, 20))
         tsg = TimeSeriesGraph.full(graph, 1)
-        S = spectrum(tsg, sample_stable_params(tsg, seed=seed)).S
+        oracle = spectral_ci_oracle(tsg, sample_stable_params(tsg, seed=seed))
         start = time.perf_counter()
-        got = discover_cpdag(spectral_ci_oracle(S), labels)
+        got = discover_cpdag(oracle, labels)
         elapsed += time.perf_counter() - start
         assert got == discover_cpdag(dsep_ci_oracle(graph), labels), seed
     assert elapsed < 2.0, f"discovery took {elapsed:.2f}s"

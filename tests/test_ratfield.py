@@ -10,9 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svarspec import ratfield
-from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, NEG_INFINITY, P_ONE,
-                               P_ZERO, Poly, PoleError, R_ONE, R_ZERO, RatFn,
-                               UnluckyReduction, poly_gcd)
+from svarspec.ratfield import (MOD_PRIME, NEG_INFINITY, P_ONE, P_ZERO, Poly,
+                               PoleError, R_ONE, R_ZERO, RatFn, poly_gcd)
 
 from conftest import random_poly, random_ratfn
 from fraction_reference import (FracPoly, canonical, euclid_gcd, rat_add,
@@ -365,59 +364,6 @@ def test_hypothesis_ratfn_arithmetic_matches_fraction_reference(n1, d1, n2, d2):
         assert _pair(r / s) == _ref_pair(rat_div(R, S))
 
 
-# -- evaluation modulo the prime -------------------------------------------------------
-
-
-def _residue(q: Fraction) -> int:
-    return q.numerator * pow(q.denominator, -1, MOD_PRIME) % MOD_PRIME
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(ratfns, st.integers(min_value=-6, max_value=6))
-def test_hypothesis_eval_mod_reduces_the_exact_value(r, k):
-    try:
-        value = r(Fraction(k))
-    except PoleError:
-        with pytest.raises(UnluckyReduction):
-            r.eval_mod(k % MOD_PRIME)
-        return
-    assert r.eval_mod(k % MOD_PRIME) == _residue(value)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(ratfns, ratfns)
-def test_hypothesis_eval_mod_is_a_ring_homomorphism(r, s):
-    z, w = EVAL_POINT, pow(EVAL_POINT, -1, MOD_PRIME)
-    a, b = r.eval_mod(z), s.eval_mod(z)
-    assert (r + s).eval_mod(z) == (a + b) % MOD_PRIME
-    assert (r - s).eval_mod(z) == (a - b) % MOD_PRIME
-    assert (r * s).eval_mod(z) == a * b % MOD_PRIME
-    if not s.is_zero:
-        assert (r / s).eval_mod(z) == a * pow(b, -1, MOD_PRIME) % MOD_PRIME
-    # conj is evaluation at 1/z
-    assert r.conj().eval_mod(z) == r.eval_mod(w)
-
-
-def test_eval_mod_unlucky_cases():
-    # the prime divides a content denominator
-    with pytest.raises(UnluckyReduction):
-        RatFn([Fraction(1, MOD_PRIME), 1]).eval_mod(EVAL_POINT)
-    with pytest.raises(UnluckyReduction):
-        RatFn([1], [2 * MOD_PRIME, MOD_PRIME]).eval_mod(EVAL_POINT)  # (1/P) / (z + 2)
-    # ... but not one that the denominator's leading coefficient cancels:
-    # 1 / (1 + P z) is stored as (1/P) / (z + 1/P) and is 1 modulo P
-    assert RatFn([1], [1, MOD_PRIME]).eval_mod(EVAL_POINT) == 1
-    # the denominator vanishes at the point modulo the prime, though not over Q
-    with pytest.raises(UnluckyReduction):
-        RatFn([1], [-2 - MOD_PRIME, 1]).eval_mod(2)
-    with pytest.raises(UnluckyReduction):
-        RatFn([1, 1], [0, 1]).eval_mod(0)
-    # a numerator that vanishes modulo the prime is a zero image, not an unlucky one
-    assert RatFn([-2 - MOD_PRIME, 1], [1, 1]).eval_mod(2) == 0
-    assert RatFn([MOD_PRIME]).eval_mod(EVAL_POINT) == 0
-    assert R_ZERO.eval_mod(0) == 0 and R_ONE.eval_mod(0) == 1
-
-
 # -- the integer kernel builds no Fraction ----------------------------------------------
 
 
@@ -431,10 +377,6 @@ def _normal(f: Poly) -> bool:
         return (f.n, f.d) == (0, 1)
     return (type(f.n) is int and type(f.d) is int and f.d > 0 and math.gcd(f.n, f.d) == 1
             and all(type(a) is int for a in f.p) and math.gcd(*f.p) == 1 and f.p[-1] > 0)
-
-
-def _residue_at(f: FracPoly, z: int) -> int:
-    return sum(_residue(c) * pow(z, k, MOD_PRIME) for k, c in enumerate(f.coeffs)) % MOD_PRIME
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,7 +400,6 @@ def test_hypothesis_integer_kernel_builds_no_fraction(a, b, n2, d2, c, k):
                  f.conj(), f.shift(k), poly_gcd(f, g), poly_gcd(f * g, g)]
         ratfns = [RatFn(f, g), r + s, r - s, r * s, r.conj(), r / s if s else R_ZERO]
         same = r == again and hash(r) == hash(again)
-        images = [r.eval_mod(EVAL_POINT), (r * s).eval_mod(EVAL_POINT)]
     assert same
     want = [F + G, F - G, F * G, -F, F, F.scale(c), F.monic(), F.conj(), F.shift(k),
             euclid_gcd(F, G), euclid_gcd(F * G, G)]
@@ -469,6 +410,3 @@ def test_hypothesis_integer_kernel_builds_no_fraction(a, b, n2, d2, c, k):
     for got, ref in zip(ratfns, want, strict=True):
         assert _normal(got.num) and _normal(got.den)
         assert _pair(got) == _ref_pair(ref)
-    for got, (num, den) in zip(images, [R, rat_mul(R, S)], strict=True):
-        assert got == _residue_at(num, EVAL_POINT) * pow(_residue_at(den, EVAL_POINT), -1,
-                                                          MOD_PRIME) % MOD_PRIME

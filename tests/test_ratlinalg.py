@@ -10,6 +10,7 @@ from svarspec.ratfield import EVAL_POINT, MOD_PRIME, P_ZERO, Poly, R_ONE, R_ZERO
 from svarspec.ratlinalg import (RatMatrix, SingularMatrixError, adjugate, det, rank,
                                 rank_mod, solve)
 
+import svar_reference
 from conftest import random_ratfn
 from svar_reference import conj, identity, inverse, matmul, transpose, zeros
 
@@ -252,7 +253,7 @@ def test_rank_mod_is_the_rank_of_the_image():
             M = matmul(A, B)
         if trial % 3 == 0:
             M = with_zero_column(M, 0)
-        image = M.eval_mod(EVAL_POINT)
+        image = svar_reference.image(M, EVAL_POINT)
         assert rank_mod(image) == rank(M)  # no unlucky draw among these
         assert rank_mod(image) <= min(n_rows, n_cols)
     # a rank that exists only over Q: P is 0 modulo P

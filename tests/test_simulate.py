@@ -288,7 +288,7 @@ def test_empirical_ci_matches_exact_oracle_mostly():
                        auto={k: c / 2 for k, c in p.auto.items()}, noise=p.noise)
         s = simulate_series(tsg, p, length=2**16, burn_in=1000, seed=trial)
         est = estimate_spectrum(s, BENCH_FREQUENCIES, segment_length=128)
-        oracle = spectral_ci_oracle(spectrum(tsg, p).S)
+        oracle = spectral_ci_oracle(tsg, p)
         for x, y in combinations(g.observed, 2):
             rest = [v for v in g.observed if v not in (x, y)]
             for size in range(len(rest) + 1):

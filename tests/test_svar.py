@@ -8,18 +8,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svarspec import ratfield
 from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             count_treks, t_separation_min)
-from svarspec.ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE,
-                               R_ZERO, RatFn, UnluckyReduction)
+from svarspec.ratfield import EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE, R_ZERO, RatFn
 from svarspec.ratlinalg import RatMatrix, adjugate, det, rank, rank_mod
-from svarspec.svar import (ParameterError, SpectrumBundle, SvarParams, _density,
-                           _trek_parts, conditional_spectrum, generic_rank, lag_poly,
+from svarspec.svar import (_ONE, _ZERO, ParameterError, SpectrumBundle, SvarParams,
+                           _density, _KnownDenominator, _trek_parts,
+                           conditional_spectrum, generic_rank, lag_poly,
                            sample_stable_params, spectral_density, spectrum,
                            spectrum_trek, transfer_matrix)
 
@@ -878,7 +878,7 @@ def test_spectrum_mod_is_the_image_of_the_exact_spectrum():
     for seed in range(40):
         tsg = random_instance(seed, cyclic=seed % 2 == 1)
         params = sample_stable_params(tsg, seed=seed)
-        want = spectrum(tsg, params).S.eval_mod(EVAL_POINT)
+        want = svar_reference.image(spectrum(tsg, params).S, EVAL_POINT)
         assert kernel_image_of_s(tsg, params) == want, seed
 
 
@@ -889,7 +889,7 @@ def test_spectrum_mod_takes_no_gcd(monkeypatch):
     for seed in range(45):
         tsg = three_kinds(seed)
         params = sample_stable_params(tsg, seed=seed)
-        cases.append((tsg, params, spectrum(tsg, params).S.eval_mod(EVAL_POINT)))
+        cases.append((tsg, params, svar_reference.image(spectrum(tsg, params).S, EVAL_POINT)))
     graphs = [tsg.base for tsg, _, _ in cases]
     assert any(not g.is_acyclic for g in graphs)
     assert any(a in g.latent for g in graphs for a, _ in g.edges)
@@ -916,6 +916,107 @@ def test_rectangular_block_is_the_submatrix_of_s():
         kd, values = kernel_block(tsg, params, X, Y)
         got = RatMatrix(X, Y, [[kd.ratfn(a) for a in row] for row in values])
         assert got == spectral_density(tsg, params).submatrix(X, Y), seed
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """A kernel of one to three factors, each with a nonzero constant term, and
+    two values over it whose masks share no factor on either side."""
+    factors = draw(st.lists(st.builds(lambda c0, rest: Poly([c0, *rest]),
+                                      small.filter(bool), st.lists(small, max_size=2))
+                            .filter(lambda f: f.degree > 0), min_size=1, max_size=3))
+    full = (1 << len(factors)) - 1
+
+    def value(free_left, free_right):
+        num = Poly(draw(st.lists(small, max_size=4)))
+        return (num, draw(st.integers(0, full)) & free_left,
+                draw(st.integers(0, full)) & free_right, draw(st.integers(-2, 2)))
+
+    a = value(full, full)
+    return _KnownDenominator(factors), a, value(full ^ a[1], full ^ a[2])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kernel_pairs())
+def test_hypothesis_kernel_image_is_a_ring_homomorphism(case):
+    """`image` maps products and sums of values to products and sums, one
+    function's values to one image (its canonical form's residue), and the
+    conjugate to the value at 1/z0."""
+    kd, a, b = case
+    x, y = kd.image(a), kd.image(b)
+    assert kd.image(kd.mul(a, b)) == x * y % MOD_PRIME
+    assert kd.image(kd.total([a, b])) == (x + y) % MOD_PRIME
+    assert x == svar_reference.residue(kd.ratfn(a), EVAL_POINT)
+    w = pow(EVAL_POINT, -1, MOD_PRIME)
+    assert kd.image(kd.conj(a)) == svar_reference.residue(kd.ratfn(a), w)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kernel_pairs(), st.integers(min_value=-6, max_value=6))
+@example((_KnownDenominator([Poly([1, Fraction(-1, 2)])]), (P_ONE, 0, 1, 0), _ONE), 2)
+def test_hypothesis_kernel_image_reduces_the_exact_value(case, k):
+    """At a small point k the image is the residue of the exact value; it has
+    none exactly when a factor of the kernel vanishes at k, or k = 0 meets a
+    negative shift."""
+    factors, a = case[0].left, case[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svar_module, "EVAL_POINT", k % MOD_PRIME)
+        kd = _KnownDenominator(factors)  # a kernel inverts its factors at its first image
+        try:
+            got = kd.image(a)
+        except ValueError:
+            got = None
+    point = Fraction(k)
+    if any(f(point) == 0 for f in kd.left + kd.right) or (k == 0 and a[3] < 0):
+        assert got is None
+    else:
+        value = kd.ratfn(a)(point)
+        assert got == value.numerator * pow(value.denominator, -1, MOD_PRIME) % MOD_PRIME
+
+
+def test_kernel_image_unlucky_cases(monkeypatch):
+    P = MOD_PRIME
+    # the prime divides a content denominator
+    kd = _KnownDenominator([Poly([1, -1])])
+    with pytest.raises(ValueError):
+        kd.image((Poly([Fraction(1, P), 1]), 0, 0, 0))
+    # ... but not the image of a factor: 1 + P z is 1 modulo P, and its
+    # reversal P + z is z
+    kd = _KnownDenominator([Poly([1, P])])
+    assert kd.image((P_ONE, 1, 0, 0)) == 1
+    assert kd.image((P_ONE, 0, 1, 0)) == pow(EVAL_POINT, -1, P)
+    # a factor vanishes at the point modulo the prime, though not over Q
+    monkeypatch.setattr(svar_module, "EVAL_POINT", 2)
+    with pytest.raises(ValueError):
+        _KnownDenominator([Poly([-2 - P, 1])]).image((P_ONE, 1, 0, 0))
+    # a numerator that vanishes modulo the prime is a zero image, not an unlucky one
+    kd = _KnownDenominator([])
+    assert kd.image((Poly([-2 - P, 1]), 0, 0, 0)) == 0
+    assert kd.image((Poly([P]), 0, 0, 0)) == 0
+    assert kd.image(_ZERO) == 0 and kd.image(_ONE) == 1
+    # the point 0 against a negative shift
+    monkeypatch.setattr(svar_module, "EVAL_POINT", 0)
+    with pytest.raises(ValueError):
+        _KnownDenominator([]).image((P_ONE, 0, 0, -1))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_principal_blocks_of_a_validated_spectrum_have_full_rank(seed):
+    """Positive noise makes S Hermitian positive definite at a generic point of
+    the unit circle, so every principal block S[Z, Z] is nonsingular over R(z):
+    acyclic, latent and cyclic graphs, lag order up to 2."""
+    tsg = three_kinds(seed)
+    params = sample_stable_params(tsg, seed=seed)
+    params.validate(tsg)
+    S = spectral_density(tsg, params)
+    observed = tsg.base.observed
+    for k in range(1, len(observed) + 1):
+        for Z in combinations(observed, k):
+            assert rank(S.submatrix(Z, Z)) == k, Z
 
 
 def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
@@ -1024,8 +1125,6 @@ def test_generic_rank_falls_back_when_a_denominator_is_divisible_by_the_prime(
     params = sample_stable_params(instrument_tsg, seed=3)
     params = SvarParams(cross={**params.cross, ("v", "w", 1): Fraction(1, MOD_PRIME)},
                         auto=params.auto, noise=params.noise)
-    with pytest.raises(UnluckyReduction):
-        transfer_matrix(instrument_tsg, params).eval_mod(EVAL_POINT)
     want = rank(spectrum(instrument_tsg, params).S.submatrix(["v"], ["w"]))
     got, log = _forced_fallback(monkeypatch, instrument_tsg, params)
     assert log["blocks"] == log["exact"] == [(("v",), ("w",))]
@@ -1038,8 +1137,6 @@ def test_generic_rank_falls_back_when_the_point_is_a_pole(monkeypatch, instrumen
     params = SvarParams(cross=params.cross, auto={**params.auto, ("w", 1): Fraction(1, 2)},
                         noise=params.noise)
     monkeypatch.setattr(svar_module, "EVAL_POINT", 2)
-    with pytest.raises(UnluckyReduction):
-        transfer_matrix(instrument_tsg, params).eval_mod(2)
     got, log = _forced_fallback(monkeypatch, instrument_tsg, params)
     assert log["blocks"] == log["exact"] == [(("v",), ("w",))]
     assert got == 1
