@@ -231,6 +231,8 @@ def cmd_simulate(args) -> dict:
 
 def _parse_frequencies(arg: str) -> tuple[float, ...]:
     parts = [p for p in arg.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("no frequencies given")
     counted = len(parts) == 1 and "." not in parts[0]
     count = int(parts[0]) if counted else len(parts)
     if counted and count < 1:

@@ -527,24 +527,38 @@ def save_cpdag(cpdag: Cpdag, path) -> None:
 # -- series and estimates -------------------------------------------------------------------------------
 
 
+#: Rows of a series formatted and written, or split and parsed, at a time.
+SERIES_BLOCK_ROWS = 4096
+
+
 def save_series(series: SeriesSample, path) -> None:
     """Write each value as `repr` of its Python float: the shortest text that
-    reads back as the same double."""
-    header = "\t".join(series.labels)
-    body = "\n".join(["\t".join(map(repr, row)) for row in series.values.tolist()])
-    Path(path).write_text(header + "\n" + body + "\n")
+    reads back as the same double.  Rows go out a block at a time, so only one
+    block is held as text; a series with no rows ends with an empty line."""
+    values = series.values
+    with open(path, "w") as fh:
+        fh.write("\t".join(series.labels) + "\n")
+        for start in range(0, len(values), SERIES_BLOCK_ROWS):
+            rows = values[start:start + SERIES_BLOCK_ROWS].tolist()
+            fh.write("\n".join(["\t".join(map(repr, row)) for row in rows]) + "\n")
+        if not len(values):
+            fh.write("\n")
 
 
 def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
     `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
-    stripped from the ends of the text, so a label keeps its spaces."""
+    stripped from the ends of the text, so a label keeps its spaces.  Cells
+    are split and parsed a block of rows at a time."""
     import numpy as np
 
     from .simulate import SeriesSample
     lines = Path(path).read_text().strip("\n").splitlines()
     labels = tuple(lines[0].split("\t"))
-    values = np.array([line.split("\t") for line in lines[1:]], dtype=np.float64)
+    blocks = [np.array([line.split("\t") for line in lines[start:start + SERIES_BLOCK_ROWS]],
+                       dtype=np.float64)
+              for start in range(1, len(lines), SERIES_BLOCK_ROWS)]
+    values = np.concatenate(blocks) if blocks else np.array([], dtype=np.float64)
     return SeriesSample(labels, values)
 
 

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 SVAR = "tests/test_svar.py::"
+SIM = "tests/test_simulate.py::"
 
 MUTANTS = [
     # the cyclic spectrum through the kernel
@@ -126,6 +127,28 @@ MUTANTS = [
            "matrix_from_dict(data[key], _checked_ratfn, _OnDemand)",
            "matrix_from_dict(data[key])",
            ("tests/test_cli.py::test_identify_spectrum_builds_only_the_s_entries_it_reads",)),
+    # the simulation a column at a time, and the series writer
+    Mutant("the column-wise run takes an in-component source", "simulate.py",
+           "enumerate(vterms) if j in inside)", "enumerate(vterms) if j == i)",
+           (SIM + "test_simulation_and_series_files_match_the_scalar_reference",)),
+    Mutant("the column-wise lag slice off by one", "simulate.py",
+           "col[k:] += c * values[:total - k, j]", "col[k + 1:] += c * values[:total - k - 1, j]",
+           (SIM + "test_components_run_in_dependence_order_and_terms_in_cross_order",)),
+    Mutant("components visited in contemporaneous order", "simulate.py",
+           "sorted(groups.values(), key=lambda c: len(ancestors[c[0]]))", "list(groups.values())",
+           (SIM + "test_components_run_in_dependence_order_and_terms_in_cross_order",)),
+    Mutant("the k <= t warm-up guard dropped", "simulate.py",
+           "if k <= t:", "if True:",
+           (SIM + "test_components_run_in_dependence_order_and_terms_in_cross_order",)),
+    Mutant("the one-term recursion covers one residue of its lag", "simulate.py",
+           "for r in range(k):", "for r in range(1):",
+           (SIM + "test_components_run_in_dependence_order_and_terms_in_cross_order",)),
+    Mutant("a block of the step loop keeps one step of history too few", "simulate.py",
+           "low, stop = max(start - lag, 0)", "low, stop = max(start - lag + 1, 0)",
+           (SIM + "test_simulation_and_series_files_match_the_scalar_reference",)),
+    Mutant("save_series drops the empty series' second newline", "io.py",
+           'fh.write("\\n")\n', "pass\n",
+           ("tests/test_io.py::test_series_bytes_match_the_reference_at_block_and_empty_shapes",)),
     # the exact layer loads no numpy
     Mutant("numpy imported when io loads", "io.py",
            "from typing import TYPE_CHECKING, Any\n",

@@ -455,7 +455,8 @@ def test_estimate_bad_segmentation_exit_code(capsys, tmp_path, instrument_files)
 
 @pytest.mark.parametrize("frequencies, code", [
     ("0.5,0.3", EXIT_ESTIMATION), ("0.5,0.5", EXIT_ESTIMATION), ("0.5,nan", EXIT_ESTIMATION),
-    ("abc", EXIT_VALIDATION), ("0", EXIT_VALIDATION)])
+    ("abc", EXIT_VALIDATION), ("0", EXIT_VALIDATION), ("", EXIT_VALIDATION),
+    (",", EXIT_VALIDATION)])
 def test_estimate_bad_frequencies_exit_code(capsys, tmp_path, instrument_files,
                                             frequencies, code):
     graph, params = instrument_files

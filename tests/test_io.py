@@ -302,6 +302,26 @@ def test_series_format_matches_the_reference(tmp_path, values):
     assert sio.load_series(path).values.tobytes() == series.values.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (1, 0), (5, 0), (2 * sio.SERIES_BLOCK_ROWS + 3, 2)])
+def test_series_bytes_match_the_reference_at_block_and_empty_shapes(tmp_path, shape):
+    values = np.random.default_rng(sum(shape)).standard_normal(shape)
+    series = SeriesSample(tuple(f"c{i}" for i in range(shape[1])), values)
+    path, ref_path = tmp_path / "series.txt", tmp_path / "reference.txt"
+    sio.save_series(series, path)
+    series_reference.save_series(series, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    if values.size:
+        assert sio.load_series(path).values.tobytes() == values.tobytes()
+
+
+def _load_outcome(load, path):
+    try:
+        series = load(path)
+    except Exception as exc:  # the class is compared, whatever it is
+        return type(exc)
+    return series.labels, series.values.shape, series.values.tobytes()
+
+
 @pytest.mark.parametrize("text", [
     "a\tb\n1.0\t2.0\n3.0\n",       # ragged rows
     "a\tb\n1.0\n2.0\n",             # rows narrower than the header
@@ -324,15 +344,21 @@ def test_series_format_matches_the_reference(tmp_path, values):
 def test_series_loader_matches_the_reference_on_malformed_text(tmp_path, text):
     path = tmp_path / "series.txt"
     path.write_text(text)
+    assert _load_outcome(sio.load_series, path) == _load_outcome(series_reference.load_series, path)
 
-    def outcome(load):
-        try:
-            series = load(path)
-        except Exception as exc:  # the class is compared, whatever it is
-            return type(exc)
-        return series.labels, series.values.shape, series.values.tobytes()
 
-    assert outcome(sio.load_series) == outcome(series_reference.load_series)
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("text", [
+    "a\tb\n1.0\t2.0\n3.0\n",           # ragged rows
+    "a\tb\n1.0\t2.0\n3.0\t4.0\n5.0\n",  # the last block narrower
+    "a\n1.0\n\n2.0\n",                # a blank row
+    "a\tb\n1.0\t2.0\n-0.0\t5e-324\n1e16\t.5\n",
+])
+def test_series_loader_matches_the_reference_across_blocks(monkeypatch, tmp_path, text, block):
+    monkeypatch.setattr(sio, "SERIES_BLOCK_ROWS", block)
+    path = tmp_path / "series.txt"
+    path.write_text(text)
+    assert _load_outcome(sio.load_series, path) == _load_outcome(series_reference.load_series, path)
 
 
 def test_estimate_round_trip(tmp_path, chain_tsg):

@@ -39,6 +39,7 @@ def chain_benchmark():
 
 
 BENCH_FREQUENCIES = tuple(np.linspace(0.25, 2.9, 8))
+STEP_BLOCK = simulate.STEP_BLOCK
 
 
 # -- simulation ---------------------------------------------------------------------
@@ -128,13 +129,32 @@ def test_latents_are_simulated(instrument_tsg):
 
 
 def random_simulation_instance(seed: int, kind: str, order: int) -> TimeSeriesGraph:
-    """A seeded latent DAG, cyclic graph with lags >= 1, or single vertex, of lag
-    order at most `order`."""
+    """A seeded latent DAG, cyclic graph with lags >= 1, single vertex, or mixed
+    graph, of lag order at most `order` (at least 2 for a mixed graph).
+
+    A mixed graph has a strong component c0 -> c1 (-> c2) -> c0 whose edge
+    c0 -> c1 has lag 0, and around it: an observed parent `a` entering c1 at
+    lags 0 and 2, a latent parent `h`, a parent `p` whose terms come after an
+    in-component term in `params.cross` order (which sorts by source), and a
+    downstream child `d`."""
     rng = random.Random(seed)
 
     def lags(low):
         return tuple(sorted(rng.sample(range(low, order + 1), rng.randint(1, order + 1 - low))))
 
+    if kind == "mixed":
+        order = max(order, 2)
+        cycle = ["c0", "c1", "c2"][:rng.randint(2, 3)]
+        closing = list(zip(cycle[1:], cycle[2:] + cycle[:1]))
+        cross = {("c0", "c1"): (0,) + lags(1)[:rng.randint(0, 1)],
+                 **{e: lags(1) for e in closing},
+                 ("a", "c1"): (0, 2), ("h", rng.choice(cycle)): lags(0),
+                 ("p", rng.choice(cycle)): lags(0), (rng.choice(cycle), "d"): lags(0)}
+        if rng.random() < 0.5:
+            cross[("h", "a")] = lags(0)
+        graph = ProcessGraph.make(cycle + ["a", "p", "d"], ["h"], sorted(cross))
+        auto = {v: lags(1) for v in graph.vertices if rng.random() < 0.7}
+        return TimeSeriesGraph.make(graph, cross, auto)
     if kind == "single":
         graph = ProcessGraph.make(["x"], [], [])
         return TimeSeriesGraph.make(graph, {}, {"x": lags(1)} if rng.random() < 0.7 else {})
@@ -146,13 +166,16 @@ def random_simulation_instance(seed: int, kind: str, order: int) -> TimeSeriesGr
     return random_tsg(rng, graph, max_order=order)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
+@settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["latent", "cyclic", "single"]),
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["latent", "cyclic", "single", "mixed"]),
        order=st.integers(1, 3), burn=st.sampled_from(["zero", "inside lag", "past lag"]),
-       length=st.integers(1, 30), zero_noise=st.booleans())
-def test_simulation_and_series_files_match_the_scalar_reference(tmp_path, seed, kind, order,
-                                                                burn, length, zero_noise):
+       length=st.integers(1, 30), zero_noise=st.booleans(),
+       block=st.sampled_from([STEP_BLOCK, 1, 2, 7]))
+def test_simulation_and_series_files_match_the_scalar_reference(monkeypatch, tmp_path, seed,
+                                                                kind, order, burn, length,
+                                                                zero_noise, block):
+    monkeypatch.setattr(simulate, "STEP_BLOCK", block)  # short blocks, some below the lag
     tsg = random_simulation_instance(seed, kind, order)
     params = sample_stable_params(tsg, seed=seed)
     if zero_noise:  # test-only override: every value is a signed zero
@@ -176,6 +199,28 @@ def test_simulation_and_series_files_match_the_scalar_reference(tmp_path, seed, 
     assert path.read_bytes() == ref_path.read_bytes()
     assert sio.load_series(path).values.tobytes() == \
         series_reference.load_series(path).values.tobytes() == want.values.tobytes()
+
+
+def test_components_run_in_dependence_order_and_terms_in_cross_order():
+    # x0 comes first in contemporaneous order, but reads x1 and x2, whose auto
+    # lags must be finished first; x0's own terms run in `params.cross` order.
+    # x1 takes the one-term recursion at lag 2, x2 the step loop.
+    graph = ProcessGraph.make(["x0", "x1", "x2"], [], [("x1", "x0"), ("x2", "x0")])
+    tsg = TimeSeriesGraph.make(graph, {("x1", "x0"): (1,), ("x2", "x0"): (2,)},
+                               {"x0": (1,), "x1": (2,), "x2": (1, 2)})
+    assert simulate._contemporaneous_order(tsg) == ("x0", "x1", "x2")
+    cross = [(("x1", "x0", 1), Fraction(5, 7)), (("x2", "x0", 2), Fraction(-3, 11))]
+    auto = {("x0", 1): Fraction(1, 3), ("x1", 2): Fraction(-5, 6),
+            ("x2", 1): Fraction(2, 5), ("x2", 2): Fraction(1, 7)}
+    noise = {"x0": Fraction(1), "x1": Fraction(2), "x2": Fraction(1, 3)}
+    runs = []
+    for terms in (cross, cross[::-1]):
+        params = SvarParams.make(dict(terms), auto, noise)
+        got = simulate_series(tsg, params, length=300, burn_in=5, seed=11)
+        want = series_reference.simulate_series(tsg, params, length=300, burn_in=5, seed=11)
+        assert got.values.tobytes() == want.values.tobytes()
+        runs.append(got.values.tobytes())
+    assert runs[0] != runs[1]  # the order of the additions shows in the bytes
 
 
 def test_simulation_size_limit(monkeypatch):
