@@ -9,17 +9,16 @@ from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     TimeSeriesGraph, Trek, count_treks, d_separated,
                     enumerate_paths, enumerate_treks, htr, lfhtc_check,
                     lfhtc_order, lfhtc_prerequisite_edges, lfhtc_search,
-                    t_separated, t_separation_min)
+                    t_separation_min)
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
                    conditional_spectrum, generic_rank, lag_poly,
                    sample_stable_params, spectral_density, spectrum,
                    spectrum_trek, transfer_matrix)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
-                       ZeroInstrumentError, discover_cpdag, dsep_ci_oracle,
-                       identify_all, identify_instrument, identify_regression,
-                       lfhtc_identify_step, recover_lag_coefficients,
-                       replay_certificate, spectral_ci_oracle)
+                       ZeroInstrumentError, discover_cpdag, identify_all,
+                       identify_instrument, lfhtc_identify_step,
+                       recover_lag_coefficients, spectral_ci_oracle)
 
 __version__ = "0.1.0"
 

@@ -202,7 +202,7 @@ def cmd_spectrum(args) -> dict:
 def cmd_identify(args) -> dict:
     tsg = _load("graph", sio.load_graph, args.graph)
     if args.spectrum:
-        S = _load("spectrum", sio.load_spectral_density, args.spectrum)
+        S = _load("spectrum", sio.load_bundle, args.spectrum).S
         inputs = {"graph": args.graph, "spectrum": args.spectrum}
     elif args.params:
         params = _load_params(tsg, args.params)

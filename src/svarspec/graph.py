@@ -3,12 +3,12 @@
 Provides directed-path and trek enumeration and counting, d-separation,
 t-separation, half-trek reachability, and the latent-factor half-trek
 criterion (check, search and fixpoint ordering).  One augmenting-path routine
-on a doubled trek graph decides t-separation, finds a minimal t-separating
-pair as a weighted minimum cut, and decides d-separation and condition 3 of
-the criterion as unit-capacity flows, all in polynomial time.  The exhaustive
-path-system, trek-system and half-trek-system searches and the ancestral
-moral graph those flows replace are test oracles (`tests/graph_reference.py`),
-not library code.
+on a doubled trek graph finds a minimal t-separating pair as a weighted
+minimum cut, and decides d-separation and condition 3 of the criterion as
+unit-capacity flows, all in polynomial time.  The exhaustive path-system,
+trek-system and half-trek-system searches and the ancestral moral graph those
+flows replace are test oracles (`tests/graph_reference.py`), not library
+code; so is the test of one given pair for t-separation.
 Latent vertices must have in-degree zero; graphs are
 immutable after construction and every query is pure.  A graph computes its
 directed paths and each vertex's observed and latent parents once, on first
@@ -99,10 +99,6 @@ class ProcessGraph:
                 for v, ps in self._parents.items()}
 
     @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def _paths(self) -> dict[str, dict[str, tuple[Path, ...]]]:
         """source -> reachable target -> every directed path between them.  Built
         from the sinks up, a vertex's paths are its empty path plus its children's
@@ -127,9 +123,6 @@ class ProcessGraph:
 
     def pa_latent(self, v: str) -> tuple[str, ...]:
         return self._parent_roles[v][1]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self._edge_set
 
     @cached_property
     def is_acyclic(self) -> bool:
@@ -379,15 +372,6 @@ def _tsep_network(graph: ProcessGraph, X, Y, capacity, big: int = 1) -> dict:
     _require_labels(graph, set(X) | set(Y))
     return _trek_network(graph, capacity, graph.parents, graph.children,
                          sorted(set(X)), sorted(set(Y)), big)
-
-
-def t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
-    """Whether every trek from X to Y hits Z_X on its left or Z_Y on its right
-    side: no source-sink path is left once the left copies of Z_X and the right
-    copies of Z_Y have capacity 0."""
-    cut = {"L": frozenset(Z_X), "R": frozenset(Z_Y)}
-    network = _tsep_network(graph, X, Y, lambda x, side: int(x not in cut[side]))
-    return _augment(network, "source") is not None
 
 
 def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:

@@ -1,8 +1,9 @@
 """Rational identification of link functions from the spectrum.
 
-Implements regression and instrument identification, the half-trek-criterion
+Implements instrument identification, the half-trek-criterion
 identification step (a linear system over R(z) whose solution contains the
-link functions into one vertex), the full pipeline producing a replayable
+link functions into one vertex; with no W and no Lp, and Y the observed
+parents, it is regression on them), the full pipeline producing a replayable
 certificate, lag-coefficient recovery from link functions, and CPDAG
 discovery from a conditional-independence oracle.  The spectral oracle is
 built from parameters: it reads the values of S off the spectrum kernel once
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
-from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, d_separated,
-                    htr, lfhtc_check, lfhtc_order)
+from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, htr,
+                    lfhtc_check, lfhtc_order)
 from .ratfield import RatFn
 from .ratlinalg import RatMatrix, rank, rank_mod, solve
 from .svar import SvarParams, _density, _trek_parts
@@ -44,21 +45,6 @@ class LinkRecoveryError(ValueError):
 
 
 # -- elementary identification strategies ------------------------------------------
-
-
-def identify_regression(graph: ProcessGraph, S: RatMatrix, v: str) -> dict[Edge, RatFn]:
-    """Link functions of v's observed parents by regression on the parent block.
-
-    Valid when no latent trek reaches v or its parents; with confounding the
-    output is well defined but differs from the true link functions.
-    """
-    pa = list(graph.pa_observed(v))
-    if not pa:
-        return {}
-    rows = [[S.entry(u, y) for u in pa] for y in pa]
-    rhs = [S.entry(v, y) for y in pa]
-    values = solve(RatMatrix(pa, pa, rows), rhs)
-    return {(u, v): h for u, h in zip(pa, values)}
 
 
 def identify_instrument(S: RatMatrix, u: str, v: str, w: str) -> RatFn:
@@ -155,9 +141,6 @@ class IdentificationCertificate:
     def ok(self) -> bool:
         return not self.unresolved_edges
 
-    def plan(self) -> tuple[tuple[str, LfhtcTriple], ...]:
-        return tuple((s.vertex, s.triple) for s in self.steps)
-
 
 def _method_tag(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> str:
     if triple.is_regression and set(triple.Y) == set(graph.pa_observed(v)):
@@ -165,11 +148,18 @@ def _method_tag(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> str:
     return "lfhtc"
 
 
-def _run_plan(graph: ProcessGraph, S: RatMatrix, plan) -> tuple[IdentificationStep, ...]:
-    """Solve each (vertex, triple) step in order, feeding earlier links forward."""
+def identify_all(graph: ProcessGraph, S: RatMatrix,
+                 order: LfhtcOrder | None = None) -> IdentificationCertificate:
+    """Run the half-trek recursion over the whole graph against a spectrum:
+    solve each (vertex, triple) step of `order` (by default `lfhtc_order`),
+    feeding earlier links forward.  A certificate replays as
+    `identify_all(graph, S, LfhtcOrder(plan, ()))` with its steps' (vertex,
+    triple) pairs as the plan."""
+    if order is None:
+        order = lfhtc_order(graph)
     known: dict[Edge, RatFn] = {}
     steps: list[IdentificationStep] = []
-    for v, triple in plan:
+    for v, triple in order.steps:
         if not graph.pa_observed(v):
             continue
         solved, aux, system, rhs = lfhtc_identify_step(graph, S, v, triple, known)
@@ -178,25 +168,10 @@ def _run_plan(graph: ProcessGraph, S: RatMatrix, plan) -> tuple[IdentificationSt
             vertex=v, triple=triple, method=_method_tag(graph, v, triple),
             system=system, rhs=tuple(rhs), solved=solved, aux=aux,
         ))
-    return tuple(steps)
-
-
-def identify_all(graph: ProcessGraph, S: RatMatrix,
-                 order: LfhtcOrder | None = None) -> IdentificationCertificate:
-    """Run the half-trek recursion over the whole graph against a spectrum."""
-    if order is None:
-        order = lfhtc_order(graph)
     unresolved_edges = tuple(sorted(
         (x, v) for v in order.unresolved for x in graph.pa_observed(v)
     ))
-    return IdentificationCertificate(_run_plan(graph, S, order.steps),
-                                     order.unresolved, unresolved_edges)
-
-
-def replay_certificate(graph: ProcessGraph, S: RatMatrix,
-                       plan) -> IdentificationCertificate:
-    """Re-execute a (vertex, triple) plan against a spectrum."""
-    return IdentificationCertificate(_run_plan(graph, S, plan), (), ())
+    return IdentificationCertificate(tuple(steps), order.unresolved, unresolved_edges)
 
 
 # -- coefficient recovery -------------------------------------------------------------------
@@ -243,15 +218,6 @@ class Cpdag:
     directed: frozenset[Edge]
     undirected: frozenset[frozenset]
     warnings: tuple[str, ...] = field(default=(), compare=False)
-
-
-def dsep_ci_oracle(graph: ProcessGraph) -> CiOracle:
-    """Graphical conditional-independence oracle from d-separation."""
-
-    def oracle(X, Y, Z) -> bool:
-        return d_separated(graph, X, Y, Z)
-
-    return oracle
 
 
 def spectral_ci_oracle(tsg: TimeSeriesGraph, params: SvarParams) -> CiOracle:

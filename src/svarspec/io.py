@@ -7,12 +7,15 @@ coefficients travel as strings "p/q" in lowest terms, read and written as
 integer pairs; decimal notation is rejected on load.  A coefficient list in
 that form is checked by one match over the joined list, any other list
 coefficient by coefficient.  A rational function is the coefficient lists of
-its numerator and denominator, made canonical again on load, and a matrix
-adds its row and column labels.  `load_spectral_density` checks every entry
-of a bundle's four matrices as `load_bundle` does, but makes an entry of S
-canonical only when it is first read, and H, S_I and S_LI never.
-Series are columnar text with a label header row.  Only the series and
-estimate readers and writers touch numpy, and they import it where they run.
+its numerator and denominator, and a matrix adds its row and column labels.
+A matrix on load has every entry checked at once, and each made canonical
+again (a `RatFn`, with its gcd) only when it is first read, so
+`identify --spectrum` builds only the entries of S it reads.  The module
+reads graphs, parameters, spectrum bundles, series and estimates, and writes
+bundles, certificates, CPDAGs, series and estimates: the files the commands
+take and give.  Series are columnar text with a label header row.  Only the
+series and estimate readers and writers touch numpy, and they import it
+where they run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from .graph import (GraphValidationError, LfhtcTriple, ProcessGraph,
                     TimeSeriesGraph)
-from .identify import Cpdag, IdentificationCertificate, IdentificationStep
+from .identify import Cpdag, IdentificationCertificate
 from .ratfield import Poly, RatFn, _from_ratios, _new
 from .ratlinalg import RatMatrix
 from .svar import SpectrumBundle, SvarParams
@@ -230,9 +233,9 @@ def ratfn_to_dict(r: RatFn) -> dict:
 
 
 def _checked_ratfn(data: dict) -> tuple:
-    """A rational function's coefficient lists from `_checked`, refused where
-    `ratfn_from_dict` would refuse them, without building it: no `Poly`, gcd
-    or `RatFn`."""
+    """A rational function's coefficient lists from `_checked`, refused
+    wherever building it would fail, but not built: no `Poly`, gcd or
+    `RatFn`."""
     num, den = _checked(data["num"]), _checked(data["den"])
     if _is_zero(den):
         raise ZeroDivisionError("rational function with zero denominator")
@@ -240,12 +243,9 @@ def _checked_ratfn(data: dict) -> tuple:
 
 
 def _ratfn(checked: tuple) -> RatFn:
+    """The rational function of checked coefficient lists; `RatFn` makes it
+    canonical again."""
     return RatFn(_poly(checked[0]), _poly(checked[1]))
-
-
-def ratfn_from_dict(data: dict) -> RatFn:
-    """Read a rational function; `RatFn` makes it canonical again."""
-    return _ratfn(_checked_ratfn(data))
 
 
 class _OnDemand(RatMatrix):
@@ -283,28 +283,17 @@ def matrix_to_dict(matrix: RatMatrix) -> dict:
     }
 
 
-def matrix_from_dict(data: dict, entry=ratfn_from_dict, cls=RatMatrix) -> RatMatrix:
-    """Read a matrix, each entry by `entry`; `RatMatrix` refuses duplicate labels
-    and a grid of the wrong shape."""
-    return cls(
+def matrix_from_dict(data: dict) -> RatMatrix:
+    """Read a matrix whose every entry is checked now and made canonical when
+    first read; `RatMatrix` refuses duplicate labels and a grid of the wrong
+    shape."""
+    return _OnDemand(
         _labels(data["rows"], "matrix rows"), _labels(data["cols"], "matrix cols"),
-        [[entry(e) for e in row] for row in data["entries"]],
+        [[_checked_ratfn(e) for e in row] for row in data["entries"]],
     )
 
 
 # -- graphs -------------------------------------------------------------------------
-
-
-def graph_to_dict(tsg: TimeSeriesGraph) -> dict:
-    return {
-        "observed": list(tsg.base.observed),
-        "latent": list(tsg.base.latent),
-        "edges": [
-            {"from": a, "to": b, "lags": list(tsg.cross_lags[(a, b)])}
-            for (a, b) in sorted(tsg.base.edges)
-        ],
-        "auto": {v: list(lags) for v, lags in sorted(tsg.auto_lags.items())},
-    }
 
 
 def graph_from_dict(data: dict) -> TimeSeriesGraph:
@@ -348,32 +337,11 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
     return TimeSeriesGraph.make(base, cross, auto)
 
 
-def save_graph(tsg: TimeSeriesGraph, path) -> None:
-    _dump(graph_to_dict(tsg), path)
-
-
 def load_graph(path) -> TimeSeriesGraph:
     return graph_from_dict(_load(path))
 
 
 # -- parameters ---------------------------------------------------------------------------
-
-
-def params_to_dict(params: SvarParams) -> dict:
-    return {
-        "cross": [
-            {"from": a, "to": b, "lag": k, "coeff": str(c)}
-            for (a, b, k), c in sorted(params.cross.items())
-        ],
-        "auto": [
-            {"vertex": v, "lag": k, "coeff": str(c)}
-            for (v, k), c in sorted(params.auto.items())
-        ],
-        "noise": [
-            {"vertex": v, "variance": str(w)}
-            for v, w in sorted(params.noise.items())
-        ],
-    }
 
 
 def _lag(entry: dict) -> int:
@@ -405,10 +373,6 @@ def params_from_dict(data: dict) -> SvarParams:
     )
 
 
-def save_params(params: SvarParams, path) -> None:
-    _dump(params_to_dict(params), path)
-
-
 def load_params(path) -> SvarParams:
     return params_from_dict(_load(path))
 
@@ -429,24 +393,16 @@ def bundle_to_dict(bundle: SpectrumBundle) -> dict:
     }
 
 
-def bundle_from_dict(data: dict) -> SpectrumBundle:
-    return SpectrumBundle(**{key: matrix_from_dict(data[key]) for key in _BUNDLE_KEYS})
-
-
 def save_bundle(bundle: SpectrumBundle, path) -> None:
     _dump(bundle_to_dict(bundle), path)
 
 
 def load_bundle(path) -> SpectrumBundle:
-    return bundle_from_dict(_load(path))
-
-
-def load_spectral_density(path) -> RatMatrix:
-    """S of a bundle file, refused wherever `load_bundle` refuses the file; each
-    entry of S is made canonical when first read."""
+    """A bundle file, every entry of its four matrices checked now and made
+    canonical when first read: `identify --spectrum` builds only the entries
+    of S that identification reads, and none of H, S_I and S_LI."""
     data = _load(path)
-    return {key: matrix_from_dict(data[key], _checked_ratfn, _OnDemand)
-            for key in _BUNDLE_KEYS}["S"]
+    return SpectrumBundle(**{key: matrix_from_dict(data[key]) for key in _BUNDLE_KEYS})
 
 
 # -- certificates ---------------------------------------------------------------------------------
@@ -454,10 +410,6 @@ def load_spectral_density(path) -> RatMatrix:
 
 def _triple_to_dict(triple: LfhtcTriple) -> dict:
     return {"Y": list(triple.Y), "W": list(triple.W), "Lp": list(triple.Lp)}
-
-
-def _triple_from_dict(data: dict) -> LfhtcTriple:
-    return LfhtcTriple.make(*(_labels(data[k], f"triple {k}") for k in ("Y", "W", "Lp")))
 
 
 def certificate_to_dict(cert: IdentificationCertificate) -> dict:
@@ -482,31 +434,8 @@ def certificate_to_dict(cert: IdentificationCertificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict) -> IdentificationCertificate:
-    steps = []
-    for s in data["steps"]:
-        steps.append(IdentificationStep(
-            vertex=s["vertex"],
-            triple=_triple_from_dict(s["triple"]),
-            method=s["method"],
-            system=matrix_from_dict(s["system"]),
-            rhs=tuple(ratfn_from_dict(r) for r in s["rhs"]),
-            solved={(e["from"], e["to"]): ratfn_from_dict(e["link"]) for e in s["solved"]},
-            aux={w: ratfn_from_dict(f) for w, f in s["aux"].items()},
-        ))
-    return IdentificationCertificate(
-        tuple(steps),
-        tuple(_labels(data.get("unresolved_vertices", []), "unresolved vertices")),
-        tuple(tuple(_labels(e, "unresolved edge")) for e in data.get("unresolved_edges", ())),
-    )
-
-
 def save_certificate(cert: IdentificationCertificate, path) -> None:
     _dump(certificate_to_dict(cert), path)
-
-
-def load_certificate(path) -> IdentificationCertificate:
-    return certificate_from_dict(_load(path))
 
 
 # -- discovered CPDAGs -------------------------------------------------------------------------------
@@ -548,12 +477,15 @@ def save_series(series: SeriesSample, path) -> None:
 def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
     `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
-    stripped from the ends of the text, so a label keeps its spaces.  Cells
-    are split and parsed a block of rows at a time."""
+    stripped from the ends of the text, so a label keeps its spaces, and a
+    text with no line left has no header line and is refused.  Cells are
+    split and parsed a block of rows at a time."""
     import numpy as np
 
     from .simulate import SeriesSample
     lines = Path(path).read_text().strip("\n").splitlines()
+    if not lines:
+        raise ValueError("series file has no header line")
     labels = tuple(lines[0].split("\t"))
     blocks = [np.array([line.split("\t") for line in lines[start:start + SERIES_BLOCK_ROWS]],
                        dtype=np.float64)

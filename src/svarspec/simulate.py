@@ -34,8 +34,8 @@ from .graph import CyclicGraphError, TimeSeriesGraph
 from .ratlinalg import RatMatrix
 from .svar import SvarParams
 
-#: Most values (burn-in plus kept steps, times vertices, at least one) one
-#: simulation may produce; a larger request fails before anything is drawn.
+#: Most values (burn-in plus kept steps, times vertices) one simulation may
+#: produce; a larger request fails before anything is drawn.
 #: The values live in one array of 8 B each, and Python floats only for a
 #: block of steps.  At the limit a process peaked at 131 MiB for 10 vertices
 #: x 10^6 steps and 124 MiB for 1 x 10^7 in `simulate_series`, and at 125 MiB
@@ -132,14 +132,16 @@ def simulate_series(tsg: TimeSeriesGraph, params: SvarParams, length: int,
 def _simulate(tsg: TimeSeriesGraph, params: SvarParams, length: int, burn_in: int,
               seed: int) -> SeriesSample:
     """`simulate_series` on parameters that are taken as valid."""
+    labels = tsg.base.vertices
+    if not labels:  # its series file would have no header for `load_series` to read
+        raise SimulationError("the graph has no vertices to simulate")
     if length <= 0:
         raise SimulationError("length must be positive")
     if burn_in < 0:
         raise SimulationError("burn_in must be non-negative")
-    labels = tsg.base.vertices
     n = len(labels)
     total = burn_in + length
-    if total * max(n, 1) > MAX_SERIES_VALUES:  # a step costs time with no vertices too
+    if total * n > MAX_SERIES_VALUES:
         raise SimulationError(
             f"{burn_in} + {length} steps of {n} vertices exceed the limit of "
             f"{MAX_SERIES_VALUES} simulated values"

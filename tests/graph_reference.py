@@ -18,6 +18,11 @@ determinant expansions in `svar_reference` are checked against:
   the ancestral closure (`ancestral_closure`), the test `graph.d_separated`
   replaced with a trek flow.
 
+`t_separated` tests one given pair for t-separation and `dsep_ci_oracle`
+answers CI queries by d-separation: no command needs either, and the tests
+use them as references.  `t_separated` runs the library's own flow
+(`_tsep_network`, `_augment`) on the pair.
+
 `is_empty`, `vertex_set`, `validate_path` and `trek_edges` are the views of
 a `Path` or `Trek` that only these searches and the tests need.
 """
@@ -28,7 +33,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from svarspec.graph import (Edge, GraphValidationError, Path, ProcessGraph, Trek,
-                            _require_labels, enumerate_paths, enumerate_treks)
+                            _augment, _require_labels, _tsep_network, d_separated,
+                            enumerate_paths, enumerate_treks)
 
 
 def is_empty(path: Path) -> bool:
@@ -42,7 +48,7 @@ def vertex_set(path: Path) -> frozenset[str]:
 
 def validate_path(path: Path, graph: ProcessGraph) -> None:
     for a, b in path.edges:
-        if not graph.has_edge(a, b):
+        if (a, b) not in graph.edges:
             raise GraphValidationError(f"path uses non-edge ({a!r}, {b!r})")
 
 
@@ -312,3 +318,21 @@ def moral_d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
                 seen.add(w)
                 stack.append(w)
     return True
+
+
+def t_separated(graph: ProcessGraph, X, Y, Z_X, Z_Y) -> bool:
+    """Whether every trek from X to Y hits Z_X on its left or Z_Y on its right
+    side: no source-sink path is left once the left copies of Z_X and the right
+    copies of Z_Y have capacity 0."""
+    cut = {"L": frozenset(Z_X), "R": frozenset(Z_Y)}
+    network = _tsep_network(graph, X, Y, lambda x, side: int(x not in cut[side]))
+    return _augment(network, "source") is not None
+
+
+def dsep_ci_oracle(graph: ProcessGraph):
+    """Graphical conditional-independence oracle from d-separation."""
+
+    def oracle(X, Y, Z) -> bool:
+        return d_separated(graph, X, Y, Z)
+
+    return oracle

@@ -124,9 +124,14 @@ MUTANTS = [
            'joined.count(",") == len(coeffs) - 1', "True",
            ("tests/test_io.py::test_coefficient_parser_matches_the_fraction_oracle",)),
     Mutant("an eager S", "io.py",
-           "matrix_from_dict(data[key], _checked_ratfn, _OnDemand)",
-           "matrix_from_dict(data[key])",
+           "[[_checked_ratfn(e) for e in row]", "[[_ratfn(_checked_ratfn(e)) for e in row]",
            ("tests/test_cli.py::test_identify_spectrum_builds_only_the_s_entries_it_reads",)),
+    Mutant("load_bundle checks only S", "io.py",
+           "matrix_from_dict(data[key]) for key in _BUNDLE_KEYS",
+           "matrix_from_dict(data[key]) if key == \"S\" else None for key in _BUNDLE_KEYS",
+           ("tests/test_cli.py::test_misread_inputs_exit_validation[bundle H zero denominator]",
+            "tests/test_cli.py::test_misread_inputs_exit_validation[bundle S_I missing den]",
+            "tests/test_cli.py::test_misread_inputs_exit_validation[bundle S_LI rows string]")),
     # the simulation a column at a time, and the series writer
     Mutant("the column-wise run takes an in-component source", "simulate.py",
            "enumerate(vterms) if j in inside)", "enumerate(vterms) if j == i)",
@@ -149,11 +154,18 @@ MUTANTS = [
     Mutant("save_series drops the empty series' second newline", "io.py",
            'fh.write("\\n")\n', "pass\n",
            ("tests/test_io.py::test_series_bytes_match_the_reference_at_block_and_empty_shapes",)),
+    Mutant("a graph with no vertices simulated", "simulate.py",
+           "if not labels:", "if False:",
+           ("tests/test_cli.py::test_simulate_refuses_a_graph_with_no_vertices_before_writing",)),
     # the exact layer loads no numpy
     Mutant("numpy imported when io loads", "io.py",
            "from typing import TYPE_CHECKING, Any\n",
            "from typing import TYPE_CHECKING, Any\n\nimport numpy as np\n",
            ("tests/test_imports.py::test_exact_commands_never_load_numpy",)),
+    # every public name has a caller
+    Mutant("a public function that nothing calls", "io.py",
+           "def digest(path) -> str:", "def orphan() -> None:\n    pass\n\n\ndef digest(path) -> str:",
+           ("tests/test_imports.py::test_every_public_name_has_a_caller_or_is_listed",)),
 ]
 
 

@@ -60,6 +60,8 @@ def save_series(series: SeriesSample, path) -> None:
 
 def load_series(path) -> SeriesSample:
     lines = Path(path).read_text().strip("\n").splitlines()
+    if not lines:
+        raise ValueError("series file has no header line")
     labels = tuple(lines[0].split("\t"))
     values = np.array([[float(x) for x in line.split("\t")] for line in lines[1:]])
     return SeriesSample(labels, values)

@@ -13,8 +13,7 @@ import pytest
 
 from svarspec.graph import (LfhtcTriple, ProcessGraph, TimeSeriesGraph,
                             d_separated, lfhtc_order, t_separation_min)
-from svarspec.identify import (LinkRecoveryError, discover_cpdag,
-                               dsep_ci_oracle, identify_all,
+from svarspec.identify import (LinkRecoveryError, discover_cpdag, identify_all,
                                identify_instrument, recover_lag_coefficients,
                                spectral_ci_oracle)
 from svarspec.ratfield import Poly, RatFn
@@ -26,6 +25,7 @@ from svarspec.simulate import (estimate_spectrum, exact_spectrum_values,
 
 from conftest import (dag_shapes, random_dag, random_latent_dag, random_ratfn,
                       random_tsg, record_acceptance)
+from graph_reference import dsep_ci_oracle
 from svar_reference import det_path_expansion, matmul, minus, unit_inverse
 
 

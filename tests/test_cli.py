@@ -30,13 +30,15 @@ from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank
 from svarspec.svar import (SvarParams, conditional_spectrum, sample_stable_params,
                            spectral_density, spectrum)
 
+from io_reference import eager_bundle, graph_to_dict, params_to_dict, save_graph, save_params
+
 
 @pytest.fixture
 def instrument_files(tmp_path, instrument_tsg):
     graph_path = tmp_path / "graph.json"
     params_path = tmp_path / "params.json"
-    sio.save_graph(instrument_tsg, graph_path)
-    sio.save_params(sample_stable_params(instrument_tsg, seed=4), params_path)
+    save_graph(instrument_tsg, graph_path)
+    save_params(sample_stable_params(instrument_tsg, seed=4), params_path)
     return str(graph_path), str(params_path)
 
 
@@ -274,8 +276,8 @@ def test_discover_reads_the_kernel_and_makes_canonical_only_what_it_ranks(capsys
     for i, g in enumerate(graphs):
         tsg = TimeSeriesGraph.full(g, 1)
         graph, params = tmp_path / f"graph{i}.json", tmp_path / f"params{i}.json"
-        sio.save_graph(tsg, graph)
-        sio.save_params(sample_stable_params(tsg, seed=4), params)
+        save_graph(tsg, graph)
+        save_params(sample_stable_params(tsg, seed=4), params)
         for source, seed in ((["--params", str(params)], 4), (["--seed", "3"], 3)):
             commands.append(["discover", "--graph", str(graph), *source, "--out", str(out)])
             spectra.append(spectral_density(tsg, sample_stable_params(tsg, seed=seed)))
@@ -327,7 +329,7 @@ def test_identify_spectrum_builds_only_the_s_entries_it_reads(capsys, tmp_path, 
     graph, params = instrument_files
     bundle = tmp_path / "bundle.json"
     run(capsys, "spectrum", "--graph", graph, "--params", params, "--out", str(bundle))
-    built = sio.load_bundle(bundle).S
+    built = eager_bundle(bundle).S
     made, reads, loaded = [], set(), []
     real_init, real_entry = RatFn.__init__, RatMatrix.entry
 
@@ -365,8 +367,8 @@ def test_series_labels_with_edge_spaces_round_trip(capsys, tmp_path):
     labels = [" a", "b ", " c "]
     tsg = TimeSeriesGraph.full(ProcessGraph.make(labels, [], [(" a", "b "), ("b ", " c ")]), 1)
     graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    sio.save_graph(tsg, graph)
-    sio.save_params(sample_stable_params(tsg, seed=1), params)
+    save_graph(tsg, graph)
+    save_params(sample_stable_params(tsg, seed=1), params)
     series, est = tmp_path / "series.txt", tmp_path / "est.json"
     for argv in (["simulate", "--graph", str(graph), "--params", str(params),
                   "--length", "1024", "--seed", "1", "--out", str(series)],
@@ -385,7 +387,7 @@ def test_spectrum_rejects_unstable_params(capsys, tmp_path, instrument_tsg, inst
     bad = SvarParams(cross=p.cross, auto={**p.auto, ("v", 1): Fraction(7, 4)},
                      noise=p.noise)
     bad_path = tmp_path / "bad-params.json"
-    sio.save_params(bad, bad_path)
+    save_params(bad, bad_path)
     code, report = run(capsys, "spectrum", "--graph", graph, "--params", str(bad_path),
                        "--out", str(tmp_path / "x.json"))
     assert code == EXIT_VALIDATION
@@ -400,7 +402,7 @@ def test_identify_singular_input_exits_non_generic(capsys, tmp_path, instrument_
         auto=p.auto, noise=p.noise,
     )
     path = tmp_path / "degenerate.json"
-    sio.save_params(degenerate, path)
+    save_params(degenerate, path)
     code, report = run(capsys, "identify", "--graph", graph, "--params", str(path),
                        "--out", str(tmp_path / "cert.json"))
     assert code == EXIT_NON_GENERIC
@@ -439,6 +441,24 @@ def test_simulate_over_the_size_limit_exits_validation_quickly(capsys, tmp_path,
     assert code == EXIT_VALIDATION
     assert f"limit of {MAX_SERIES_VALUES}" in report["error"]
     assert not series.exists()
+
+
+def test_simulate_refuses_a_graph_with_no_vertices_before_writing(capsys, tmp_path):
+    """A graph with no vertices has no series: `simulate` exits 2 and writes
+    nothing, and `estimate` refuses the header-less file that a series of no
+    labels would make (an empty header line and one empty line per step)."""
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    graph.write_text('{"observed": [], "latent": [], "edges": []}')
+    params.write_text('{"cross": [], "auto": [], "noise": []}')
+    series = tmp_path / "series.txt"
+    code, report = run(capsys, "simulate", "--graph", str(graph), "--params", str(params),
+                       "--length", "5", "--seed", "1", "--out", str(series))
+    assert code == EXIT_VALIDATION and "no vertices" in report["error"]
+    assert not series.exists()
+    series.write_text("\n" * 6)
+    code, report = run(capsys, "estimate", "--series", str(series), "--frequencies", "2",
+                       "--segments", "4", "--out", str(tmp_path / "estimate.json"))
+    assert code == EXIT_VALIDATION and "no header line" in report["error"]
 
 
 def test_estimate_bad_segmentation_exit_code(capsys, tmp_path, instrument_files):
@@ -528,8 +548,8 @@ README_SHA256 = {
 
 def test_readme_outputs_byte_identical(capsys, tmp_path, instrument_tsg):
     graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    sio.save_graph(instrument_tsg, graph)
-    sio.save_params(sample_stable_params(instrument_tsg, seed=7), params)
+    save_graph(instrument_tsg, graph)
+    save_params(sample_stable_params(instrument_tsg, seed=7), params)
     out = {name: tmp_path / name for name in README_SHA256}
     for argv in (["spectrum", "--params", str(params), "--out", str(out["bundle.json"])],
                  ["identify", "--params", str(params), "--out", str(out["cert_params.json"])],
@@ -563,8 +583,8 @@ def _complete_dag_files(tmp_path, n: int) -> dict[str, str]:
     tsg = TimeSeriesGraph.full(g, 1)
     params = sample_stable_params(tsg, seed=1)
     files = {name: str(tmp_path / f"{name}.json") for name in ("graph", "params", "estimate")}
-    sio.save_graph(tsg, files["graph"])
-    sio.save_params(params, files["params"])
+    save_graph(tsg, files["graph"])
+    save_params(params, files["params"])
     series = simulate_series(tsg, params, length=128, burn_in=50, seed=1)
     sio.save_estimate(estimate_spectrum(series, [0.5, 1.5], segment_length=32), files["estimate"])
     return files
@@ -594,7 +614,7 @@ def test_discover_bound_does_not_refuse_sparse_graphs(capsys, tmp_path):
     labels = [f"x{i:02d}" for i in range(16)]
     tsg = TimeSeriesGraph.full(ProcessGraph.make(labels, [], list(zip(labels, labels[1:]))), 1)
     graph = tmp_path / "chain.json"
-    sio.save_graph(tsg, graph)
+    save_graph(tsg, graph)
     assert 16 * 15 * 2 ** 14 > cli.MAX_CI_TESTS
     code, report = run(capsys, "discover", "--graph", str(graph), "--seed", "1")
     assert code == EXIT_OK and len(report["outputs"]["undirected"]) == 15
@@ -637,7 +657,7 @@ def test_discover_empty_graph(capsys, tmp_path):
     g = ProcessGraph.make(["a", "b"], [], [])
     tsg = TimeSeriesGraph.make(g, {}, {"a": (1,), "b": (1,)})
     path = tmp_path / "empty.json"
-    sio.save_graph(tsg, path)
+    save_graph(tsg, path)
     code, report = run(capsys, "discover", "--graph", str(path), "--seed", "3")
     assert code == EXIT_OK
     assert report["outputs"]["directed"] == [] and report["outputs"]["undirected"] == []
@@ -672,8 +692,8 @@ def test_identify_cyclic_graph_exits_validation(capsys, tmp_path):
     g = ProcessGraph.make(["a", "b", "c"], [], [("a", "b"), ("b", "c"), ("c", "a")])
     tsg = TimeSeriesGraph.full(g, 1)
     graph, params = tmp_path / "graph.json", tmp_path / "params.json"
-    sio.save_graph(tsg, graph)
-    sio.save_params(sample_stable_params(tsg, seed=1), params)
+    save_graph(tsg, graph)
+    save_params(sample_stable_params(tsg, seed=1), params)
     code, report = run(capsys, "identify", "--graph", str(graph), "--params", str(params),
                        "--out", str(tmp_path / "cert.json"))
     assert code == EXIT_VALIDATION
@@ -866,8 +886,8 @@ def test_cyclic_spectrum_bytes_pinned(capsys, tmp_path, support):
                              for k, c in params.cross.items()}, params.auto, params.noise)
     assert spectrum(tsg, params).H.entry("c", "a").is_zero == (support == "acyclic")
     graph, params_file, out = tmp_path / "graph.json", tmp_path / "params.json", tmp_path / "b.json"
-    sio.save_graph(tsg, graph)
-    sio.save_params(params, params_file)
+    save_graph(tsg, graph)
+    save_params(params, params_file)
     code, _ = run(capsys, "spectrum", "--graph", str(graph), "--params", str(params_file),
                   "--out", str(out))
     assert code == EXIT_OK
@@ -920,8 +940,8 @@ def valid_documents(tmp_path, instrument_tsg):
     series = simulate_series(instrument_tsg, params, length=48, burn_in=50, seed=1)
     sio.save_series(series, tmp_path / "series.txt")
     return {
-        "graph": sio.graph_to_dict(instrument_tsg),
-        "params": sio.params_to_dict(params),
+        "graph": graph_to_dict(instrument_tsg),
+        "params": params_to_dict(params),
         "bundle": sio.bundle_to_dict(spectrum(instrument_tsg, params)),
         "series": [line.split("\t")
                    for line in (tmp_path / "series.txt").read_text().splitlines()],

@@ -12,15 +12,15 @@ from svarspec.graph import (CyclicGraphError, GraphValidationError,
                             LfhtcCheck, LfhtcTriple, Path, ProcessGraph, TimeSeriesGraph,
                             Trek, count_treks, d_separated, enumerate_paths,
                             enumerate_treks, htr, lfhtc_check, lfhtc_order,
-                            lfhtc_prerequisite_edges, lfhtc_search, t_separated,
-                            t_separation_min, _half_trek_linked)
+                            lfhtc_prerequisite_edges, lfhtc_search, t_separation_min,
+                            _half_trek_linked)
 
 from conftest import random_dag, random_latent_dag
 from graph_reference import (TrekSystem, ancestral_closure, is_empty,
                              latent_factor_half_treks, minimal_halftrek_subsystem,
                              moral_d_separated, nonintersecting_path_systems,
-                             sided_nonintersecting_trek_systems, trek_edges, vertex_set,
-                             _sided_disjoint, _system_search)
+                             sided_nonintersecting_trek_systems, t_separated, trek_edges,
+                             vertex_set, _sided_disjoint, _system_search)
 
 
 # -- construction invariants -----------------------------------------------------
@@ -192,7 +192,7 @@ def reference_half_trek_system_exists(graph: ProcessGraph, sources, targets, w_t
         if tgt in w_targets:
             return tuple(Trek(l, Path((l, src)), Path((l, tgt)))
                          for l in graph.pa_latent(src)
-                         if l in allowed_latents and graph.has_edge(l, tgt))
+                         if l in allowed_latents and (l, tgt) in graph.edges)
         return latent_factor_half_treks(graph, src, tgt, allow_trivial=True)
 
     systems = _system_search(tuple(sorted(sources)), tuple(sorted(targets)), candidates,
@@ -443,8 +443,8 @@ def _blocked(g, path, Z):
     anc_z = ancestral_closure(g, Z)
     for i in range(1, len(path) - 1):
         prev_vertex, vertex, nxt = path[i - 1], path[i], path[i + 1]
-        into_prev = g.has_edge(prev_vertex, vertex)
-        into_next = g.has_edge(nxt, vertex)
+        into_prev = (prev_vertex, vertex) in g.edges
+        into_next = (nxt, vertex) in g.edges
         collider = into_prev and into_next
         if collider and vertex not in anc_z:
             return True

@@ -1,10 +1,11 @@
-"""Source checks: no module of the package imports a name it never uses, and
-only `io` touches a file or knows a file format.  Import checks: the exact
-commands run in a fresh interpreter without loading numpy.
+"""Source checks: no module of the package imports a name it never uses,
+every public function and class has a caller in the package or is listed with
+what runs it, and only `io` touches a file or knows a file format.  Import
+checks: the exact commands run in a fresh interpreter without loading numpy.
 
 Code that moves out of a module (to another module, or to a test oracle)
-tends to leave its imports behind; pyflakes would catch them, but the check
-needs only `ast`.
+tends to leave its imports behind, and code whose last caller goes tends to
+stay; pyflakes and vulture would catch them, but the checks need only `ast`.
 """
 
 import ast
@@ -16,7 +17,10 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "svarspec"
+import svarspec
+
+#: The source of the package under test, wherever it was imported from.
+PACKAGE = pathlib.Path(svarspec.__file__).parent
 
 
 def _annotations(tree: ast.AST):
@@ -30,6 +34,12 @@ def _annotations(tree: ast.AST):
                 yield node.returns
         elif isinstance(node, ast.AnnAssign):
             yield node.annotation
+
+
+def _string_annotations(tree: ast.AST) -> list[ast.AST]:
+    """The parsed text of each annotation written as a string ("Poly")."""
+    return [ast.parse(a.value, mode="eval") for a in _annotations(tree)
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,8 +56,7 @@ def unused_imports(source: str) -> list[str]:
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
-    read = [tree] + [ast.parse(a.value, mode="eval") for a in _annotations(tree)
-                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    read = [tree] + _string_annotations(tree)
     used = {n.id for t in read for n in ast.walk(t) if isinstance(n, ast.Name)}
     return sorted(imported - used)
 
@@ -71,6 +80,88 @@ def f(x: "Fraction") -> Path:
                                           if p.name != "__init__.py"))
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Every name `node` reads, bare or as an attribute, string annotations included."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for t in [node] + _string_annotations(node) for n in ast.walk(t)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def uncalled_public_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each public module-level function and class in
+    `sources` (module name -> text) that no code reads outside its own
+    definition, sorted.
+
+    A name counts as read wherever a name or an attribute of that spelling
+    occurs in any module, so a method of the same name hides an uncalled
+    function; an import alone does not read it.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [(node, _read_names(node)) for tree in trees.values() for node in tree.body]
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for other, names in reads if other is not node))
+
+
+def test_uncalled_public_names_finds_what_nothing_reads():
+    sources = {"a": '''
+def used():
+    return helper()
+
+def helper():
+    return 1
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def _private():
+    pass
+
+def imported_only():
+    pass
+
+class Orphan:
+    def used(self):
+        pass
+
+def annotated(x: "Shape") -> None:
+    pass
+''', "b": '''
+from .a import imported_only
+from . import a
+
+class Shape:
+    pass
+
+def caller():
+    return a.used() + [a.annotated]
+'''}
+    assert uncalled_public_names(sources) == ["a.Orphan", "a.imported_only", "a.recursive",
+                                              "b.caller"]
+
+
+#: The public names no code in the package calls, and what runs each one.
+CALLED_OUTSIDE_THE_PACKAGE = {
+    "ratlinalg.det": "acceptance criterion 2",
+    "svar.transfer_matrix": "acceptance criteria 2 and 9",
+    "identify.identify_instrument": "acceptance criterion 6",
+    "identify.recover_lag_coefficients": "acceptance criterion 9",
+    "simulate.exact_spectrum_values": "acceptance criterion 10",
+    "svar.spectrum_trek": "acceptance criterion 3 and the trek-family benchmark workload",
+    "svar.conditional_spectrum": "the benchmark's tracer, which binds it by name",
+}
+
+
+def test_every_public_name_has_a_caller_or_is_listed():
+    """A name whose last caller leaves the package leaves it too, or moves to
+    the tests beside its callers; `__init__` only re-exports, so its imports
+    are no callers."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert uncalled_public_names(sources) == sorted(CALLED_OUTSIDE_THE_PACKAGE)
 
 
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
@@ -155,14 +246,13 @@ print(json.dumps(seen))
 
 
 def test_exact_commands_never_load_numpy(tmp_path, instrument_tsg):
-    import svarspec
-    from svarspec import io as sio
     from svarspec.svar import sample_stable_params
-    sio.save_graph(instrument_tsg, tmp_path / "graph.json")
-    sio.save_params(sample_stable_params(instrument_tsg, seed=7), tmp_path / "params.json")
+
+    from io_reference import save_graph, save_params
+    save_graph(instrument_tsg, tmp_path / "graph.json")
+    save_params(sample_stable_params(instrument_tsg, seed=7), tmp_path / "params.json")
     commands = [[a.format(dir=tmp_path) for a in argv] for argv in EXACT_COMMANDS]
-    # the package under test, wherever it was imported from
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(svarspec.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -178,7 +268,6 @@ SIMULATION_NAMES = ["EstimationError", "IllConditionedBlockError", "SeriesSample
 
 
 def test_simulation_names_are_re_exported_on_first_use():
-    import svarspec
     import svarspec.simulate
     assert svarspec.simulate_series is svarspec.simulate.simulate_series
     assert set(SIMULATION_NAMES) <= set(dir(svarspec))

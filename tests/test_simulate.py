@@ -231,12 +231,12 @@ def test_simulation_size_limit(monkeypatch):
         simulate_series(tsg, p, length=9, burn_in=2, seed=0)
     with pytest.raises(SimulationError, match="limit of 30"):
         simulate_series(tsg, p, length=1, burn_in=10, seed=0)
-    # with no vertices each step still counts as one value
+    # a graph with no vertices is refused before the size is counted
     empty = TimeSeriesGraph.make(ProcessGraph.make([], [], []), {})
     none = SvarParams({}, {}, {})
-    assert simulate_series(empty, none, length=30, burn_in=0).values.shape == (30, 0)
-    with pytest.raises(SimulationError, match="limit of 30"):
-        simulate_series(empty, none, length=31, burn_in=0)
+    for length in (1, 31):
+        with pytest.raises(SimulationError, match="no vertices"):
+            simulate_series(empty, none, length=length, burn_in=0)
 
 
 # -- estimation --------------------------------------------------------------------------
