@@ -150,9 +150,11 @@ class ProcessGraph:
             raise CyclicGraphError("graph has a directed cycle")
         return order
 
-    def require_acyclic(self) -> None:
+    def require_acyclic(self, what: str) -> None:
+        """Raise CyclicGraphError on a directed cycle; the message names `what`,
+        the criterion or construction that needs the graph acyclic."""
         if not self.is_acyclic:
-            raise CyclicGraphError("query requires an acyclic process graph")
+            raise CyclicGraphError(f"{what} requires an acyclic process graph")
 
     def descendants(self, v: str) -> frozenset[str]:
         """Vertices reachable from v through at least one edge."""
@@ -279,7 +281,7 @@ class Trek:
 
 def enumerate_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:
     """All directed paths x .. y, including the empty path when x == y."""
-    graph.require_acyclic()
+    graph.require_acyclic("path enumeration")
     paths = graph._paths
     if x not in paths or y not in paths:  # a dict lookup first: treks call this per top
         _require_labels(graph, (x, y))
@@ -304,7 +306,7 @@ def count_treks(graph: ProcessGraph, v: str, w: str) -> int:
     sum over tops of paths(top, v) * paths(top, w).  Path counts into a fixed
     target follow the children, sinks first, in O(|V| + |E|) time.
     """
-    graph.require_acyclic()
+    graph.require_acyclic("trek enumeration")
     _require_labels(graph, (v, w))
     order = graph.topological_order()[::-1]
 
@@ -368,7 +370,7 @@ def _augment(residual: dict, start) -> dict | None:
 
 
 def _tsep_network(graph: ProcessGraph, X, Y, capacity, big: int = 1) -> dict:
-    graph.require_acyclic()
+    graph.require_acyclic("t-separation")
     _require_labels(graph, set(X) | set(Y))
     return _trek_network(graph, capacity, graph.parents, graph.children,
                          sorted(set(X)), sorted(set(Y)), big)
@@ -386,7 +388,7 @@ def d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
     disjoint paths, so the flow is at least |Z|, and Z separates exactly when
     |Z| + 1 augmentations do not all succeed.
     """
-    graph.require_acyclic()
+    graph.require_acyclic("d-separation")
     X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be pairwise disjoint")
@@ -431,7 +433,7 @@ def t_separation_min(graph: ProcessGraph, X, Y):
 def htr(graph: ProcessGraph, X, avoid=frozenset()) -> frozenset[str]:
     """Observed vertices half-trek reachable from some x in X while avoiding the
     latent set `avoid`; reachability needs at least one edge."""
-    graph.require_acyclic()
+    graph.require_acyclic("the half-trek criterion")
     avoid = frozenset(avoid)
     observed = set(graph.observed)
     out: set[str] = set()
@@ -526,7 +528,7 @@ def _half_trek_linked(graph: ProcessGraph, v: str, W, Lp, pool, need) -> tuple[s
 
 def lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
     """Check the three half-trek-criterion conditions for (Y, W, Lp) at v."""
-    graph.require_acyclic()
+    graph.require_acyclic("the half-trek criterion")
     _validate_triple(graph, v, triple)
     Y, W, Lp = frozenset(triple.Y), frozenset(triple.W), frozenset(triple.Lp)
     pa = frozenset(graph.pa_observed(v))
@@ -562,7 +564,7 @@ def lfhtc_search(graph: ProcessGraph, v: str, solved_edges=frozenset()) -> Lfhtc
     After the regression triple, the first in (|Lp|, Y, W, Lp) order: one
     _half_trek_linked scan per (W, Lp) finds Y.  None when no triple is usable.
     """
-    graph.require_acyclic()
+    graph.require_acyclic("the half-trek criterion")
     solved = frozenset(solved_edges)
     observed = graph.observed
     if v not in set(observed):
@@ -608,7 +610,7 @@ class LfhtcOrder:
 
 def lfhtc_order(graph: ProcessGraph) -> LfhtcOrder:
     """Iterate lfhtc_search over the observed vertices until no progress."""
-    graph.require_acyclic()
+    graph.require_acyclic("the half-trek criterion")
     pending = list(graph.observed)
     solved_edges: set[Edge] = set()
     steps: list[tuple[str, LfhtcTriple]] = []

@@ -13,9 +13,11 @@ again (a `RatFn`, with its gcd) only when it is first read, so
 `identify --spectrum` builds only the entries of S it reads.  The module
 reads graphs, parameters, spectrum bundles, series and estimates, and writes
 bundles, certificates, CPDAGs, series and estimates: the files the commands
-take and give.  Series are columnar text with a label header row.  Only the
-series and estimate readers and writers touch numpy, and they import it
-where they run.
+take and give.  Series are columnar text with a label header row, written
+and read a block of rows at a time: the reader takes the file a line at a
+time, so neither side holds the text of more than one block.  Input files
+are hashed for the run report in chunks.  Only the series and estimate
+readers and writers touch numpy, and they import it where they run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -116,8 +119,13 @@ def _load(path: str | Path) -> dict:
 
 
 def digest(path) -> str:
-    """The first 16 hex digits of a file's SHA-256: how a run report names its inputs."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    """The first 16 hex digits of a file's SHA-256: how a run report names its
+    inputs.  The file is hashed 64 KiB at a time, never held whole."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            h.update(chunk)
+    return h.hexdigest()[:16]
 
 
 def _is_int(k) -> bool:
@@ -457,7 +465,7 @@ def save_cpdag(cpdag: Cpdag, path) -> None:
 
 
 #: Rows of a series formatted and written, or split and parsed, at a time.
-SERIES_BLOCK_ROWS = 4096
+SERIES_BLOCK_ROWS = 512
 
 
 def save_series(series: SeriesSample, path) -> None:
@@ -474,22 +482,43 @@ def save_series(series: SeriesSample, path) -> None:
             fh.write("\n")
 
 
+def _series_lines(fh):
+    """The lines of `fh.read().strip("\n").splitlines()`, read one physical
+    line at a time.  A line that is only a line break is held back until a
+    later line shows that it is not trailing, and the last line loses its
+    break before `splitlines`, as the strip would take it."""
+    last, blanks = None, 0
+    for line in fh:
+        if line == "\n":
+            blanks += last is not None
+            continue
+        if last is not None:
+            yield from last.splitlines()
+            yield from repeat("", blanks)
+        last, blanks = line, 0
+    if last is not None:
+        yield from last.removesuffix("\n").splitlines()
+
+
 def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
     `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
     stripped from the ends of the text, so a label keeps its spaces, and a
-    text with no line left has no header line and is refused.  Cells are
-    split and parsed a block of rows at a time."""
+    text with no line left has no header line and is refused.  The file is
+    read a line at a time, and its cells split and parsed a block of rows at
+    a time, so the text of only one block is held."""
     import numpy as np
 
     from .simulate import SeriesSample
-    lines = Path(path).read_text().strip("\n").splitlines()
-    if not lines:
-        raise ValueError("series file has no header line")
-    labels = tuple(lines[0].split("\t"))
-    blocks = [np.array([line.split("\t") for line in lines[start:start + SERIES_BLOCK_ROWS]],
-                       dtype=np.float64)
-              for start in range(1, len(lines), SERIES_BLOCK_ROWS)]
+    with open(path) as fh:
+        lines = _series_lines(fh)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError("series file has no header line")
+        labels = tuple(header.split("\t"))
+        blocks = []
+        while block := [line.split("\t") for line in islice(lines, SERIES_BLOCK_ROWS)]:
+            blocks.append(np.array(block, dtype=np.float64))
     values = np.concatenate(blocks) if blocks else np.array([], dtype=np.float64)
     return SeriesSample(labels, values)
 

@@ -40,6 +40,8 @@ from .svar import SvarParams
 #: block of steps.  At the limit a process peaked at 131 MiB for 10 vertices
 #: x 10^6 steps and 124 MiB for 1 x 10^7 in `simulate_series`, and at 125 MiB
 #: for the whole `simulate` command on 1 x 10^7 (Python 3.11, numpy 2.4).
+#: `estimate` on the 10 x 10^6 file (196 MB) peaked at 196 MiB, about twice
+#: the 76 MiB array, since `load_series` reads it a block at a time.
 MAX_SERIES_VALUES = 10_000_000
 
 #: Steps of the scalar recursion held as Python floats at a time.

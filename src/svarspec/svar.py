@@ -503,7 +503,7 @@ def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     and conjugates each term.
     """
     graph = tsg.base
-    graph.require_acyclic()
+    graph.require_acyclic("spectrum_trek")
     kd, tops, links = _trek_parts(tsg, params)
     # the same side paths recur across entries; cache their values
     lefts: dict[tuple[str, ...], _Value] = {}

@@ -158,7 +158,7 @@ def _ordered(labels) -> tuple[str, ...]:
 
 def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem, ...]:
     """All systems of vertex-disjoint directed paths from X onto Y, with signs."""
-    graph.require_acyclic()
+    graph.require_acyclic("path enumeration")
     X, Y = _ordered(X), _ordered(Y)
     if len(X) != len(Y):
         raise ValueError("path systems need |X| = |Y|")
@@ -178,7 +178,7 @@ def nonintersecting_path_systems(graph: ProcessGraph, X, Y) -> tuple[PathSystem,
 def sided_nonintersecting_trek_systems(graph: ProcessGraph, X, Y) -> tuple[TrekSystem, ...]:
     """Trek systems from X onto Y whose left sides are pairwise vertex-disjoint
     and whose right sides are pairwise vertex-disjoint."""
-    graph.require_acyclic()
+    graph.require_acyclic("trek enumeration")
     X, Y = _ordered(X), _ordered(Y)
     if len(X) != len(Y):
         raise ValueError("trek systems need |X| = |Y|")
@@ -241,7 +241,7 @@ def minimal_halftrek_subsystem(graph: ProcessGraph, system: TrekSystem) -> TrekS
     only through earlier sources.  Among valid reductions the one with the
     fewest edges (ties broken lexicographically) is returned.
     """
-    graph.require_acyclic()
+    graph.require_acyclic("the half-trek criterion")
     latents = frozenset(graph.latent)
     for trek in system.treks:
         validate_path(trek.left, graph)
@@ -289,7 +289,7 @@ def ancestral_closure(graph: ProcessGraph, nodes) -> frozenset[str]:
 def moral_d_separated(graph: ProcessGraph, X, Y, Z) -> bool:
     """Whether Z separates X and Y in the moral graph of the ancestral closure
     of X | Y | Z (Lauritzen et al. 1990), with the checks of `d_separated`."""
-    graph.require_acyclic()
+    graph.require_acyclic("d-separation")
     X, Y, Z = frozenset(X), frozenset(Y), frozenset(Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be pairwise disjoint")

@@ -154,6 +154,20 @@ MUTANTS = [
     Mutant("save_series drops the empty series' second newline", "io.py",
            'fh.write("\\n")\n', "pass\n",
            ("tests/test_io.py::test_series_bytes_match_the_reference_at_block_and_empty_shapes",)),
+    # the streaming series reader and the chunked digest
+    Mutant("the last line split with its line break on", "io.py",
+           'yield from last.removesuffix("\\n").splitlines()', "yield from last.splitlines()",
+           ("tests/test_io.py::test_series_loader_matches_the_reference_on_malformed_text",)),
+    Mutant("held-back blank lines flushed at the end of the file", "io.py",
+           '        yield from last.removesuffix("\\n").splitlines()\n',
+           '        yield from last.removesuffix("\\n").splitlines()\n        yield from [""] * blanks\n',
+           ("tests/test_io.py::test_series_loader_matches_the_reference_on_malformed_text",)),
+    Mutant("load_series reads the whole text", "io.py",
+           "lines = _series_lines(fh)", 'lines = iter(fh.read().strip("\\n").splitlines())',
+           ("tests/test_io.py::test_series_loader_never_holds_the_whole_text",)),
+    Mutant("digest reads the whole file", "io.py",
+           "while chunk := fh.read(1 << 16):", "while chunk := fh.read():",
+           ("tests/test_io.py::test_digest_hashes_a_file_in_chunks",)),
     Mutant("a graph with no vertices simulated", "simulate.py",
            "if not labels:", "if False:",
            ("tests/test_cli.py::test_simulate_refuses_a_graph_with_no_vertices_before_writing",)),

@@ -148,7 +148,7 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
     graph = tsg.base
-    graph.require_acyclic()
+    graph.require_acyclic("spectrum_trek")
     H = transfer_matrix(tsg, params)
     S_I = internal_spectrum(tsg, params)
     cache: dict[tuple[str, ...], RatFn] = {}
@@ -195,7 +195,7 @@ def det_path_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
                        H: RatMatrix | None = None) -> RatFn:
     """Signed sum of path-function products over non-intersecting path systems."""
     graph = tsg.base
-    graph.require_acyclic()
+    graph.require_acyclic("path enumeration")
     if H is None:
         H = transfer_matrix(tsg, params)
     acc = R_ZERO
@@ -212,7 +212,7 @@ def det_trek_expansion(tsg: TimeSeriesGraph, params: SvarParams, X, Y,
     """Signed sum of trek-function products over trek systems without sided
     intersection."""
     graph = tsg.base
-    graph.require_acyclic()
+    graph.require_acyclic("trek enumeration")
     if H is None:
         H = transfer_matrix(tsg, params)
     if S_I is None:

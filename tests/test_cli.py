@@ -700,6 +700,25 @@ def test_identify_cyclic_graph_exits_validation(capsys, tmp_path):
     assert "acyclic" in report["error"]
 
 
+
+@pytest.mark.parametrize("source", ["params", "spectrum"])
+def test_identify_on_a_cycle_names_the_criterion_that_needs_acyclicity(capsys, tmp_path, source):
+    """Both identify forms refuse a 2-cycle before any step, and the message
+    names the half-trek criterion, which needs the graph acyclic, not a query."""
+    g = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
+    tsg = TimeSeriesGraph.full(g, 1)
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    save_graph(tsg, graph)
+    save_params(sample_stable_params(tsg, seed=2), params)
+    bundle = tmp_path / "bundle.json"
+    assert run(capsys, "spectrum", "--graph", str(graph), "--params", str(params),
+               "--out", str(bundle))[0] == 0
+    code, report = run(capsys, "identify", "--graph", str(graph), f"--{source}",
+                       str(params if source == "params" else bundle),
+                       "--out", str(tmp_path / "cert.json"))
+    assert code == EXIT_VALIDATION
+    assert report["error"] == "CyclicGraphError: the half-trek criterion requires an acyclic process graph"
+
 ZERO_DENOMINATOR_BUNDLE = json.dumps({
     **{key: {"rows": [], "cols": [], "entries": []} for key in ("H", "S_I", "S_LI")},
     "S": {"rows": ["u"], "cols": ["u"], "entries": [[{"num": ["1"], "den": ["0"]}]]},

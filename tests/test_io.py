@@ -1,15 +1,17 @@
 """Round trips and validation for the file formats."""
 
+import hashlib
 import itertools
 import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
@@ -347,6 +349,17 @@ def _load_outcome(load, path):
     "a\n1e400\n",
     "a\n1e-400\n-1e-400\n",
     "a\tb\n1.0\t2.0\r\n3.0\t4.0\r\n",  # CRLF line ends
+    "a\tb\n1.0\x0c2.0\n",          # line breaks splitlines knows, inside a row
+    "a\tb\n1.0\x1c2.0\n",
+    "a\tb\n1.0\x852.0\n",
+    "a\tb\n1.0 2.0\n",              # a space inside a row is no separator
+    "a\tb\n1.0\t2.0\x0c\n3.0\t4.0\n",  # and at a row's end
+    "a\tb\n1.0\t2.0\x1c\n3.0\t4.0\n",
+    "a\tb\n1.0\t2.0\x85\n3.0\t4.0\n",
+    "a\tb\n1.0\t2.0 \n3.0\t4.0\n",
+    "a\n1.0\x0c\n\n",               # the last row ends \x0c\n\n
+    "\n\na\n1.0\n2.0\n\n\n",         # leading and trailing blank lines
+    "a\n1.0\n\n2.0\n",              # a blank middle row
 ])
 def test_series_loader_matches_the_reference_on_malformed_text(tmp_path, text):
     path = tmp_path / "series.txt"
@@ -366,6 +379,57 @@ def test_series_loader_matches_the_reference_across_blocks(monkeypatch, tmp_path
     path = tmp_path / "series.txt"
     path.write_text(text)
     assert _load_outcome(sio.load_series, path) == _load_outcome(series_reference.load_series, path)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.lists(st.sampled_from(["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85",
+                                      " ", "1", "2", "."]), max_size=40).map("".join),
+       block=st.sampled_from([1, 2, 512]))
+def test_series_loader_matches_the_reference_on_random_text(monkeypatch, tmp_path, text, block):
+    """The streaming reader against `read_text().strip("\\n").splitlines()`: each
+    text mixes tabs, digits and every line break `splitlines` knows."""
+    monkeypatch.setattr(sio, "SERIES_BLOCK_ROWS", block)
+    path = tmp_path / "series.txt"
+    path.write_text(text)
+    assert _load_outcome(sio.load_series, path) == _load_outcome(series_reference.load_series, path)
+
+
+def _traced_peak(call) -> int:
+    """Bytes traced at the peak of call(), numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_loader_never_holds_the_whole_text(tmp_path):
+    """A 20,000 x 4 series is a 1.57 MB file and a 0.64 MB array.  Reading the
+    whole text holds at least the file's size; the streaming reader holds the
+    parsed blocks, their concatenation and one block of text.  Measured peaks
+    (Python 3.11, numpy 2.4): 5.12 MB reading the whole text, 1.37 MB
+    streaming 512-row blocks."""
+    values = np.random.default_rng(3).standard_normal((20_000, 4))
+    path = tmp_path / "series.txt"
+    sio.save_series(SeriesSample(("a", "b", "c", "d"), values), path)
+    sio.load_series(path)  # numpy and svarspec.simulate imported outside the trace
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(sio.load_series(path)))
+    assert loaded[0].values.tobytes() == values.tobytes()
+    assert peak < path.stat().st_size
+
+
+def test_digest_hashes_a_file_in_chunks(tmp_path):
+    """Measured peaks (Python 3.11): 4.00 MB reading a 4 MB file whole, 0.14 MB
+    hashing it in chunks."""
+    path = tmp_path / "input.json"
+    path.write_bytes(bytes(range(256)) * (4_000_000 // 256))
+    want = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    got = []
+    assert _traced_peak(lambda: got.append(sio.digest(path))) < 2_000_000
+    assert got == [want]
 
 
 def test_estimate_round_trip(tmp_path, chain_tsg):
