@@ -4,10 +4,11 @@ Every command prints a run report (JSON) to stdout and writes its primary
 output, if any, to --out.  Primary outputs are byte-deterministic for
 identical invocations; randomized commands therefore require an explicit
 --seed.  Exit codes: 0 success, 2 validation failure (including an
-unreadable input file or an unwritable --out), 3 non-generic or singular
-input after retries, 4 estimation precondition failure.  `main` is the one
-place that maps an exception to its exit code.  Only `simulate`, `estimate`
-and `discover --estimate` load numpy; the exact commands never import it.
+unreadable input file or an unwritable --out), 3 a singular identification
+system (`identify` on a non-generic S), 4 estimation precondition failure.
+`main` is the one place that maps an exception to its exit code.  Only
+`simulate`, `estimate` and `discover --estimate` load numpy; the exact
+commands never import it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NON_GENERIC = 3
 EXIT_ESTIMATION = 4
-
-RESAMPLE_ATTEMPTS = 3
 
 #: Most treks `query --query treks` lists; a larger count exits 2 before any
 #: trek is built.  Counts grow exponentially with the graph (11.2 million
@@ -118,17 +117,6 @@ def _load(kind: str, read, path: str, check=None):
 
 def _load_params(tsg, path: str) -> SvarParams:
     return _load("parameter", sio.load_params, path, check=lambda p: p.validate(tsg))
-
-
-def _with_resampling(build, seed: int, warnings: list[str]):
-    """Retry a seeded computation on singular systems, recording each resample."""
-    for attempt in range(RESAMPLE_ATTEMPTS):
-        try:
-            return build(seed + attempt)
-        except SingularMatrixError:
-            warnings.append(f"singular system at seed {seed + attempt}; resampling")
-    raise CliError(EXIT_NON_GENERIC,
-                   f"singular system persisted over {RESAMPLE_ATTEMPTS} seeds from {seed}")
 
 
 # -- commands -------------------------------------------------------------------------
@@ -300,12 +288,8 @@ def cmd_discover(args) -> dict:
         inputs["params"] = args.params
     elif args.seed is not None:
         seed = args.seed
-
-        def build(s):
-            params = sample_stable_params(tsg, seed=s)
-            return discover_cpdag(_bounded(spectral_ci_oracle(tsg, params)), observed)
-
-        cpdag = _with_resampling(build, seed, warnings)
+        params = sample_stable_params(tsg, seed=seed)
+        cpdag = discover_cpdag(_bounded(spectral_ci_oracle(tsg, params)), observed)
     else:
         raise CliError(EXIT_VALIDATION, "discover needs --params, --estimate or --seed")
     result = sio.cpdag_to_dict(cpdag)

@@ -543,19 +543,13 @@ def lfhtc_check(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> LfhtcCheck:
     return LfhtcCheck(cond1 and cond2 and cond3, cond1, cond2, cond3)
 
 
-def lfhtc_prerequisite_heads(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> tuple[str, ...]:
-    """Vertices whose incoming observed links must already be identified before
-    the triple can be used at v."""
-    reach = htr(graph, set(triple.W) | {v}, frozenset(triple.Lp))
-    return tuple(sorted(set(triple.W) | (set(triple.Y) & reach)))
-
-
 def lfhtc_prerequisite_edges(graph: ProcessGraph, v: str, triple: LfhtcTriple) -> tuple[Edge, ...]:
-    return tuple(sorted(
-        (x, y)
-        for y in lfhtc_prerequisite_heads(graph, v, triple)
-        for x in graph.pa_observed(y)
-    ))
+    """Observed links that must already be identified before the triple can be
+    used at v: those into W, and into each y in Y half-trek reachable from W
+    and v."""
+    reach = htr(graph, set(triple.W) | {v}, frozenset(triple.Lp))
+    heads = set(triple.W) | (set(triple.Y) & reach)
+    return tuple(sorted((x, y) for y in heads for x in graph.pa_observed(y)))
 
 
 def lfhtc_search(graph: ProcessGraph, v: str, solved_edges=frozenset()) -> LfhtcTriple | None:

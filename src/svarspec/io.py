@@ -197,43 +197,36 @@ _ZERO_LIST = re.compile(r"-?0+(?:/[0-9]+)?(?:,-?0+(?:/[0-9]+)?)*")
 _max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _checked(coeffs) -> str | list[tuple[int, int]]:
-    """A coefficient list, refused where `_ratios` refuses it.
+def _checked(coeffs) -> str:
+    """A coefficient list in the writers' form, joined by commas, or refused
+    where `_ratios` refuses it.
 
-    A list of strings that one match shows in the writers' form, each too
-    short to pass `int`'s digit limit, is returned joined by commas and not
-    yet read; every other list goes through `_ratios`, which reads each
-    coefficient and raises as it always has.  A coefficient holding a comma
-    adds one to the joined list's count, so it never matches.
+    A list of strings that one match shows in that form, each too short to
+    pass `int`'s digit limit, is returned joined as it is and not yet read;
+    every other list goes through `_ratios`, which reads each coefficient and
+    raises as it always has, and its pairs are joined as "p/q" (an empty list
+    as "0").  A coefficient holding a comma adds one to the joined list's
+    count, so it never matches.
     """
     if isinstance(coeffs, list):
         try:
             joined = ",".join(coeffs)
         except TypeError:  # a coefficient that is not a string
-            return _ratios(coeffs)
+            joined = ""  # which no list matches
         limit = _max_digits()
-        if (joined.count(",") == len(coeffs) - 1
-                and (not limit or max(map(len, coeffs)) <= limit)
-                and _RATIO_LIST.fullmatch(joined)):
+        if (joined.count(",") == len(coeffs) - 1 and _RATIO_LIST.fullmatch(joined)
+                and (not limit or max(map(len, coeffs)) <= limit)):
             return joined
-    return _ratios(coeffs)
+    return ",".join(f"{p}/{q}" for p, q in _ratios(coeffs)) or "0"
 
 
-def _is_zero(coeffs: str | list[tuple[int, int]]) -> bool:
-    if isinstance(coeffs, str):
-        return _ZERO_LIST.fullmatch(coeffs) is not None
-    return not any(p for p, _ in coeffs)
-
-
-def _poly(coeffs: str | list[tuple[int, int]]) -> Poly:
+def _poly(coeffs: str) -> Poly:
     """The polynomial of a list `_checked` returned."""
-    if isinstance(coeffs, str):
-        ratios = []
-        for s in coeffs.split(","):
-            p, _, q = s.partition("/")
-            ratios.append((int(p), int(q) if q else 1))
-        coeffs = ratios
-    return _new(*_from_ratios(coeffs))
+    ratios = []
+    for s in coeffs.split(","):
+        p, _, q = s.partition("/")
+        ratios.append((int(p), int(q) if q else 1))
+    return _new(*_from_ratios(ratios))
 
 
 def ratfn_to_dict(r: RatFn) -> dict:
@@ -245,7 +238,7 @@ def _checked_ratfn(data: dict) -> tuple:
     wherever building it would fail, but not built: no `Poly`, gcd or
     `RatFn`."""
     num, den = _checked(data["num"]), _checked(data["den"])
-    if _is_zero(den):
+    if _ZERO_LIST.fullmatch(den):
         raise ZeroDivisionError("rational function with zero denominator")
     return num, den
 
@@ -330,19 +323,16 @@ def graph_from_dict(data: dict) -> TimeSeriesGraph:
                     f"edge entry #{i} ({a} -> {b}) has invalid lag {k!r}, not in 0..{MAX_LAG}"
                 )
         edges.append((a, b))
-        cross[(a, b)] = tuple(sorted(set(lags)))
+        cross[(a, b)] = lags
     auto_entries = data.get("auto", {})
     if not isinstance(auto_entries, dict):
         raise GraphValidationError(f"graph key 'auto' must be an object, got {auto_entries!r}")
-    auto = {}
     for v, lags in auto_entries.items():
         for k in lags:
             if not _is_int(k) or not 1 <= k <= MAX_LAG:
                 raise GraphValidationError(f"auto lag {k!r} at {v!r} is not in 1..{MAX_LAG}")
-        if lags:
-            auto[v] = tuple(sorted(set(lags)))
     base = ProcessGraph.make(observed, latent, edges)
-    return TimeSeriesGraph.make(base, cross, auto)
+    return TimeSeriesGraph.make(base, cross, auto_entries)
 
 
 def load_graph(path) -> TimeSeriesGraph:
@@ -529,7 +519,7 @@ def estimate_to_dict(est: SpectrumEstimate) -> dict:
         "frequencies": list(est.frequencies),
         "segment_count": est.segment_count,
         "segment_length": est.segment_length,
-        "window": est.window,
+        "window": "hann",
         "matrices": [
             {
                 "frequency": f,
@@ -592,7 +582,6 @@ def estimate_from_dict(data: dict) -> SpectrumEstimate:
                                                          strict=True)]),
         segment_count=_count(data, "segment_count", 1),
         segment_length=_count(data, "segment_length", 2),
-        window=window,
     )
 
 

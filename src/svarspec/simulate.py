@@ -47,6 +47,9 @@ MAX_SERIES_VALUES = 10_000_000
 #: Steps of the scalar recursion held as Python floats at a time.
 STEP_BLOCK = 2**16
 
+#: Largest condition number of a block that `empirical_ci_test` inverts.
+MAX_CONDITION = 1e10
+
 
 class SimulationError(ValueError):
     """Simulation preconditions are violated."""
@@ -82,14 +85,13 @@ class SeriesSample:
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Per-frequency cross-spectral matrices over the series labels."""
+    """Per-frequency cross-spectral matrices over the series labels, Hann-windowed."""
 
     labels: tuple[str, ...]
     frequencies: tuple[float, ...]
     matrices: np.ndarray  # shape (len(frequencies), n, n), complex
     segment_count: int
     segment_length: int
-    window: str = "hann"
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -292,8 +294,7 @@ def exact_spectrum_values(S: RatMatrix, frequencies) -> np.ndarray:
     return out
 
 
-def empirical_ci_test(estimate: SpectrumEstimate, X, Y, Z,
-                      threshold: float = 0.1, max_condition: float = 1e10) -> bool:
+def empirical_ci_test(estimate: SpectrumEstimate, X, Y, Z, threshold: float = 0.1) -> bool:
     """Thresholded numeric conditional-independence verdict.
 
     Computes the conditional cross-spectrum (Schur complement) at every
@@ -311,10 +312,10 @@ def empirical_ci_test(estimate: SpectrumEstimate, X, Y, Z,
         S_jj = estimate.block(f, joint, joint)
         if Z:
             S_zz = estimate.block(f, Z, Z)
-            if np.linalg.cond(S_zz) > max_condition:
+            if np.linalg.cond(S_zz) > MAX_CONDITION:
                 raise IllConditionedBlockError(
                     f"conditioning block at frequency index {f} has condition number "
-                    f"> {max_condition:g}"
+                    f"> {MAX_CONDITION:g}"
                 )
             S_jz = estimate.block(f, joint, Z)
             cond = S_jj - S_jz @ np.linalg.solve(S_zz, np.conj(S_jz.T))

@@ -132,6 +132,18 @@ MUTANTS = [
            ("tests/test_cli.py::test_misread_inputs_exit_validation[bundle H zero denominator]",
             "tests/test_cli.py::test_misread_inputs_exit_validation[bundle S_I missing den]",
             "tests/test_cli.py::test_misread_inputs_exit_validation[bundle S_LI rows string]")),
+    Mutant("the list checker's fallback joins the raw strings", "io.py",
+           'return ",".join(f"{p}/{q}" for p, q in _ratios(coeffs)) or "0"',
+           'return ",".join(coeffs) if _ratios(coeffs) else "0"',
+           ("tests/test_io.py::test_spectral_density_loader_refuses_what_the_bundle_loader_refuses[H]",)),
+    Mutant("the estimate writer names the window \"hanning\"", "io.py",
+           '"window": "hann",', '"window": "hanning",',
+           ("tests/test_io.py::test_estimate_round_trip",)),
+    # graph files
+    Mutant("TimeSeriesGraph.make keeps cross lags unsorted and repeated", "graph.py",
+           "(str(a), str(b)): tuple(sorted(set(int(k) for k in lags)))",
+           "(str(a), str(b)): tuple(int(k) for k in lags)",
+           ("tests/test_io.py::test_graph_loader_sorts_and_deduplicates_lags",)),
     # the simulation a column at a time, and the series writer
     Mutant("the column-wise run takes an in-component source", "simulate.py",
            "enumerate(vterms) if j in inside)", "enumerate(vterms) if j == i)",

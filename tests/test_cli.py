@@ -20,13 +20,12 @@ from svarspec import ratfield
 from svarspec import simulate as simulate_module
 from svarspec import svar as svar_module
 from svarspec.cli import (EXIT_ESTIMATION, EXIT_NON_GENERIC, EXIT_OK,
-                          EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, MAX_TRIALS,
-                          CliError, _with_resampling, main)
+                          EXIT_VALIDATION, MAX_FREQUENCIES, MAX_TREKS, MAX_TRIALS, main)
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
 from svarspec.identify import discover_cpdag, identify_all
 from svarspec.ratfield import RatFn
 from svarspec.simulate import MAX_SERIES_VALUES, estimate_spectrum, simulate_series
-from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank
+from svarspec.ratlinalg import RatMatrix, rank
 from svarspec.svar import (SvarParams, conditional_spectrum, sample_stable_params,
                            spectral_density, spectrum)
 
@@ -661,28 +660,6 @@ def test_discover_empty_graph(capsys, tmp_path):
     code, report = run(capsys, "discover", "--graph", str(path), "--seed", "3")
     assert code == EXIT_OK
     assert report["outputs"]["directed"] == [] and report["outputs"]["undirected"] == []
-
-
-def test_resampling_helper_records_and_recovers():
-    calls = []
-
-    def build(seed):
-        calls.append(seed)
-        if len(calls) < 2:
-            raise SingularMatrixError("forced")
-        return "ok"
-
-    warnings = []
-    assert _with_resampling(build, 10, warnings) == "ok"
-    assert calls == [10, 11]
-    assert warnings and "resampling" in warnings[0]
-
-    def always_fail(seed):
-        raise SingularMatrixError("forced")
-
-    with pytest.raises(CliError) as err:
-        _with_resampling(always_fail, 0, [])
-    assert err.value.code == EXIT_NON_GENERIC
 
 
 # -- outside input maps to exit codes, never to a traceback -------------------------

@@ -111,6 +111,10 @@ def test_written_files_never_reach_the_fallback_parser(tmp_path, monkeypatch, in
 #: last two) leaves it valid with an entry out of lowest terms.
 BUNDLE_MATRIX_EDITS = {
     "zero denominator": lambda m: m["entries"][0][0].update(den=["0"]),
+    # zeros off the writers' form, which take the coefficient-by-coefficient path
+    "zero denominator +0": lambda m: m["entries"][0][0].update(den=["+0"]),
+    "zero denominator spaced": lambda m: m["entries"][0][0].update(den=[" 0"]),
+    "zero denominator mixed": lambda m: m["entries"][0][0].update(den=["0/7", " -0"]),
     "empty denominator": lambda m: m["entries"][0][0].update(den=[]),
     "decimal coefficient": lambda m: m["entries"][0][0].update(den=["0.5"]),
     "coefficient string": lambda m: m["entries"][0][0].update(num="12"),
@@ -219,6 +223,23 @@ def test_graph_validation_names_offending_entry():
             "observed": ["a"], "latent": ["l"],
             "edges": [{"from": "a", "to": "l", "lags": [0]}],
         })
+
+
+def test_graph_loader_sorts_and_deduplicates_lags(tmp_path):
+    """Lags listed out of order or twice load as the sorted file's, and an
+    empty auto list is dropped: `sample_stable_params`, which draws in lag
+    order, then draws the same parameters from both files."""
+    graphs = []
+    for cross, auto in (([1, 0, 1], {"a": [2, 1, 1], "b": []}), ([0, 1], {"a": [1, 2]})):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"observed": ["a", "b"], "latent": [], "auto": auto,
+                                    "edges": [{"from": "a", "to": "b", "lags": cross}]}))
+        graphs.append(sio.load_graph(path))
+    unsorted, tidy = graphs
+    assert unsorted == tidy
+    assert tidy.cross_lags == {("a", "b"): (0, 1)} and tidy.auto_lags == {"a": (1, 2)}
+    for seed in range(3):
+        assert sample_stable_params(unsorted, seed) == sample_stable_params(tidy, seed)
 
 
 def test_latent_edges_carry_lags(tmp_path, instrument_tsg):

@@ -15,6 +15,7 @@ from svarspec import ratfield
 from svarspec import svar as svar_module
 from svarspec.graph import (Path, ProcessGraph, TimeSeriesGraph, Trek,
                             count_treks, t_separation_min)
+from svarspec.identify import spectral_ci_oracle
 from svarspec.ratfield import EVAL_POINT, MOD_PRIME, P_ONE, Poly, R_ONE, R_ZERO, RatFn
 from svarspec.ratlinalg import RatMatrix, adjugate, det, rank, rank_mod
 from svarspec.svar import (_ONE, _ZERO, ParameterError, SpectrumBundle, SvarParams,
@@ -634,6 +635,53 @@ def test_cyclic_spectrum_where_d_vanishes_at_zero():
          [-Poly([Fraction(5, 3), Fraction(1, 2)]), Poly([1, Fraction(1, 2)])]]
     assert adjugate(M)[1].monic() == Poly([0, 1])
     _assert_matches_reference(TimeSeriesGraph.make(g, cross, {"b": (1,)}), q)
+
+
+def lag0_cyclic_instance(rng: random.Random) -> TimeSeriesGraph:
+    """A random cyclic graph on 2-6 observed vertices whose 2-cycles all carry
+    lag 0 both ways, with a latent in about half the draws, at lag order 1 or 2."""
+    graph = random_cyclic_graph(rng, rng.randint(2, 6))
+    if rng.random() < 0.5:
+        obs = graph.observed
+        children = [obs[0]] + [v for v in obs[1:] if rng.random() < 0.5]
+        graph = ProcessGraph.make(obs, ["h"], graph.edges + tuple(("h", v) for v in children))
+    tsg = random_tsg(rng, graph, max_order=rng.randint(1, 2))
+    cross = {(a, b): tuple(sorted({0, *lags})) if (b, a) in tsg.cross_lags else lags
+             for (a, b), lags in tsg.cross_lags.items()}
+    return TimeSeriesGraph.make(graph, cross, tsg.auto_lags)
+
+
+def test_validated_cyclic_parameters_leave_det_m_nonzero_at_zero(monkeypatch):
+    """On validated parameters of a cyclic graph, the determinant d that
+    `_cyclic_density` takes from `adjugate` has d(0) = +-det(I - B_0) != 0,
+    B_0 the lag-0 observed cross coefficients, as its docstring proves.  So
+    `adjugate` never raises SingularMatrixError there, the CI oracle builds
+    on every draw, and `discover --seed` needs no second draw."""
+    taken = []
+
+    def recording(rows):
+        X, d = adjugate(rows)
+        taken.append(d)
+        return X, d
+
+    monkeypatch.setattr(svar_module, "adjugate", recording)
+    rng = random.Random(28)
+    kinds = set()
+    for trial in range(40):
+        tsg = lag0_cyclic_instance(rng)
+        obs = tsg.base.observed
+        kinds.add((bool(tsg.base.latent), tsg.order))
+        for seed in range(2):
+            params = sample_stable_params(tsg, seed=seed)
+            taken.clear()
+            spectral_ci_oracle(tsg, params)
+            [d] = taken
+            identity_minus_b0 = RatMatrix(obs, obs, [
+                [RatFn([(a == b) - params.cross.get((a, b, 0), 0)], [1]) for b in obs]
+                for a in obs])
+            want = det(identity_minus_b0)(0)
+            assert want != 0 and d(0) in (want, -want), (trial, seed)
+    assert kinds == {(latent, order) for latent in (False, True) for order in (1, 2)}
 
 
 def test_spectrum_gcd_calls_are_linear_in_the_graph(monkeypatch):
