@@ -11,8 +11,9 @@ flows replace are test oracles (`tests/graph_reference.py`), not library
 code; so is the test of one given pair for t-separation.
 Latent vertices must have in-degree zero; graphs are
 immutable after construction and every query is pure.  A graph computes its
-directed paths and each vertex's observed and latent parents once, on first
-use, and keeps them.
+topological order and each vertex's parents, children and observed and latent
+parents once, on first use, and keeps them; it keeps no paths, so a path or
+trek listing does work that follows what it lists, not the graph's paths.
 
 Enumeration order is deterministic everywhere (lexicographic by label), so
 identification certificates built on top of these queries are reproducible.
@@ -98,20 +99,6 @@ class ProcessGraph:
         return {v: (tuple(p for p in ps if p not in latent), tuple(p for p in ps if p in latent))
                 for v, ps in self._parents.items()}
 
-    @cached_property
-    def _paths(self) -> dict[str, dict[str, tuple[Path, ...]]]:
-        """source -> reachable target -> every directed path between them.  Built
-        from the sinks up, a vertex's paths are its empty path plus its children's
-        paths (children in label order) with it prepended, so each tuple is sorted."""
-        out: dict[str, dict[str, tuple[Path, ...]]] = {}
-        for v in reversed(self.topological_order()):
-            paths: dict[str, list[Path]] = {v: [Path((v,))]}
-            for c in self.children(v):
-                for y, tails in out[c].items():
-                    paths.setdefault(y, []).extend(Path((v,) + t.vertices) for t in tails)
-            out[v] = {y: tuple(ps) for y, ps in paths.items()}
-        return out
-
     def parents(self, v: str) -> tuple[str, ...]:
         return self._parents[v]
 
@@ -126,8 +113,9 @@ class ProcessGraph:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        return self._topological_order() is not None
+        return self._topological_order is not None
 
+    @cached_property
     def _topological_order(self) -> tuple[str, ...] | None:
         indeg = {v: 0 for v in self.vertices}
         for _, b in self.edges:
@@ -145,7 +133,7 @@ class ProcessGraph:
         return tuple(order) if len(order) == len(self.vertices) else None
 
     def topological_order(self) -> tuple[str, ...]:
-        order = self._topological_order()
+        order = self._topological_order
         if order is None:
             raise CyclicGraphError("graph has a directed cycle")
         return order
@@ -280,31 +268,46 @@ class Trek:
 
 
 def enumerate_paths(graph: ProcessGraph, x: str, y: str) -> tuple[Path, ...]:
-    """All directed paths x .. y, including the empty path when x == y."""
+    """All directed paths x .. y, including the empty path when x == y.  The table
+    covers x and its descendants, sinks first: u holds its empty path if u == y,
+    then u prepended to each child's paths, children in label order, so each
+    tuple is sorted; every path u .. y extends to a path x .. y, so no entry
+    holds more paths than the result."""
     graph.require_acyclic("path enumeration")
-    paths = graph._paths
-    if x not in paths or y not in paths:  # a dict lookup first: treks call this per top
-        _require_labels(graph, (x, y))
-    return paths[x].get(y, ())
+    _require_labels(graph, (x, y))
+    reach = graph.descendants(x) | {x}
+    table: dict[str, list[tuple[str, ...]]] = {}
+    for u in reversed(graph.topological_order()):
+        if u in reach:
+            paths = [(u,)] if u == y else []
+            for c in graph.children(u):
+                paths.extend((u,) + tail for tail in table[c])
+            table[u] = paths
+    return tuple(Path(p) for p in table[x])
 
 
 def enumerate_treks(graph: ProcessGraph, v: str, w: str) -> tuple[Trek, ...]:
-    """All treks from v to w: left side runs into v, right side into w."""
+    """All treks from v to w: left side runs into v, right side into w.  Only the
+    tops `_trek_counts` finds list their paths."""
     out: list[Trek] = []
-    for top in graph.vertices:  # tops, lefts and rights in order: the result is sorted
-        lefts = enumerate_paths(graph, top, v)
-        if lefts:
-            rights = enumerate_paths(graph, top, w)
-            out.extend(Trek(top, left, right) for left in lefts for right in rights)
+    for top in _trek_counts(graph, v, w):  # tops, lefts and rights in order: the result is sorted
+        rights = enumerate_paths(graph, top, w)
+        out.extend(Trek(top, left, right)
+                   for left in enumerate_paths(graph, top, v) for right in rights)
     return tuple(out)
 
 
 def count_treks(graph: ProcessGraph, v: str, w: str) -> int:
-    """len(enumerate_treks(graph, v, w)) without listing a trek or a path.
+    """len(enumerate_treks(graph, v, w)) without listing a trek or a path."""
+    return sum(_trek_counts(graph, v, w).values())
 
-    A trek is a top with one path into v and one into w, so the count is the
-    sum over tops of paths(top, v) * paths(top, w).  Path counts into a fixed
-    target follow the children, sinks first, in O(|V| + |E|) time.
+
+def _trek_counts(graph: ProcessGraph, v: str, w: str) -> dict[str, int]:
+    """top -> its number of treks from v to w, in label order, for each top with one.
+
+    A trek is a top with one path into v and one into w, so a top has
+    paths(top, v) * paths(top, w) of them.  Path counts into a fixed target
+    follow the children, sinks first, in O(|V| + |E|) time.
     """
     graph.require_acyclic("trek enumeration")
     _require_labels(graph, (v, w))
@@ -317,7 +320,7 @@ def count_treks(graph: ProcessGraph, v: str, w: str) -> int:
         return count
 
     into_v, into_w = paths_into(v), paths_into(w)
-    return sum(into_v[top] * into_w[top] for top in graph.vertices)
+    return {top: n for top in graph.vertices if (n := into_v[top] * into_w[top])}
 
 
 def _require_labels(graph: ProcessGraph, labels) -> None:

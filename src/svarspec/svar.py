@@ -4,7 +4,8 @@ Maps exact rational coefficients (per edge and lag, plus auto-lags and noise
 variances) to the observed spectral density S (`spectral_density`, which
 builds S alone) or to the whole bundle of H, the internal spectrum S_I, the
 projected internal spectrum S_LI and S (`spectrum`).  Also provides the
-trek-rule spectrum used as a cross-check, a Schur-complement conditional
+trek-rule spectrum `spectrum_trek`, which lists the paths that `spectrum` sums
+by dynamic programming, as a cross-check, a Schur-complement conditional
 spectrum, generic rank by random rational sampling, and the stable-parameter
 sampler itself.
 
@@ -29,7 +30,8 @@ GF(P): `generic_rank` and `identify.spectral_ci_oracle` take the rank of a
 block's image before they reduce any of its entries.  S_LI and S are one Gram
 form over any rows and columns, M[v, w] = sum_t into[v][t] S_I[t, t]
 conj(into[w][t]), where into[v][t] sums the link products of the directed
-paths t .. v (for S_LI, v itself and the edges from its latent parents).
+paths t .. v (for S_LI, v itself and the edges from its latent parents; for
+`spectrum_trek`, each path listed).
 
 What can cancel.  Under the stability bound sum_k |phi_k| < 1, D_v has no
 root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*, the
@@ -57,7 +59,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (Path, ProcessGraph, TimeSeriesGraph, Trek, enumerate_treks,
+from .graph import (Path, ProcessGraph, TimeSeriesGraph, enumerate_paths,
                     t_separation_min)
 from .ratfield import (EVAL_POINT, MOD_PRIME, P_ONE, P_ZERO, Poly, R_ZERO, RatFn,
                        _from_ratios, _horner_mod, _new)
@@ -170,7 +172,7 @@ _ONE: _Value = (P_ONE, 0, 0, 0)
 
 
 class _KnownDenominator:
-    """Trek sums over the known denominator prod_v D_v(z) D_v(1/z), with no gcd.
+    """Sums of trek terms over the known denominator prod_v D_v(z) D_v(1/z), with no gcd.
 
     A value (num, left, right, shift) stands for
 
@@ -493,21 +495,19 @@ def spectrum(tsg: TimeSeriesGraph, params: SvarParams) -> SpectrumBundle:
 
 
 def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """Observed spectrum assembled entrywise from trek terms, one per trek.
+    """Observed spectrum by the trek rule, summed one top at a time.
 
     The term of a trek is its left side's link product, times S_I at its top,
-    times the conjugate of its right side's link product.  Each entry on and
-    above the diagonal sums its terms in the known-denominator kernel and is
-    reduced once; an entry below it is the conjugate of its mirror, since
-    swapping the sides of every trek from v to w gives the treks from w to v
-    and conjugates each term.
+    times the conjugate of its right side's link product.  The treks from v to
+    w with top t pair each path t .. v with each path t .. w, so by
+    distributivity their terms sum to into[v][t] S_I[t, t] conj(into[w][t]),
+    into[v][t] the sum of the link products of the paths t .. v: the Gram form
+    `_gram`, with into read off `enumerate_paths` instead of `_density`'s
+    dynamic programming.
     """
-    graph = tsg.base
+    graph, obs = tsg.base, tsg.base.observed
     graph.require_acyclic("spectrum_trek")
     kd, tops, links = _trek_parts(tsg, params)
-    # the same side paths recur across entries; cache their values
-    lefts: dict[tuple[str, ...], _Value] = {}
-    rights: dict[tuple[str, ...], _Value] = {}
 
     def side(path: Path) -> _Value:
         out = _ONE
@@ -515,18 +515,11 @@ def spectrum_trek(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
             out = kd.mul(out, links[e])
         return out
 
-    def term(trek: Trek) -> _Value:
-        left, right = trek.left.vertices, trek.right.vertices
-        if left not in lefts:
-            lefts[left] = kd.mul(side(trek.left), tops[trek.top])
-        if right not in rights:
-            rights[right] = kd.conj(side(trek.right))
-        return kd.mul(lefts[left], rights[right])
-
-    def entry(v: str, w: str) -> _Value:
-        return kd.total(term(trek) for trek in enumerate_treks(graph, v, w))
-
-    return kd.hermitian(graph.observed, entry)
+    into: dict[str, dict[str, _Value]] = {}
+    for v in obs:
+        sums = ((t, kd.total(map(side, enumerate_paths(graph, t, v)))) for t in graph.vertices)
+        into[v] = {t: value for t, value in sums if value[0]}
+    return kd.hermitian(obs, _gram(kd, obs, obs, into, tops)[1])
 
 
 def conditional_spectrum(S: RatMatrix, X, Y, Z) -> RatMatrix:

@@ -109,6 +109,17 @@ MUTANTS = [
     Mutant("the regression-first rule dropped", "graph.py",
            "if lfhtc_check(graph, v, regression).ok and all(", "if False and all(",
            ("tests/test_graph.py::test_lfhtc_search_regression_on_fully_observed",)),
+    # path and trek listing
+    Mutant("every top lists its paths", "graph.py",
+           "if (n := into_v[top] * into_w[top])}", "if (n := into_v[top] * into_w[top]) or True}",
+           ("tests/test_graph.py::test_trek_listing_with_no_trek_lists_no_path",)),
+    Mutant("the empty path dropped at u == y", "graph.py",
+           "paths = [(u,)] if u == y else []", "paths = []",
+           ("tests/test_graph.py::test_empty_path_at_every_vertex",)),
+    Mutant("spectrum_trek sums the first path of each top only", "svar.py",
+           "kd.total(map(side, enumerate_paths(graph, t, v)))",
+           "kd.total(map(side, enumerate_paths(graph, t, v)[:1]))",
+           (SVAR + "test_spectrum_trek_with_latents",)),
     # the input bounds: each has a test at the bound and one past it
     Mutant(">= for > in the CI-test bound", "cli.py",
            "if count > MAX_CI_TESTS:", "if count >= MAX_CI_TESTS:",

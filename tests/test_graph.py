@@ -4,6 +4,7 @@ import ast
 import pathlib
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -302,6 +303,30 @@ def test_trek_counts_match_path_products():
             for top in verts
         )
         assert len(enumerate_treks(g, v, w)) == expected
+
+
+def test_trek_listing_with_no_trek_lists_no_path():
+    # a complete DAG has 2^14 paths from its source to its sink; a top with no
+    # path into the isolated x lists none of them
+    labels = [f"v{i:02d}" for i in range(16)]
+    g = ProcessGraph.make(labels + ["x"], [], list(combinations(labels, 2)))
+    for v, w in (("x", "v15"), ("v15", "x")):
+        tracemalloc.start()
+        try:
+            assert enumerate_treks(g, v, w) == ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (v, w, peak)
+
+
+def test_trek_listing_on_a_chain_longer_than_the_recursion_limit():
+    labels = [f"v{i:04d}" for i in range(1500)]
+    g = ProcessGraph.make(labels, [], list(zip(labels, labels[1:])))
+    assert enumerate_treks(g, labels[0], labels[1]) == \
+        (Trek(labels[0], Path((labels[0],)), Path((labels[0], labels[1]))),)
+    assert enumerate_treks(g, labels[0], labels[-1]) == \
+        (Trek(labels[0], Path((labels[0],)), Path(tuple(labels))),)
 
 
 # -- systems with signs ------------------------------------------------------------------

@@ -203,19 +203,20 @@ def test_spectrum_trek_isolated_vertices():
     assert S == S_I.submatrix(("a", "b"), ("a", "b"))
 
 
-def test_spectrum_trek_enumerates_the_upper_triangle_only(monkeypatch, instrument_tsg):
-    # one trek enumeration per entry on or above the diagonal: n(n + 1)/2, not n^2
+def test_spectrum_trek_lists_each_top_and_observed_pair_once(monkeypatch, instrument_tsg):
+    # the trek rule grouped by top: one path listing per (top, observed vertex),
+    # |V| |O| of them, not one trek listing per entry
     calls = []
-    enumerate_treks = svar_module.enumerate_treks
-    monkeypatch.setattr(svar_module, "enumerate_treks",
-                        lambda g, v, w: calls.append((v, w)) or enumerate_treks(g, v, w))
+    enumerate_paths = svar_module.enumerate_paths
+    monkeypatch.setattr(svar_module, "enumerate_paths",
+                        lambda g, t, v: calls.append((t, v)) or enumerate_paths(g, t, v))
     rng = random.Random(31)
-    for tsg in (instrument_tsg, random_tsg(rng, random_dag(rng, "abcde", p=0.6))):
+    for tsg in (instrument_tsg, random_tsg(rng, random_latent_dag(rng, "abcde", "lm", p=0.6))):
         calls.clear()
         p = sample_stable_params(tsg, seed=17)
         assert spectrum_trek(tsg, p) == svar_reference.spectrum_trek(tsg, p)
-        n = len(tsg.base.observed)
-        assert len(calls) == len(set(calls)) == n * (n + 1) // 2
+        graph = tsg.base
+        assert len(calls) == len(set(calls)) == len(graph.vertices) * len(graph.observed)
 
 
 def test_spectrum_on_cyclic_observed_graph():
