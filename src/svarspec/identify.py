@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
-from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, htr,
-                    lfhtc_check, lfhtc_order)
+from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, lfhtc_check,
+                    lfhtc_order, lfhtc_prerequisite_edges)
 from .ratfield import RatFn
 from .ratlinalg import RatMatrix, rank, rank_mod, solve
 from .svar import SvarParams, _density, _trek_parts
@@ -58,45 +58,43 @@ def identify_instrument(S: RatMatrix, u: str, v: str, w: str) -> RatFn:
 # -- the half-trek identification step -----------------------------------------------
 
 
-def _known_link(known: dict[Edge, RatFn], edge: Edge) -> RatFn:
-    try:
-        return known[edge]
-    except KeyError:
-        raise MissingPrerequisiteError(
-            f"link function for edge {edge!r} required but not yet identified"
-        ) from None
-
-
 def lfhtc_identify_step(graph: ProcessGraph, S: RatMatrix, v: str, triple: LfhtcTriple,
                         known: dict[Edge, RatFn] | None = None):
-    """Solve the half-trek linear system for the links into v.
+    """Solve the half-trek linear system for the links into v, reading from
+    `known` the links `lfhtc_prerequisite_edges` lists; MissingPrerequisiteError
+    names the first one missing before any entry of S is read.
 
     Returns (solved, aux, system, rhs) where solved maps each edge (u, v) to
     its link function, aux maps each w in W to the auxiliary latent ratio
     solved alongside, and (system, rhs) is the assembled linear system.
     """
-    known = dict(known or {})
+    known = known or {}
     check = lfhtc_check(graph, v, triple)
     if not check.ok:
         raise ValueError(f"triple fails the half-trek criterion: {check.failed}")
+    edges = lfhtc_prerequisite_edges(graph, v, triple)
+    if missing := [e for e in edges if e not in known]:
+        raise MissingPrerequisiteError(
+            f"link function for edge {missing[0]!r} required but not yet identified")
+    heads = {y for _, y in edges}
     pa = list(graph.pa_observed(v))
     W = list(triple.W)
     Y = list(triple.Y)
-    reach = htr(graph, set(W) | {v}, frozenset(triple.Lp))
 
     def col(row: str, y: str) -> RatFn:
-        # S[row, y], minus y's incoming observed links (conjugated side) if y in reach
+        # S[row, y], minus y's incoming observed links (conjugated side) if y
+        # heads a prerequisite edge: as y is not in W, iff W and v half-trek reach y
         acc = S.entry(row, y)
-        if y in reach:
+        if y in heads:
             for x in graph.pa_observed(y):
-                acc = acc - S.entry(row, x) * _known_link(known, (x, y)).conj()
+                acc = acc - S.entry(row, x) * known[(x, y)].conj()
         return acc
 
     def b_entry(w: str, y: str) -> RatFn:
         # col(w, y) with w's incoming observed links removed (unconjugated side)
         acc = col(w, y)
         for x in graph.pa_observed(w):
-            acc = acc - _known_link(known, (x, w)) * col(x, y)
+            acc = acc - known[(x, w)] * col(x, y)
         return acc
 
     rows = [[col(u, y) for u in pa] + [b_entry(w, y) for w in W] for y in Y]
@@ -333,7 +331,8 @@ def discover_cpdag(ci_oracle: CiOracle, labels) -> Cpdag:
     def linked(a, b):
         return frozenset((a, b)) in undirected
 
-    # Meek rules to closure
+    # Meek rules to closure.  Each skeleton edge is in the CPDAG exactly once,
+    # directed or undirected, and no other is, so adjacency is read off `adjacent`
     changed = True
     while changed:
         changed = False
@@ -344,8 +343,7 @@ def discover_cpdag(ci_oracle: CiOracle, labels) -> Cpdag:
                 orient = False
                 # R1: c -> a and c, b non-adjacent
                 for c in nodes:
-                    if points_to(c, a) and c != b and not linked(c, b) \
-                            and not points_to(c, b) and not points_to(b, c):
+                    if points_to(c, a) and b not in adjacent[c]:
                         orient = True
                         break
                 # R2: a -> c -> b
@@ -358,7 +356,7 @@ def discover_cpdag(ci_oracle: CiOracle, labels) -> Cpdag:
                 if not orient:
                     incoming = [c for c in nodes if points_to(c, b) and linked(a, c)]
                     for c, d in combinations(incoming, 2):
-                        if not linked(c, d) and not points_to(c, d) and not points_to(d, c):
+                        if d not in adjacent[c]:
                             orient = True
                             break
                 if orient:

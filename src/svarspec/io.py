@@ -378,17 +378,12 @@ def load_params(path) -> SvarParams:
 # -- spectrum bundles --------------------------------------------------------------------------
 
 
-#: A bundle's matrices, in the order they are read.
+#: A bundle's matrices, in the order they are written and read.
 _BUNDLE_KEYS = ("H", "S_I", "S_LI", "S")
 
 
 def bundle_to_dict(bundle: SpectrumBundle) -> dict:
-    return {
-        "H": matrix_to_dict(bundle.H),
-        "S_I": matrix_to_dict(bundle.S_I),
-        "S_LI": matrix_to_dict(bundle.S_LI),
-        "S": matrix_to_dict(bundle.S),
-    }
+    return {key: matrix_to_dict(getattr(bundle, key)) for key in _BUNDLE_KEYS}
 
 
 def save_bundle(bundle: SpectrumBundle, path) -> None:
@@ -461,10 +456,18 @@ SERIES_BLOCK_ROWS = 512
 def save_series(series: SeriesSample, path) -> None:
     """Write each value as `repr` of its Python float: the shortest text that
     reads back as the same double.  Rows go out a block at a time, so only one
-    block is held as text; a series with no rows ends with an empty line."""
-    values = series.values
+    block is held as text; a series with no rows ends with an empty line.
+
+    Labels whose header line would not read back as the same labels are
+    refused with ValueError before the file is opened: an empty label alone
+    (the reader strips the empty header line), or a label holding a tab or a
+    line break as `str.splitlines` counts them."""
+    values, header = series.values, "\t".join(series.labels)
+    if series.labels and (header.splitlines() != [header]
+                          or tuple(header.split("\t")) != series.labels):
+        raise ValueError(f"series labels {series.labels!r} do not read back as a header line")
     with open(path, "w") as fh:
-        fh.write("\t".join(series.labels) + "\n")
+        fh.write(header + "\n")
         for start in range(0, len(values), SERIES_BLOCK_ROWS):
             rows = values[start:start + SERIES_BLOCK_ROWS].tolist()
             fh.write("\n".join(["\t".join(map(repr, row)) for row in rows]) + "\n")

@@ -444,13 +444,6 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def degree(self):
-        """max(deg num, deg den); NEG_INFINITY for the zero function."""
-        if self.is_zero:
-            return NEG_INFINITY
-        return max(self.num.degree, self.den.degree)
-
     def __eq__(self, other) -> bool:
         # a monic denominator's content is fixed by its primitive part
         return (

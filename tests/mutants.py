@@ -5,9 +5,11 @@ there exactly once, its replacement, and the tests that must fail on the
 result.  The script copies `src/` to a temporary directory and checks that
 every entry's text occurs exactly once, so a refactor that moves the text
 updates this list instead of skipping the entry.  It runs all named tests once
-on the unchanged copy, where they must pass, and then applies each entry in
-turn and runs its tests with `-x`.  A mutant is caught when pytest reports a
-failing test (exit status 1); a pass, or any other status, fails the script.
+on the unchanged copy, where they must pass.  Then one worker per CPU (at most
+one per entry), each with its own copy of `src/`, applies the entries one at a
+time and runs each entry's tests with `-x`; verdicts print in `MUTANTS` order.
+A mutant is caught when pytest reports a failing test (exit status 1); a pass,
+or any other status, fails the script.
 
     python tests/mutants.py
 
@@ -19,11 +21,14 @@ See DeMillo, Lipton & Sayward 1978 (IEEE Computer 11(4)) and Jia & Harman
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,6 +114,13 @@ MUTANTS = [
     Mutant("the regression-first rule dropped", "graph.py",
            "if lfhtc_check(graph, v, regression).ok and all(", "if False and all(",
            ("tests/test_graph.py::test_lfhtc_search_regression_on_fully_observed",)),
+    # the half-trek step reads the links lfhtc_prerequisite_edges lists
+    Mutant("every y in Y has its incoming links subtracted", "identify.py",
+           "if y in heads:", "if True:",
+           ("tests/test_identify.py::test_certificate_replay",)),
+    Mutant("a missing link found only when it is read", "identify.py",
+           "if missing := [e for e in edges if e not in known]:", "if False:",
+           ("tests/test_identify.py::test_step_missing_prerequisite",)),
     # path and trek listing
     Mutant("every top lists its paths", "graph.py",
            "if (n := into_v[top] * into_w[top])}", "if (n := into_v[top] * into_w[top]) or True}",
@@ -177,6 +189,10 @@ MUTANTS = [
     Mutant("save_series drops the empty series' second newline", "io.py",
            'fh.write("\\n")\n', "pass\n",
            ("tests/test_io.py::test_series_bytes_match_the_reference_at_block_and_empty_shapes",)),
+    Mutant("save_series writes labels that do not read back", "io.py",
+           "if series.labels and (header.splitlines() != [header]",
+           "if False and (header.splitlines() != [header]",
+           ("tests/test_cli.py::test_simulate_refuses_labels_that_do_not_read_back_before_writing",)),
     # the streaming series reader and the chunked digest
     Mutant("the last line split with its line break on", "io.py",
            'yield from last.removesuffix("\\n").splitlines()', "yield from last.splitlines()",
@@ -210,15 +226,36 @@ def _pytest(src: Path, tests) -> int:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+                           f"--basetemp={src.parent / 'basetemp'}", *tests], cwd=ROOT, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(tmp: str, i: int) -> Path:
+    src = Path(tmp) / f"worker{i}" / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _trial(m: Mutant, copies: queue.Queue) -> tuple[int, float]:
+    """Plant m in a free copy of src/, run its tests there and restore the copy."""
+    src = copies.get()
+    try:
+        path = src / "svarspec" / m.file
+        text = path.read_text()
+        path.write_text(text.replace(m.old, m.new))
+        start = time.perf_counter()
+        status = _pytest(src, m.tests)
+        path.write_text(text)
+        return status, time.perf_counter() - start
+    finally:
+        copies.put(src)
 
 
 def main() -> int:
     mutants = MUTANTS
+    workers = min(len(mutants), os.cpu_count() or 1)
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        src = _copy(tmp, 0)
         stale = [f"{m.name}: {m.file} holds its text {n} times, not once"
                  for m in mutants
                  if (n := (src / "svarspec" / m.file).read_text().count(m.old)) != 1]
@@ -229,18 +266,16 @@ def main() -> int:
         if _pytest(src, tests):
             print("the named tests fail on the unchanged source")
             return 1
+        copies: queue.Queue = queue.Queue()
+        for i in range(workers):
+            copies.put(src if i == 0 else _copy(tmp, i))
         survived = []
-        for m in mutants:
-            path = src / "svarspec" / m.file
-            text = path.read_text()
-            path.write_text(text.replace(m.old, m.new))
-            start = time.perf_counter()
-            status = _pytest(src, m.tests)
-            path.write_text(text)
-            verdict = "caught" if status == 1 else f"NOT CAUGHT (pytest exit {status})"
-            print(f"{verdict:<28} {time.perf_counter() - start:5.1f} s  {m.name}")
-            if status != 1:
-                survived.append(m.name)
+        with ThreadPoolExecutor(workers) as pool:
+            for m, (status, seconds) in zip(mutants, pool.map(_trial, mutants, repeat(copies))):
+                verdict = "caught" if status == 1 else f"NOT CAUGHT (pytest exit {status})"
+                print(f"{verdict:<28} {seconds:5.1f} s  {m.name}", flush=True)
+                if status != 1:
+                    survived.append(m.name)
     print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants caught")
     return 1 if survived else 0
 

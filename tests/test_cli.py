@@ -460,6 +460,23 @@ def test_simulate_refuses_a_graph_with_no_vertices_before_writing(capsys, tmp_pa
     assert code == EXIT_VALIDATION and "no header line" in report["error"]
 
 
+@pytest.mark.parametrize("label", ["", "a\tb", "a\nb", "a\x0bb"])
+def test_simulate_refuses_labels_that_do_not_read_back_before_writing(capsys, tmp_path, label):
+    """A series file's header is its labels joined by tabs on one line, and the
+    reader strips an empty header line: a lone empty label, a tab or a line
+    break `str.splitlines` knows would come back as other labels, so `simulate`
+    exits 2 and writes nothing."""
+    graph, params = tmp_path / "graph.json", tmp_path / "params.json"
+    graph.write_text(json.dumps({"observed": [label], "latent": [], "edges": []}))
+    params.write_text(json.dumps({"cross": [], "auto": [],
+                                  "noise": [{"vertex": label, "variance": "1"}]}))
+    series = tmp_path / "series.txt"
+    code, report = run(capsys, "simulate", "--graph", str(graph), "--params", str(params),
+                       "--length", "8", "--seed", "1", "--out", str(series))
+    assert code == EXIT_VALIDATION and "read back" in report["error"]
+    assert not series.exists()
+
+
 def test_estimate_bad_segmentation_exit_code(capsys, tmp_path, instrument_files):
     graph, params = instrument_files
     series = tmp_path / "short.txt"

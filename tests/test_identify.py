@@ -142,11 +142,21 @@ def test_step_second_stage_uses_known_links(confounded_chain_graph, confounded_c
 
 
 def test_step_missing_prerequisite(confounded_chain_graph, confounded_chain_tsg):
+    """The links a step needs are known from the graph alone, so a missing one
+    is refused, named, before any entry of S is read."""
     p = sample_stable_params(confounded_chain_tsg, seed=2)
     S = spectrum(confounded_chain_tsg, p).S
+    reads = []
+
+    class RecordingS:
+        def entry(self, row, col):
+            reads.append((row, col))
+            return S.entry(row, col)
+
     triple = LfhtcTriple.make(["v1", "v2"], ["v4"], ["l"])
-    with pytest.raises(MissingPrerequisiteError):
-        lfhtc_identify_step(confounded_chain_graph, S, "v3", triple, known={})
+    with pytest.raises(MissingPrerequisiteError, match=r"\('v3', 'v4'\)"):
+        lfhtc_identify_step(confounded_chain_graph, RecordingS(), "v3", triple, known={})
+    assert reads == []
 
 
 def test_step_empty_latent_triple_equals_regression(chain_graph, chain_tsg):
