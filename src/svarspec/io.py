@@ -7,15 +7,17 @@ coefficients travel as strings "p/q" in lowest terms, read and written as
 integer pairs; decimal notation is rejected on load.  A coefficient list in
 that form is checked by one match over the joined list, any other list
 coefficient by coefficient.  A rational function is the coefficient lists of
-its numerator and denominator, and a matrix adds its row and column labels.
-A matrix on load has every entry checked at once, and each made canonical
-again (a `RatFn`, with its gcd) only when it is first read, so
-`identify --spectrum` builds only the entries of S it reads.  The module
-reads graphs, parameters, spectrum bundles, series and estimates, and writes
-bundles, certificates, CPDAGs, series and estimates: the files the commands
-take and give.  Series are columnar text with a label header row, written
-and read a block of rows at a time: the reader takes the file a line at a
-time, so neither side holds the text of more than one block.  Input files
+its numerator and denominator, and a matrix adds its row and column labels;
+`to_json` writes both straight from each polynomial's integer triple, with
+no dict or list per entry.  A matrix on load has every entry checked at
+once, and each made canonical again (a `RatFn`, with its gcd) only when it
+is first read, so `identify --spectrum` builds only the entries of S it
+reads.  The module reads graphs, parameters, spectrum bundles, series and
+estimates, and writes bundles, certificates, CPDAGs, series and estimates:
+the files the commands take and give.  Series are columnar text with a
+label header row, written and read a block of rows at a time: the reader
+takes the file a line at a time, so neither side holds the text of more
+than one block, and parses the rows into one array.  Input files
 are hashed for the run report in chunks.  Only the series and estimate
 readers and writers touch numpy, and they import it where they run.
 """
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING, Any
 from .graph import (GraphValidationError, LfhtcTriple, ProcessGraph,
                     TimeSeriesGraph)
 from .identify import Cpdag, IdentificationCertificate
-from .ratfield import Poly, RatFn, _from_ratios, _new
+from .ratfield import R_ZERO, Poly, RatFn, _from_ratios, _new
 from .ratlinalg import RatMatrix
 from .svar import SpectrumBundle, SvarParams
 
@@ -73,14 +75,12 @@ def _emit(value, newline: str) -> str:
         return "{" + inner + ("," + inner).join(
             [_quote(k) + ": " + _emit(value[k], inner) for k in sorted(value)]) + newline + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        try:  # a list of strings, such as a coefficient list, is quoted in C
+        try:  # a list of strings, such as a label list, is quoted in C
             items = list(map(_quote, value))
         except TypeError:
+            inner = newline + "  "
             items = [_emit(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _list(items, newline)
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -93,14 +93,59 @@ def _emit(value, newline: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return _float(value)
+    if isinstance(value, RatFn):
+        return _ratfn_text(value, newline)
+    if isinstance(value, RatMatrix):
+        return _matrix_text(value, newline)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _list(items: list[str], newline: str) -> str:
+    """The JSON list of item texts written for the depth below `newline`."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _coeff_list(poly: Poly, newline: str) -> str:
+    """The JSON list of poly's coefficient strings, at the depth of `newline`;
+    the strings hold only digits, signs and slashes, so none needs escaping."""
+    if not poly.p:
+        return "[]"
+    item = newline + "  "
+    return "[" + item + '"' + ('",' + item + '"').join(_coeff_strings(poly)) + '"' + newline + "]"
+
+
+def _ratfn_text(r: RatFn, newline: str) -> str:
+    """The JSON object {"den": ..., "num": ...} of r's coefficient lists."""
+    inner = newline + "  "
+    return ("{" + inner + '"den": ' + _coeff_list(r.den, inner) + "," + inner
+            + '"num": ' + _coeff_list(r.num, inner) + newline + "}")
+
+
+def _matrix_text(matrix: RatMatrix, newline: str) -> str:
+    """The JSON object of a matrix's labels and entries; the text of a zero
+    entry, most of a spectrum's, is built once for the entries' depth."""
+    inner = newline + "  "
+    row = inner + "  "
+    entry = row + "  "
+    zero = _ratfn_text(R_ZERO, entry)
+    rows = [_list([_ratfn_text(e, entry) if e.num.p else zero for e in cells], row)
+            for cells in matrix.entries]
+    fields = {"rows": _emit(matrix.row_labels, inner), "cols": _emit(matrix.col_labels, inner),
+              "entries": _list(rows, inner)}
+    return "{" + inner + ("," + inner).join(
+        [_quote(k) + ": " + fields[k] for k in sorted(fields)]) + newline + "}"
 
 
 def to_json(value) -> str:
     """The text of `json.dumps(value, indent=2, sort_keys=True)` for a value of
     dicts with string keys, lists, tuples, strings, ints, floats, bools and
     None, built without the standard library's pure-Python encoder, which
-    that call runs whenever an indent is set."""
+    that call runs whenever an indent is set.  A `RatFn` is written as the
+    object {"den": ..., "num": ...} of its coefficient strings, and a
+    `RatMatrix` as {"cols": ..., "entries": ..., "rows": ...}."""
     return _emit(value, "\n")
 
 
@@ -229,10 +274,6 @@ def _poly(coeffs: str) -> Poly:
     return _new(*_from_ratios(ratios))
 
 
-def ratfn_to_dict(r: RatFn) -> dict:
-    return {"num": _coeff_strings(r.num), "den": _coeff_strings(r.den)}
-
-
 def _checked_ratfn(data: dict) -> tuple:
     """A rational function's coefficient lists from `_checked`, refused
     wherever building it would fail, but not built: no `Poly`, gcd or
@@ -276,21 +317,18 @@ class _OnDemand(RatMatrix):
         return cell
 
 
-def matrix_to_dict(matrix: RatMatrix) -> dict:
-    return {
-        "rows": list(matrix.row_labels),
-        "cols": list(matrix.col_labels),
-        "entries": [[ratfn_to_dict(e) for e in row] for row in matrix.entries],
-    }
+#: The zero entry as the writers write it: most entries of a spectrum.
+_ZERO_ENTRY = {"num": [], "den": ["1"]}
 
 
 def matrix_from_dict(data: dict) -> RatMatrix:
     """Read a matrix whose every entry is checked now and made canonical when
     first read; `RatMatrix` refuses duplicate labels and a grid of the wrong
-    shape."""
+    shape.  An entry equal to `_ZERO_ENTRY` is the zero `RatFn` at once."""
     return _OnDemand(
         _labels(data["rows"], "matrix rows"), _labels(data["cols"], "matrix cols"),
-        [[_checked_ratfn(e) for e in row] for row in data["entries"]],
+        [[R_ZERO if e == _ZERO_ENTRY else _checked_ratfn(e) for e in row]
+         for row in data["entries"]],
     )
 
 
@@ -382,12 +420,8 @@ def load_params(path) -> SvarParams:
 _BUNDLE_KEYS = ("H", "S_I", "S_LI", "S")
 
 
-def bundle_to_dict(bundle: SpectrumBundle) -> dict:
-    return {key: matrix_to_dict(getattr(bundle, key)) for key in _BUNDLE_KEYS}
-
-
 def save_bundle(bundle: SpectrumBundle, path) -> None:
-    _dump(bundle_to_dict(bundle), path)
+    _dump({key: getattr(bundle, key) for key in _BUNDLE_KEYS}, path)
 
 
 def load_bundle(path) -> SpectrumBundle:
@@ -406,19 +440,21 @@ def _triple_to_dict(triple: LfhtcTriple) -> dict:
 
 
 def certificate_to_dict(cert: IdentificationCertificate) -> dict:
+    """The certificate's JSON document, its matrices and rational functions
+    left as objects for `to_json` to write."""
     return {
         "steps": [
             {
                 "vertex": s.vertex,
                 "triple": _triple_to_dict(s.triple),
                 "method": s.method,
-                "system": matrix_to_dict(s.system),
-                "rhs": [ratfn_to_dict(r) for r in s.rhs],
+                "system": s.system,
+                "rhs": s.rhs,
                 "solved": [
-                    {"from": a, "to": b, "link": ratfn_to_dict(h)}
+                    {"from": a, "to": b, "link": h}
                     for (a, b), h in sorted(s.solved.items())
                 ],
-                "aux": {w: ratfn_to_dict(f) for w, f in sorted(s.aux.items())},
+                "aux": s.aux,
             }
             for s in cert.steps
         ],
@@ -495,11 +531,14 @@ def _series_lines(fh):
 
 def load_series(path) -> SeriesSample:
     """Read a series file; numpy parses each cell as `float` would, so a cell
-    `float` rejects, or a ragged row, raises ValueError.  Only line breaks are
-    stripped from the ends of the text, so a label keeps its spaces, and a
-    text with no line left has no header line and is refused.  The file is
-    read a line at a time, and its cells split and parsed a block of rows at
-    a time, so the text of only one block is held."""
+    `float` rejects, or a row whose width is not the header's, raises
+    ValueError.  Only line breaks are stripped from the ends of the text, so
+    a label keeps its spaces, and a text with no line left has no header line
+    and is refused, as is one with no row.  The file is read a line at a
+    time, and its cells split and parsed a block of rows at a time into one
+    array, which grows by a quarter in place when it is full and is cut to
+    the rows read at the end: the text of only one block is held, beside at
+    most a quarter more than the array."""
     import numpy as np
 
     from .simulate import SeriesSample
@@ -509,10 +548,20 @@ def load_series(path) -> SeriesSample:
         if header is None:
             raise ValueError("series file has no header line")
         labels = tuple(header.split("\t"))
-        blocks = []
+        values, rows = np.empty((0, len(labels))), 0
         while block := [line.split("\t") for line in islice(lines, SERIES_BLOCK_ROWS)]:
-            blocks.append(np.array(block, dtype=np.float64))
-    values = np.concatenate(blocks) if blocks else np.array([], dtype=np.float64)
+            parsed = np.array(block, dtype=np.float64)
+            if parsed.shape[1] != len(labels):
+                raise ValueError("series rows do not match the header's labels")
+            end = rows + len(parsed)
+            if end > len(values):
+                values.resize((max(end, len(values) * 5 // 4), len(labels)), refcheck=False)
+            values[rows:end] = parsed
+            rows = end
+    if not rows:
+        # no row: `SeriesSample` refuses the empty array, as it always has
+        return SeriesSample(labels, np.array([], dtype=np.float64))
+    values.resize((rows, len(labels)), refcheck=False)
     return SeriesSample(labels, values)
 
 

@@ -21,18 +21,20 @@ agrees with evaluating at the complex conjugate of the argument (equivalently
 at 1/z), which is what lets cross-spectra be represented inside R(z).
 
 Greatest common divisors, which every canonical form needs, are computed over
-Z.  Euclid's algorithm modulo the prime 2^61 - 1 first tries to prove the
-arguments coprime (Brown 1971): a common factor over Q is, by Gauss's lemma,
-a primitive integer factor whose leading coefficient divides both leading
-ones, so if the prime divides neither, the factor survives modulo the prime
-and the gcd there is not constant.  Failing that proof, a primitive
-polynomial remainder sequence (Collins 1967) runs on the primitive parts,
-and only the final divisor is made monic over Q.  Since the monic gcd is
-unique, canonical forms do not depend on how it is computed.
+Z on the primitive parts, by the heuristic gcd GCDHEU (Char, Geddes & Gonnet
+1989; Geddes, Czapor & Labahn 1992, section 7.7): both arguments are packed
+into integers at a power of two, one integer gcd is taken, and its digits are
+read back as a candidate divisor, which is accepted only once it is shown to
+divide both arguments; `poly_gcd` proves that an accepted candidate is the
+gcd.  After `GCDHEU_TRIES` tries a primitive polynomial remainder sequence
+(Collins 1967) finds the gcd instead.  Either way the gcd is made monic over
+Q only at the end; since the monic gcd is unique, canonical forms do not
+depend on how it is computed.
 
-The same prime and the point `EVAL_POINT` fix where the spectrum kernel's
-values are mapped to GF(P) (`svar._KnownDenominator.image`, whose docstring
-proves the map a ring homomorphism); no `RatFn` is evaluated modulo P.
+The prime `MOD_PRIME` and the point `EVAL_POINT` fix where the spectrum
+kernel's values are mapped to GF(P) (`svar._KnownDenominator.image`, whose
+docstring proves the map a ring homomorphism); no `RatFn` is evaluated
+modulo P.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ Coeff = Union[int, Fraction]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
-#: The Mersenne prime modulo which `poly_gcd` tests coprimality and the
-#: spectrum kernel takes its images.
+#: The Mersenne prime modulo which the spectrum kernel takes its images
+#: (`svar._KnownDenominator.image`) and `ratlinalg.rank_mod` ranks them.
 MOD_PRIME = 2**61 - 1
 
 #: The fixed point z0 at which the modular filters evaluate.  Any nonzero
@@ -337,39 +339,6 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return rem
 
 
-def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True only if a and b, of degree >= 1, are proved coprime over Q.
-
-    Proof: a common factor h of degree >= 1 may be taken primitive in Z[z],
-    where it divides a (Gauss's lemma), so lc(h) divides lc(a).  If the prime
-    divides neither leading coefficient, h keeps its degree modulo the prime
-    and divides both images there, so their gcd modulo the prime is not
-    constant.  A constant gcd modulo the prime therefore proves gcd = 1.
-    """
-    P = MOD_PRIME
-    u, v = [x % P for x in a], [x % P for x in b]
-    if not u[-1] or not v[-1]:  # the prime divides a leading coefficient
-        return False
-    if len(u) < len(v):
-        u, v = v, u
-    while len(v) > 1:
-        # fraction-free Euclid: a modular inverse costs more than this scaling
-        lead, d = v[-1], len(v) - 1
-        for i in range(len(u) - 1, d - 1, -1):
-            t = u[i]
-            if t:  # u <- lead * u - t z^(i-d) v clears u[i]
-                base = i - d
-                for j in range(base):
-                    u[j] = u[j] * lead % P
-                for j in range(d):
-                    u[base + j] = (u[base + j] * lead - t * v[j]) % P
-        rem = u[:d]
-        while rem and not rem[-1]:
-            rem.pop()
-        u, v = v, rem
-    return len(v) == 1
-
-
 def _horner_mod(p: Sequence[int], z: int) -> int:
     """The integer polynomial p at z, modulo `MOD_PRIME`."""
     acc = 0
@@ -378,20 +347,83 @@ def _horner_mod(p: Sequence[int], z: int) -> int:
     return acc
 
 
+#: Evaluation points `poly_gcd` tries before it falls back to the remainder
+#: sequence; each try squares the point.
+GCDHEU_TRIES = 4
+
+
+def _pack(p: Sequence[int], k: int) -> int:
+    """The integer polynomial p at 2^k, by shifts and adds."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << k) + c
+    return acc
+
+
+def _unpack(n: int, k: int) -> list[int]:
+    """The symmetric 2^k-adic digits of n > 0, lowest first: the integer
+    polynomial H with H(2^k) = n and every digit in (-2^(k-1), 2^(k-1)]."""
+    xi, half, mask = 1 << k, 1 << (k - 1), (1 << k) - 1
+    digits = []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= xi
+        digits.append(d)
+        n = (n - d) >> k
+    return digits
+
+
+def _divides(h: Sequence[int], a: Sequence[int]) -> bool:
+    """Whether the integer polynomial h divides a over Z."""
+    if len(h) > len(a):
+        return False
+    result = _long_division(a, h)
+    return result is not None and not any(result[1])
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor over Q; raises ValueError if both are zero.
 
-    Computed over Z on the primitive parts of f and g: `_coprime_mod_prime`
-    answers 1 when it can prove it, and otherwise a primitive polynomial
-    remainder sequence finds the gcd, which is then made monic over Q.
+    Computed over Z on the primitive parts a and b of f and g, of degree >= 1,
+    by GCDHEU: with xi = 2^k > 2 min(|a|, |b|) + 2 (|.| the largest absolute
+    coefficient), let H be the polynomial of symmetric xi-adic digits of
+    gamma = gcd(a(xi), b(xi)) and h = pp(H).  If h divides a and b, then h is
+    their gcd g; a constant h divides both, so it proves them coprime.
+
+    Proof: say |a| <= |b|.  Every root r of a has |r| < 1 + |a| (Cauchy's
+    bound), so |xi - r| > xi - 1 - |a| > xi/2.  Since h divides a and b, it
+    divides g over Z (Gauss's lemma); write g = h q with q in Z[z].  g(xi)
+    divides a(xi) and b(xi), hence their gcd gamma = H(xi) = c h(xi), where
+    c is the content of H; h(xi) != 0, as the roots of h are roots of a, so
+    q(xi) divides c.  gamma > 0 since a(xi) != 0, so H != 0, and c divides
+    each of its digits, which are at most xi/2 in absolute value: 0 < |c| <=
+    xi/2.  If q had degree >= 1, its roots would be roots of a, and
+    |q(xi)| >= prod |xi - r| > xi/2 >= |c|, which no divisor of c can be.  So
+    q is constant, and h = g since both are primitive with positive leading
+    coefficients.
+
+    A candidate that fails the division check is discarded and k doubled,
+    which keeps xi above the bound; after `GCDHEU_TRIES` tries a primitive
+    polynomial remainder sequence finds the gcd.  The gcd is then made monic
+    over Q.
     """
     a, b = f.p, g.p
     if not a or not b:
         if not a and not b:
             raise ValueError("gcd(0, 0) is undefined")
         return g.monic() if b else f.monic()
-    if len(a) == 1 or len(b) == 1 or _coprime_mod_prime(a, b):
+    if len(a) == 1 or len(b) == 1:
         return P_ONE
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    for _ in range(GCDHEU_TRIES):
+        h = _unpack(math.gcd(_pack(a, k), _pack(b, k)), k)
+        if len(h) == 1:
+            return P_ONE
+        h = _primitive(h)
+        if _divides(h, a) and _divides(h, b):
+            return _new(1, h[-1], tuple(h))
+        k *= 2
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from svarspec import ratfield
 from svarspec.graph import ProcessGraph, TimeSeriesGraph
 from svarspec.ratfield import Poly, RatFn
 
@@ -139,6 +140,14 @@ def random_ratfn(rng: random.Random, max_degree: int = 3, zero_ok: bool = True) 
 # -- acceptance report ---------------------------------------------------------------
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
+
+
+def forbid_remainder_sequences(monkeypatch) -> None:
+    """Make `poly_gcd`'s remainder-sequence fallback fail the test if it runs."""
+    def fail(a, b):
+        raise AssertionError("a gcd fell back to the remainder sequence")
+
+    monkeypatch.setattr(ratfield, "_pseudo_remainder", fail)
 
 
 def record_acceptance(number: int, description: str, passed: bool) -> None:

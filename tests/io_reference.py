@@ -11,7 +11,11 @@ reader; those codecs live here, built on `svarspec.io`'s checked readers.
   certificate, each entry made canonical again;
 - `eager_bundle` reads a bundle with every entry made canonical at load: the
   reference that `io.load_bundle`, which makes an entry canonical only when
-  it is first read, must refuse and read alike.
+  it is first read, must refuse and read alike;
+- `ratfn_to_dict`, `matrix_to_dict`, `bundle_to_dict` and
+  `certificate_to_dict` give exact values as nested dicts and lists of
+  coefficient strings: `json.dumps(..., indent=2, sort_keys=True)` of them is
+  the text `io.to_json` must write from the objects themselves.
 """
 
 from __future__ import annotations
@@ -105,3 +109,40 @@ def certificate_from_dict(data: dict) -> IdentificationCertificate:
 
 def load_certificate(path) -> IdentificationCertificate:
     return certificate_from_dict(sio._load(path))
+
+
+# -- the dict form of exact values: the byte oracle of `svarspec.io.to_json` ------------
+
+
+def ratfn_to_dict(r: RatFn) -> dict:
+    return {"num": sio._coeff_strings(r.num), "den": sio._coeff_strings(r.den)}
+
+
+def matrix_to_dict(matrix: RatMatrix) -> dict:
+    return {
+        "rows": list(matrix.row_labels),
+        "cols": list(matrix.col_labels),
+        "entries": [[ratfn_to_dict(e) for e in row] for row in matrix.entries],
+    }
+
+
+def bundle_to_dict(bundle: SpectrumBundle) -> dict:
+    return {key: matrix_to_dict(getattr(bundle, key)) for key in sio._BUNDLE_KEYS}
+
+
+def _plain(value):
+    """value with every `RatFn` and `RatMatrix` in it replaced by its dict form."""
+    if isinstance(value, RatFn):
+        return ratfn_to_dict(value)
+    if isinstance(value, RatMatrix):
+        return matrix_to_dict(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def certificate_to_dict(cert: IdentificationCertificate) -> dict:
+    """A certificate's document with every exact value in its dict form."""
+    return _plain(sio.certificate_to_dict(cert))

@@ -68,6 +68,23 @@ MUTANTS = [
     Mutant("the zero-coefficient shift of d dropped", "svar.py",
            "low = next(i for i, c in enumerate(d.p) if c)", "low = 0",
            (SVAR + "test_cyclic_spectrum_where_d_vanishes_at_zero",)),
+    # the heuristic gcd: the point, the digits, the division check, the fallback
+    Mutant("the first point one bit below the bound", "ratfield.py",
+           "max(map(abs, b))) + 2).bit_length()", "max(map(abs, b))) + 2).bit_length() - 1",
+           ("tests/test_ratfield.py::test_gcd_at_the_smallest_point_the_theorem_allows",)),
+    Mutant("a candidate accepted without the division check", "ratfield.py",
+           "if _divides(h, a) and _divides(h, b):", "if True:",
+           ("tests/test_ratfield.py::test_gcd_refuses_a_candidate_that_does_not_divide",)),
+    Mutant("unsigned digits", "ratfield.py",
+           "if d > half:", "if False:",
+           ("tests/test_ratfield.py::test_gcd_takes_the_heuristic_path_on_a_signed_factor",)),
+    Mutant("the remainder sequence never reached", "ratfield.py",
+           "for _ in range(GCDHEU_TRIES):", "while True:",
+           ("tests/test_ratfield.py::"
+            "test_gcd_falls_back_to_the_remainder_sequence_when_no_try_is_left",)),
+    Mutant("the heuristic never tried", "ratfield.py",
+           "GCDHEU_TRIES = 4", "GCDHEU_TRIES = 0",
+           ("tests/test_ratfield.py::test_gcd_takes_the_heuristic_path_on_a_signed_factor",)),
     # the known-denominator kernel
     Mutant("the root's sign flipped", "svar.py",
            "return -f.p[0] * pow(f.p[1], -1, MOD_PRIME) % MOD_PRIME",
@@ -147,7 +164,7 @@ MUTANTS = [
            'joined.count(",") == len(coeffs) - 1', "True",
            ("tests/test_io.py::test_coefficient_parser_matches_the_fraction_oracle",)),
     Mutant("an eager S", "io.py",
-           "[[_checked_ratfn(e) for e in row]", "[[_ratfn(_checked_ratfn(e)) for e in row]",
+           "else _checked_ratfn(e) for e in row]", "else _ratfn(_checked_ratfn(e)) for e in row]",
            ("tests/test_cli.py::test_identify_spectrum_builds_only_the_s_entries_it_reads",)),
     Mutant("load_bundle checks only S", "io.py",
            "matrix_from_dict(data[key]) for key in _BUNDLE_KEYS",
@@ -159,6 +176,17 @@ MUTANTS = [
            'return ",".join(f"{p}/{q}" for p, q in _ratios(coeffs)) or "0"',
            'return ",".join(coeffs) if _ratios(coeffs) else "0"',
            ("tests/test_io.py::test_spectral_density_loader_refuses_what_the_bundle_loader_refuses[H]",)),
+    Mutant("an entry with an empty numerator read as zero", "io.py",
+           "R_ZERO if e == _ZERO_ENTRY else",
+           'R_ZERO if isinstance(e, dict) and e.get("num") == [] else',
+           ("tests/test_io.py::test_spectral_density_loader_refuses_what_the_bundle_loader_refuses[H]",)),
+    Mutant("the zero entry's text built for the rows' depth", "io.py",
+           "zero = _ratfn_text(R_ZERO, entry)", "zero = _ratfn_text(R_ZERO, row)",
+           ("tests/test_io.py::test_written_bundle_is_the_dict_form_of_a_spectrum",)),
+    Mutant("matrix keys written unsorted", "io.py",
+           "for k in sorted(fields)]", "for k in fields]",
+           ("tests/test_io.py::"
+            "test_certificate_writer_writes_what_json_dumps_writes_of_the_dict_form",)),
     Mutant("the estimate writer names the window \"hanning\"", "io.py",
            '"window": "hann",', '"window": "hanning",',
            ("tests/test_io.py::test_estimate_round_trip",)),

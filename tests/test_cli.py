@@ -29,7 +29,8 @@ from svarspec.ratlinalg import RatMatrix, rank
 from svarspec.svar import (SvarParams, conditional_spectrum, sample_stable_params,
                            spectral_density, spectrum)
 
-from io_reference import eager_bundle, graph_to_dict, params_to_dict, save_graph, save_params
+from io_reference import (bundle_to_dict, eager_bundle, graph_to_dict, params_to_dict,
+                          save_graph, save_params)
 
 
 @pytest.fixture
@@ -955,7 +956,7 @@ def valid_documents(tmp_path, instrument_tsg):
     return {
         "graph": graph_to_dict(instrument_tsg),
         "params": params_to_dict(params),
-        "bundle": sio.bundle_to_dict(spectrum(instrument_tsg, params)),
+        "bundle": bundle_to_dict(spectrum(instrument_tsg, params)),
         "series": [line.split("\t")
                    for line in (tmp_path / "series.txt").read_text().splitlines()],
         "estimate": sio.estimate_to_dict(estimate_spectrum(series, [0.5, 1.5],

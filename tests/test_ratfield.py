@@ -13,9 +13,10 @@ from svarspec import ratfield
 from svarspec.ratfield import (MOD_PRIME, NEG_INFINITY, P_ONE, P_ZERO, Poly,
                                PoleError, R_ONE, R_ZERO, RatFn, poly_gcd)
 
-from conftest import random_poly, random_ratfn
+from conftest import forbid_remainder_sequences, random_poly, random_ratfn
 from fraction_reference import (FracPoly, canonical, euclid_gcd, rat_add,
                                 rat_conj, rat_div, rat_mul)
+from gcd_reference import coprime_mod_prime
 
 
 def test_poly_add_cancellation():
@@ -91,7 +92,8 @@ def test_hypothesis_gcd_matches_fraction_euclid(f, g, factor):
 
 
 def test_gcd_leading_coefficients_divisible_by_the_prime():
-    """(P z + 1) is a constant modulo P, so the images of f and g are coprime there."""
+    """(P z + 1) is a constant modulo P, so the images of f and g are coprime
+    there: the case the modular coprimality proof had to refuse."""
     h = Poly([1, MOD_PRIME])
     f, g = h * Poly([1, 1]), h * Poly([2, 1])
     assert poly_gcd(f, g) == h.monic()
@@ -99,7 +101,8 @@ def test_gcd_leading_coefficients_divisible_by_the_prime():
 
 
 def test_gcd_coprime_over_q_but_not_modulo_the_prime():
-    """z + P and z share the factor z modulo P only; the fallback still answers 1."""
+    """z + P and z share the factor z modulo P only, which the modular
+    coprimality proof could not get past; the answer is still 1."""
     f, g = Poly([MOD_PRIME, 1]), Poly([0, 1])
     assert poly_gcd(f, g) == P_ONE
     assert RatFn(f, g).den == g
@@ -110,6 +113,60 @@ def test_gcd_planted_factor_with_large_coefficients():
     f, g = Poly([3, 2**65, 1]) * h, Poly([-1, 0, 0, 2**90]) * h
     assert poly_gcd(f, g) == h.monic()
     assert poly_gcd(f * f, g * h) == (h * h).monic()
+
+
+def test_gcd_at_the_smallest_point_the_theorem_allows():
+    """|z - 2| = 2, so the first point is 8 > 2 * 2 + 2; at 4 the value 2 reads
+    back as the constant 2, and z - 2 would be called coprime to itself."""
+    f = Poly([-2, 1])
+    assert poly_gcd(f, f) == f
+    assert RatFn(f * Poly([1, 1]), f) == RatFn(Poly([1, 1]))
+
+
+def test_gcd_refuses_a_candidate_that_does_not_divide(monkeypatch):
+    """2z - 1 and z + 2 are coprime, but at the first point, 8, their values
+    15 and 10 share 5 = 8 - 3, which reads back as z - 3; the second point
+    proves them coprime."""
+    forbid_remainder_sequences(monkeypatch)
+    assert poly_gcd(Poly([-1, 2]), Poly([2, 1])) == P_ONE
+
+
+def test_gcd_takes_the_heuristic_path_on_a_signed_factor(monkeypatch):
+    """A gcd with negative coefficients is read back from the signed digits at
+    the first point: no remainder sequence runs."""
+    forbid_remainder_sequences(monkeypatch)
+    h = Poly([-3, -2, 1])
+    f, g = h * Poly([5, -1, 2]), h * Poly([-7, 0, 1])
+    assert poly_gcd(f, g) == h
+    assert poly_gcd(f * h, g * h) == h * h
+
+
+def test_gcd_falls_back_to_the_remainder_sequence_when_no_try_is_left(monkeypatch):
+    calls = []
+    remainder = ratfield._pseudo_remainder
+    monkeypatch.setattr(ratfield, "GCDHEU_TRIES", 0)
+    monkeypatch.setattr(ratfield, "_pseudo_remainder",
+                        lambda a, b: calls.append(1) or remainder(a, b))
+    h = Poly([-3, -2, 1])
+    f, g = h * Poly([5, -1, 2]), h * Poly([-7, 0, 1])
+    assert poly_gcd(f, g) == h
+    assert poly_gcd(Poly([-1, 2]), Poly([2, 1])) == P_ONE
+    assert calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_polys, gcd_polys, gcd_polys)
+def test_hypothesis_gcd_is_one_wherever_the_modular_proof_says_coprime(f, g, factor):
+    """The modular coprimality proof `poly_gcd` used before the heuristic gcd,
+    kept as a one-sided oracle: it proves coprime only what is coprime."""
+    assume(f.degree >= 1 and g.degree >= 1)
+    if factor.degree >= 1:
+        f, g = f * factor, g * factor
+    gcd = poly_gcd(f, g)
+    if coprime_mod_prime(f.p, g.p):
+        assert gcd == P_ONE
+    if factor.degree >= 1:
+        assert gcd.degree >= factor.degree
 
 
 def test_poly_conj_reverses_coefficients():

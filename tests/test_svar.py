@@ -25,8 +25,8 @@ from svarspec.svar import (_ONE, _ZERO, ParameterError, SpectrumBundle, SvarPara
                            spectrum_trek, transfer_matrix)
 
 import svar_reference
-from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
-                      random_ratfn, random_tsg)
+from conftest import (forbid_remainder_sequences, random_cyclic_graph, random_dag,
+                      random_latent_dag, random_ratfn, random_tsg)
 from graph_reference import (TrekSystem, minimal_halftrek_subsystem,
                              sided_nonintersecting_trek_systems)
 from svar_reference import (conj, det_path_expansion, det_trek_expansion, identity,
@@ -353,13 +353,6 @@ def test_kernel_operations_match_ratfn_arithmetic(data):
         assert kd.total([a]) is a  # a lone value is its own sum
 
 
-def _forbid_remainder_sequences(monkeypatch):
-    def fail(a, b):
-        raise AssertionError("a gcd fell back to the remainder sequence")
-
-    monkeypatch.setattr(ratfield, "_pseudo_remainder", fail)
-
-
 def _record_divexact(monkeypatch) -> list[tuple[Poly, bool]]:
     """Patch `Poly.divexact` to record (divisor, raised) per call."""
     calls = []
@@ -503,7 +496,7 @@ def test_kernel_cancels_a_power_of_z(monkeypatch):
     )
     want = _assert_matches_reference(tsg, p).S
     assert want.entry("c", "b").den.degree == 2
-    _forbid_remainder_sequences(monkeypatch)
+    forbid_remainder_sequences(monkeypatch)
     assert spectrum(tsg, p).S == spectrum_trek(tsg, p) == want
 
 
