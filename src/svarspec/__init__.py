@@ -2,8 +2,7 @@
 
 from .ratfield import (NEG_INFINITY, P_ONE, P_ZERO, Poly, PoleError, R_ONE,
                        R_ZERO, RatFn, poly_gcd, poly_lcm)
-from .ratlinalg import (RatMatrix, SingularMatrixError, det, rank, solve,
-                        solve_many)
+from .ratlinalg import RatMatrix, SingularMatrixError, det, rank, solve_many
 from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
                     LfhtcOrder, LfhtcTriple, Path, ProcessGraph,
                     TimeSeriesGraph, Trek, count_treks, d_separated,
@@ -13,7 +12,7 @@ from .graph import (CyclicGraphError, GraphValidationError, LfhtcCheck,
 from .svar import (ParameterError, SpectrumBundle, SvarParams,
                    conditional_spectrum, generic_rank, lag_poly,
                    sample_stable_params, spectral_density, spectrum,
-                   spectrum_trek, transfer_matrix)
+                   spectrum_trek)
 from .identify import (Cpdag, IdentificationCertificate, IdentificationStep,
                        LinkRecoveryError, MissingPrerequisiteError,
                        ZeroInstrumentError, discover_cpdag, identify_all,

@@ -26,7 +26,7 @@ from typing import Callable
 from .graph import (LfhtcOrder, LfhtcTriple, ProcessGraph, TimeSeriesGraph, lfhtc_check,
                     lfhtc_order, lfhtc_prerequisite_edges)
 from .ratfield import RatFn
-from .ratlinalg import RatMatrix, rank, rank_mod, solve
+from .ratlinalg import RatMatrix, rank, rank_mod, solve_many
 from .svar import SvarParams, _density, _trek_parts
 
 Edge = tuple[str, str]
@@ -100,7 +100,8 @@ def lfhtc_identify_step(graph: ProcessGraph, S: RatMatrix, v: str, triple: Lfhtc
     rows = [[col(u, y) for u in pa] + [b_entry(w, y) for w in W] for y in Y]
     rhs = [col(v, y) for y in Y]
     system = RatMatrix(Y, pa + W, rows)
-    values = solve(system, rhs)  # raises SingularMatrixError for non-generic input
+    # raises SingularMatrixError for non-generic input
+    values = [row[0] for row in solve_many(system, [[b] for b in rhs])]
     solved = {(u, v): h for u, h in zip(pa, values[: len(pa)])}
     aux = {w: f for w, f in zip(W, values[len(pa):])}
     return solved, aux, system, rhs

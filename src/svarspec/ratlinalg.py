@@ -206,12 +206,6 @@ def rank(matrix: RatMatrix) -> int:
     return _eliminate(rows, len(matrix.col_labels))[0]
 
 
-def solve(matrix: RatMatrix, rhs: Sequence[RatFn]) -> list[RatFn]:
-    """Solve M x = b for square M; raises SingularMatrixError when det(M) = 0."""
-    cols = solve_many(matrix, [[b] for b in rhs])
-    return [row[0] for row in cols]
-
-
 def solve_many(matrix: RatMatrix, rhs_rows: Sequence[Sequence[RatFn]]) -> list[list[RatFn]]:
     """Solve M X = B where B is given row-wise; returns the rows of X."""
     if not matrix.is_square:

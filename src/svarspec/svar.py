@@ -38,14 +38,16 @@ root in the closed unit disk (there |A_v(z)| < 1), so every root of D_w*, the
 reciprocal of a root of D_w, lies inside the open disk and D_v, D_w* never
 share a root: a factor of the numerator cancels only against left factors
 jointly or right factors jointly, as when two vertices share one auto-lag
-polynomial.  The reduction divides out each whole factor that divides the
-numerator.  A linear factor is tried only when the numerator vanishes modulo
-P at the image of its root, which a factor that divides must do, so almost
-no trial division fails.  When every factor left is linear, the pair is then
-coprime (both proofs are in `_KnownDenominator.ratfn`) and takes no gcd;
-otherwise the final `RatFn` gcd removes the rest.  That proof and that gcd,
-not the stability argument, guarantee the canonical form, so the bytes of
-every spectrum are those of the unique reduced fraction, stable or not.
+polynomial.  The reduction divides only by a factor with a root image: a
+linear factor whose leading coefficient P does not divide, tried only when
+the numerator vanishes modulo P at the image of its root, which a factor that
+divides must do, so almost no trial division fails.  Every other factor, of
+degree 2 or more or with no image, is left to the final `RatFn` gcd, which
+runs only when such a factor is left; otherwise the pair is coprime (both
+proofs are in `_KnownDenominator.ratfn`) and takes no gcd.  That proof and
+that gcd, not the stability argument, guarantee the canonical form, so the
+bytes of every spectrum are those of the unique reduced fraction, stable or
+not.
 
 A cyclic observed part has no finite trek expansion; `_cyclic_density` reads
 (I - H_OO)^{-1} off the adjugate of a polynomial matrix whose determinant joins
@@ -156,12 +158,6 @@ def lag_poly(tsg: TimeSeriesGraph, params: SvarParams, x: str, y: str) -> Poly:
     return _new(*_from_ratios(ratios))
 
 
-def transfer_matrix(tsg: TimeSeriesGraph, params: SvarParams) -> RatMatrix:
-    """H over all vertices, zero off the edge set."""
-    kd, _, links = _trek_parts(tsg, params)
-    return _transfer(tsg.base, kd, links)
-
-
 # -- the known-denominator kernel --------------------------------------------------------
 
 #: A kernel value (num, left, right, shift): see `_KnownDenominator`.
@@ -184,18 +180,16 @@ class _KnownDenominator:
     D_i*(z) z**-deg D_i, so conj(1 / D_i) is z**deg D_i / D_i*.  A product ORs
     the masks, and its factors must not share a bit on either side; a sum
     lifts each term by the factors it lacks.  Both take `Poly` products and
-    sums only.  `ratfn` reaches the canonical form.  `_nonlinear` has bit i
-    set when D_i has degree 2 or more, and `_roots` holds, per side, the
-    image in GF(P) of each linear factor's root (see `_root_mod`).  `image`
-    maps a value to GF(P).
+    sums only.  `ratfn` reaches the canonical form.  `_roots` holds, per
+    side, the image in GF(P) of each linear factor's root, or None for a
+    factor with no image (see `_root_mod`).  `image` maps a value to GF(P).
     """
 
-    __slots__ = ("left", "right", "_nonlinear", "_roots", "_lifts", "_inverses")
+    __slots__ = ("left", "right", "_roots", "_lifts", "_inverses")
 
     def __init__(self, factors: list[Poly]):
         self.left = factors
         self.right = [f.conj() for f in factors]
-        self._nonlinear = sum(1 << i for i, f in enumerate(factors) if f.degree > 1)
         self._roots = ([_root_mod(f) for f in self.left], [_root_mod(f) for f in self.right])
         self._lifts: dict[tuple[int, int], Poly] = {(0, 0): P_ONE}
         self._inverses: list[tuple[int, int]] | None = None
@@ -247,21 +241,24 @@ class _KnownDenominator:
         return num.conj(), right, left, self.lift(left, right).degree - num.degree - shift
 
     def ratfn(self, a: _Value) -> RatFn:
-        """The canonical form.  Each D_i or D_i* that divides the numerator is
-        divided out, and so is the power of z it shares with the denominator.
-        A `RatFn` gcd then removes whatever common factor is left, unless every
-        factor left is linear: then the pair is already coprime, stable or not.
+        """The canonical form.  Each D_i or D_i* with a root image that
+        divides the numerator is divided out, and so is the power of z the
+        numerator shares with the denominator.  No other factor is divided:
+        when one is left in the masks, a `RatFn` gcd removes whatever common
+        factor is left; otherwise the pair is already coprime, stable or not.
 
-        Root test.  A linear factor f with a root image r (`_root_mod`) is
-        tried only when num.p(r) = 0 modulo P: if f divides num over Q, Gauss's
-        lemma gives f.p q = num.p with q in Z[z], so num.p(r) = f.p(r) q(r) = 0
-        modulo P, and a nonzero image proves that f does not divide num.  A
-        factor without an image (P divides its leading coefficient) and a
-        factor of degree 2 or more take the trial division.
+        Root test.  A factor f with a root image r (`_root_mod`: f is linear
+        and P does not divide its leading coefficient) is divided only when
+        num.p(r) = 0 modulo P: if f divides num over Q, Gauss's lemma gives
+        f.p q = num.p with q in Z[z], so num.p(r) = f.p(r) q(r) = 0 modulo P,
+        and a nonzero image proves that f does not divide num.  A factor of
+        degree 2 or more, or one whose leading coefficient P divides, is never
+        divided; it goes to the gcd.
 
-        Proof of coprimality.  Each D_i or D_i* left in the masks does not
-        divide a numerator N, and the final numerator divides N z**k for some
-        k >= 0.  A linear polynomial is irreducible, and neither factor carries
+        Proof of coprimality.  When no factor without a root image is left,
+        each D_i or D_i* left in the masks is linear and does not divide a
+        numerator N, and the final numerator divides N z**k for some k >= 0.
+        A linear polynomial is irreducible, and neither factor carries
         z: D_i(0) != 0 and D_i*(0) = lc(D_i) != 0.  So a factor left divides
         neither N z**k nor the final numerator.  After the shift step z divides
         at most one side: when a power of z is left in the denominator, the
@@ -272,19 +269,19 @@ class _KnownDenominator:
         if not num:
             return R_ZERO
         masks = [left, right]
+        unrooted = False  # a factor without a root image is left in the masks
         for side, (factors, roots) in enumerate(zip((self.left, self.right), self._roots)):
             rest = masks[side]
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                if roots[i] is not None and _horner_mod(num.p, roots[i]):
-                    continue
-                try:
-                    num = num.divexact(factors[i])
-                except ArithmeticError:
-                    continue
-                masks[side] ^= low
+                if roots[i] is None:
+                    unrooted = True
+                elif not _horner_mod(num.p, roots[i]):
+                    with suppress(ArithmeticError):  # f does not divide num
+                        num = num.divexact(factors[i])
+                        masks[side] ^= low
         den = self.lift(*masks)
         if shift < 0:
             zeros = min(next(i for i, c in enumerate(num.p) if c), -shift)
@@ -295,7 +292,7 @@ class _KnownDenominator:
             num = num.shift(shift)
         elif shift < 0:
             den = den.shift(-shift)
-        if (masks[0] | masks[1]) & self._nonlinear:
+        if unrooted:
             return RatFn(num, den)
         out = object.__new__(RatFn)
         out._set_coprime(num, den)

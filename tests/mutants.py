@@ -93,6 +93,13 @@ MUTANTS = [
     Mutant("D_i's root used for D_i*", "svar.py",
            "[_root_mod(f) for f in self.right])", "[_root_mod(f) for f in self.left])",
            (SVAR + "test_kernel_cancels_a_repeated_auto_polynomial",)),
+    Mutant("a factor without a root image not forcing the gcd", "svar.py",
+           "unrooted = True\n", "pass\n",
+           (SVAR + "test_kernel_divides_when_the_prime_divides_a_leading_coefficient",
+            SVAR + "test_kernel_takes_the_gcd_over_a_reducible_quadratic")),
+    Mutant("the root test bypassed before a division", "svar.py",
+           "elif not _horner_mod(num.p, roots[i]):", "elif True:",
+           (SVAR + "test_kernel_tries_no_division_that_the_root_test_rules_out",)),
     Mutant("the mirror without conj", "svar.py",
            "rows[j][i] = rows[i][j].conj()", "rows[j][i] = rows[i][j]",
            (SVAR + "test_spectrum_hermitian",)),

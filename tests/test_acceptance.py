@@ -19,7 +19,7 @@ from svarspec.identify import (LinkRecoveryError, discover_cpdag, identify_all,
 from svarspec.ratfield import Poly, RatFn
 from svarspec.ratlinalg import RatMatrix, det, solve_many
 from svarspec.svar import (SvarParams, generic_rank, sample_stable_params,
-                           spectrum, spectrum_trek, transfer_matrix)
+                           spectrum, spectrum_trek)
 from svarspec.simulate import (estimate_spectrum, exact_spectrum_values,
                                simulate_series)
 
@@ -93,7 +93,7 @@ def test_criterion_02_gessel_viennot():
     def body():
         for index, graph in _family():
             tsg, params, X, Y = _instance(index, graph)
-            H = transfer_matrix(tsg, params)
+            H = spectrum(tsg, params).H
             N = unit_inverse(H)
             assert det(N.submatrix(X, Y)) == det_path_expansion(tsg, params, X, Y, H)
 
@@ -295,7 +295,7 @@ def test_criterion_09_coefficient_round_trip():
                 continue
             tsg = random_tsg(rng, graph, max_order=2)
             params = sample_stable_params(tsg, seed=recovered)
-            H = transfer_matrix(tsg, params)
+            H = spectrum(tsg, params).H
             for (a, b) in graph.edges:
                 cross, auto = recover_lag_coefficients(
                     H.entry(a, b),

@@ -18,10 +18,9 @@ from svarspec.identify import (LinkRecoveryError, MissingPrerequisiteError,
                                identify_instrument, lfhtc_identify_step,
                                recover_lag_coefficients, spectral_ci_oracle)
 from svarspec.ratfield import MOD_PRIME, RatFn
-from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank, solve
+from svarspec.ratlinalg import RatMatrix, SingularMatrixError, rank, solve_many
 from svarspec.svar import (SvarParams, _density, _trek_parts, conditional_spectrum,
-                           sample_stable_params, spectral_density, spectrum,
-                           transfer_matrix)
+                           sample_stable_params, spectral_density, spectrum)
 
 from conftest import (random_cyclic_graph, random_dag, random_latent_dag,
                       random_tsg)
@@ -43,7 +42,7 @@ def identify_regression(graph: ProcessGraph, S: RatMatrix, v: str) -> dict:
         return {}
     rows = [[S.entry(u, y) for u in pa] for y in pa]
     rhs = [S.entry(v, y) for y in pa]
-    values = solve(RatMatrix(pa, pa, rows), rhs)
+    values = [row[0] for row in solve_many(RatMatrix(pa, pa, rows), [[b] for b in rhs])]
     return {(u, v): h for u, h in zip(pa, values)}
 
 
@@ -268,7 +267,7 @@ def test_recover_round_trip_on_sampled_edges():
             continue
         tsg = random_tsg(rng, g, max_order=2)
         p = sample_stable_params(tsg, seed=recovered + 700)
-        H = transfer_matrix(tsg, p)
+        H = spectrum(tsg, p).H
         for (a, b) in g.edges:
             cross, auto = recover_lag_coefficients(
                 H.entry(a, b), cross_lags=tsg.cross_lags[(a, b)],

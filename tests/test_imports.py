@@ -147,7 +147,6 @@ def caller():
 #: The public names no code in the package calls, and what runs each one.
 CALLED_OUTSIDE_THE_PACKAGE = {
     "ratlinalg.det": "acceptance criterion 2",
-    "svar.transfer_matrix": "acceptance criteria 2 and 9",
     "identify.identify_instrument": "acceptance criterion 6",
     "identify.recover_lag_coefficients": "acceptance criterion 9",
     "simulate.exact_spectrum_values": "acceptance criterion 10",

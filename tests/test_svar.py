@@ -22,7 +22,7 @@ from svarspec.svar import (_ONE, _ZERO, ParameterError, SpectrumBundle, SvarPara
                            _density, _KnownDenominator, _trek_parts,
                            conditional_spectrum, generic_rank, lag_poly,
                            sample_stable_params, spectral_density, spectrum,
-                           spectrum_trek, transfer_matrix)
+                           spectrum_trek)
 
 import svar_reference
 from conftest import (forbid_remainder_sequences, random_cyclic_graph, random_dag,
@@ -61,14 +61,14 @@ def test_link_function_quotient_shape(instrument_tsg):
     a0 = p.cross[("u", "v", 0)]
     a1 = p.cross[("u", "v", 1)]
     b = p.auto[("v", 1)]
-    assert transfer_matrix(instrument_tsg, p).entry("u", "v") == RatFn([a0, a1], [1, -b])
+    assert spectrum(instrument_tsg, p).H.entry("u", "v") == RatFn([a0, a1], [1, -b])
 
 
 def test_link_function_denominator_one_without_auto_lags():
     g = ProcessGraph.make(["a", "b"], [], [("a", "b")])
     tsg = TimeSeriesGraph.make(g, {("a", "b"): (0, 1)})
     p = sample_stable_params(tsg, seed=5)
-    h = transfer_matrix(tsg, p).entry("a", "b")
+    h = spectrum(tsg, p).H.entry("a", "b")
     assert h.den == P_ONE
 
 
@@ -76,13 +76,13 @@ def test_transfer_matrix_zero_when_coefficients_vanish(instrument_tsg):
     zero_cross = {k: Fraction(0) for k in sample_stable_params(instrument_tsg, seed=6).cross}
     p = sample_stable_params(instrument_tsg, seed=6)
     params = SvarParams(cross=zero_cross, auto=p.auto, noise=p.noise)
-    H = transfer_matrix(instrument_tsg, params)
+    H = spectrum(instrument_tsg, params).H
     assert H.is_zero
 
 
 def test_transfer_matrix_zero_off_edges(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=7)
-    H = transfer_matrix(instrument_tsg, p)
+    H = spectrum(instrument_tsg, p).H
     assert H.entry("w", "u").is_zero and H.entry("v", "u").is_zero
     assert not H.entry("u", "v").is_zero
 
@@ -126,9 +126,8 @@ def test_projected_internal_spectrum_without_latents(chain_tsg):
 
 def test_projected_internal_spectrum_latent_entries(instrument_tsg):
     p = sample_stable_params(instrument_tsg, seed=11)
-    H = transfer_matrix(instrument_tsg, p)
     b = spectrum(instrument_tsg, p)
-    S_I, S_LI = b.S_I, b.S_LI
+    H, S_I, S_LI = b.H, b.S_I, b.S_LI
     assert S_LI.entry("u", "v").is_zero
     assert S_LI.entry("u", "w").is_zero
     assert S_LI.entry("v", "w") == H.entry("l", "v") * S_I.entry("l", "l") * H.entry("l", "w").conj()
@@ -443,7 +442,8 @@ def test_kernel_tries_no_division_that_the_root_test_rules_out(monkeypatch):
 
 def test_kernel_divides_when_the_prime_divides_a_leading_coefficient(monkeypatch):
     # D_x = D_z = 1 - z/P: D_x* = z - 1/P, whose primitive part P z - 1 has
-    # leading coefficient P, has no root image and takes the trial division
+    # leading coefficient P, has no root image, so `ratfn` never divides by
+    # it; the gcd finds the repeated D_x* in S[y, y] and removes it
     g = ProcessGraph.make(["x", "y", "z"], [], [("x", "y"), ("z", "y")])
     tsg = TimeSeriesGraph.full(g, 1)
     p = sample_stable_params(tsg, seed=8)
@@ -453,12 +453,38 @@ def test_kernel_divides_when_the_prime_divides_a_leading_coefficient(monkeypatch
     D_star = (P_ONE - Poly([0, tiny])).conj()
     assert D_star.p[-1] % MOD_PRIME == 0
     want = svar_reference.spectrum(tsg, p)
-    calls = _record_divexact(monkeypatch)
+    gcds = []
+    poly_gcd = ratfield.poly_gcd
+
+    def recording(f, g):
+        gcds.append(poly_gcd(f, g))
+        return gcds[-1]
+
+    monkeypatch.setattr(ratfield, "poly_gcd", recording)
     got = spectrum(tsg, p)
     for name in ("H", "S_I", "S_LI", "S"):
         assert getattr(got, name) == getattr(want, name), name
     assert spectral_density(tsg, p) == spectrum_trek(tsg, p) == want.S
-    assert (D_star, False) in calls
+    assert D_star.monic() in gcds
+
+
+def test_kernel_never_tries_a_division_by_a_quadratic(monkeypatch):
+    """A factor of degree 2 or more has no root image: `ratfn` leaves it to
+    the gcd and divides by it nowhere, so no division by a divisor of degree
+    2 or more fails (the gcd divides only by a common factor it found)."""
+    rng = random.Random(41)
+    cases = []
+    for trial in range(5):  # 4 observed and 1 latent vertex, every auto-lag polynomial quadratic
+        labels = [f"x{i}" for i in range(4)]
+        tsg = TimeSeriesGraph.full(random_latent_dag(rng, labels, ["h"], p=0.6), 2)
+        p = sample_stable_params(tsg, seed=trial)
+        cases.append((tsg, p, svar_reference.spectrum(tsg, p)))
+    calls = _record_divexact(monkeypatch)
+    for tsg, p, want in cases:
+        got = spectrum(tsg, p)
+        for name in ("H", "S_I", "S_LI", "S"):
+            assert getattr(got, name) == getattr(want, name), name
+    assert not [f for f, raised in calls if raised and f.degree >= 2]
 
 
 def test_kernel_takes_the_gcd_over_a_reducible_quadratic(monkeypatch):
@@ -608,10 +634,12 @@ def test_cyclic_spectrum_where_d_shares_a_factor_off_the_cycle(monkeypatch):
     assert spectral_density(tsg, p) == want
 
 
-def test_cyclic_spectrum_where_d_vanishes_at_zero():
+def test_cyclic_spectrum_where_d_vanishes_at_zero(monkeypatch):
     """Unvalidated parameters with det M = -5z/6: z leaves d for the shift and
     -5/6 for the content, and the kernel gets no factor from d.  So it does
-    with d = z/5, where a kernel factor z would leave entries non-canonical."""
+    with d = z/5, where a kernel factor z would leave entries non-canonical,
+    or force a gcd, since its reversal z* = 1 has no root image.  Each
+    kernel's one factor is a linear D_v with a root image, so no gcd runs."""
     g = ProcessGraph.make(["a", "b"], [], [("a", "b"), ("b", "a")])
     cross = {("a", "b"): (0,), ("b", "a"): (0, 1)}
     p = SvarParams.make({("a", "b", 0): 1, ("b", "a", 0): 1, ("b", "a", 1): Fraction(1, 3)},
@@ -628,7 +656,11 @@ def test_cyclic_spectrum_where_d_vanishes_at_zero():
     M = [[P_ONE, -Poly([Fraction(3, 5)])],
          [-Poly([Fraction(5, 3), Fraction(1, 2)]), Poly([1, Fraction(1, 2)])]]
     assert adjugate(M)[1].monic() == Poly([0, 1])
-    _assert_matches_reference(TimeSeriesGraph.make(g, cross, {"b": (1,)}), q)
+    tsg_q = TimeSeriesGraph.make(g, cross, {"b": (1,)})
+    _assert_matches_reference(tsg_q, q)
+    monkeypatch.setattr(ratfield, "poly_gcd", lambda f, g: pytest.fail("a gcd ran"))
+    spectrum(tsg, p)
+    spectrum(tsg_q, q)
 
 
 def lag0_cyclic_instance(rng: random.Random) -> TimeSeriesGraph:
@@ -1078,7 +1110,6 @@ def test_transfer_matrix_matches_the_ratfn_reference(monkeypatch):
         reads.clear()
         assert spectrum(tsg, params).H == want, seed
         assert sorted(reads) == sorted([(v, v) for v in tsg.base.vertices] + list(tsg.base.edges))
-        assert transfer_matrix(tsg, params) == want, seed
 
 
 def test_spectral_density_builds_s_alone(monkeypatch):
@@ -1201,7 +1232,7 @@ def test_det_path_expansion_matches_elimination():
         g = random_dag(rng, [f"x{i}" for i in range(n)], p=0.5)
         tsg = random_tsg(rng, g)
         p = sample_stable_params(tsg, seed=trial + 100)
-        H = transfer_matrix(tsg, p)
+        H = spectrum(tsg, p).H
         N = unit_inverse(H)
         k = rng.randint(1, n)
         X = sorted(rng.sample(list(g.vertices), k))
@@ -1215,7 +1246,7 @@ def test_det_path_expansion_order_zero_reduces_to_classical():
     g = random_dag(rng, ["a", "b", "c", "d"], p=0.7)
     tsg = TimeSeriesGraph.make(g, {e: (0,) for e in g.edges}, {})
     p = sample_stable_params(tsg, seed=25)
-    H = transfer_matrix(tsg, p)
+    H = spectrum(tsg, p).H
     assert all(e.den == P_ONE for row in H.entries for e in row)
     N = unit_inverse(H)
     X, Y = ["a", "b"], ["c", "d"]
